@@ -32,12 +32,14 @@ use stats::median;
 
 /// End-to-end metrics: `(name, unit)`. Every workload reports each one;
 /// what each measures per workload is set out in `ingest.rs` and
-/// `collect.rs` and in the methodology line.
-pub const END_TO_END: [(&str, &str); 6] = [
+/// `collect.rs` and in the methodology line. Tail latency (p99) is in the
+/// detail line but not here: on a shared virtual machine it is set by the
+/// host's disk and scheduler, and moved by up to 40% between runs minutes
+/// apart, more than any regression bound can allow.
+pub const END_TO_END: [(&str, &str); 5] = [
     ("setup_s", "s"),
     ("throughput_per_s", "1/s"),
     ("latency_p50_us", "us"),
-    ("latency_p99_us", "us"),
     ("finish_s", "s"),
     ("peak_rss_mb", "MB"),
 ];
