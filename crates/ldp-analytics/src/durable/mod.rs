@@ -401,7 +401,7 @@ impl DurableService {
 
     /// Counts one malformed rejection observed outside the service's own
     /// loops (see [`ReportService::note_malformed`]) — the transport
-    /// absorber's passthrough.
+    /// server's passthrough.
     pub fn note_malformed(&mut self) {
         self.service.note_malformed();
     }

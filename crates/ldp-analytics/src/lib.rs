@@ -20,9 +20,9 @@
 //!   before state is touched, with multi-shard tree merges bit-identical
 //!   to a single-process [`Collector::run`](pipeline::Collector::run).
 //! * [`transport`] — the fault-tolerant shell around the service: a
-//!   [`transport::ReportServer`] feeding one service through a bounded
-//!   backpressure queue from per-connection threads, a reconnecting
-//!   [`transport::ReportClient`] whose retries the budget ledger makes
+//!   [`transport::ReportServer`] whose per-connection threads apply
+//!   messages to one shared service under a bounded in-flight count, a
+//!   reconnecting [`transport::ReportClient`] whose retries the budget ledger makes
 //!   idempotent, and a deterministic chaos harness proving clean/chaos
 //!   snapshot parity bit for bit.
 //! * [`durable`] — crash safety under the service: a write-ahead log of

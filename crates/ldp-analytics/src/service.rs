@@ -461,7 +461,7 @@ pub enum AckOutcome {
     /// The message failed validation and will fail identically if resent
     /// unchanged — a permanent rejection.
     Rejected,
-    /// The server's bounded queue shed the message before it touched any
+    /// The server's in-flight bound shed the message before it touched any
     /// state; retry after backoff.
     Overloaded,
 }
@@ -903,8 +903,8 @@ impl ReportService {
     }
 
     /// Counts one malformed rejection that happened *outside*
-    /// [`ReportService::serve`] — e.g. a transport absorber driving
-    /// [`ReportService::handle`] directly — so snapshots keep accounting
+    /// [`ReportService::serve`] — e.g. a transport connection thread
+    /// driving [`ReportService::handle`] directly — so snapshots keep accounting
     /// for every rejection regardless of which loop observed it.
     pub fn note_malformed(&mut self) {
         self.rejected_malformed += 1;

@@ -5,12 +5,13 @@
 //! [`ResponseMessage`](crate::service::ResponseMessage)s out); this
 //! module defines *how it survives a real network*:
 //!
-//! * [`server`] — a [`ReportServer`]: per-connection reader threads
-//!   feeding one service-owning absorber through a **bounded** queue.
-//!   Backpressure is explicit (full queue ⇒ typed `Overloaded` shed, not
-//!   unbounded buffering), faults are connection-scoped (a hostile or
-//!   desynced client is dropped and counted, never poisons shared
-//!   state), and shutdown drains before it stops.
+//! * [`server`] — a [`ReportServer`]: one thread per connection, each
+//!   applying its own messages to one shared service under a lock, with
+//!   a **bounded** number in flight. Backpressure is explicit (bound full
+//!   ⇒ typed `Overloaded` shed, not unbounded waiting), faults are
+//!   connection-scoped (a hostile or desynced client is dropped and
+//!   counted, never poisons shared state), and shutdown drains before it
+//!   stops.
 //! * [`client`] — a [`ReportClient`]: connect timeouts, seeded
 //!   exponential [`backoff`] with jitter, reconnect-with-`Hello`-replay,
 //!   and resend of unacknowledged submits. The server's privacy-budget
@@ -30,7 +31,7 @@
 //! wire, and each prescribes exactly one client reaction:
 //!
 //! * [`AckOutcome::Overloaded`](crate::service::AckOutcome::Overloaded)
-//!   — the server's bounded queue shed the submit **before** any
+//!   — the server's in-flight bound shed the submit **before** any
 //!   validation or ledger state was touched. Nothing was spent; the
 //!   client pauses on its [`Backoff`] schedule and resends on the *same*
 //!   connection.
@@ -92,8 +93,9 @@
 //! let epsilon = Epsilon::new(1.0)?;
 //! let specs = vec![AttrSpec::Numeric, AttrSpec::Categorical { k: 4 }];
 //!
-//! // Server: reader threads feed one service-owning absorber; here a
-//! // single in-process connection is served on a spawned thread.
+//! // Server: each connection's thread applies its messages to the one
+//! // shared service; here a single in-process connection is served on a
+//! // spawned thread.
 //! let server = ReportServer::start(ServerConfig::default());
 //! let (client_half, mut server_half) = duplex();
 //! let handle = server.handle();
@@ -128,7 +130,7 @@
 //!
 //! client.close();
 //! conn.join().expect("connection thread");
-//! let service = server.finish(); // drains the queue, returns the service
+//! let service = server.finish(); // waits for every handle, returns the service
 //! assert_eq!(service.snapshot_epoch(0)?.admitted, 10);
 //! # Ok::<(), LdpError>(())
 //! ```
@@ -150,6 +152,7 @@ pub use server::{ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportS
 #[cfg(test)]
 mod tests {
     use std::io::Write;
+    use std::sync::Arc;
     use std::time::Duration;
 
     use ldp_core::{Epsilon, LdpError};
@@ -261,12 +264,51 @@ mod tests {
     }
 
     #[test]
+    fn finish_waits_for_a_live_connection_and_keeps_every_acked_submit() {
+        let server = ReportServer::start(ServerConfig::default());
+        let stats = server.stats();
+        let (client_half, mut server_half) = duplex();
+        let handle = server.handle();
+        let conn_thread = std::thread::spawn(move || handle.serve_stream(&mut server_half));
+        let connector = QueueConnector {
+            streams: vec![client_half],
+        };
+        let mut client = ReportClient::new(connector, hello(), no_sleep_config()).unwrap();
+        for user in 0..5u64 {
+            let outcome = client.submit(user, 0, 0, report_bytes(user)).unwrap();
+            assert_eq!(outcome, SubmitOutcome::Admitted);
+        }
+
+        let finisher = std::thread::spawn(move || server.finish());
+        // The stats are shared by us, the connection's handle and the
+        // server's own handle, which `finish` drops before it waits:
+        // once only two owners remain, `finish` is waiting (or about to).
+        while Arc::strong_count(&stats) > 2 {
+            std::thread::yield_now();
+        }
+        for user in 5..10u64 {
+            let outcome = client.submit(user, 0, 0, report_bytes(user)).unwrap();
+            assert_eq!(outcome, SubmitOutcome::Admitted);
+            assert!(
+                !finisher.is_finished(),
+                "finish returned while a connection was still served"
+            );
+        }
+        client.close();
+        conn_thread.join().unwrap();
+
+        let service = finisher.join().unwrap();
+        assert_eq!(service.snapshot_epoch(0).unwrap().admitted, 10);
+        assert_eq!(stats.submits(), 10);
+    }
+
+    #[test]
     fn full_queue_sheds_with_overloaded_ack() {
-        // A capacity-1 server whose absorber is wedged behind a slow job
-        // is hard to arrange deterministically; instead, drive
-        // serve_stream against a handle whose queue is pre-filled and
-        // whose absorber never runs (receiver held alive but unread).
-        let (handle, _wedged_rx) = super::server::testutil::wedged_handle(1);
+        // A capacity-1 server whose one in-flight slot is held by a slow
+        // message is hard to arrange deterministically; instead, drive
+        // serve_stream against a handle whose slot is pre-occupied by a
+        // message that is never answered.
+        let handle = super::server::testutil::wedged_handle(1);
         super::server::testutil::fill(&handle);
 
         let (mut client_half, mut server_half) = duplex();

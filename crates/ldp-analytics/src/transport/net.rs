@@ -81,9 +81,9 @@ impl TcpReportServer {
         self.server.stats()
     }
 
-    /// Stops accepting, joins every connection thread, drains the queue,
-    /// and returns the absorbed service with all per-connection
-    /// summaries.
+    /// Stops accepting, joins every connection thread, and returns the
+    /// service with every answered message applied, plus all
+    /// per-connection summaries.
     ///
     /// In-flight connections are served to completion (EOF, `Shutdown`,
     /// or the [`NetConfig::io_timeout`] drain bound), never cut off.
@@ -125,8 +125,8 @@ fn spawn_accept_loop(
             let conn = handle.clone();
             workers.push(thread::spawn(move || conn.serve_stream(&mut stream)));
         }
-        // Drop our handle before joining so only live connections keep
-        // the absorber running.
+        // Drop our handle before joining so only live connections hold
+        // the server's backend.
         drop(handle);
         workers
             .into_iter()

@@ -1,15 +1,16 @@
-//! The server half of the transport: connection threads feeding one
-//! [`ReportService`] through a bounded queue.
+//! The server half of the transport: connection threads applying
+//! messages to one shared [`ReportService`].
 //!
 //! ## Architecture
 //!
-//! One *absorber* thread owns the [`ReportService`] outright — no locks,
-//! no shared mutable aggregate state. Every connection runs
-//! [`ConnHandle::serve_stream`] on its own thread, decoding frames and
-//! pushing [`WireMessage`]s into a bounded `sync_channel`. The bound is
-//! the backpressure contract: when the absorber falls behind, `try_send`
-//! fails immediately and the connection *sheds* the message with an
-//! [`AckOutcome::Overloaded`] verdict instead of queueing unboundedly —
+//! Every connection runs [`ConnHandle::serve_stream`] on its own thread,
+//! which decodes each frame, applies its [`WireMessage`] to the one
+//! shared service under a lock, and writes the verdict back itself — no
+//! hand-off per message. A connection's messages apply in arrival order,
+//! which within-block bit-identity needs. At most
+//! [`ServerConfig::queue_capacity`] messages may be in flight (waiting
+//! for or holding the lock); the connection *sheds* a message over that
+//! bound with an [`AckOutcome::Overloaded`] verdict instead of waiting —
 //! the client backs off and retries, and the privacy-budget ledger makes
 //! that retry idempotent.
 //!
@@ -17,24 +18,23 @@
 //!
 //! A desynced, hostile, or vanished client kills only its own connection:
 //! the fault is recorded in that connection's [`ConnSummary`] and counted
-//! in [`TransportStats`], while the absorber — and every other connection
-//! — keeps running. Checksum-corrupt frames keep the reader synchronized
+//! in [`TransportStats`], while every other connection keeps running.
+//! Checksum-corrupt frames keep the reader synchronized
 //! (see [`ldp_core::frame::read_frame`]), so they earn a
 //! [`ResponseMessage::Resend`] rather than a disconnect.
 //!
 //! ## Shutdown
 //!
-//! [`ReportServer::finish`] drops the server's own queue handle and joins
-//! the absorber, which drains every message already queued before
-//! returning the service — drain-then-stop, never drop-on-stop. The
-//! absorber exits when the last [`ConnHandle`] clone is gone, so join
-//! connection threads (or drop their handles) first.
+//! [`ReportServer::finish`] drops the server's own handle and waits until
+//! the last [`ConnHandle`] clone is gone, then returns the service with
+//! every answered message applied — drain-then-stop, never drop-on-stop.
+//! Join connection threads (or drop their handles) first, or `finish`
+//! blocks until they end.
 
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES};
 use ldp_core::Result;
@@ -50,9 +50,10 @@ use crate::service::{
 pub struct ServerConfig {
     /// Configuration for the owned [`ReportService`].
     pub service: ServiceConfig,
-    /// Bound of the connection→absorber queue. Messages arriving while
-    /// the queue is full are shed with [`AckOutcome::Overloaded`]; they
-    /// never wait unboundedly and never touch service state.
+    /// Most messages handed to the service and not yet answered, across
+    /// all connections. Messages over the bound are shed with
+    /// [`AckOutcome::Overloaded`]; they never wait and never touch
+    /// service state.
     pub queue_capacity: usize,
 }
 
@@ -65,9 +66,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared transport counters, updated by connection threads and the
-/// absorber. All loads are `Relaxed`: the counters are monotone telemetry,
-/// not synchronization.
+/// Shared transport counters, updated by connection threads. All loads
+/// are `Relaxed`: the counters are monotone telemetry, not
+/// synchronization.
 #[derive(Debug, Default)]
 pub struct TransportStats {
     connections: AtomicU64,
@@ -102,12 +103,12 @@ impl TransportStats {
         self.malformed_messages.load(Ordering::Relaxed)
     }
 
-    /// Messages shed because the bounded queue was full.
+    /// Messages shed because the in-flight bound was full.
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Submit messages that reached the absorber (each earns exactly one
+    /// Submit messages applied to the service (each earns exactly one
     /// admitted / duplicate / rejected verdict from the service).
     pub fn submits(&self) -> u64 {
         self.submits.load(Ordering::Relaxed)
@@ -122,27 +123,11 @@ impl TransportStats {
     }
 
     /// Crashes injected by a [`crate::durable::CrashSchedule`] that the
-    /// absorber observed (the transport-side mirror of
+    /// server observed (the transport-side mirror of
     /// [`crate::transport::FaultCounts::crashes`]).
     pub fn injected_crashes(&self) -> u64 {
         self.injected_crashes.load(Ordering::Relaxed)
     }
-}
-
-/// What the absorber should do with one queued message.
-enum JobKind {
-    /// A decoded message for [`ReportService::handle`].
-    Msg(WireMessage),
-    /// A frame that verified its checksum but failed message decoding —
-    /// counted by the service (not just the transport) so snapshot
-    /// counters match a direct [`ReportService::serve`] run.
-    Malformed,
-}
-
-/// One unit of absorber work plus the channel its verdict returns on.
-pub(crate) struct Job {
-    kind: JobKind,
-    reply: mpsc::Sender<ResponseMessage>,
 }
 
 /// How one connection's [`ConnHandle::serve_stream`] call ended.
@@ -163,24 +148,38 @@ pub struct ConnSummary {
     pub fault: Option<StreamFault>,
 }
 
+/// What every connection shares.
+#[derive(Debug)]
+struct Shared {
+    backend: Mutex<Backend>,
+    /// Messages waiting for or holding the `backend` lock.
+    in_flight: AtomicUsize,
+}
+
+const POISONED: &str = "backend lock poisoned: a connection panicked mid-message";
+
 /// A cloneable per-connection handle into a running [`ReportServer`].
 ///
-/// Cheap to clone (a queue sender and a stats handle); the absorber stays
-/// alive as long as any clone exists.
+/// Cheap to clone (a few reference counts); [`ReportServer::finish`]
+/// waits until every clone is dropped.
 #[derive(Debug, Clone)]
 pub struct ConnHandle {
-    tx: mpsc::SyncSender<Job>,
+    shared: Arc<Shared>,
     stats: Arc<TransportStats>,
     queue_capacity: usize,
+    /// Liveness token for `finish`. Fields drop in declaration order, so
+    /// it must stay after `shared`: no handle holds the backend once its
+    /// token is gone.
+    _alive: mpsc::Sender<()>,
 }
 
 impl ConnHandle {
-    /// Serves one client stream to completion: reads frames, queues
+    /// Serves one client stream to completion: reads frames, applies
     /// messages, writes one response frame per request, in order.
     ///
-    /// Every exit path is accounted: clean EOF, client `Shutdown`, a
-    /// transport fault (recorded in the summary, counted in the stats),
-    /// or server shutdown (queue closed). Never panics on hostile input.
+    /// Every exit path is accounted: clean EOF, client `Shutdown`, or a
+    /// transport fault (recorded in the summary, counted in the stats).
+    /// Never panics on hostile input.
     pub fn serve_stream<S: Read + Write + ?Sized>(&self, stream: &mut S) -> ConnSummary {
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         let mut summary = ConnSummary::default();
@@ -221,48 +220,22 @@ impl ConnHandle {
             };
             offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
             summary.frames += 1;
-            let job_kind = match WireMessage::decode(kind, &payload) {
+            let msg = match WireMessage::decode(kind, &payload) {
                 Ok(WireMessage::Shutdown) => {
                     // Connection-scoped: this client is done, the server
                     // and every other connection keep running.
                     summary.shutdown = true;
                     break;
                 }
-                Ok(msg) => JobKind::Msg(msg),
+                Ok(msg) => Some(msg),
                 Err(_) => {
                     self.stats
                         .malformed_messages
                         .fetch_add(1, Ordering::Relaxed);
-                    JobKind::Malformed
+                    None
                 }
             };
-            let echo = match &job_kind {
-                JobKind::Msg(WireMessage::Submit { user, epoch, .. }) => (*user, *epoch),
-                _ => (0, 0),
-            };
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let response = match self.tx.try_send(Job {
-                kind: job_kind,
-                reply: reply_tx,
-            }) {
-                Ok(()) => match reply_rx.recv() {
-                    Ok(response) => response,
-                    // Absorber gone mid-job: server is shutting down.
-                    Err(mpsc::RecvError) => break,
-                },
-                Err(mpsc::TrySendError::Full(_)) => {
-                    // Backpressure: shed before any state is touched and
-                    // tell the client to back off. The ledger makes the
-                    // eventual retry idempotent.
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    ResponseMessage::Ack {
-                        user: echo.0,
-                        epoch: echo.1,
-                        outcome: AckOutcome::Overloaded,
-                    }
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => break,
-            };
+            let response = self.apply(msg.as_ref());
             if let Err(error) = response.write_to(stream) {
                 // The verdict may already be applied server-side; the
                 // client will resend on reconnect and the ledger will
@@ -283,13 +256,54 @@ impl ConnHandle {
         summary
     }
 
-    /// The queue bound this handle sheds against.
+    /// Applies one message to the shared backend and renders its verdict,
+    /// or sheds it with `Overloaded` when the in-flight bound is full.
+    /// `None` is a frame that verified its checksum but failed message
+    /// decoding: it is counted by the service (not just the transport) so
+    /// snapshot counters match a direct [`ReportService::serve`] run.
+    fn apply(&self, msg: Option<&WireMessage>) -> ResponseMessage {
+        // `Relaxed` is enough: the count publishes no data (the lock
+        // does), it only bounds how many messages may wait for the lock.
+        let in_flight = &self.shared.in_flight;
+        let response = if in_flight.fetch_add(1, Ordering::Relaxed) < self.queue_capacity {
+            let mut backend = self.shared.backend.lock().expect(POISONED);
+            match msg {
+                Some(msg) => verdict(&mut backend, &self.stats, msg),
+                None => {
+                    backend.note_malformed();
+                    ResponseMessage::Ack {
+                        user: 0,
+                        epoch: 0,
+                        outcome: AckOutcome::Rejected,
+                    }
+                }
+            }
+        } else {
+            // Backpressure: shed before any state is touched and tell the
+            // client to back off. The ledger makes the eventual retry
+            // idempotent.
+            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            let (user, epoch) = match msg {
+                Some(WireMessage::Submit { user, epoch, .. }) => (*user, *epoch),
+                _ => (0, 0),
+            };
+            ResponseMessage::Ack {
+                user,
+                epoch,
+                outcome: AckOutcome::Overloaded,
+            }
+        };
+        in_flight.fetch_sub(1, Ordering::Relaxed);
+        response
+    }
+
+    /// The in-flight bound this handle sheds against.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
 }
 
-/// The state the absorber owns: a bare service, or one behind the
+/// The state the connections share: a bare service, or one behind the
 /// write-ahead log when the server was started durable.
 #[derive(Debug)]
 enum Backend {
@@ -329,22 +343,25 @@ impl Backend {
     }
 }
 
-/// A running report server: one absorber thread owning a
-/// [`ReportService`], fed by any number of [`ConnHandle`]s.
+/// A running report server: one [`ReportService`] shared by any number
+/// of [`ConnHandle`]s, each applying its own connection's messages.
 #[derive(Debug)]
 pub struct ReportServer {
     handle: ConnHandle,
-    absorber: JoinHandle<Backend>,
+    /// Disconnects once every [`ConnHandle`]'s liveness token is dropped;
+    /// nothing is ever sent on it.
+    drained: mpsc::Receiver<()>,
 }
 
 impl ReportServer {
-    /// Starts the absorber thread around a fresh service.
+    /// Starts a server around a fresh service. No thread is spawned:
+    /// each connection's messages run on the thread serving it.
     pub fn start(config: ServerConfig) -> Self {
         let service = ReportService::new(config.service.clone());
         Self::start_backend(&config, Backend::Plain(Box::new(service)))
     }
 
-    /// Starts the absorber around a [`DurableService`] on `dir`: recovery
+    /// Starts a server around a [`DurableService`] on `dir`: recovery
     /// runs first (the returned [`RecoveryReport`] says what it rebuilt),
     /// and from then on every `Admitted` ack is sent only after the
     /// submit's WAL record is as durable as `durable.fsync` promises. A
@@ -370,18 +387,18 @@ impl ReportServer {
     }
 
     fn start_backend(config: &ServerConfig, backend: Backend) -> Self {
-        let capacity = config.queue_capacity.max(1);
-        let (tx, rx) = mpsc::sync_channel::<Job>(capacity);
-        let stats = Arc::new(TransportStats::default());
-        let absorber_stats = Arc::clone(&stats);
-        let absorber = thread::spawn(move || absorb(rx, backend, &absorber_stats));
+        let (alive, drained) = mpsc::channel();
         ReportServer {
             handle: ConnHandle {
-                tx,
-                stats,
-                queue_capacity: capacity,
+                shared: Arc::new(Shared {
+                    backend: Mutex::new(backend),
+                    in_flight: AtomicUsize::new(0),
+                }),
+                stats: Arc::new(TransportStats::default()),
+                queue_capacity: config.queue_capacity.max(1),
+                _alive: alive,
             },
-            absorber,
+            drained,
         }
     }
 
@@ -396,17 +413,23 @@ impl ReportServer {
     }
 
     /// Graceful drain-then-stop: waits for every outstanding
-    /// [`ConnHandle`] to drop, lets the absorber drain the queue, and
-    /// returns the service with all absorbed state.
+    /// [`ConnHandle`] to drop and returns the service with every answered
+    /// message applied.
     ///
     /// Blocks until all connection handles are gone — join connection
     /// threads before calling.
     pub fn finish(self) -> ReportService {
-        let ReportServer { handle, absorber } = self;
+        let ReportServer { handle, drained } = self;
+        let shared = Arc::clone(&handle.shared);
+        // Our own token first, or the wait below never ends.
         drop(handle);
-        absorber
-            .join()
-            .expect("absorber thread panicked")
+        // Nothing is ever sent: `recv` returns once the last token drops.
+        let _ = drained.recv();
+        Arc::try_unwrap(shared)
+            .expect("every handle released the backend before its token")
+            .backend
+            .into_inner()
+            .expect(POISONED)
             .into_service()
     }
 }
@@ -420,28 +443,6 @@ fn storage_shed(stats: &TransportStats, error: &ldp_core::LdpError) {
     if durable::is_injected_crash(error) {
         stats.injected_crashes.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// The absorber loop: single-threaded ownership of the backend, one
-/// verdict per job, exits when every sender is gone.
-fn absorb(rx: mpsc::Receiver<Job>, mut backend: Backend, stats: &TransportStats) -> Backend {
-    while let Ok(job) = rx.recv() {
-        let response = match job.kind {
-            JobKind::Malformed => {
-                backend.note_malformed();
-                ResponseMessage::Ack {
-                    user: 0,
-                    epoch: 0,
-                    outcome: AckOutcome::Rejected,
-                }
-            }
-            JobKind::Msg(msg) => verdict(&mut backend, stats, &msg),
-        };
-        // A vanished connection cannot receive its verdict; the state
-        // change (if any) stands and the ledger covers the client's retry.
-        let _ = job.reply.send(response);
-    }
-    backend
 }
 
 /// Applies one message to the backend and renders the wire verdict.
@@ -514,7 +515,7 @@ fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> 
                 }
             }
         },
-        // Shutdown is handled connection-side and never queued.
+        // Shutdown is handled connection-side and never applied.
         WireMessage::Shutdown => ResponseMessage::Ack {
             user: 0,
             epoch: 0,
@@ -523,36 +524,28 @@ fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> 
     }
 }
 
-/// Test-only plumbing: handles over wedged queues, for exercising the
-/// shedding path without racing a live absorber.
+/// Test-only plumbing: handles with occupied in-flight slots, for
+/// exercising the shedding path without racing live connections.
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
 
-    /// A [`ConnHandle`] whose queue has no absorber; the returned
-    /// receiver must stay alive for `try_send` to report `Full` (rather
-    /// than `Disconnected`).
-    pub(crate) fn wedged_handle(capacity: usize) -> (ConnHandle, mpsc::Receiver<Job>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        (
-            ConnHandle {
-                tx,
-                stats: Arc::new(TransportStats::default()),
-                queue_capacity: capacity,
-            },
-            rx,
-        )
+    /// A [`ConnHandle`] over a fresh plain service whose in-flight bound
+    /// is `capacity`.
+    pub(crate) fn wedged_handle(capacity: usize) -> ConnHandle {
+        ReportServer::start(ServerConfig {
+            service: ServiceConfig::default(),
+            queue_capacity: capacity,
+        })
+        .handle()
     }
 
-    /// Occupies one queue slot with a job nobody will answer.
+    /// Occupies one in-flight slot with a message nobody will answer.
     pub(crate) fn fill(handle: &ConnHandle) {
-        let (reply, _discarded) = mpsc::channel();
-        handle
-            .tx
-            .try_send(Job {
-                kind: JobKind::Msg(WireMessage::FlushEpoch { epoch: 0 }),
-                reply,
-            })
-            .expect("queue must have a free slot to fill");
+        let before = handle.shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            before < handle.queue_capacity,
+            "in-flight bound must have a free slot to fill"
+        );
     }
 }

@@ -60,6 +60,7 @@ use ldp_data::census::generate_br;
 use ldp_data::queries::br_query_workload;
 use ldp_query::{grid_protocol, mean_relative_error, GridSpec, NaiveEngine, QueryEngine};
 use rand::{Rng, RngCore};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Users used for the per-cell estimate checksum. Fixed — independent of
@@ -960,9 +961,13 @@ fn run_wire(args: &Args) -> Vec<WireCell> {
                 ledger_key: ldp_analytics::ServiceConfig::default().ledger_key,
                 run_seed: args.seed,
             };
+            // Unique per call: tests run this section on parallel threads
+            // of one process, and a shared file races its read-back.
+            static WAL_FILES: AtomicU64 = AtomicU64::new(0);
             let wal_path = std::env::temp_dir().join(format!(
-                "ldp-bench-wire-wal-{}-{label}-{k_dom}.log",
-                std::process::id()
+                "ldp-bench-wire-wal-{}-{}-{label}-{k_dom}.log",
+                std::process::id(),
+                WAL_FILES.fetch_add(1, Ordering::Relaxed)
             ));
             let mut wal_replayed = 0u64;
             let [encode, decode, roundtrip, wal] = time_arms(

@@ -46,6 +46,11 @@ pub const MAX_FRAME_PAYLOAD: usize = 1 << 24;
 /// Size of the fixed frame header: length, kind, checksum.
 pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 8;
 
+/// Most payload bytes [`read_frame`] allocates ahead of the bytes that
+/// have arrived: a header declaring a large length costs its sender the
+/// bytes, not the reader the memory.
+const READ_STEP: usize = 64 * 1024;
+
 /// FNV-1a checksum over the kind byte followed by the payload.
 ///
 /// The same 64-bit FNV-1a the bench harness uses for estimate checksums:
@@ -166,6 +171,9 @@ pub enum FrameRead {
 /// `payload` is reused as scratch
 /// space so a serve loop reading millions of frames performs no per-frame
 /// allocation once the buffer has grown to the stream's largest payload.
+/// It grows in steps of at most 64 KiB as payload bytes arrive, never to
+/// the declared length up front, so a payload below one step takes a
+/// single read.
 pub fn read_frame<R: Read + ?Sized>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<FrameRead>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match read_full(r, &mut header)? {
@@ -187,12 +195,15 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, payload: &mut Vec<u8>) -> Result<
         )));
     }
     payload.clear();
-    payload.resize(len, 0);
-    let got = read_full(r, payload)?;
-    if got < len {
-        return Err(malformed(format!(
-            "truncated frame payload: got {got} of {len} bytes"
-        )));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_STEP), 0);
+        let got = start + read_full(r, &mut payload[start..])?;
+        if got < payload.len() {
+            return Err(malformed(format!(
+                "truncated frame payload: got {got} of {len} bytes"
+            )));
+        }
     }
     let computed = frame_checksum(kind, payload);
     if computed != declared {
@@ -314,6 +325,73 @@ mod tests {
         let err = read_frame(&mut reader, &mut scratch).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("oversized"), "{msg}");
+    }
+
+    #[test]
+    fn a_bare_max_length_header_pins_at_most_one_step() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_be_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&0u64.to_be_bytes());
+        let mut reader = bytes.as_slice();
+        let mut scratch = Vec::new();
+        let err = read_frame(&mut reader, &mut scratch).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, LdpError::MalformedFrame { .. }), "{err:?}");
+        assert!(
+            msg.contains(&format!(
+                "truncated frame payload: got 0 of {MAX_FRAME_PAYLOAD} bytes"
+            )),
+            "{msg}"
+        );
+        assert!(
+            scratch.capacity() <= READ_STEP,
+            "13 header bytes pinned {} bytes of scratch",
+            scratch.capacity()
+        );
+    }
+
+    #[test]
+    fn payloads_round_trip_across_read_steps() {
+        /// Counts `read` calls on the inner reader.
+        struct Counting<'a> {
+            inner: &'a [u8],
+            reads: usize,
+        }
+        impl Read for Counting<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.reads += 1;
+                self.inner.read(out)
+            }
+        }
+
+        for len in [READ_STEP - 1, READ_STEP, 3 * READ_STEP + 17] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let bytes = frame_to_vec(5, &payload).unwrap();
+            let mut reader = Counting {
+                inner: &bytes,
+                reads: 0,
+            };
+            let mut scratch = Vec::new();
+            assert_eq!(
+                read_frame(&mut reader, &mut scratch).unwrap(),
+                Some(FrameRead::Valid { kind: 5 }),
+                "len {len}"
+            );
+            assert_eq!(scratch, payload, "len {len}");
+            // One read for the header, then one per started step.
+            assert_eq!(reader.reads, 1 + len.div_ceil(READ_STEP), "len {len}");
+        }
+
+        // A torn payload past the first step still reports its true count.
+        let bytes = frame_to_vec(5, &vec![7u8; 2 * READ_STEP]).unwrap();
+        let mut reader = &bytes[..FRAME_HEADER_BYTES + READ_STEP + 3];
+        let err = read_frame(&mut reader, &mut Vec::new()).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("got {} of {} bytes", READ_STEP + 3, 2 * READ_STEP)),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! The moving parts:
 //!
 //! * a [`TcpReportServer`] on `127.0.0.1:0` — per-connection threads
-//!   behind a bounded backpressure queue feeding one `ReportService`;
+//!   applying messages to one `ReportService`, with a bounded number in
+//!   flight;
 //! * two client threads, each dialing through a [`ChaosStream`] that
 //!   kills the connection mid-frame on a seeded schedule;
 //! * every lost ack is resolved by resending: the privacy-budget ledger
