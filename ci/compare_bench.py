@@ -33,15 +33,15 @@ For the throughput gate there are two kinds of fields, two kinds of gates:
   merge.
 
 Which speed fields are gated is driven by the ``arms`` lists each JSON
-declares (top-level for the grid, ``wire.arms`` for the wire section):
-every arm the committed JSON declares — except the deliberately slow
-``baseline`` arm — MUST be present in the measured JSON, and is compared.
-A committed arm (or a whole committed section, like ``wire``) that the
-measured JSON lacks is a hard failure with its own message — a candidate
-that silently stops reporting an arm must not pass the gate by omission.
-Measured-side extras are fine: adding an engine generation to the bench
-needs no change here. Files predating the ``arms`` field fall back to the
-historical ``fast``/``batched`` pair.
+declares (top-level for the grid — ``reference`` and ``production`` —
+and ``wire.arms`` for the wire section): every arm the committed JSON
+declares — except the deliberately slow ``reference`` arm — MUST be
+present in the measured JSON, and is compared. A committed arm (or a
+whole committed section, like ``wire``) that the measured JSON lacks is a
+hard failure with its own message — a candidate that silently stops
+reporting an arm must not pass the gate by omission, and a committed JSON
+that declares no arms fails too. Measured-side extras are fine: adding an
+arm to the bench needs no change here.
 
 On failure the full per-cell delta table (every matched cell x every gated
 arm, measured/committed ratio) is printed so a regression can be localized
@@ -69,11 +69,8 @@ import argparse
 import json
 import sys
 
-# Speed fields assumed when a JSON predates the explicit ``arms`` list.
-LEGACY_ARMS = ["baseline", "fast", "batched"]
-
 # Deliberately-slow reference arms that are recorded but not speed-gated.
-UNGATED_ARMS = {"baseline"}
+UNGATED_ARMS = {"reference"}
 
 
 def cell_key(cell):
@@ -93,9 +90,12 @@ def wire_cell_key(cell):
 def gated_fields(committed, measured, suffix, failures, section=""):
     """``<arm>_<suffix>`` for the committed arms, hard-failing on any
     committed arm the measured JSON no longer declares."""
-    committed_arms = committed.get("arms", LEGACY_ARMS)
-    measured_arms = measured.get("arms", LEGACY_ARMS)
     where = f"{section} " if section else ""
+    committed_arms = committed.get("arms")
+    if not committed_arms:
+        failures.append(f"committed JSON declares no {where}arms — nothing to gate")
+        return []
+    measured_arms = measured.get("arms", [])
     missing = [
         arm
         for arm in committed_arms
@@ -378,9 +378,8 @@ def self_test():
             "k": 16,
             "sampled_k": 3,
             "estimate_checksum": "0xabc",
-            "baseline_users_per_sec": 10.0,
-            "fast_users_per_sec": 100.0,
-            "batched_users_per_sec": 200.0,
+            "reference_users_per_sec": 10.0,
+            "production_users_per_sec": 100.0,
         }
         cell.update(over)
         return cell
@@ -418,7 +417,7 @@ def self_test():
 
     def report(**over):
         rep = {
-            "arms": ["baseline", "fast", "batched"],
+            "arms": ["reference", "production"],
             "cells": [grid_cell()],
             "wire": {"arms": ["encode", "decode", "wal"], "cells": [wire_cell()]},
             "queries": {"users": 30000, "cells": [query_cell()]},
@@ -446,9 +445,15 @@ def self_test():
     expect("identical reports pass", None, report(), report())
     expect(
         "dropped grid arm fails",
-        "dropped committed arm(s): batched",
+        "dropped committed arm(s): production",
         report(),
-        report(arms=["baseline", "fast"]),
+        report(arms=["reference"]),
+    )
+    expect(
+        "committed JSON without arms fails",
+        "declares no arms",
+        {k: v for k, v in report().items() if k != "arms"},
+        report(),
     )
     expect(
         "dropped wire arm fails",
@@ -528,25 +533,29 @@ def self_test():
         "speed collapse fails",
         "regressed to",
         report(),
-        report(cells=[grid_cell(fast_users_per_sec=1.0)]),
+        report(cells=[grid_cell(production_users_per_sec=1.0)]),
     )
     expect(
-        "baseline arm stays ungated",
+        "reference arm stays ungated",
         None,
         report(),
-        report(cells=[grid_cell(baseline_users_per_sec=0.0001)]),
+        report(cells=[grid_cell(reference_users_per_sec=0.0001)]),
     )
     expect(
         "declared-but-absent speed field fails",
         "missing declared speed field",
         report(),
-        report(cells=[{k: v for k, v in grid_cell().items() if k != "fast_users_per_sec"}]),
+        report(
+            cells=[
+                {k: v for k, v in grid_cell().items() if k != "production_users_per_sec"}
+            ]
+        ),
     )
     expect(
         "measured-side extra arm is fine",
         None,
         report(),
-        report(arms=["baseline", "fast", "batched", "turbo"]),
+        report(arms=["reference", "production", "turbo"]),
     )
     expect(
         "grid mismatch fails",

@@ -183,12 +183,10 @@ impl Checkpoint {
     ///
     /// # Errors
     /// Schema validation or state-codec failures.
-    pub fn install(self, snapshot_every: Option<u64>) -> Result<(ReportService, u64)> {
-        let config = ServiceConfig {
+    pub fn install(self) -> Result<(ReportService, u64)> {
+        let mut service = ReportService::new(ServiceConfig {
             ledger_key: self.header.ledger_key,
-            snapshot_every,
-        };
-        let mut service = ReportService::new(config);
+        });
         service.handle(&self.header.hello())?;
         service.restore_counters(self.frames, self.rejected_malformed);
         for (epoch, bytes) in &self.epochs {

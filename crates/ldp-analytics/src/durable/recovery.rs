@@ -85,7 +85,7 @@ impl Recovery {
             let checkpoint = Checkpoint::decode(&bytes)?;
             check_key(checkpoint.header.ledger_key, config)?;
             let binding = checkpoint.header.clone();
-            let (service, checkpointed) = checkpoint.install(config.service.snapshot_every)?;
+            let (service, checkpointed) = checkpoint.install()?;
             report.had_checkpoint = true;
             report.checkpointed = checkpointed;
             (service, Some(binding))

@@ -192,20 +192,6 @@ impl Collector {
         self
     }
 
-    /// Deprecated alias of [`Collector::with_shards`].
-    ///
-    /// The old name suggested an OS-thread cap, but the knob has always set
-    /// the *simulation shard* count — part of the determinism model, never a
-    /// scheduling detail. Use [`Collector::with_shards`] for shards and
-    /// [`Collector::with_worker_threads`] for the worker cap.
-    #[deprecated(
-        since = "0.1.0",
-        note = "renamed to `with_shards`; for an OS-thread cap use `with_worker_threads`"
-    )]
-    pub fn with_threads(self, shards: usize) -> Self {
-        self.with_shards(shards)
-    }
-
     /// Caps the number of OS worker threads in the work-stealing runner.
     /// This is a scheduling knob only: any worker count produces
     /// bit-identical estimates, because blocks — not workers — own the RNG
@@ -636,26 +622,6 @@ mod tests {
         assert_eq!(a.mean_vector(), b.mean_vector());
         let c = collector.run(&ds, 6).unwrap();
         assert_ne!(a.mean_vector(), c.mean_vector());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_threads_forwards_to_with_shards() {
-        let ds = numeric_dataset(2_000, 2, gaussian(0.2), 48).unwrap();
-        let protocol = Protocol::Sampling {
-            numeric: NumericKind::Hybrid,
-            oracle: OracleKind::Oue,
-        };
-        let a = Collector::new(protocol, eps(1.0))
-            .with_shards(3)
-            .run(&ds, 2)
-            .unwrap();
-        let b = Collector::new(protocol, eps(1.0))
-            .with_threads(3)
-            .run(&ds, 2)
-            .unwrap();
-        assert_eq!(a.mean_vector(), b.mean_vector());
-        assert_eq!(a.frequencies, b.frequencies);
     }
 
     #[test]

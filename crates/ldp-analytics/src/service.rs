@@ -705,18 +705,12 @@ pub struct ServiceConfig {
     /// Key for the ledger's user-id hashing; every shard of one logical
     /// service must share it (see [`BudgetLedger::with_key`]).
     pub ledger_key: u64,
-    /// Timer-tick snapshots: after every `n` admitted reports, the serve
-    /// loop snapshots the epoch the `n`-th report landed in — the
-    /// streaming analogue of a periodic flush. `None` snapshots only on
-    /// explicit [`WireMessage::FlushEpoch`].
-    pub snapshot_every: Option<u64>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             ledger_key: 0x1cde_2019,
-            snapshot_every: None,
         }
     }
 }
@@ -791,8 +785,8 @@ pub struct ServeSummary {
     pub rejected_duplicates: u64,
     /// Frames or messages rejected as malformed.
     pub rejected_malformed: u64,
-    /// Snapshots taken during this call (explicit flushes and timer
-    /// ticks), in stream order.
+    /// Snapshots taken during this call (one per
+    /// [`WireMessage::FlushEpoch`]), in stream order.
     pub snapshots: Vec<EpochSnapshot>,
     /// True when the stream ended with [`WireMessage::Shutdown`] rather
     /// than EOF.
@@ -863,7 +857,6 @@ pub struct ReportService {
     ledger: BudgetLedger,
     frames: u64,
     rejected_malformed: u64,
-    admitted_since_tick: u64,
 }
 
 impl ReportService {
@@ -878,7 +871,6 @@ impl ReportService {
             ledger,
             frames: 0,
             rejected_malformed: 0,
-            admitted_since_tick: 0,
         }
     }
 
@@ -1013,7 +1005,6 @@ impl ReportService {
         agg.set_ordinal(block);
         agg.absorb(&report)
             .expect("validated above; absorb re-checks the same invariants");
-        self.admitted_since_tick += 1;
         Ok(())
     }
 
@@ -1093,21 +1084,11 @@ impl ReportService {
                 break;
             }
             let is_submit = matches!(msg, WireMessage::Submit { .. });
-            let submit_epoch = match &msg {
-                WireMessage::Submit { epoch, .. } => *epoch,
-                _ => 0,
-            };
             match self.handle(&msg) {
                 Ok(Some(snapshot)) => summary.snapshots.push(snapshot),
                 Ok(None) => {
                     if is_submit {
                         summary.admitted += 1;
-                        if let Some(every) = self.config.snapshot_every {
-                            if self.admitted_since_tick >= every {
-                                self.admitted_since_tick = 0;
-                                summary.snapshots.push(self.snapshot_epoch(submit_epoch)?);
-                            }
-                        }
                     }
                 }
                 Err(LdpError::DuplicateReport { .. }) => {
@@ -1624,24 +1605,6 @@ mod tests {
         let summary = service.serve(&mut stream.as_slice()).unwrap();
         assert_eq!(summary.rejected_malformed, 2);
         assert_eq!(summary.admitted, 1);
-    }
-
-    #[test]
-    fn timer_tick_snapshots_fire_every_n_reports() {
-        let enc = encoder();
-        let mut stream = Vec::new();
-        hello().write_to(&mut stream).unwrap();
-        for user in 0..25 {
-            submit_for(&enc, user, 0).write_to(&mut stream).unwrap();
-        }
-        let mut service = ReportService::new(ServiceConfig {
-            snapshot_every: Some(10),
-            ..ServiceConfig::default()
-        });
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.snapshots.len(), 2);
-        assert_eq!(summary.snapshots[0].admitted, 10);
-        assert_eq!(summary.snapshots[1].admitted, 20);
     }
 
     #[test]

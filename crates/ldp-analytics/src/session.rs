@@ -1407,7 +1407,22 @@ mod tests {
         ]
     }
 
-    const PROTOCOLS: [Protocol; 3] = [
+    /// The mixed schema with its first categorical attribute widened to
+    /// k = 70: a report crosses a word boundary, and at ε = 2 every unary
+    /// oracle expects more than [`WORD_LEVEL_MIN_HITS`] set bits on it.
+    fn wide_specs() -> Vec<AttrSpec> {
+        let mut specs = mixed_specs();
+        specs[1] = AttrSpec::Categorical { k: 70 };
+        specs
+    }
+
+    fn wide_tuple(i: usize) -> Vec<AttrValue> {
+        let mut tuple = mixed_tuple(i);
+        tuple[1] = AttrValue::Categorical((i * 13 % 70) as u32);
+        tuple
+    }
+
+    const PROTOCOLS: [Protocol; 5] = [
         Protocol::Sampling {
             numeric: NumericKind::Hybrid,
             oracle: OracleKind::Oue,
@@ -1420,36 +1435,55 @@ mod tests {
             numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
             oracle: OracleKind::Oue,
         },
+        Protocol::Sampling {
+            numeric: NumericKind::Hybrid,
+            oracle: OracleKind::Sue,
+        },
+        Protocol::BestEffort {
+            numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
+            oracle: OracleKind::Grr,
+        },
     ];
 
     #[test]
     fn encode_absorb_matches_fused_absorb_bit_for_bit() {
         // The two public paths are the same computation: identical draws,
-        // identical aggregator state, for both protocol families.
-        for protocol in PROTOCOLS {
-            let encoder = ClientEncoder::new(protocol, eps(2.0), mixed_specs()).unwrap();
-            let mut rng_a = seeded_rng(71);
-            let mut rng_b = seeded_rng(71);
-            let mut two_call = encoder.aggregator().unwrap();
-            let mut fused = encoder.aggregator().unwrap();
-            let mut report = encoder.empty_report();
-            let mut scratch_a = encoder.scratch();
-            let mut scratch_b = encoder.scratch();
-            for i in 0..400 {
-                let tuple = mixed_tuple(i);
-                encoder
-                    .encode_into(&tuple, &mut rng_a, &mut report, &mut scratch_a)
-                    .unwrap();
-                two_call.absorb(&report).unwrap();
-                fused
-                    .absorb_with(&encoder, &tuple, &mut rng_b, &mut scratch_b)
-                    .unwrap();
+        // identical aggregator state, for both protocol families and both
+        // fused routes. Unary oracles stream hit by hit on the mixed
+        // schema's small domains and absorb whole words on the wide one;
+        // GRR goes ordinal-direct on both.
+        for wide in [false, true] {
+            let specs = if wide { wide_specs() } else { mixed_specs() };
+            let tuple_of = if wide { wide_tuple } else { mixed_tuple };
+            for protocol in PROTOCOLS {
+                let encoder = ClientEncoder::new(protocol, eps(2.0), specs.clone()).unwrap();
+                let (Protocol::Sampling { oracle, .. } | Protocol::BestEffort { oracle, .. }) =
+                    protocol;
+                let direct = oracle == OracleKind::Grr;
+                assert_eq!(encoder.shape.word_level[0], wide || direct, "{protocol:?}");
+                let mut rng_a = seeded_rng(71);
+                let mut rng_b = seeded_rng(71);
+                let mut two_call = encoder.aggregator().unwrap();
+                let mut fused = encoder.aggregator().unwrap();
+                let mut report = encoder.empty_report();
+                let mut scratch_a = encoder.scratch();
+                let mut scratch_b = encoder.scratch();
+                for i in 0..400 {
+                    let tuple = tuple_of(i);
+                    encoder
+                        .encode_into(&tuple, &mut rng_a, &mut report, &mut scratch_a)
+                        .unwrap();
+                    two_call.absorb(&report).unwrap();
+                    fused
+                        .absorb_with(&encoder, &tuple, &mut rng_b, &mut scratch_b)
+                        .unwrap();
+                }
+                let a = two_call.snapshot().unwrap();
+                let b = fused.snapshot().unwrap();
+                assert_eq!(a.n, b.n);
+                assert_eq!(a.mean_vector(), b.mean_vector(), "{protocol:?} wide={wide}");
+                assert_eq!(a.frequencies, b.frequencies, "{protocol:?} wide={wide}");
             }
-            let a = two_call.snapshot().unwrap();
-            let b = fused.snapshot().unwrap();
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.mean_vector(), b.mean_vector(), "{protocol:?}");
-            assert_eq!(a.frequencies, b.frequencies, "{protocol:?}");
         }
     }
 

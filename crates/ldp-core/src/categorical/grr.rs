@@ -106,8 +106,8 @@ impl Grr {
     ///
     /// Deliberately kept in the plain-arithmetic form (f64 coin compare,
     /// hardware-division range draw): it is the distribution reference the
-    /// precomputed [`Grr::sample`] kernel is pinned against, and the engine
-    /// the throughput bench's pre-wordhist arms keep measuring.
+    /// precomputed [`Grr::sample`] kernel is pinned against, and the path a
+    /// client's report-materializing encode takes.
     ///
     /// # Errors
     /// As [`FrequencyOracle::perturb`].

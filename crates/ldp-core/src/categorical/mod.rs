@@ -344,7 +344,7 @@ impl UnaryEncoder {
 
     /// The naive per-bit reference sampler: one Bernoulli draw per bit.
     /// Kept as the distribution oracle for equivalence tests and as the
-    /// throughput bench's pre-optimization baseline.
+    /// throughput bench's `reference` arm.
     pub(crate) fn fill_dense<R: rand::RngCore + ?Sized>(
         &self,
         bits: &mut crate::mechanism::BitVec,

@@ -127,9 +127,10 @@ pub trait FrequencyOracle: Send + Sync {
     }
 
     /// Reference perturbation path, kept for distribution-equivalence tests
-    /// and throughput baselines: unary oracles override this with the naive
-    /// bit-by-bit Bernoulli sampler that [`FrequencyOracle::perturb`]'s
-    /// sparse sampling must match in distribution. Defaults to `perturb`.
+    /// and the throughput bench's `reference` arm: unary oracles override
+    /// this with the naive bit-by-bit Bernoulli sampler that
+    /// [`FrequencyOracle::perturb`]'s sparse sampling must match in
+    /// distribution. Defaults to `perturb`.
     ///
     /// # Errors
     /// As [`FrequencyOracle::perturb`].

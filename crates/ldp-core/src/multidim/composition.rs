@@ -5,8 +5,8 @@ use crate::budget::Epsilon;
 use crate::categorical::AnyOracle;
 use crate::error::{LdpError, Result};
 use crate::kinds::{NumericKind, OracleKind};
-use crate::mechanism::{CategoricalReport, FrequencyOracle};
-use crate::multidim::{AttrReport, AttrSpec, AttrValue, CatReportView};
+use crate::mechanism::FrequencyOracle;
+use crate::multidim::{AttrReport, AttrSpec, AttrValue};
 use crate::numeric::AnyNumeric;
 use rand::RngCore;
 
@@ -164,108 +164,6 @@ impl CompositionPerturber {
         Ok(DenseReport { entries })
     }
 
-    /// A scratch buffer sized for this perturber, enabling the
-    /// zero-allocation [`CompositionPerturber::perturb_wordwise`] loop
-    /// (recycled bit vectors for the unary oracles).
-    pub fn scratch(&self) -> CompositionScratch {
-        CompositionScratch {
-            pool: self
-                .specs
-                .iter()
-                .map(|spec| match spec {
-                    AttrSpec::Numeric => None,
-                    AttrSpec::Categorical { .. } => Some(CategoricalReport::Value(0)),
-                })
-                .collect(),
-        }
-    }
-
-    /// Fused perturb-and-count kernel, mirroring
-    /// [`crate::multidim::SamplingPerturber::perturb_wordwise`] for the
-    /// composition baseline: every attribute is perturbed at its ε/d split,
-    /// numeric draws land in `numeric_out` (one per numeric attribute, in
-    /// schema order — exactly the `numeric` vector of a dense composition
-    /// report), and each categorical attribute is observed once as a
-    /// [`CatReportView`] instead of materializing a report entry.
-    ///
-    /// For GRR this is the direct-report fast path: no bit vector — no
-    /// report object of any kind — exists anywhere between the Bernoulli
-    /// coin and the aggregator's counter increment, so the per-attribute
-    /// cost approaches a bare rng draw plus one add. Unary oracles fill a
-    /// scratch-owned bit vector and hand over its backing words for
-    /// word-histogram absorption.
-    ///
-    /// Draw-for-draw identical to [`CompositionPerturber::perturb`] under
-    /// the same rng state on valid tuples, so the fused and
-    /// report-materializing paths yield bit-identical aggregates (pinned by
-    /// tests and the per-cell bench asserts). Validation is fused into the
-    /// dispatch — the type match routes each attribute and the mechanism /
-    /// oracle checks its own domain — so an invalid tuple is still
-    /// rejected, but may have consumed draws for the attributes preceding
-    /// it (the caller discards the aggregate on error either way).
-    ///
-    /// # Errors
-    /// As [`CompositionPerturber::perturb`].
-    #[inline]
-    pub fn perturb_wordwise<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatReportView)>(
-        &self,
-        tuple: &[AttrValue],
-        rng: &mut R,
-        numeric_out: &mut Vec<f64>,
-        scratch: &mut CompositionScratch,
-        mut on_cat: F,
-    ) -> Result<()> {
-        let d = self.specs.len();
-        if tuple.len() != d {
-            return Err(LdpError::DimensionMismatch {
-                expected: d,
-                actual: tuple.len(),
-            });
-        }
-        debug_assert_eq!(scratch.pool.len(), d, "scratch built for another schema");
-        numeric_out.clear();
-        let mech = self.numeric.as_ref();
-        for (j, (value, spec)) in tuple.iter().zip(&self.specs).enumerate() {
-            match (value, spec) {
-                (AttrValue::Numeric(x), AttrSpec::Numeric) => {
-                    // `perturb` validates the unit interval itself.
-                    let mech = mech.expect("schema has numeric attributes");
-                    numeric_out.push(mech.perturb(*x, &mut *rng)?);
-                }
-                (AttrValue::Categorical(v), AttrSpec::Categorical { .. }) => {
-                    let oracle = self.oracles[j]
-                        .as_ref()
-                        .expect("schema marks attribute categorical");
-                    let attr = j as u32;
-                    if let Some(grr) = oracle.as_grr() {
-                        // `sample` validates the category itself.
-                        let category = grr.sample(*v, &mut *rng)?;
-                        on_cat(CatReportView::Direct { attr, category });
-                    } else {
-                        // Out of line so the much larger unary fill
-                        // machinery never bloats this loop's codegen (the
-                        // direct fast path lives or dies on staying lean).
-                        absorb_unary(
-                            oracle,
-                            *v,
-                            &mut *rng,
-                            &mut scratch.pool[j],
-                            attr,
-                            &mut on_cat,
-                        )?;
-                    }
-                }
-                _ => {
-                    return Err(LdpError::InvalidParameter {
-                        name: "tuple",
-                        message: format!("attribute {j} does not match its schema type"),
-                    })
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Convenience for numeric-only schemas.
     ///
     /// # Errors
@@ -274,41 +172,6 @@ impl CompositionPerturber {
         let tuple: Vec<AttrValue> = t.iter().map(|&x| AttrValue::Numeric(x)).collect();
         Ok(self.perturb(&tuple, rng)?.to_numeric())
     }
-}
-
-/// The unary half of the word-level kernels: fill the pooled bit vector
-/// and hand its backing words to the observer. Deliberately `inline(never)`
-/// — the fill machinery is an order of magnitude bigger than the direct
-/// fast path, and keeping it out of line keeps the GRR loop's registers
-/// clean without measurably taxing the (already fill-dominated) unary
-/// protocols.
-#[inline(never)]
-pub(crate) fn absorb_unary<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatReportView)>(
-    oracle: &AnyOracle,
-    value: u32,
-    rng: &mut R,
-    slot: &mut Option<CategoricalReport>,
-    attr: u32,
-    on_cat: &mut F,
-) -> Result<()> {
-    let cat = slot.get_or_insert(CategoricalReport::Value(0));
-    oracle.perturb_into(value, rng, cat)?;
-    let CategoricalReport::Bits(bits) = &*cat else {
-        unreachable!("unary oracles produce bit reports");
-    };
-    on_cat(CatReportView::Unary {
-        attr,
-        words: bits.words(),
-    });
-    Ok(())
-}
-
-/// Caller-owned scratch for [`CompositionPerturber::perturb_wordwise`]: a
-/// per-attribute pool of categorical payload buffers (bit vectors for the
-/// unary oracles) recycled across users.
-#[derive(Debug, Clone)]
-pub struct CompositionScratch {
-    pool: Vec<Option<CategoricalReport>>,
 }
 
 impl std::fmt::Debug for CompositionPerturber {
@@ -425,68 +288,6 @@ mod tests {
             mse_sampled < mse_split,
             "sampling MSE {mse_sampled} should beat splitting MSE {mse_split}"
         );
-    }
-
-    #[test]
-    fn perturb_wordwise_matches_perturb_draw_for_draw() {
-        // The fused kernel is the same computation as the dense report path:
-        // identical numeric draws, and each categorical view exactly the
-        // report entry perturb() would have produced.
-        let specs = vec![
-            AttrSpec::Numeric,
-            AttrSpec::Categorical { k: 70 },
-            AttrSpec::Categorical { k: 4 },
-            AttrSpec::Numeric,
-        ];
-        let tuple = vec![
-            AttrValue::Numeric(0.4),
-            AttrValue::Categorical(69),
-            AttrValue::Categorical(0),
-            AttrValue::Numeric(-0.2),
-        ];
-        for oracle in [OracleKind::Oue, OracleKind::Sue, OracleKind::Grr] {
-            let p = CompositionPerturber::new(
-                Epsilon::new(3.0).unwrap(),
-                specs.clone(),
-                NumericKind::Laplace,
-                oracle,
-            )
-            .unwrap();
-            let mut rng_a = seeded_rng(333);
-            let mut rng_b = seeded_rng(333);
-            let mut numeric_out = Vec::new();
-            let mut scratch = p.scratch();
-            for round in 0..200 {
-                let dense = p.perturb(&tuple, &mut rng_a).unwrap();
-                let mut views: Vec<(u32, Vec<u64>)> = Vec::new();
-                p.perturb_wordwise(&tuple, &mut rng_b, &mut numeric_out, &mut scratch, |view| {
-                    views.push(match view {
-                        crate::multidim::CatReportView::Unary { attr, words } => {
-                            (attr, words.to_vec())
-                        }
-                        crate::multidim::CatReportView::Direct { attr, category } => {
-                            (attr, vec![u64::from(category)])
-                        }
-                    })
-                })
-                .unwrap();
-                let mut expected_numeric = Vec::new();
-                let mut expected_views: Vec<(u32, Vec<u64>)> = Vec::new();
-                for (j, rep) in dense.entries.iter().enumerate() {
-                    match rep {
-                        AttrReport::Numeric(x) => expected_numeric.push(*x),
-                        AttrReport::Categorical(crate::mechanism::CategoricalReport::Bits(b)) => {
-                            expected_views.push((j as u32, b.words().to_vec()));
-                        }
-                        AttrReport::Categorical(crate::mechanism::CategoricalReport::Value(x)) => {
-                            expected_views.push((j as u32, vec![u64::from(*x)]));
-                        }
-                    }
-                }
-                assert_eq!(numeric_out, expected_numeric, "{oracle:?} round {round}");
-                assert_eq!(views, expected_views, "{oracle:?} round {round}");
-            }
-        }
     }
 
     #[test]

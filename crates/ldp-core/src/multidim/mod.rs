@@ -12,7 +12,7 @@ mod duchi_md;
 mod sampling;
 pub mod wire;
 
-pub use composition::{CompositionPerturber, CompositionScratch, DenseReport};
+pub use composition::{CompositionPerturber, DenseReport};
 pub use duchi_md::{DuchiMultidim, DuchiScratch};
 pub use sampling::{optimal_k, CatObservation, SamplingPerturber, SparseReport, SparseScratch};
 
@@ -73,8 +73,7 @@ impl AttrValue {
 }
 
 /// One complete categorical sub-report as streamed by the word-level fused
-/// engines ([`SamplingPerturber::perturb_wordwise`] /
-/// [`CompositionPerturber::perturb_wordwise`]).
+/// engine, [`SamplingPerturber::perturb_wordwise`].
 ///
 /// Where [`CatObservation`] streams unary reports one *set bit* at a time
 /// (the PR 3 per-hit engine), this view hands the aggregator the finished

@@ -424,8 +424,8 @@ impl SamplingPerturber {
     /// through the report. Draw-for-draw identical to
     /// [`SamplingPerturber::perturb_into`] (observation carries no
     /// randomness), so all three engines produce bit-identical aggregates
-    /// under the same seed — pinned by tests and the per-cell bench
-    /// asserts.
+    /// under the same seed — pinned by tests here and in `ldp-analytics`'s
+    /// session suite.
     ///
     /// # Errors
     /// As [`SamplingPerturber::perturb`].
@@ -475,8 +475,8 @@ impl SamplingPerturber {
                         let category = grr.sample(v, &mut *rng)?;
                         on_cat(CatReportView::Direct { attr: j, category });
                     } else {
-                        // Out of line: see `composition::absorb_unary`.
-                        super::composition::absorb_unary(
+                        // Out of line: see `absorb_unary`.
+                        absorb_unary(
                             oracle,
                             v,
                             &mut *rng,
@@ -526,6 +526,33 @@ impl SamplingPerturber {
     pub fn any_numeric(&self) -> Option<&AnyNumeric> {
         self.numeric.as_ref()
     }
+}
+
+/// The unary half of [`SamplingPerturber::perturb_wordwise`]: fill the
+/// pooled bit vector and hand its backing words to the observer.
+/// Deliberately `inline(never)` — the fill machinery is an order of
+/// magnitude bigger than the direct fast path, and keeping it out of line
+/// keeps the GRR loop's registers clean without measurably taxing the
+/// (already fill-dominated) unary protocols.
+#[inline(never)]
+fn absorb_unary<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatReportView)>(
+    oracle: &AnyOracle,
+    value: u32,
+    rng: &mut R,
+    slot: &mut Option<CategoricalReport>,
+    attr: u32,
+    on_cat: &mut F,
+) -> Result<()> {
+    let cat = slot.get_or_insert(CategoricalReport::Value(0));
+    oracle.perturb_into(value, rng, cat)?;
+    let CategoricalReport::Bits(bits) = &*cat else {
+        unreachable!("unary oracles produce bit reports");
+    };
+    on_cat(CatReportView::Unary {
+        attr,
+        words: bits.words(),
+    });
+    Ok(())
 }
 
 /// Caller-owned scratch space for [`SamplingPerturber::perturb_into`]:
