@@ -19,10 +19,10 @@ The script dispatches on the top-level ``bench`` field of the two JSONs:
 For the throughput gate there are two kinds of fields, two kinds of gates:
 
 * accuracy fields (``estimate_checksum`` per grid cell and per worker-sweep
-  entry, ``total_bytes`` per wire cell) are deterministic — fixed seeds,
-  fixed populations, a bit-exact batched-RNG layer, an exact-length wire
-  codec — so they must match EXACTLY. Any drift means an estimate or a wire
-  byte changed and fails the job.
+  entry, ``total_bytes`` and ``wal_replayed`` per wire cell) are
+  deterministic — fixed seeds, fixed populations, a bit-exact batched-RNG
+  layer, an exact-length wire codec — so they must match EXACTLY. Any drift
+  means an estimate or a wire byte changed and fails the job.
 * speed fields (``<arm>_users_per_sec`` per grid cell,
   ``<arm>_reports_per_sec`` per wire cell) are measured on shared CI
   runners, so the gate is deliberately generous: the job only fails when a
@@ -184,20 +184,15 @@ def compare(committed, measured, min_ratio):
                 wire_matched += 1
                 label = "wire {} eps={} d={} k={}".format(*wire_cell_key(cell))
                 # ``wal_replayed`` (records recovered by replaying the WAL
-                # the wal arm writes) is deterministic like the byte counts;
-                # gate it exactly whenever the committed artifact carries it
-                # (older artifacts predate the wal arm). A measured cell
-                # that silently drops the field fails the same way a drift
-                # does — ``cell.get`` yields None, which never equals the
-                # committed count.
-                exact_fields = ["reports", "total_bytes"]
-                if "wal_replayed" in ref:
-                    exact_fields.append("wal_replayed")
-                for exact in exact_fields:
-                    if cell.get(exact) != ref[exact]:
+                # the wal arm writes) is deterministic like the byte counts,
+                # so it gates exactly too. A cell on either side that lacks
+                # one of these fields fails the same way a drift does —
+                # ``get`` yields None, which never equals a count.
+                for exact in ("reports", "total_bytes", "wal_replayed"):
+                    if cell.get(exact) != ref.get(exact):
                         failures.append(
                             f"{label}: {exact} drifted "
-                            f"({ref[exact]} -> {cell.get(exact)}) — the wire codec "
+                            f"({ref.get(exact)} -> {cell.get(exact)}) — the wire codec "
                             f"changed the canonical byte image"
                         )
                 for field in wire_fields:
@@ -507,18 +502,12 @@ def self_test():
         ),
     )
     expect(
-        "committed artifact predating the wal arm passes",
-        None,
+        "committed wire cell without wal_replayed fails",
+        "wal_replayed drifted",
         report(
             wire={
-                "arms": ["encode", "decode"],
-                "cells": [
-                    {
-                        k: v
-                        for k, v in wire_cell().items()
-                        if k not in ("wal_replayed", "wal_reports_per_sec")
-                    }
-                ],
+                "arms": ["encode", "decode", "wal"],
+                "cells": [{k: v for k, v in wire_cell().items() if k != "wal_replayed"}],
             }
         ),
         report(),

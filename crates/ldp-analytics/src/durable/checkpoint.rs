@@ -1,7 +1,7 @@
 //! Epoch checkpoints: the full service state — ordinal-keyed aggregator
 //! partials, the budget ledger (keyed hashes, never raw ids), and the
-//! stream counters — as a sequence of checksummed frames behind one
-//! atomic tmp+rename.
+//! malformed-rejection counter — as a sequence of checksummed frames
+//! behind one atomic tmp+rename.
 //!
 //! A checkpoint file can never be torn (the rename is atomic and the
 //! [`ldp_core::fsio`] sequence makes it durable), so *any* integrity
@@ -18,7 +18,8 @@ use ldp_core::{LdpError, Result};
 /// File name of the checkpoint inside a durable directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
-/// Frame kind of the checkpoint's counters record.
+/// Frame kind of the checkpoint's meta record: the malformed-rejection
+/// counter and the epoch-record count.
 pub const KIND_CHECKPOINT_META: u8 = 11;
 /// Frame kind of one epoch's aggregator partial state.
 pub const KIND_CHECKPOINT_EPOCH: u8 = 12;
@@ -30,8 +31,6 @@ pub const KIND_CHECKPOINT_LEDGER: u8 = 13;
 pub struct Checkpoint {
     /// The session binding, identical to the log's header record.
     pub header: WalHeader,
-    /// Lifetime frame counter at capture time.
-    pub frames: u64,
     /// Lifetime malformed-rejection counter at capture time.
     pub rejected_malformed: u64,
     /// Per-epoch [`crate::session::Aggregator::encode_partials`] bytes,
@@ -50,7 +49,6 @@ impl Checkpoint {
             .collect();
         Checkpoint {
             header: header.clone(),
-            frames: service.frames(),
             rejected_malformed: service.rejected_malformed(),
             epochs,
             ledger: service.ledger().encode_state(),
@@ -68,7 +66,6 @@ impl Checkpoint {
         let mut out = Vec::new();
         frame::write_frame(&mut out, KIND_WAL_HEADER, &self.header.encode())?;
         let mut w = BitWriter::new();
-        w.write_bits(self.frames, 64);
         w.write_bits(self.rejected_malformed, 64);
         w.write_bits(self.epochs.len() as u64, 32);
         frame::write_frame(&mut out, KIND_CHECKPOINT_META, &w.finish())?;
@@ -95,7 +92,7 @@ impl Checkpoint {
         let mut cursor: &[u8] = buf;
         let mut payload = Vec::new();
         let mut header: Option<WalHeader> = None;
-        let mut meta: Option<(u64, u64, usize)> = None;
+        let mut meta: Option<(u64, usize)> = None;
         let mut epochs: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut ledger: Option<Vec<u8>> = None;
         loop {
@@ -124,16 +121,13 @@ impl Checkpoint {
                 }
                 KIND_CHECKPOINT_META if header.is_some() && meta.is_none() => {
                     let mut r = BitReader::new(&payload);
-                    let frames = r
-                        .read_bits(64)
-                        .map_err(|e| corrupt(offset, format!("meta record truncated: {e}")))?;
                     let rejected = r
                         .read_bits(64)
                         .map_err(|e| corrupt(offset, format!("meta record truncated: {e}")))?;
                     let count = r
                         .read_bits(32)
                         .map_err(|e| corrupt(offset, format!("meta record truncated: {e}")))?;
-                    meta = Some((frames, rejected, count as usize));
+                    meta = Some((rejected, count as usize));
                 }
                 KIND_CHECKPOINT_EPOCH if meta.is_some() => {
                     if payload.len() < 8 {
@@ -154,7 +148,7 @@ impl Checkpoint {
             }
         }
         let header = header.ok_or_else(|| corrupt(0, "missing header record".into()))?;
-        let (frames, rejected_malformed, declared_epochs) =
+        let (rejected_malformed, declared_epochs) =
             meta.ok_or_else(|| corrupt(0, "missing meta record".into()))?;
         let ledger = ledger.ok_or_else(|| corrupt(0, "missing ledger record".into()))?;
         if epochs.len() != declared_epochs {
@@ -168,7 +162,6 @@ impl Checkpoint {
         }
         Ok(Checkpoint {
             header,
-            frames,
             rejected_malformed,
             epochs,
             ledger,
@@ -176,7 +169,7 @@ impl Checkpoint {
     }
 
     /// Rebuilds a [`ReportService`] from this checkpoint: re-issue the
-    /// header's `Hello`, restore the counters, each epoch's partials, and
+    /// header's `Hello`, restore the counter, each epoch's partials, and
     /// the ledger. Returns the service plus the number of admits the
     /// checkpoint covers (the `checkpointed` term of the conservation
     /// invariant `admitted == wal_replayed + checkpointed`).
@@ -188,7 +181,7 @@ impl Checkpoint {
             ledger_key: self.header.ledger_key,
         });
         service.handle(&self.header.hello())?;
-        service.restore_counters(self.frames, self.rejected_malformed);
+        service.restore_counters(self.rejected_malformed);
         for (epoch, bytes) in &self.epochs {
             service.restore_epoch_partials(*epoch, bytes)?;
         }

@@ -436,20 +436,26 @@ mod tests {
     }
 
     #[test]
-    fn best_effort_duchi_estimates_numeric_means() {
+    fn best_effort_estimates_numeric_means() {
+        // Duchi et al.'s joint report, and the ε/d split over 1-D PM.
         let ds = numeric_dataset(60_000, 4, gaussian(0.0), 43).unwrap();
-        let collector = Collector::new(
-            Protocol::BestEffort {
-                numeric: BestEffortNumeric::DuchiMultidim,
+        for numeric in [
+            BestEffortNumeric::DuchiMultidim,
+            BestEffortNumeric::PerAttribute(NumericKind::Piecewise),
+        ] {
+            let protocol = Protocol::BestEffort {
+                numeric,
                 oracle: OracleKind::Oue,
-            },
-            eps(4.0),
-        )
-        .with_shards(4);
-        let result = collector.run(&ds, 8).unwrap();
-        for (j, est) in &result.means {
-            let truth = ds.true_mean(*j).unwrap();
-            assert!((est - truth).abs() < 0.15, "attr {j}: {est} vs {truth}");
+            };
+            let collector = Collector::new(protocol, eps(4.0)).with_shards(4);
+            let result = collector.run(&ds, 8).unwrap();
+            for (j, est) in &result.means {
+                let truth = ds.true_mean(*j).unwrap();
+                assert!(
+                    (est - truth).abs() < 0.15,
+                    "{numeric:?} attr {j}: {est} vs {truth}"
+                );
+            }
         }
     }
 

@@ -855,7 +855,6 @@ pub struct ReportService {
     /// Epoch → that epoch's aggregate, partials keyed by block ordinal.
     epochs: BTreeMap<u64, Aggregator>,
     ledger: BudgetLedger,
-    frames: u64,
     rejected_malformed: u64,
 }
 
@@ -869,7 +868,6 @@ impl ReportService {
             session: None,
             epochs: BTreeMap::new(),
             ledger,
-            frames: 0,
             rejected_malformed: 0,
         }
     }
@@ -882,11 +880,6 @@ impl ReportService {
     /// The privacy-budget ledger (admission counts per epoch).
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
-    }
-
-    /// Frames consumed over this service's lifetime.
-    pub fn frames(&self) -> u64 {
-        self.frames
     }
 
     /// Lifetime count of frames/messages rejected as malformed.
@@ -1061,7 +1054,6 @@ impl ReportService {
             let kind = match read {
                 None => break,
                 Some(FrameRead::Corrupt { .. }) => {
-                    self.frames += 1;
                     summary.frames += 1;
                     self.rejected_malformed += 1;
                     summary.rejected_malformed += 1;
@@ -1069,7 +1061,6 @@ impl ReportService {
                 }
                 Some(FrameRead::Valid { kind }) => kind,
             };
-            self.frames += 1;
             summary.frames += 1;
             let msg = match WireMessage::decode(kind, &payload) {
                 Ok(msg) => msg,
@@ -1135,7 +1126,6 @@ impl ReportService {
             _ => {}
         }
         self.ledger.merge(other.ledger)?;
-        self.frames += other.frames;
         self.rejected_malformed += other.rejected_malformed;
         for (epoch, agg) in other.epochs {
             match self.epochs.entry(epoch) {
@@ -1226,10 +1216,10 @@ impl ReportService {
         Ok(())
     }
 
-    /// Restores the lifetime stream counters captured in a checkpoint, so
-    /// a recovered snapshot's `rejected_malformed` matches the clean run's.
-    pub fn restore_counters(&mut self, frames: u64, rejected_malformed: u64) {
-        self.frames = frames;
+    /// Restores the lifetime malformed-rejection counter captured in a
+    /// checkpoint, so a recovered snapshot's `rejected_malformed` matches
+    /// the clean run's.
+    pub fn restore_counters(&mut self, rejected_malformed: u64) {
         self.rejected_malformed = rejected_malformed;
     }
 }

@@ -47,7 +47,7 @@ use crate::frequency::FrequencyAccumulator;
 use crate::mean::MeanAccumulator;
 use crate::pipeline::{BestEffortNumeric, CollectionResult, Protocol};
 use ldp_core::multidim::{
-    optimal_k, wire, CatObservation, CatReportView, DuchiMultidim, DuchiScratch, SamplingPerturber,
+    wire, CatObservation, CatReportView, DuchiMultidim, DuchiScratch, SamplingPerturber,
     SparseReport, SparseScratch,
 };
 use ldp_core::rng::DrawSource;
@@ -199,8 +199,9 @@ impl CompositionReport {
 /// `ldp_analytics::wordhist`'s sparse-scatter shortcut makes per report.
 const WORD_LEVEL_MIN_HITS: f64 = 8.0;
 
-/// The shared public shape of a session: everything both sides derive from
-/// `(protocol, ε, schema)` without exchanging messages.
+/// The aggregator's view of a session: the schema layout, scale and
+/// debias parameters it reads off a [`ClientEncoder`]'s per-attribute
+/// mechanisms.
 #[derive(Debug, Clone)]
 struct Shape {
     d: usize,
@@ -223,30 +224,11 @@ struct Shape {
     sampled_k: usize,
 }
 
-/// Expected set bits of one unary report from a `(k, (p, q))` oracle:
-/// `p + (k−1)·q`, independent of the true value.
-fn expected_hits(k: u32, debias: DebiasParams) -> f64 {
-    debias.p + f64::from(k - 1) * debias.q
-}
-
-/// Per-slot engine routing: direct (GRR) oracles always take the
-/// word-level engine — their fast path is the ordinal kernel, with no bit
-/// vector in sight, so the density cutoff is meaningless for them — while
-/// unary oracles take it only when dense enough
-/// ([`WORD_LEVEL_MIN_HITS`]).
-fn word_level_routing(cats: &[(u32, DebiasParams)], direct: &[bool]) -> Vec<bool> {
-    cats.iter()
-        .zip(direct)
-        .map(|(&(k, debias), &is_direct)| {
-            is_direct || expected_hits(k, debias) >= WORD_LEVEL_MIN_HITS
-        })
-        .collect()
-}
-
 impl Shape {
-    /// Derives the shape from an already-built engine — the cheap path
-    /// [`ClientEncoder`] uses, reading each oracle's `(k, p, q)` off the
-    /// engine instead of constructing throwaway oracles.
+    /// Reads the shape off an already-built engine: each oracle's
+    /// `(k, p, q)` comes from the very oracle the client perturbs with, so
+    /// the aggregator's debias parameters match the client's by
+    /// construction, never by re-derivation.
     fn from_engine(specs: &[AttrSpec], engine: &Engine) -> Shape {
         let d = specs.len();
         let mut num_indices = Vec::new();
@@ -261,34 +243,30 @@ impl Shape {
                 }
             }
         }
-        let (scale, sampled_k, cats, direct): (f64, usize, Vec<(u32, DebiasParams)>, Vec<bool>) =
-            match engine {
-                Engine::Sampling(p) => {
-                    let cats = cat_indices
-                        .iter()
-                        .map(|&j| {
-                            let o = p.any_oracle(j).expect("categorical slot");
-                            (o.k(), o.debias_params())
-                        })
-                        .collect();
-                    let direct = cat_indices
-                        .iter()
-                        .map(|&j| {
-                            p.any_oracle(j)
-                                .expect("categorical slot")
-                                .as_grr()
-                                .is_some()
-                        })
-                        .collect();
-                    (p.scale(), p.k(), cats, direct)
-                }
-                Engine::Composition { oracles, .. } => {
-                    let cats = oracles.iter().map(|o| (o.k(), o.debias_params())).collect();
-                    let direct = oracles.iter().map(|o| o.as_grr().is_some()).collect();
-                    (1.0, d, cats, direct)
-                }
-            };
-        let word_level = word_level_routing(&cats, &direct);
+        let (scale, sampled_k, oracles): (f64, usize, Vec<&AnyOracle>) = match engine {
+            Engine::Sampling(p) => (
+                p.scale(),
+                p.k(),
+                cat_indices
+                    .iter()
+                    .map(|&j| p.any_oracle(j).expect("categorical slot"))
+                    .collect(),
+            ),
+            Engine::Composition { oracles, .. } => (1.0, d, oracles.iter().collect()),
+        };
+        let cats: Vec<(u32, DebiasParams)> =
+            oracles.iter().map(|o| (o.k(), o.debias_params())).collect();
+        // Direct (GRR) oracles always take the word-level engine — their
+        // fast path is the ordinal kernel, with no bit vector in sight, so
+        // the density cutoff is meaningless for them — while unary oracles
+        // take it only when dense enough.
+        let word_level: Vec<bool> = oracles
+            .iter()
+            .zip(&cats)
+            .map(|(o, &(k, debias))| {
+                o.as_grr().is_some() || expected_hits(k, debias) >= WORD_LEVEL_MIN_HITS
+            })
+            .collect();
         Shape {
             d,
             num_indices,
@@ -301,55 +279,12 @@ impl Shape {
             sampled_k,
         }
     }
+}
 
-    fn new(protocol: Protocol, epsilon: Epsilon, specs: &[AttrSpec]) -> Result<Self> {
-        let d = specs.len();
-        if d == 0 {
-            return Err(LdpError::InvalidParameter {
-                name: "specs",
-                message: "schema must contain at least one attribute".into(),
-            });
-        }
-        let (sampled_k, scale, oracle_kind) = match protocol {
-            Protocol::Sampling { oracle, .. } => {
-                let k = optimal_k(epsilon, d);
-                (k, d as f64 / k as f64, oracle)
-            }
-            Protocol::BestEffort { oracle, .. } => (d, 1.0, oracle),
-        };
-        let per_attr = epsilon.split(sampled_k)?;
-        let mut num_indices = Vec::new();
-        let mut cat_indices = Vec::new();
-        let mut slot_of = vec![None; d];
-        let mut cats = Vec::new();
-        for (j, spec) in specs.iter().enumerate() {
-            match spec {
-                AttrSpec::Numeric => num_indices.push(j),
-                AttrSpec::Categorical { k } => {
-                    slot_of[j] = Some(cat_indices.len());
-                    cat_indices.push(j);
-                    // Built through the same constructor as the client's
-                    // oracle, so the (p, q) pair is identical by
-                    // construction, never by re-derivation.
-                    let oracle = AnyOracle::build(oracle_kind, per_attr, *k)?;
-                    cats.push((*k, oracle.debias_params()));
-                }
-            }
-        }
-        let direct = vec![matches!(oracle_kind, ldp_core::OracleKind::Grr); cats.len()];
-        let word_level = word_level_routing(&cats, &direct);
-        Ok(Shape {
-            d,
-            num_indices,
-            cat_indices,
-            slot_of,
-            scale,
-            any_word_level: word_level.iter().any(|&b| b),
-            word_level,
-            cats,
-            sampled_k,
-        })
-    }
+/// Expected set bits of one unary report from a `(k, (p, q))` oracle:
+/// `p + (k−1)·q`, independent of the true value.
+fn expected_hits(k: u32, debias: DebiasParams) -> f64 {
+    debias.p + f64::from(k - 1) * debias.q
 }
 
 /// How a [`ClientEncoder`] produces reports for its protocol family.
@@ -427,12 +362,24 @@ pub struct ClientEncoder {
     protocol: Protocol,
     epsilon: Epsilon,
     specs: Vec<AttrSpec>,
+    /// The budget each per-attribute mechanism spends.
+    per_attr: Epsilon,
     shape: Shape,
     engine: Engine,
 }
 
 impl ClientEncoder {
     /// Builds the encoder for a protocol, total budget and public schema.
+    ///
+    /// This is where a session's budget is split: Algorithm 4 spends `ε/k`
+    /// on each of its `k` sampled attributes (Equation 12's `k`, numeric
+    /// draws scaled by `d/k`), the best-effort baseline `ε/d` on every
+    /// attribute. The aggregator ([`ClientEncoder::aggregator`],
+    /// [`Aggregator::new`]) and the privacy auditor read the resulting
+    /// mechanisms back through [`ClientEncoder::per_attribute_epsilon`],
+    /// [`ClientEncoder::numeric_scale`],
+    /// [`ClientEncoder::numeric_mechanism`] and [`ClientEncoder::oracle`]
+    /// instead of deriving the split again.
     ///
     /// # Errors
     /// Rejects empty schemas and invalid categorical domains.
@@ -443,13 +390,12 @@ impl ClientEncoder {
                 message: "schema must contain at least one attribute".into(),
             });
         }
-        let engine = match protocol {
-            Protocol::Sampling { numeric, oracle } => Engine::Sampling(SamplingPerturber::new(
-                epsilon,
-                specs.clone(),
-                numeric,
-                oracle,
-            )?),
+        let (engine, per_attr) = match protocol {
+            Protocol::Sampling { numeric, oracle } => {
+                let p = SamplingPerturber::new(epsilon, specs.clone(), numeric, oracle)?;
+                let per_attr = epsilon.split(p.k())?;
+                (Engine::Sampling(p), per_attr)
+            }
             Protocol::BestEffort { numeric, oracle } => {
                 let d = specs.len();
                 let per_attr = epsilon.split(d)?;
@@ -474,7 +420,7 @@ impl ClientEncoder {
                         AttrSpec::Categorical { k } => Some(AnyOracle::build(oracle, per_attr, *k)),
                     })
                     .collect::<Result<Vec<_>>>()?;
-                Engine::Composition { numeric, oracles }
+                (Engine::Composition { numeric, oracles }, per_attr)
             }
         };
         let shape = Shape::from_engine(&specs, &engine);
@@ -482,6 +428,7 @@ impl ClientEncoder {
             protocol,
             epsilon,
             specs,
+            per_attr,
             shape,
             engine,
         })
@@ -511,6 +458,48 @@ impl ClientEncoder {
     /// `d` under composition.
     pub fn sampled_k(&self) -> usize {
         self.shape.sampled_k
+    }
+
+    /// The budget each per-attribute mechanism spends: `ε/k` under
+    /// sampling, `ε/d` under composition (under
+    /// [`BestEffortNumeric::DuchiMultidim`], the categorical oracles'
+    /// budget; the numeric block spends `ε·d_num/d` jointly).
+    pub fn per_attribute_epsilon(&self) -> Epsilon {
+        self.per_attr
+    }
+
+    /// The factor numeric draws are scaled by before they leave the
+    /// client: Algorithm 4's `d/k` under sampling, `1` under composition.
+    pub fn numeric_scale(&self) -> f64 {
+        self.shape.scale
+    }
+
+    /// The mechanism each numeric attribute is perturbed with, at
+    /// [`ClientEncoder::per_attribute_epsilon`]. `None` for schemas
+    /// without numeric attributes and under
+    /// [`BestEffortNumeric::DuchiMultidim`], whose numeric block is one
+    /// joint report.
+    pub fn numeric_mechanism(&self) -> Option<&AnyNumeric> {
+        match &self.engine {
+            Engine::Sampling(p) => p.any_numeric(),
+            Engine::Composition {
+                numeric: CompositionNumeric::PerAttr(mech),
+                ..
+            } => Some(mech),
+            Engine::Composition { .. } => None,
+        }
+    }
+
+    /// The frequency oracle attribute `j` is perturbed with, if
+    /// categorical.
+    pub fn oracle(&self, j: usize) -> Option<&AnyOracle> {
+        match &self.engine {
+            Engine::Sampling(p) => p.any_oracle(j),
+            Engine::Composition { oracles, .. } => {
+                let slot = (*self.shape.slot_of.get(j)?)?;
+                Some(&oracles[slot])
+            }
+        }
     }
 
     /// An [`Aggregator`] configured for exactly this encoder's sessions —
@@ -792,22 +781,14 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// Builds an aggregator from the same public knowledge clients hold.
+    /// Builds an aggregator from the same public knowledge clients hold:
+    /// shorthand for [`ClientEncoder::new`] followed by
+    /// [`ClientEncoder::aggregator`].
     ///
     /// # Errors
     /// Rejects empty schemas and invalid categorical domains.
     pub fn new(protocol: Protocol, epsilon: Epsilon, specs: Vec<AttrSpec>) -> Result<Self> {
-        let shape = Shape::new(protocol, epsilon, &specs)?;
-        let dense = vec![0.0; shape.d];
-        Ok(Aggregator {
-            protocol,
-            epsilon,
-            specs,
-            shape,
-            ordinal: 0,
-            parts: BTreeMap::new(),
-            dense,
-        })
+        ClientEncoder::new(protocol, epsilon, specs)?.aggregator()
     }
 
     /// Sets this aggregator's ordinal — its partial's position in the
@@ -1503,6 +1484,74 @@ mod tests {
                     .unwrap();
                 assert_eq!(owned, report, "{protocol:?} round {i}");
             }
+        }
+    }
+
+    #[test]
+    fn encoder_owns_the_budget_split() {
+        // Algorithm 4 at ε = 6 over d = 8: Equation 12 samples k = 2
+        // attributes at ε/2 = 3 each and scales numeric draws by d/k = 4.
+        let alternating: Vec<AttrSpec> = (0..8)
+            .map(|j| {
+                if j % 2 == 0 {
+                    AttrSpec::Numeric
+                } else {
+                    AttrSpec::Categorical { k: 4 }
+                }
+            })
+            .collect();
+        let oracle_eps = |o: Option<&AnyOracle>| o.unwrap().as_dyn().epsilon().value();
+        let numeric_eps = |m: Option<&AnyNumeric>| m.unwrap().epsilon().value();
+        let sampling = ClientEncoder::new(PROTOCOLS[0], eps(6.0), alternating).unwrap();
+        assert_eq!(sampling.sampled_k(), 2);
+        assert_eq!(sampling.per_attribute_epsilon().value(), 3.0);
+        assert_eq!(sampling.numeric_scale(), 4.0);
+        assert_eq!(numeric_eps(sampling.numeric_mechanism()), 3.0);
+        assert!(sampling.oracle(0).is_none());
+        assert_eq!(oracle_eps(sampling.oracle(1)), 3.0);
+
+        // The ε/d baseline at ε = 1 over d = 2: every mechanism at ε/2,
+        // numeric draws unscaled.
+        let two = vec![AttrSpec::Numeric, AttrSpec::Categorical { k: 8 }];
+        let composition = ClientEncoder::new(PROTOCOLS[2], eps(1.0), two).unwrap();
+        assert_eq!(composition.per_attribute_epsilon().value(), 0.5);
+        assert_eq!(composition.numeric_scale(), 1.0);
+        assert_eq!(numeric_eps(composition.numeric_mechanism()), 0.5);
+        assert!(composition.oracle(0).is_none());
+        assert!(composition.oracle(2).is_none());
+        assert_eq!(oracle_eps(composition.oracle(1)), 0.5);
+
+        // Duchi et al.'s joint numeric report has no per-attribute
+        // mechanism; the categorical oracles still spend ε/d.
+        let duchi = Protocol::BestEffort {
+            numeric: BestEffortNumeric::DuchiMultidim,
+            oracle: OracleKind::Grr,
+        };
+        let encoder = ClientEncoder::new(duchi, eps(2.0), mixed_specs()).unwrap();
+        assert!(encoder.numeric_mechanism().is_none());
+        assert_eq!(oracle_eps(encoder.oracle(3)), 0.5);
+
+        // `Aggregator::new` is the encoder's own aggregator: the same
+        // reports snapshot bit-identically, and the two merge.
+        let bits = |r: &CollectionResult| -> Vec<u64> {
+            let freqs = r.frequencies.iter().flat_map(|(_, f)| f);
+            let all = r.mean_vector().into_iter().chain(freqs.copied());
+            all.map(f64::to_bits).collect()
+        };
+        for protocol in PROTOCOLS.into_iter().chain([duchi]) {
+            let encoder = ClientEncoder::new(protocol, eps(2.0), mixed_specs()).unwrap();
+            let mut via_new = Aggregator::new(protocol, eps(2.0), mixed_specs()).unwrap();
+            let mut via_encoder = encoder.aggregator().unwrap().with_ordinal(1);
+            let mut rng = seeded_rng(31);
+            for i in 0..300 {
+                let report = encoder.encode(&mixed_tuple(i), &mut rng).unwrap();
+                via_new.absorb(&report).unwrap();
+                via_encoder.absorb(&report).unwrap();
+            }
+            let (a, b) = (via_new.snapshot().unwrap(), via_encoder.snapshot().unwrap());
+            assert_eq!(bits(&a), bits(&b), "{protocol:?}");
+            via_new.merge(via_encoder).unwrap();
+            assert_eq!(via_new.users(), 600, "{protocol:?}");
         }
     }
 

@@ -1,24 +1,28 @@
 //! The likelihood-ratio attacker.
 //!
-//! Given a protocol, budget, and schema, [`Attacker`] mirrors exactly the
-//! budget accounting the client performs — the `ε/k` split and `d/k`
-//! scaling of Algorithm 4 for [`Protocol::Sampling`], the `ε/d` sequential
-//! composition split for [`Protocol::BestEffort`] — and scores any
-//! [`Report`] with the exact log likelihood ratio between the two
-//! adversarial inputs of [`ldp_core::audit::worst_case_pair`].
+//! Given a cell's [`ClientEncoder`], [`Attacker`] reads the exact
+//! per-attribute mechanisms the client perturbs with — Algorithm 4's `ε/k`
+//! mechanisms and `d/k` numeric scale under
+//! [`Protocol::Sampling`](ldp_analytics::Protocol::Sampling), the `ε/d`
+//! ones under [`Protocol::BestEffort`](ldp_analytics::Protocol::BestEffort)
+//! — and scores any [`Report`] with the exact log likelihood ratio between
+//! the two adversarial inputs of [`ldp_core::audit::worst_case_pair`].
 //!
 //! Soundness does not depend on the attacker being *right* about the
 //! client's internals: any deterministic guessing rule yields a valid
 //! high-confidence lower bound on the privacy loss (a wrong model only
-//! weakens the attack). Being exact is what makes the 1-D oracle cells
-//! *tight* — for GRR/OUE/SUE the induced acceptance region achieves the
-//! likelihood-ratio bound `e^ε` with equality, so the certified ε
-//! approaches the theoretical ε as trials grow.
+//! weakens the attack). Nor does the privacy gate trust the encoder: the
+//! theoretical ε it compares against comes from the audited cell, so an
+//! encoder that overspends its budget hands the attacker a *sharper*
+//! likelihood model and certifies above that ε. Being exact is what makes
+//! the 1-D oracle cells *tight* — for GRR/OUE/SUE the induced acceptance
+//! region achieves the likelihood-ratio bound `e^ε` with equality, so the
+//! certified ε approaches the theoretical ε as trials grow.
 
-use ldp_analytics::{BestEffortNumeric, CompositionReport, Protocol, Report};
+use ldp_analytics::{ClientEncoder, CompositionReport, Report};
 use ldp_core::audit::worst_case_pair;
-use ldp_core::multidim::{optimal_k, AttrReport, AttrSpec, AttrValue};
-use ldp_core::{AnyNumeric, AnyOracle, Epsilon, LdpError, Result};
+use ldp_core::multidim::{AttrReport, AttrSpec, AttrValue};
+use ldp_core::{AnyNumeric, AnyOracle, LdpError, Result};
 
 /// A likelihood-ratio distinguishing attacker for one (protocol, ε, schema)
 /// cell.
@@ -27,92 +31,49 @@ pub struct Attacker {
     specs: Vec<AttrSpec>,
     v1: Vec<AttrValue>,
     v2: Vec<AttrValue>,
-    /// The numeric sub-mechanism at the per-attribute budget, if the schema
-    /// has numeric attributes.
+    /// The client's numeric sub-mechanism, if the schema has numeric
+    /// attributes.
     numeric: Option<AnyNumeric>,
-    /// Per categorical schema slot: the oracle at the per-attribute budget
-    /// (`None` for numeric slots).
+    /// Per schema slot: the client's oracle (`None` for numeric slots).
     oracles: Vec<Option<AnyOracle>>,
     /// Algorithm 4's `d/k` numeric scaling (1.0 for composition).
     scale: f64,
-    /// The per-attribute budget actually spent by each sub-mechanism.
-    per_attr: Epsilon,
 }
 
 impl Attacker {
-    /// Builds the attacker for a cell, mirroring the client's own
-    /// budget-split derivation from `(protocol, epsilon, specs)`.
+    /// Builds the attacker for the cell `encoder` encodes, from the
+    /// encoder's own per-attribute mechanisms.
     ///
     /// # Errors
-    /// * Whatever the underlying mechanism constructors reject.
-    /// * [`LdpError::InvalidParameter`] for
-    ///   [`BestEffortNumeric::DuchiMultidim`], whose joint report has no
-    ///   per-attribute likelihood factorization implemented here.
-    pub fn new(protocol: Protocol, epsilon: Epsilon, specs: &[AttrSpec]) -> Result<Self> {
-        let d = specs.len();
-        let has_numeric = specs.iter().any(|s| matches!(s, AttrSpec::Numeric));
-        let (numeric_kind, oracle_kind, per_attr, scale) = match protocol {
-            Protocol::Sampling { numeric, oracle } => {
-                let k = optimal_k(epsilon, d);
-                (
-                    Some(numeric),
-                    oracle,
-                    epsilon.split(k)?,
-                    d as f64 / k as f64,
-                )
-            }
-            Protocol::BestEffort {
-                numeric: BestEffortNumeric::PerAttribute(kind),
-                oracle,
-            } => (Some(kind), oracle, epsilon.split(d)?, 1.0),
-            Protocol::BestEffort {
-                numeric: BestEffortNumeric::DuchiMultidim,
-                oracle,
-            } => {
-                if has_numeric {
-                    return Err(LdpError::InvalidParameter {
-                        name: "protocol",
-                        message: "DuchiMultidim joint reports are not auditable per-attribute"
-                            .into(),
-                    });
-                }
-                (None, oracle, epsilon.split(d)?, 1.0)
-            }
-        };
-        let numeric = match numeric_kind {
-            Some(kind) if has_numeric => Some(AnyNumeric::build(kind, per_attr)),
-            _ => None,
-        };
-        let oracles = specs
-            .iter()
-            .map(|s| match s {
-                AttrSpec::Numeric => Ok(None),
-                AttrSpec::Categorical { k } => {
-                    AnyOracle::build(oracle_kind, per_attr, *k).map(Some)
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
+    /// [`LdpError::InvalidParameter`] for numeric schemas under
+    /// [`BestEffortNumeric::DuchiMultidim`](ldp_analytics::BestEffortNumeric::DuchiMultidim),
+    /// whose joint report has no per-attribute likelihood factorization
+    /// implemented here.
+    pub fn new(encoder: &ClientEncoder) -> Result<Self> {
+        let specs = encoder.specs();
+        let numeric = encoder.numeric_mechanism().cloned();
+        if numeric.is_none() && specs.iter().any(AttrSpec::is_numeric) {
+            return Err(LdpError::InvalidParameter {
+                name: "protocol",
+                message: "DuchiMultidim joint reports are not auditable per-attribute".into(),
+            });
+        }
         let (v1, v2) = worst_case_pair(specs);
         Ok(Attacker {
             specs: specs.to_vec(),
             v1,
             v2,
             numeric,
-            oracles,
-            scale,
-            per_attr,
+            oracles: (0..specs.len())
+                .map(|j| encoder.oracle(j).cloned())
+                .collect(),
+            scale: encoder.numeric_scale(),
         })
     }
 
     /// The adversarial input pair `(v1, v2)` the attacker distinguishes.
     pub fn pair(&self) -> (&[AttrValue], &[AttrValue]) {
         (&self.v1, &self.v2)
-    }
-
-    /// The per-attribute budget each sub-mechanism spends (`ε/k` under
-    /// sampling, `ε/d` under composition).
-    pub fn per_attribute_epsilon(&self) -> Epsilon {
-        self.per_attr
     }
 
     /// Log likelihood ratio `ln (Pr[report | v1] / Pr[report | v2])`.
@@ -273,9 +234,9 @@ impl Attacker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_analytics::ClientEncoder;
+    use ldp_analytics::{BestEffortNumeric, Protocol};
     use ldp_core::rng::seeded_rng;
-    use ldp_core::{NumericKind, OracleKind};
+    use ldp_core::{Epsilon, NumericKind, OracleKind};
 
     fn sampling_hm_oue() -> Protocol {
         Protocol::Sampling {
@@ -296,8 +257,8 @@ mod tests {
             AttrSpec::Categorical { k: 16 },
         ];
         let eps = Epsilon::new(4.0).unwrap();
-        let attacker = Attacker::new(sampling_hm_oue(), eps, &specs).unwrap();
         let encoder = ClientEncoder::new(sampling_hm_oue(), eps, specs).unwrap();
+        let attacker = Attacker::new(&encoder).unwrap();
         let (v1, v2) = (attacker.v1.clone(), attacker.v2.clone());
         let mut rng = seeded_rng(99);
         for i in 0..500 {
@@ -309,47 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn sampling_split_matches_client_derivation() {
-        // ε = 6, d = 8 ⇒ Algorithm 4 samples k = 2 attributes at ε/2 each.
-        let specs: Vec<AttrSpec> = (0..8).map(|_| AttrSpec::Numeric).collect();
-        let eps = Epsilon::new(6.0).unwrap();
-        let attacker = Attacker::new(sampling_hm_oue(), eps, &specs).unwrap();
-        assert_eq!(attacker.per_attribute_epsilon().value(), 3.0);
-        assert_eq!(attacker.scale, 4.0);
-    }
-
-    #[test]
-    fn composition_split_is_eps_over_d() {
-        let specs = vec![AttrSpec::Numeric, AttrSpec::Categorical { k: 8 }];
-        let eps = Epsilon::new(1.0).unwrap();
-        let attacker = Attacker::new(
-            Protocol::BestEffort {
-                numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
-                oracle: OracleKind::Grr,
-            },
-            eps,
-            &specs,
-        )
-        .unwrap();
-        assert_eq!(attacker.per_attribute_epsilon().value(), 0.5);
-        assert_eq!(attacker.scale, 1.0);
-    }
-
-    #[test]
     fn grr_ratio_is_symmetric_and_bounded_by_eps() {
         // 1-D GRR: the ratio for "reported v1" must be exactly +ε/1 of the
         // per-attribute budget, and -ε for "reported v2".
         let specs = vec![AttrSpec::Categorical { k: 16 }];
         let eps = Epsilon::new(1.0).unwrap();
-        let attacker = Attacker::new(
-            Protocol::Sampling {
-                numeric: NumericKind::Hybrid,
-                oracle: OracleKind::Grr,
-            },
-            eps,
-            &specs,
-        )
-        .unwrap();
+        let protocol = Protocol::Sampling {
+            numeric: NumericKind::Hybrid,
+            oracle: OracleKind::Grr,
+        };
+        let attacker = Attacker::new(&ClientEncoder::new(protocol, eps, specs).unwrap()).unwrap();
         use ldp_core::multidim::SparseReport;
         use ldp_core::CategoricalReport;
         let mk = |cat: u32| {
@@ -372,16 +302,16 @@ mod tests {
 
     #[test]
     fn duchi_multidim_is_rejected_for_numeric_schemas() {
-        let specs = vec![AttrSpec::Numeric];
+        let protocol = Protocol::BestEffort {
+            numeric: BestEffortNumeric::DuchiMultidim,
+            oracle: OracleKind::Oue,
+        };
         let eps = Epsilon::new(1.0).unwrap();
-        let err = Attacker::new(
-            Protocol::BestEffort {
-                numeric: BestEffortNumeric::DuchiMultidim,
-                oracle: OracleKind::Oue,
-            },
-            eps,
-            &specs,
-        );
-        assert!(err.is_err());
+        let joint = ClientEncoder::new(protocol, eps, vec![AttrSpec::Numeric]).unwrap();
+        assert!(Attacker::new(&joint).is_err());
+        // Without numeric attributes there is no joint block to audit.
+        let categorical = vec![AttrSpec::Categorical { k: 4 }];
+        let oracles_only = ClientEncoder::new(protocol, eps, categorical).unwrap();
+        assert!(Attacker::new(&oracles_only).is_ok());
     }
 }

@@ -20,7 +20,7 @@ use crate::attack::Attacker;
 use crate::confidence::{clopper_pearson_lower, clopper_pearson_upper};
 use ldp_analytics::{block_partition, block_rng, ClientEncoder, Protocol, DEFAULT_SHARDS};
 use ldp_core::categorical::Grr;
-use ldp_core::multidim::{optimal_k, AttrSpec};
+use ldp_core::multidim::AttrSpec;
 use ldp_core::rng::RngBlock;
 use ldp_core::{Epsilon, LdpError, NumericKind, OracleKind, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -222,15 +222,9 @@ where
 /// fast paths included.
 ///
 /// # Errors
-/// Construction or encoding failures from the underlying mechanisms.
-pub fn audit_encode_cell(
-    protocol: Protocol,
-    epsilon: Epsilon,
-    specs: &[AttrSpec],
-    cfg: &AuditConfig,
-) -> Result<TrialCounts> {
-    let attacker = Attacker::new(protocol, epsilon, specs)?;
-    let encoder = ClientEncoder::new(protocol, epsilon, specs.to_vec())?;
+/// Attacker construction ([`Attacker::new`]) or encoding failures.
+pub fn audit_encode_cell(encoder: &ClientEncoder, cfg: &AuditConfig) -> Result<TrialCounts> {
+    let attacker = Attacker::new(encoder)?;
     let (v1, v2) = attacker.pair();
     let (v1, v2) = (v1.to_vec(), v2.to_vec());
     run_blocks(cfg, |block, range| {
@@ -312,22 +306,30 @@ impl CellSpec {
             .collect()
     }
 
+    /// The client encoder of this cell — the one place its budget split
+    /// (`ε/k` and the `d/k` scale, or `ε/d`) is derived.
+    ///
+    /// # Errors
+    /// An invalid budget or schema.
+    pub fn encoder(&self) -> Result<ClientEncoder> {
+        ClientEncoder::new(self.protocol, Epsilon::new(self.eps)?, self.specs())
+    }
+
     /// Algorithm 4's sampled-attribute count for this cell (`d` for the
-    /// composition baseline, which reports every attribute).
-    pub fn sampled_k(&self) -> usize {
-        match self.protocol {
-            Protocol::Sampling { .. } => {
-                optimal_k(Epsilon::new(self.eps).expect("grid eps valid"), self.d)
-            }
-            Protocol::BestEffort { .. } => self.d,
-        }
+    /// composition baseline, which reports every attribute), read off the
+    /// cell's encoder.
+    ///
+    /// # Errors
+    /// As [`CellSpec::encoder`].
+    pub fn sampled_k(&self) -> Result<usize> {
+        Ok(self.encoder()?.sampled_k())
     }
 }
 
 /// The default audit grid: the paper's protocol (Sampling over HM + OUE)
 /// across the ε range of §VI, the naive composition baseline, and the 1-D
-/// frequency oracles — including an ε = 6 sampling cell where
-/// `optimal_k = 2` exercises the multi-attribute `ε/k` split and `d/k`
+/// frequency oracles — including an ε = 6 sampling cell where Equation
+/// 12's `k = 2` exercises the multi-attribute `ε/k` split and `d/k`
 /// scaling end to end.
 pub fn default_grid() -> Vec<CellSpec> {
     let sampling = Protocol::Sampling {
@@ -443,17 +445,16 @@ pub fn audit_grid(grid: &[CellSpec], cfg: &AuditConfig, mode: &'static str) -> R
     }
     let mut cells = Vec::with_capacity(grid.len());
     for spec in grid {
-        let epsilon = Epsilon::new(spec.eps)?;
-        let specs = spec.specs();
+        let encoder = spec.encoder()?;
         let mut arms = Vec::new();
-        let counts = audit_encode_cell(spec.protocol, epsilon, &specs, cfg)?;
+        let counts = audit_encode_cell(&encoder, cfg)?;
         arms.push(ArmResult {
             arm: "encode",
             counts,
             estimate: estimate_eps(&counts, cfg.alpha),
         });
         if spec.direct_arm {
-            let counts = audit_grr_direct_cell(epsilon, spec.k, cfg)?;
+            let counts = audit_grr_direct_cell(encoder.epsilon(), spec.k, cfg)?;
             arms.push(ArmResult {
                 arm: "direct",
                 counts,
@@ -462,7 +463,7 @@ pub fn audit_grid(grid: &[CellSpec], cfg: &AuditConfig, mode: &'static str) -> R
         }
         cells.push(CellResult {
             spec: spec.clone(),
-            sampled_k: spec.sampled_k(),
+            sampled_k: encoder.sampled_k(),
             arms,
         });
     }
@@ -628,12 +629,10 @@ mod tests {
             numeric: NumericKind::Hybrid,
             oracle: OracleKind::Oue,
         };
-        let baseline =
-            audit_encode_cell(protocol, eps, &specs, &small_cfg(20_000, Some(1))).unwrap();
+        let encoder = ClientEncoder::new(protocol, eps, specs).unwrap();
+        let baseline = audit_encode_cell(&encoder, &small_cfg(20_000, Some(1))).unwrap();
         for workers in [2, 3, 8] {
-            let counts =
-                audit_encode_cell(protocol, eps, &specs, &small_cfg(20_000, Some(workers)))
-                    .unwrap();
+            let counts = audit_encode_cell(&encoder, &small_cfg(20_000, Some(workers))).unwrap();
             assert_eq!(counts, baseline, "workers={workers}");
         }
     }
@@ -677,10 +676,8 @@ mod tests {
             numeric: NumericKind::Hybrid,
             oracle: OracleKind::Grr,
         };
-        let via_encode = estimate_eps(
-            &audit_encode_cell(protocol, eps, &specs, &cfg).unwrap(),
-            cfg.alpha,
-        );
+        let encoder = ClientEncoder::new(protocol, eps, specs).unwrap();
+        let via_encode = estimate_eps(&audit_encode_cell(&encoder, &cfg).unwrap(), cfg.alpha);
         let via_direct = estimate_eps(&audit_grr_direct_cell(eps, 16, &cfg).unwrap(), cfg.alpha);
         assert!(
             (via_encode.advantage - via_direct.advantage).abs() < 0.02,
@@ -688,6 +685,27 @@ mod tests {
             via_encode.advantage,
             via_direct.advantage
         );
+    }
+
+    #[test]
+    fn grid_cells_read_sampled_k_off_their_encoders() {
+        // The ε = 6 sampling cell is the multi-attribute split (k = 2 of
+        // d = 8); composition reports every attribute; 1-D cells one.
+        for cell in default_grid() {
+            let want = match (cell.label, cell.eps) {
+                ("Sampling(HM+OUE)", 6.0) => 2,
+                ("Sampling(HM+OUE)", _) => 1,
+                ("Composition(Laplace+GRR)", _) => cell.d,
+                _ => 1,
+            };
+            assert_eq!(
+                cell.sampled_k().unwrap(),
+                want,
+                "{} eps={}",
+                cell.label,
+                cell.eps
+            );
+        }
     }
 
     #[test]

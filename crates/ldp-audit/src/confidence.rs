@@ -13,41 +13,13 @@
 //! * lower: `Beta(α; w, n−w+1)` quantile (0 when `w = 0`),
 //! * upper: `Beta(1−α; w+1, n−w)` quantile (1 when `w = n`),
 //!
-//! computed here from scratch — Lanczos log-gamma, the regularized
-//! incomplete beta via Lentz's continued fraction, and a bisection inverse —
-//! because the workspace is offline and deliberately dependency-free. Every
-//! step is deterministic, so audit artifacts are bit-reproducible.
+//! computed here from scratch — the regularized incomplete beta via Lentz's
+//! continued fraction over [`ldp_core::math::ln_gamma`], and a bisection
+//! inverse — because the workspace is offline and deliberately
+//! dependency-free. Every step is deterministic, so audit artifacts are
+//! bit-reproducible.
 
-/// Lanczos approximation (g = 7, 9 coefficients) to `ln Γ(x)` for `x > 0`.
-///
-/// Relative error is below 1e-13 over the range the beta functions use,
-/// which is far below the bisection tolerance of the quantile inverse.
-fn ln_gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    // Published Lanczos coefficients, kept at full printed precision.
-    #[allow(clippy::excessive_precision)]
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    debug_assert!(x > 0.0);
-    // Standard Lanczos evaluation; no reflection needed since x > 0 here
-    // always comes from trial counts (≥ 1) or counts + 1.
-    let z = x - 1.0;
-    let mut sum = COEF[0];
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        sum += c / (z + i as f64);
-    }
-    let t = z + G + 0.5;
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (z + 0.5) * t.ln() - t + sum.ln()
-}
+use ldp_core::math::ln_gamma;
 
 /// Lentz's continued fraction for the incomplete beta, valid (rapidly
 /// convergent) when `x < (a+1)/(a+b+2)`.
@@ -195,29 +167,6 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
-    }
-
-    #[test]
-    fn ln_gamma_matches_factorials() {
-        // Γ(n) = (n−1)!
-        let mut fact = 1.0f64;
-        for n in 1..15u32 {
-            if n > 1 {
-                fact *= f64::from(n - 1);
-            }
-            assert!(
-                close(ln_gamma(f64::from(n)), fact.ln(), 1e-10),
-                "n={n}: {} vs {}",
-                ln_gamma(f64::from(n)),
-                fact.ln()
-            );
-        }
-        // Γ(1/2) = √π.
-        assert!(close(
-            ln_gamma(0.5),
-            std::f64::consts::PI.sqrt().ln(),
-            1e-12
-        ));
     }
 
     #[test]

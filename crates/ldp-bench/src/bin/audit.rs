@@ -10,10 +10,9 @@
 //! in-process sweep proves every count tallies identically), and
 //! `--out FILE` writes `BENCH_audit.json` atomically (temp file + rename).
 
-use ldp_audit::{audit_encode_cell, audit_grid, default_grid, AuditConfig};
+use ldp_audit::{audit_encode_cell, audit_grid, default_grid, AuditConfig, CellSpec};
 use ldp_bench::{emit, write_atomic, Args};
-use ldp_core::multidim::AttrSpec;
-use ldp_core::{Epsilon, NumericKind, OracleKind};
+use ldp_core::{NumericKind, OracleKind};
 
 /// Trials for the in-process worker-sweep identity check: small enough to
 /// be free, large enough that a scheduling bug (lost block, double-counted
@@ -24,30 +23,29 @@ const SWEEP_TRIALS: usize = 20_000;
 /// panics unless all tallies are bit-identical — the audit analogue of the
 /// `determinism` binary's pipeline check.
 fn assert_worker_identity(cfg: &AuditConfig, sweep: &[usize]) {
-    let protocol = ldp_analytics::Protocol::Sampling {
-        numeric: NumericKind::Hybrid,
-        oracle: OracleKind::Oue,
-    };
-    let eps = Epsilon::new(4.0).expect("positive");
-    let specs: Vec<AttrSpec> = (0..8)
-        .map(|i| {
-            if i % 2 == 0 {
-                AttrSpec::Numeric
-            } else {
-                AttrSpec::Categorical { k: 16 }
-            }
-        })
-        .collect();
+    let encoder = CellSpec {
+        label: "Sampling(HM+OUE)",
+        protocol: ldp_analytics::Protocol::Sampling {
+            numeric: NumericKind::Hybrid,
+            oracle: OracleKind::Oue,
+        },
+        eps: 4.0,
+        d: 8,
+        k: 16,
+        direct_arm: false,
+    }
+    .encoder()
+    .expect("valid cell");
     let sweep_cfg = |workers: usize| AuditConfig {
         trials: SWEEP_TRIALS,
         workers: Some(workers),
         ..*cfg
     };
-    let baseline = audit_encode_cell(protocol, eps, &specs, &sweep_cfg(sweep[0]))
-        .expect("sweep cell audits cleanly");
+    let baseline =
+        audit_encode_cell(&encoder, &sweep_cfg(sweep[0])).expect("sweep cell audits cleanly");
     for &workers in &sweep[1..] {
-        let counts = audit_encode_cell(protocol, eps, &specs, &sweep_cfg(workers))
-            .expect("sweep cell audits cleanly");
+        let counts =
+            audit_encode_cell(&encoder, &sweep_cfg(workers)).expect("sweep cell audits cleanly");
         assert_eq!(
             counts, baseline,
             "worker count {workers} changed audit tallies vs {}",

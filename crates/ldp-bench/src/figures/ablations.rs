@@ -112,7 +112,7 @@ pub fn frequency_oracles(args: &Args) -> String {
 /// protocols, quantified for ours.
 pub fn communication(args: &Args) -> String {
     use ldp_analytics::{BestEffortNumeric, ClientEncoder, Report};
-    use ldp_core::multidim::{wire, CompositionPerturber, DuchiMultidim, SamplingPerturber};
+    use ldp_core::multidim::{wire, DuchiMultidim, SamplingPerturber};
     use ldp_core::rng::seeded_rng;
     use ldp_core::AttrValue;
     let ds = generate_br(2_000.min(args.users), args.seed).expect("generator is domain-safe");
@@ -133,11 +133,10 @@ pub fn communication(args: &Args) -> String {
         let sampling =
             SamplingPerturber::new(e, specs.clone(), NumericKind::Hybrid, OracleKind::Oue)
                 .expect("valid schema");
-        let composition =
-            CompositionPerturber::new(e, specs.clone(), NumericKind::Laplace, OracleKind::Oue)
-                .expect("valid schema");
-        // The actual Report::Composition wire codec, for the bytes-per-user
-        // column — encoded sizes, not just accounting.
+        // Every composition report carries every attribute, so its size is
+        // a schema constant; the actual Report::Composition wire codec
+        // backs it with encoded sizes in the bytes-per-user column.
+        let c_bits = wire::composition_report_bits(&specs, true);
         let encoder = ClientEncoder::new(
             Protocol::BestEffort {
                 numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
@@ -152,7 +151,7 @@ pub fn communication(args: &Args) -> String {
 
         let mut rng = seeded_rng(args.seed);
         let mut tuple: Vec<AttrValue> = Vec::new();
-        let (mut s_bits, mut c_bits, mut codec_bytes) = (0usize, 0usize, 0usize);
+        let (mut s_bits, mut codec_bytes) = (0usize, 0usize);
         for i in 0..ds.n() {
             ds.canonical_tuple_into(i, &mut tuple);
             // Schema-aware accounting: direct categorical reports are
@@ -160,9 +159,6 @@ pub fn communication(args: &Args) -> String {
             s_bits += wire::sparse_report_bits_with_schema(
                 &sampling.perturb(&tuple, &mut rng).expect("valid tuple"),
                 &specs,
-            );
-            c_bits += wire::dense_report_bits(
-                &composition.perturb(&tuple, &mut rng).expect("valid tuple"),
             );
             let Report::Composition(report) =
                 encoder.encode(&tuple, &mut rng).expect("valid tuple")
@@ -172,7 +168,7 @@ pub fn communication(args: &Args) -> String {
             let bytes = report.encode_wire(&specs);
             debug_assert_eq!(
                 bytes.len(),
-                wire::composition_report_bits(&specs, true).div_ceil(8),
+                c_bits.div_ceil(8),
                 "codec size must match the canonical accounting"
             );
             codec_bytes += bytes.len();
@@ -181,7 +177,7 @@ pub fn communication(args: &Args) -> String {
         table.row(vec![
             format!("{eps}"),
             format!("{:.1}", s_bits as f64 / ds.n() as f64),
-            format!("{:.1}", c_bits as f64 / ds.n() as f64),
+            format!("{:.1}", c_bits as f64),
             format!("{:.1}", codec_bytes as f64 / ds.n() as f64),
             format!("{duchi_bits}"),
         ]);

@@ -5,10 +5,11 @@
 //! per-user loop over one pre-generated workload in two arms, single
 //! threaded:
 //!
-//! * **reference** — the naive per-bit oracle: an allocating perturb loop
-//!   with the per-bit unary sampler
-//!   ([`ldp_core::FrequencyOracle::perturb_naive`]), a linear slot scan per
-//!   entry, and the O(k) per-report `support()` aggregation loop;
+//! * **reference** — the naive per-bit oracle over the mechanisms of the
+//!   cell's [`ClientEncoder`]: an allocating perturb loop with the per-bit
+//!   unary sampler ([`ldp_core::FrequencyOracle::perturb_naive`]), a linear
+//!   slot scan per entry, and the O(k) per-report `support()` aggregation
+//!   loop;
 //! * **production** — the code that ships: one [`ClientEncoder`] feeding
 //!   [`ldp_analytics::Aggregator::absorb_with`] from an [`RngBlock`] over
 //!   `seeded_rng(seed)`, then a snapshot. That is the per-block body of
@@ -35,7 +36,7 @@ use ldp_analytics::service::{decode_report, encode_report, WireMessage};
 use ldp_analytics::{
     BestEffortNumeric, ClientEncoder, Collector, MeanAccumulator, Protocol, Report,
 };
-use ldp_core::multidim::{CompositionPerturber, SamplingPerturber, SparseReport};
+use ldp_core::multidim::SparseReport;
 use ldp_core::rng::{sample_distinct, seeded_rng, RngBlock};
 use ldp_core::{AttrReport, AttrSpec, AttrValue, Epsilon, NumericKind, OracleKind};
 use ldp_data::census::generate_br;
@@ -324,51 +325,50 @@ fn time_arms<const N: usize>(
 /// naive per-bit unary sampler, linear slot scans, and O(k) support-loop
 /// aggregation. Returns the frequency estimates so the optimizer cannot
 /// discard the work.
-fn run_sampling_reference(p: &SamplingPerturber, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
+fn run_sampling_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
     let mut seeded = seeded_rng(seed);
-    // The naive path draws through a trait object; pin that dispatch so
+    // The naive path draws through trait objects; pin that dispatch so
     // the reference arm keeps measuring what it always measured.
     let mut rng: &mut dyn RngCore = &mut seeded;
-    let d = w.d;
+    let oracle = |j: usize| encoder.oracle(j).expect("categorical").as_dyn();
+    let mech = encoder
+        .numeric_mechanism()
+        .expect("schema has numeric")
+        .as_dyn();
+    let (d, k) = (w.d, encoder.sampled_k());
     let cat_indices: Vec<usize> = (0..d).filter(|&j| !w.specs[j].is_numeric()).collect();
     let mut means = MeanAccumulator::new(d);
     let mut supports: Vec<Vec<f64>> = cat_indices
         .iter()
-        .map(|&j| vec![0.0; p.oracle(j).expect("categorical").k() as usize])
+        .map(|&j| vec![0.0; oracle(j).k() as usize])
         .collect();
-    let scale = p.scale();
+    let scale = encoder.numeric_scale();
     for i in 0..w.users {
         let tuple = w.tuple(i);
         // Allocating sample + report construction, as the old perturb did.
-        let sampled = sample_distinct(&mut rng, d, p.k());
-        let mut entries = Vec::with_capacity(p.k());
+        let sampled = sample_distinct(&mut rng, d, k);
+        let mut entries = Vec::with_capacity(k);
         for j in sampled {
             let entry = match tuple[j as usize] {
                 AttrValue::Numeric(x) => {
-                    let mech = p.numeric_mechanism().expect("schema has numeric");
                     AttrReport::Numeric(scale * mech.perturb(x, &mut rng).expect("valid input"))
                 }
-                AttrValue::Categorical(v) => {
-                    let oracle = p.oracle(j as usize).expect("categorical");
-                    AttrReport::Categorical(
-                        oracle.perturb_naive(v, &mut rng).expect("valid category"),
-                    )
-                }
+                AttrValue::Categorical(v) => AttrReport::Categorical(
+                    oracle(j as usize)
+                        .perturb_naive(v, &mut rng)
+                        .expect("valid category"),
+                ),
             };
             entries.push((j, entry));
         }
-        let report = SparseReport {
-            d,
-            k: p.k(),
-            entries,
-        };
+        let report = SparseReport { d, k, entries };
         for (j, rep) in &report.entries {
             if let AttrReport::Categorical(cat) = rep {
                 let slot = cat_indices
                     .iter()
                     .position(|&x| x == *j as usize)
                     .expect("categorical index");
-                let oracle = p.oracle(*j as usize).expect("categorical");
+                let oracle = oracle(*j as usize);
                 for v in 0..oracle.k() {
                     supports[slot][v as usize] += oracle.support(cat, v);
                 }
@@ -384,13 +384,16 @@ fn run_sampling_reference(p: &SamplingPerturber, w: &Workload, seed: u64) -> Vec
 
 /// The reference loop for the ε/d composition baseline: naive per-bit
 /// perturbation and support-loop aggregation over every attribute, with
-/// the mechanism and oracles of a [`CompositionPerturber`].
-fn run_composition_reference(p: &CompositionPerturber, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
+/// the encoder's mechanism and oracles.
+fn run_composition_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
     let mut seeded = seeded_rng(seed);
     let rng: &mut dyn RngCore = &mut seeded;
-    let mech = p.any_numeric().expect("schema has numeric").as_dyn();
+    let mech = encoder
+        .numeric_mechanism()
+        .expect("schema has numeric")
+        .as_dyn();
     let mut supports: Vec<Vec<f64>> = (0..w.d)
-        .filter_map(|j| p.oracle(j))
+        .filter_map(|j| encoder.oracle(j))
         .map(|o| vec![0.0; o.k() as usize])
         .collect();
     let mut mean_sum = 0.0f64;
@@ -402,7 +405,7 @@ fn run_composition_reference(p: &CompositionPerturber, w: &Workload, seed: u64) 
                     mean_sum += mech.perturb(*x, &mut *rng).expect("valid input");
                 }
                 AttrValue::Categorical(v) => {
-                    let oracle = p.oracle(j).expect("categorical");
+                    let oracle = encoder.oracle(j).expect("categorical").as_dyn();
                     let rep = oracle.perturb_naive(*v, &mut *rng).expect("valid category");
                     for cat in 0..oracle.k() {
                         supports[slot][cat as usize] += oracle.support(&rep, cat);
@@ -419,29 +422,11 @@ fn run_composition_reference(p: &CompositionPerturber, w: &Workload, seed: u64) 
         .collect()
 }
 
-/// The reference arm's perturber for one grid cell.
-enum Reference {
-    Sampling(SamplingPerturber),
-    Composition(CompositionPerturber),
-}
-
-impl Reference {
-    fn new(protocol: BenchProtocol, eps: Epsilon, specs: Vec<AttrSpec>) -> Self {
-        match protocol {
-            BenchProtocol::Sampling(numeric, oracle) => Reference::Sampling(
-                SamplingPerturber::new(eps, specs, numeric, oracle).expect("valid schema"),
-            ),
-            BenchProtocol::Composition(numeric, oracle) => Reference::Composition(
-                CompositionPerturber::new(eps, specs, numeric, oracle).expect("valid schema"),
-            ),
-        }
-    }
-
-    fn run(&self, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
-        match self {
-            Reference::Sampling(p) => run_sampling_reference(p, w, seed),
-            Reference::Composition(p) => run_composition_reference(p, w, seed),
-        }
+/// The reference arm for the cell `encoder` encodes.
+fn run_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
+    match encoder.protocol() {
+        Protocol::Sampling { .. } => run_sampling_reference(encoder, w, seed),
+        Protocol::BestEffort { .. } => run_composition_reference(encoder, w, seed),
     }
 }
 
@@ -879,8 +864,7 @@ fn run_cell(
 ) -> ThroughputCell {
     let e = Epsilon::new(eps).expect("positive");
     let specs = mixed_specs(d, k_dom);
-    let encoder = ClientEncoder::new(protocol.protocol(), e, specs.clone()).expect("valid schema");
-    let reference = Reference::new(protocol, e, specs);
+    let encoder = ClientEncoder::new(protocol.protocol(), e, specs).expect("valid schema");
     let users = users_for_cell(args, encoder.sampled_k(), k_dom);
     let w = Workload::generate(users, d, k_dom, args.seed ^ 0xBE1C);
     let [reference_users_per_sec, production_users_per_sec] = time_arms(
@@ -888,7 +872,7 @@ fn run_cell(
         BEST_OF,
         [
             &mut || {
-                std::hint::black_box(reference.run(&w, args.seed));
+                std::hint::black_box(run_reference(&encoder, &w, args.seed));
             },
             &mut || {
                 std::hint::black_box(run_production(&encoder, &w, args.seed));
@@ -1163,8 +1147,8 @@ mod tests {
         let (d, k_dom, users) = (6usize, 16u32, 30_000usize);
         let w = Workload::generate(users, d, k_dom, 99);
         let protocol = BenchProtocol::Sampling(NumericKind::Hybrid, OracleKind::Oue);
-        let reference = Reference::new(protocol, e, w.specs.clone()).run(&w, 7);
         let encoder = ClientEncoder::new(protocol.protocol(), e, w.specs.clone()).unwrap();
+        let reference = run_reference(&encoder, &w, 7);
         let production = run_production(&encoder, &w, 7);
         assert_eq!(reference.len(), production.len());
         for (slot, (r, p)) in reference.iter().zip(&production).enumerate() {
@@ -1183,8 +1167,8 @@ mod tests {
         let (d, k_dom, users) = (4usize, 8u32, 30_000usize);
         let w = Workload::generate(users, d, k_dom, 100);
         let protocol = BenchProtocol::Composition(NumericKind::Laplace, OracleKind::Oue);
-        let reference = Reference::new(protocol, e, w.specs.clone()).run(&w, 8);
         let encoder = ClientEncoder::new(protocol.protocol(), e, w.specs.clone()).unwrap();
+        let reference = run_reference(&encoder, &w, 8);
         let production = run_production(&encoder, &w, 8);
         assert_eq!(reference.len(), production.len());
         for (r, p) in reference.iter().zip(&production) {

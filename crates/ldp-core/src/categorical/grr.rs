@@ -5,8 +5,8 @@ use crate::categorical::{check_category, check_domain_size};
 use crate::error::Result;
 use crate::math::ConstMod;
 use crate::mechanism::{CategoricalReport, DebiasParams, FrequencyOracle};
-use crate::rng::{bernoulli, bernoulli_from_threshold, bernoulli_threshold};
-use rand::{Rng, RngCore};
+use crate::rng::{bernoulli_from_threshold, bernoulli_threshold};
+use rand::RngCore;
 
 /// k-ary randomized response: report the true category with probability
 /// `p = e^ε/(e^ε + k − 1)`, otherwise one of the `k−1` other categories
@@ -63,22 +63,21 @@ impl Grr {
         self.q
     }
 
-    /// The direct-report fast path: perturbs `value` and returns the
-    /// reported category *ordinal* without materializing a
-    /// [`CategoricalReport`] at all. This is the kernel the fused
-    /// perturb-and-count engines run for GRR — one Bernoulli coin, then
-    /// (only on a lie) one range draw, then a bare counter increment on the
-    /// aggregator side.
+    /// The GRR kernel: perturbs `value` and returns the reported category
+    /// *ordinal* without materializing a [`CategoricalReport`] at all —
+    /// one Bernoulli coin, then (only on a lie) one range draw. Every GRR
+    /// perturbation runs it: the fused perturb-and-count engines hand the
+    /// ordinal straight to a counter, and [`Grr::fill_into`] (behind
+    /// [`FrequencyOracle::perturb`] and every report-materializing encode)
+    /// wraps it in a report.
     ///
-    /// Draw-for-draw **and value-for-value** identical to
-    /// [`FrequencyOracle::perturb`]: it consumes the same raw words and
-    /// reports the same category, but through the precomputed forms — the
-    /// baked-in integer coin threshold instead of a float compare, and the
-    /// [`ConstMod`] magic-multiply remainder instead of a hardware 64-bit
-    /// division for the uniform lie. Both precomputations are exact (not
-    /// approximations), so swapping engines can never move an estimate;
-    /// [`Grr::fill_into`] keeps the plain-arithmetic form as the reference
-    /// this kernel is pinned against.
+    /// Both draws use precomputed forms of the plain arithmetic — the
+    /// baked-in integer coin threshold instead of a float compare
+    /// (`bernoulli(rng, p)`), and the [`ConstMod`] magic-multiply
+    /// remainder instead of a hardware 64-bit division for the uniform lie
+    /// (`rng.random_range(0..k−1)`). Both are exact, not approximations:
+    /// they consume the same raw words and report the same category as the
+    /// plain form, which a unit test keeps as the reference.
     ///
     /// # Errors
     /// As [`FrequencyOracle::perturb`].
@@ -99,15 +98,9 @@ impl Grr {
     }
 
     /// Generic form of [`FrequencyOracle::perturb_into`], monomorphized over
-    /// the concrete rng. Draw-for-draw identical to
-    /// [`FrequencyOracle::perturb`] (one Bernoulli coin, then — only on a
-    /// lie — one range draw), so the trait and generic paths consume the
-    /// same stream.
-    ///
-    /// Deliberately kept in the plain-arithmetic form (f64 coin compare,
-    /// hardware-division range draw): it is the distribution reference the
-    /// precomputed [`Grr::sample`] kernel is pinned against, and the path a
-    /// client's report-materializing encode takes.
+    /// the concrete rng: the [`Grr::sample`] kernel, with its ordinal
+    /// written into `out` as a direct report. The trait, generic and fused
+    /// paths therefore consume the same stream and report the same value.
     ///
     /// # Errors
     /// As [`FrequencyOracle::perturb`].
@@ -118,17 +111,7 @@ impl Grr {
         rng: &mut R,
         out: &mut CategoricalReport,
     ) -> Result<()> {
-        check_category(value, self.k)?;
-        *out = CategoricalReport::Value(if bernoulli(rng, self.p) {
-            value
-        } else {
-            let r = rng.random_range(0..self.k - 1);
-            if r >= value {
-                r + 1
-            } else {
-                r
-            }
-        });
+        *out = CategoricalReport::Value(self.sample(value, rng)?);
         Ok(())
     }
 
@@ -282,17 +265,41 @@ mod tests {
     }
 
     #[test]
-    fn sample_is_draw_identical_to_fill_into() {
-        let o = oracle(1.0, 9);
-        let mut rng_a = seeded_rng(94);
-        let mut rng_b = seeded_rng(94);
-        let mut out = CategoricalReport::Value(0);
-        for i in 0..5_000u32 {
-            let direct = o.sample(i % 9, &mut rng_a).unwrap();
-            o.fill_into(i % 9, &mut rng_b, &mut out).unwrap();
-            assert_eq!(out, CategoricalReport::Value(direct), "round {i}");
+    fn sample_is_draw_identical_to_plain_arithmetic() {
+        // The plain form of GRR — an f64 coin compare, then a
+        // hardware-division range draw for the lie — kept here as the
+        // reference the precomputed kernel is pinned against.
+        use crate::rng::bernoulli;
+        use rand::Rng;
+        let plain = |o: &Grr, value: u32, rng: &mut dyn RngCore| {
+            if bernoulli(rng, o.p()) {
+                value
+            } else {
+                let r = rng.random_range(0..o.k() - 1);
+                if r >= value {
+                    r + 1
+                } else {
+                    r
+                }
+            }
+        };
+        for (eps, k) in [(1.0, 9), (0.5, 2), (3.0, 1000)] {
+            let o = oracle(eps, k);
+            let mut rng_a = seeded_rng(94);
+            let mut rng_b = seeded_rng(94);
+            let mut out = CategoricalReport::Value(0);
+            for i in 0..5_000u32 {
+                let direct = o.sample(i % k, &mut rng_a).unwrap();
+                assert_eq!(direct, plain(&o, i % k, &mut rng_b), "k={k} round {i}");
+                o.fill_into(i % k, &mut rng_a, &mut out).unwrap();
+                assert_eq!(
+                    out,
+                    CategoricalReport::Value(plain(&o, i % k, &mut rng_b)),
+                    "k={k} round {i}"
+                );
+            }
+            assert!(o.sample(k, &mut rng_a).is_err());
         }
-        assert!(o.sample(9, &mut rng_a).is_err());
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!   `k = max(1, min(d, ⌊ε/2.5⌋))` attributes, spend `ε/k` on each, scale by
 //!   `d/k`. Handles mixed numeric/categorical schemas (§IV-C).
 //! * [`multidim::DuchiMultidim`] — Duchi et al.'s Algorithm 3 baseline.
-//! * [`multidim::CompositionPerturber`] — the naive ε/d splitting baseline.
+//!
+//! The naive ε/d splitting baseline has no perturber of its own:
+//! `ldp_analytics::ClientEncoder` builds its per-attribute mechanisms from
+//! the same 1-D mechanisms and oracles.
 //!
 //! ## Categorical attributes
 //!

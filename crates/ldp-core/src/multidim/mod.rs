@@ -4,15 +4,16 @@
 //!   state of the art for multiple *numeric* attributes.
 //! * [`SamplingPerturber`] — the paper's Algorithm 4 and its §IV-C extension
 //!   to tuples mixing numeric and categorical attributes.
-//! * [`CompositionPerturber`] — the budget-splitting baseline (ε/d per
-//!   attribute) that §IV's introduction shows is sub-optimal.
+//!
+//! The budget-splitting baseline (ε/d per attribute) that §IV's
+//! introduction shows is sub-optimal has no perturber of its own:
+//! `ldp_analytics::ClientEncoder` builds its per-attribute mechanisms next
+//! to Algorithm 4's.
 
-mod composition;
 mod duchi_md;
 mod sampling;
 pub mod wire;
 
-pub use composition::{CompositionPerturber, DenseReport};
 pub use duchi_md::{DuchiMultidim, DuchiScratch};
 pub use sampling::{optimal_k, CatObservation, SamplingPerturber, SparseReport, SparseScratch};
 

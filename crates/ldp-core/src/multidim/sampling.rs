@@ -4,7 +4,7 @@ use crate::budget::Epsilon;
 use crate::categorical::AnyOracle;
 use crate::error::{LdpError, Result};
 use crate::kinds::{NumericKind, OracleKind};
-use crate::mechanism::{CategoricalReport, FrequencyOracle, NumericMechanism};
+use crate::mechanism::CategoricalReport;
 use crate::multidim::{AttrReport, AttrSpec, AttrValue, CatReportView};
 use crate::numeric::AnyNumeric;
 use crate::rng::sample_distinct_into;
@@ -503,22 +503,10 @@ impl SamplingPerturber {
         Ok(self.perturb(&tuple, rng)?.to_dense_numeric())
     }
 
-    /// The frequency oracle assigned to attribute `j`, if categorical.
-    pub fn oracle(&self, j: usize) -> Option<&dyn FrequencyOracle> {
-        self.any_oracle(j).map(AnyOracle::as_dyn)
-    }
-
     /// The unboxed oracle for attribute `j`, if categorical — the handle
     /// monomorphized aggregation loops use to avoid per-report vtables.
     pub fn any_oracle(&self, j: usize) -> Option<&AnyOracle> {
         self.oracles.get(j).and_then(Option::as_ref)
-    }
-
-    /// The shared ε/k numeric mechanism as a trait object, if the schema
-    /// has numeric attributes (exposed so benches can drive the raw client
-    /// hot path through dyn dispatch).
-    pub fn numeric_mechanism(&self) -> Option<&dyn NumericMechanism> {
-        self.numeric.as_ref().map(AnyNumeric::as_dyn)
     }
 
     /// The unboxed ε/k numeric mechanism, if the schema has numeric
@@ -679,9 +667,9 @@ mod tests {
                 other => panic!("wrong report type: {other:?}"),
             }
         }
-        assert!(p.oracle(1).is_some());
-        assert!(p.oracle(0).is_none());
-        assert_eq!(p.oracle(3).unwrap().k(), 7);
+        assert!(p.any_oracle(1).is_some());
+        assert!(p.any_oracle(0).is_none());
+        assert_eq!(p.any_oracle(3).unwrap().k(), 7);
     }
 
     #[test]
@@ -1008,6 +996,6 @@ mod tests {
             2,
         )
         .unwrap();
-        assert_eq!(p.oracle(1).unwrap().epsilon().value(), 3.0);
+        assert_eq!(p.any_oracle(1).unwrap().as_dyn().epsilon().value(), 3.0);
     }
 }

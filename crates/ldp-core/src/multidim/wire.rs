@@ -15,7 +15,7 @@
 //! The `communication` ablation bench tabulates these per protocol.
 
 use crate::mechanism::CategoricalReport;
-use crate::multidim::{AttrReport, DenseReport, SparseReport};
+use crate::multidim::{AttrReport, SparseReport};
 
 /// Bits for one 64-bit float.
 const F64_BITS: usize = 64;
@@ -100,12 +100,6 @@ pub fn sparse_report_bits_with_schema(
         .iter()
         .map(|(j, rep)| idx + attr_report_bits_with_schema(rep, &specs[*j as usize]))
         .sum()
-}
-
-/// Wire size of a dense (composition-baseline) report: payload for every
-/// attribute, no indices needed (schema order is implied).
-pub fn dense_report_bits(report: &DenseReport) -> usize {
-    report.entries.iter().map(attr_report_bits).sum()
 }
 
 /// Wire size of one composition report under the canonical encoding, from
@@ -553,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_beats_dense_when_k_is_small() {
+    fn sparse_beats_composition_when_k_is_small() {
         // d = 16 numeric attributes, k = 1 sample: 4 + 64 bits vs 16·64.
         let sparse = SparseReport {
             d: 16,
@@ -561,11 +555,9 @@ mod tests {
             entries: vec![(3, AttrReport::Numeric(1.5))],
         };
         assert_eq!(sparse_report_bits(&sparse), 4 + 64);
-        let dense = DenseReport {
-            entries: (0..16).map(|_| AttrReport::Numeric(0.0)).collect(),
-        };
-        assert_eq!(dense_report_bits(&dense), 16 * 64);
-        assert!(sparse_report_bits(&sparse) < dense_report_bits(&dense));
+        let specs = vec![crate::multidim::AttrSpec::Numeric; 16];
+        assert_eq!(composition_report_bits(&specs, true), 16 * 64);
+        assert!(sparse_report_bits(&sparse) < composition_report_bits(&specs, true));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! cargo run --release --example audit_report
 //! ```
 
-use ldp::analytics::Protocol;
+use ldp::analytics::{ClientEncoder, Protocol};
 use ldp::core::multidim::AttrSpec;
 use ldp::core::{Epsilon, LdpError, NumericKind, OracleKind};
-use ldp_audit::{audit_encode_cell, estimate_eps, Attacker, AuditConfig};
+use ldp_audit::{audit_encode_cell, estimate_eps, AuditConfig};
 
 fn main() -> Result<(), LdpError> {
     // The paper's recommended protocol: sample optimal_k of d attributes,
@@ -47,11 +47,11 @@ fn main() -> Result<(), LdpError> {
     );
 
     for eps in [0.5, 1.0, 2.0, 4.0, 6.0] {
-        let epsilon = Epsilon::new(eps)?;
-        // The attacker mirrors the client's budget split (ε/k per sampled
-        // attribute) to build its likelihood-ratio test.
-        let attacker = Attacker::new(protocol, epsilon, &specs)?;
-        let counts = audit_encode_cell(protocol, epsilon, &specs, &cfg)?;
+        // The encoder splits the budget (ε/k per sampled attribute); the
+        // attacker builds its likelihood-ratio test from the encoder's own
+        // mechanisms.
+        let encoder = ClientEncoder::new(protocol, Epsilon::new(eps)?, specs.clone())?;
+        let counts = audit_encode_cell(&encoder, &cfg)?;
         let est = estimate_eps(&counts, cfg.alpha);
         let gate = if est.eps_emp_upper <= eps {
             "ok"
@@ -61,7 +61,7 @@ fn main() -> Result<(), LdpError> {
         println!(
             "{:>5} {:>8.3} {:>9.4} {:>11.4} {:>11.4} {:>6}",
             eps,
-            attacker.per_attribute_epsilon().value(),
+            encoder.per_attribute_epsilon().value(),
             est.advantage,
             est.eps_emp_lower,
             est.eps_emp_upper,
