@@ -167,8 +167,8 @@ impl BudgetLedger {
     /// the checkpoint left off.
     ///
     /// # Errors
-    /// [`LdpError::InvalidParameter`] on a truncated buffer or trailing
-    /// junk bytes.
+    /// [`LdpError::InvalidParameter`] on a truncated buffer, a declared
+    /// count the buffer cannot hold, or trailing junk bytes.
     pub fn decode_state(bytes: &[u8]) -> Result<BudgetLedger> {
         let mut r = BitReader::new(bytes);
         let key = r.read_bits(64)?;
@@ -178,7 +178,21 @@ impl BudgetLedger {
         for _ in 0..epoch_count {
             let epoch = r.read_bits(64)?;
             let rejected = r.read_bits(64)?;
-            let seen_len = r.read_bits(64)? as usize;
+            let seen_len = r.read_bits(64)?;
+            bits += 3 * 64;
+            // Each hash takes 64 bits: refuse a count the remaining bytes
+            // cannot hold before it sizes an allocation.
+            let room = (bytes.len() * 8 - bits) / 64;
+            if seen_len > room as u64 {
+                return Err(LdpError::InvalidParameter {
+                    name: "ledger_state",
+                    message: format!(
+                        "epoch {epoch} declares {seen_len} seen-hashes, \
+                         the remaining bytes hold at most {room}"
+                    ),
+                });
+            }
+            let seen_len = seen_len as usize;
             let mut entry = EpochLedger {
                 seen: HashSet::with_capacity(seen_len),
                 rejected,
@@ -197,7 +211,7 @@ impl BudgetLedger {
                     message: format!("epoch {epoch} encoded twice"),
                 });
             }
-            bits += 3 * 64 + 64 * seen_len;
+            bits += 64 * seen_len;
         }
         if bytes.len() != bits.div_ceil(8) {
             return Err(LdpError::InvalidParameter {
@@ -349,6 +363,27 @@ mod tests {
         long.extend_from_slice(&[0u8; 8]);
         assert!(BudgetLedger::decode_state(&long).is_err());
         assert!(BudgetLedger::decode_state(&bytes[..bytes.len() - 1]).is_err());
+
+        // So is a seen-hash count no buffer of this length could hold — it
+        // must be refused before it sizes an allocation.
+        for seen_len in [1u64 << 40, u64::MAX] {
+            let mut w = BitWriter::new();
+            for (value, width) in [(7, 64), (1, 32), (0, 64), (0, 64), (seen_len, 64)] {
+                w.write_bits(value, width);
+            }
+            let huge = w.finish();
+            assert_eq!(huge.len(), 36);
+            assert!(
+                matches!(
+                    BudgetLedger::decode_state(&huge),
+                    Err(LdpError::InvalidParameter {
+                        name: "ledger_state",
+                        ..
+                    })
+                ),
+                "seen_len {seen_len}"
+            );
+        }
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!   one user record into a serde-able [`Report`]; [`Aggregator`] consumes
 //!   reports incrementally, merges partial aggregates from other shards,
 //!   and yields [`CollectionResult`] snapshots at any point.
-//! * [`service`] — the wire boundary: a long-running [`ReportService`]
-//!   absorbing length-framed `Hello`/`Submit`/`FlushEpoch`/`Shutdown`
-//!   messages from any `Read`-able byte stream, validating every frame
+//! * [`service`] — the wire boundary: the length-framed
+//!   `Hello`/`Submit`/`FlushEpoch`/`Shutdown` protocol and the long-running
+//!   [`ReportService`] that applies each decoded message, validating it
 //!   before state is touched, with multi-shard tree merges bit-identical
 //!   to a single-process [`Collector::run`](pipeline::Collector::run).
-//! * [`transport`] — the fault-tolerant shell around the service: a
-//!   [`transport::ReportServer`] whose per-connection threads apply
-//!   messages to one shared service under a bounded in-flight count, a
-//!   reconnecting [`transport::ReportClient`] whose retries the budget ledger makes
-//!   idempotent, and a deterministic chaos harness proving clean/chaos
-//!   snapshot parity bit for bit.
+//! * [`transport`] — the one loop that reads frames off a stream and
+//!   answers each with a verdict: a [`transport::ReportServer`] whose
+//!   per-connection threads apply messages to one shared service under a
+//!   bounded in-flight count, a reconnecting [`transport::ReportClient`]
+//!   whose retries the budget ledger makes idempotent, and a deterministic
+//!   chaos harness proving clean/chaos snapshot parity bit for bit.
 //! * [`durable`] — crash safety under the service: a write-ahead log of
 //!   admitted submits behind a binding header, epoch checkpoints written
 //!   atomically and fsync-hardened, and [`durable::Recovery`] replay that

@@ -1,10 +1,15 @@
-//! The wire boundary: a long-running report-stream aggregation service.
+//! The wire boundary: the report-stream protocol and the aggregation
+//! service behind it.
 //!
 //! [`pipeline::Collector`] and the session API assume reports arrive as
 //! in-process values. A deployment looks different: millions of untrusted
-//! clients serialize reports onto sockets, and an aggregator loop absorbs
+//! clients serialize reports onto sockets, and an aggregator absorbs
 //! whatever bytes actually show up — duplicated, truncated, corrupted, or
-//! adversarial. This module is that loop.
+//! adversarial. This module defines the messages and [`ReportService`],
+//! which applies one decoded message at a time. The one loop that reads
+//! frames off a stream and answers each with a verdict is
+//! [`ConnHandle::serve_stream`](crate::transport::ConnHandle::serve_stream)
+//! in the [`transport`](crate::transport) layer.
 //!
 //! ## Wire protocol
 //!
@@ -33,9 +38,11 @@
 //! A failure at any gate is a typed [`LdpError`] — never a panic — and
 //! leaves the aggregate bit-identical to before the frame arrived; the
 //! `proptest_service` suite drives truncated, bit-flipped and oversized
-//! frames through the service to pin exactly that. Failed frames and
+//! frames through the server to pin exactly that. Malformed messages and
 //! duplicates are counted, and the counts surface in every
-//! [`EpochSnapshot`].
+//! [`EpochSnapshot`]; a checksum-corrupt frame never reaches the service —
+//! the connection answers it with [`ResponseMessage::Resend`] and counts
+//! it in its [`TransportStats`](crate::transport::TransportStats).
 //!
 //! ## Determinism across the wire
 //!
@@ -48,15 +55,15 @@
 //!
 //! ## Example: serving a framed byte stream
 //!
-//! [`ReportService::serve`] consumes any `Read`-able stream until
-//! `Shutdown` or EOF; here the "wire" is an in-memory buffer. (For live
-//! connections with acks, backpressure and reconnects, put the
-//! [`transport`](crate::transport) layer in front — its
-//! `ReportServer`/`ReportClient` pair speaks this protocol over real
-//! streams.)
+//! A [`ReportServer`](crate::transport::ReportServer) serves one
+//! connection per `serve_stream` call until `Shutdown` or EOF; here the
+//! connection is a recorded in-memory stream. (Live connections with
+//! reconnects use the same server behind
+//! [`ReportClient`](crate::transport::ReportClient) and real sockets.)
 //!
 //! ```
-//! use ldp_analytics::service::{encode_report, ReportService, ServiceConfig, WireMessage};
+//! use ldp_analytics::service::{encode_report, WireMessage};
+//! use ldp_analytics::transport::{ReportServer, ScriptedStream, ServerConfig};
 //! use ldp_analytics::{ClientEncoder, Protocol};
 //! use ldp_core::multidim::{AttrSpec, AttrValue};
 //! use ldp_core::rng::seeded_rng;
@@ -107,10 +114,11 @@
 //! .write_to(&mut wire)?;
 //! WireMessage::Shutdown.write_to(&mut wire)?;
 //!
-//! // The aggregator side: one loop over the bytes.
-//! let mut service = ReportService::new(ServiceConfig::default());
-//! let summary = service.serve(&mut wire.as_slice())?;
+//! // The aggregator side: one connection served through the shipping loop.
+//! let server = ReportServer::start(ServerConfig::default());
+//! let summary = server.handle().serve_stream(&mut ScriptedStream::new(&wire));
 //! assert!(summary.shutdown);
+//! let service = server.finish();
 //! let snapshot = service.snapshot_epoch(0)?;
 //! assert_eq!(snapshot.admitted, 100);
 //! assert_eq!(snapshot.rejected_duplicates, 1);
@@ -263,7 +271,10 @@ pub enum WireMessage {
         /// Epoch to snapshot.
         epoch: u64,
     },
-    /// Ends the stream; [`ReportService::serve`] returns after seeing it.
+    /// Ends the connection: [`ConnHandle::serve_stream`] returns after
+    /// reading it, without a response.
+    ///
+    /// [`ConnHandle::serve_stream`]: crate::transport::ConnHandle::serve_stream
     Shutdown,
 }
 
@@ -431,9 +442,12 @@ impl WireMessage {
     /// Reads and decodes the next message from `r`.
     ///
     /// `Ok(None)` on clean end of stream. A checksum-corrupt frame is
-    /// reported as a [`LdpError::MalformedFrame`] here — callers that want
-    /// to count-and-continue (as [`ReportService::serve`] does) should use
-    /// [`ldp_core::frame::read_frame`] directly to keep the distinction.
+    /// reported as a [`LdpError::MalformedFrame`] here — a reader that
+    /// answers it and keeps going (as [`ConnHandle::serve_stream`] does
+    /// with a `Resend`) uses [`ldp_core::frame::read_frame`] directly to
+    /// keep the distinction.
+    ///
+    /// [`ConnHandle::serve_stream`]: crate::transport::ConnHandle::serve_stream
     pub fn read_from<R: Read + ?Sized>(
         r: &mut R,
         scratch: &mut Vec<u8>,
@@ -749,12 +763,13 @@ pub struct EpochSnapshot {
     pub result: Option<CollectionResult>,
 }
 
-/// Where and how a stream lost framing — see [`ServeSummary::desync`].
+/// Where and how a connection lost framing — see
+/// [`ConnSummary::fault`](crate::transport::ConnSummary::fault).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamFault {
-    /// Byte offset (from the start of this `serve` call's stream) of the
-    /// first byte of the frame that destroyed framing. A transport log can
-    /// hexdump the captured stream at exactly this offset to see the
+    /// Byte offset (from the start of the connection's inbound stream) of
+    /// the first byte of the frame that destroyed framing. A transport log
+    /// can hexdump the captured stream at exactly this offset to see the
     /// corruption instead of bisecting for it.
     pub offset: u64,
     /// The typed error that ended the stream: [`LdpError::MalformedFrame`]
@@ -774,38 +789,16 @@ impl fmt::Display for StreamFault {
     }
 }
 
-/// What one [`ReportService::serve`] call processed.
-#[derive(Debug, Clone, Default)]
-pub struct ServeSummary {
-    /// Frames consumed from the stream (valid or corrupt).
-    pub frames: u64,
-    /// Reports admitted into aggregate state.
-    pub admitted: u64,
-    /// Reports rejected by the privacy-budget ledger.
-    pub rejected_duplicates: u64,
-    /// Frames or messages rejected as malformed.
-    pub rejected_malformed: u64,
-    /// Snapshots taken during this call (one per
-    /// [`WireMessage::FlushEpoch`]), in stream order.
-    pub snapshots: Vec<EpochSnapshot>,
-    /// True when the stream ended with [`WireMessage::Shutdown`] rather
-    /// than EOF.
-    pub shutdown: bool,
-    /// Why serving stopped early, if framing was lost: the first desync
-    /// (or transport fault) with the byte offset of the offending frame.
-    /// `None` means the stream ended cleanly (EOF or `Shutdown`). State is
-    /// never touched by the faulting frame either way.
-    pub desync: Option<StreamFault>,
-}
-
 /// A long-running aggregation endpoint absorbing framed report streams.
 ///
 /// One instance per shard; shards [`merge`](ReportService::merge) into the
-/// global view. See the module docs for the protocol and the validation
-/// discipline.
+/// global view. A [`ReportServer`](crate::transport::ReportServer) owns it
+/// while connections are served and hands it back from `finish`. See the
+/// module docs for the protocol and the validation discipline.
 ///
 /// ```
-/// use ldp_analytics::service::{encode_report, ReportService, ServiceConfig, WireMessage};
+/// use ldp_analytics::service::{encode_report, ResponseMessage, WireMessage};
+/// use ldp_analytics::transport::{ReportServer, ScriptedStream, ServerConfig};
 /// use ldp_analytics::{block_rng, ClientEncoder, Protocol};
 /// use ldp_core::rng::RngBlock;
 /// use ldp_core::{AttrSpec, AttrValue, Epsilon, NumericKind, OracleKind};
@@ -838,13 +831,23 @@ pub struct ServeSummary {
 /// }
 /// WireMessage::FlushEpoch { epoch: 0 }.write_to(&mut stream)?;
 ///
-/// // …and the service absorbs them from any `Read`.
-/// let mut service = ReportService::new(ServiceConfig::default());
-/// let summary = service.serve(&mut stream.as_slice())?;
-/// assert_eq!(summary.admitted, 100);
-/// let snapshot = &summary.snapshots[0];
+/// // …and a server applies them to its service, one verdict per message.
+/// let server = ReportServer::start(ServerConfig::default());
+/// let mut conn = ScriptedStream::new(&stream);
+/// let summary = server.handle().serve_stream(&mut conn);
+/// assert_eq!(summary.responded, 102); // HelloAck, 100 Acks, SnapshotAck
+/// let (mut responses, mut scratch, mut last) = (conn.responses(), Vec::new(), None);
+/// while let Some(response) = ResponseMessage::read_from(&mut responses, &mut scratch)? {
+///     last = Some(response);
+/// }
+/// assert!(matches!(
+///     last,
+///     Some(ResponseMessage::SnapshotAck { admitted: 100, rejected_duplicates: 0, .. })
+/// ));
+///
+/// // The estimates stay server-side, in the service `finish` hands back.
+/// let snapshot = server.finish().snapshot_epoch(0)?;
 /// assert_eq!(snapshot.admitted, 100);
-/// assert_eq!(snapshot.rejected_duplicates, 0);
 /// assert!(snapshot.result.is_some());
 /// # Ok::<(), ldp_core::LdpError>(())
 /// ```
@@ -887,10 +890,11 @@ impl ReportService {
         self.rejected_malformed
     }
 
-    /// Counts one malformed rejection that happened *outside*
-    /// [`ReportService::serve`] — e.g. a transport connection thread
-    /// driving [`ReportService::handle`] directly — so snapshots keep accounting
-    /// for every rejection regardless of which loop observed it.
+    /// Counts one malformed rejection the caller observed: a frame that
+    /// failed to decode as a [`WireMessage`] (so never reached
+    /// [`ReportService::handle`]), or a message `handle` refused. The
+    /// transport's connection threads call it, so snapshots account for
+    /// every rejection.
     pub fn note_malformed(&mut self) {
         self.rejected_malformed += 1;
     }
@@ -906,8 +910,8 @@ impl ReportService {
     /// Errors are typed and leave aggregate state untouched:
     /// [`LdpError::DuplicateReport`] for ledger rejections (already
     /// counted), [`LdpError::MalformedFrame`] and the validation variants
-    /// for everything else (the caller counts them —
-    /// [`ReportService::serve`] does both).
+    /// for everything else (the caller counts them through
+    /// [`ReportService::note_malformed`], as the transport does).
     pub fn handle(&mut self, msg: &WireMessage) -> Result<Option<EpochSnapshot>> {
         match msg {
             WireMessage::Hello {
@@ -1019,80 +1023,6 @@ impl ReportService {
             rejected_malformed: self.rejected_malformed,
             result,
         })
-    }
-
-    /// Absorbs `r` until EOF, `Shutdown`, or loss of framing.
-    ///
-    /// Per-message failures are counted and skipped — a hostile client
-    /// must not be able to wedge the collection round. Stream-level
-    /// failures (framing lost: truncation, oversize, I/O) stop serving
-    /// after zero state damage; the summary comes back `Ok` with
-    /// [`ServeSummary::desync`] carrying the typed error *and the byte
-    /// offset of the offending frame*, so a transport log can pinpoint the
-    /// corruption. Checksum-corrupt frames keep the reader synchronized
-    /// (see [`ldp_core::frame::read_frame`]), so they count as malformed
-    /// and serving continues.
-    pub fn serve<R: Read + ?Sized>(&mut self, r: &mut R) -> Result<ServeSummary> {
-        let mut r = CountingReader {
-            inner: r,
-            consumed: 0,
-        };
-        let mut summary = ServeSummary::default();
-        let mut payload = Vec::new();
-        loop {
-            let frame_start = r.consumed;
-            let read = match frame::read_frame(&mut r, &mut payload) {
-                Ok(read) => read,
-                Err(error) => {
-                    summary.desync = Some(StreamFault {
-                        offset: frame_start,
-                        error,
-                    });
-                    break;
-                }
-            };
-            let kind = match read {
-                None => break,
-                Some(FrameRead::Corrupt { .. }) => {
-                    summary.frames += 1;
-                    self.rejected_malformed += 1;
-                    summary.rejected_malformed += 1;
-                    continue;
-                }
-                Some(FrameRead::Valid { kind }) => kind,
-            };
-            summary.frames += 1;
-            let msg = match WireMessage::decode(kind, &payload) {
-                Ok(msg) => msg,
-                Err(_) => {
-                    self.rejected_malformed += 1;
-                    summary.rejected_malformed += 1;
-                    continue;
-                }
-            };
-            if matches!(msg, WireMessage::Shutdown) {
-                summary.shutdown = true;
-                break;
-            }
-            let is_submit = matches!(msg, WireMessage::Submit { .. });
-            match self.handle(&msg) {
-                Ok(Some(snapshot)) => summary.snapshots.push(snapshot),
-                Ok(None) => {
-                    if is_submit {
-                        summary.admitted += 1;
-                    }
-                }
-                Err(LdpError::DuplicateReport { .. }) => {
-                    // The ledger already counted it against the epoch.
-                    summary.rejected_duplicates += 1;
-                }
-                Err(_) => {
-                    self.rejected_malformed += 1;
-                    summary.rejected_malformed += 1;
-                }
-            }
-        }
-        Ok(summary)
     }
 
     /// Folds another shard into this one: aggregates merge by epoch (and,
@@ -1224,21 +1154,6 @@ impl ReportService {
     }
 }
 
-/// Counts bytes as they pass to the framer, so a desync can be reported
-/// with the exact stream offset of the offending frame.
-struct CountingReader<'a, R: Read + ?Sized> {
-    inner: &'a mut R,
-    consumed: u64,
-}
-
-impl<R: Read + ?Sized> Read for CountingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.consumed += n as u64;
-        Ok(n)
-    }
-}
-
 /// Decodes submit report bytes under the session, enforcing the exact
 /// canonical length — the service-side hot path (no codec allocation).
 fn decode_submit_report(sess: &Session, bytes: &[u8]) -> Result<Report> {
@@ -1274,6 +1189,7 @@ fn decode_submit_report(sess: &Session, bytes: &[u8]) -> Result<Report> {
 mod tests {
     use super::*;
     use crate::session::ClientEncoder;
+    use crate::transport::{ConnSummary, ReportServer, ScriptedStream, ServerConfig};
     use ldp_core::multidim::AttrValue;
     use ldp_core::rng::RngBlock;
 
@@ -1327,6 +1243,43 @@ mod tests {
 
     fn encoder() -> ClientEncoder {
         ClientEncoder::new(test_protocol(), Epsilon::new(1.0).unwrap(), test_specs()).unwrap()
+    }
+
+    /// What one connection served through the shipping loop left behind.
+    struct Served {
+        summary: ConnSummary,
+        responses: Vec<ResponseMessage>,
+        service: ReportService,
+    }
+
+    /// Serves `stream` as one connection to a fresh [`ReportServer`].
+    fn serve_conn<S: Read + Write>(stream: &mut S) -> Served {
+        let server = ReportServer::start(ServerConfig::default());
+        let summary = server.handle().serve_stream(stream);
+        Served {
+            summary,
+            responses: Vec::new(),
+            service: server.finish(),
+        }
+    }
+
+    /// Serves recorded request bytes and decodes every response frame.
+    fn serve_bytes(requests: &[u8]) -> Served {
+        let mut stream = ScriptedStream::new(requests);
+        let mut served = serve_conn(&mut stream);
+        let (mut rest, mut scratch) = (stream.responses(), Vec::new());
+        while let Some(response) = ResponseMessage::read_from(&mut rest, &mut scratch).unwrap() {
+            served.responses.push(response);
+        }
+        served
+    }
+
+    /// Responses that are `Ack`s with `outcome`.
+    fn acks(responses: &[ResponseMessage], outcome: AckOutcome) -> usize {
+        responses
+            .iter()
+            .filter(|r| matches!(r, ResponseMessage::Ack { outcome: o, .. } if *o == outcome))
+            .count()
     }
 
     #[test]
@@ -1409,10 +1362,13 @@ mod tests {
         let tail = submit_for(&enc, 2, 0).to_frame().unwrap();
         stream.extend_from_slice(&tail[..tail.len() - 3]);
 
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.admitted, 1, "healthy prefix fully absorbed");
-        let fault = summary.desync.expect("truncated tail must surface");
+        let served = serve_bytes(&stream);
+        assert_eq!(
+            served.service.snapshot_epoch(0).unwrap().admitted,
+            1,
+            "healthy prefix fully absorbed"
+        );
+        let fault = served.summary.fault.expect("truncated tail must surface");
         assert_eq!(
             fault.offset, healthy,
             "offset must name the offending frame's first byte"
@@ -1423,11 +1379,11 @@ mod tests {
 
     #[test]
     fn connection_loss_mid_stream_is_a_typed_fault_not_a_panic() {
-        struct DyingReader {
+        struct DyingStream {
             data: Vec<u8>,
             pos: usize,
         }
-        impl Read for DyingReader {
+        impl Read for DyingStream {
             fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
                 if self.pos < self.data.len() {
                     let n = (self.data.len() - self.pos).min(out.len());
@@ -1441,16 +1397,23 @@ mod tests {
                 ))
             }
         }
+        impl Write for DyingStream {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
         let enc = encoder();
         let mut data = Vec::new();
         hello().write_to(&mut data).unwrap();
         submit_for(&enc, 1, 0).write_to(&mut data).unwrap();
         let healthy = data.len() as u64;
 
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut DyingReader { data, pos: 0 }).unwrap();
-        assert_eq!(summary.admitted, 1);
-        let fault = summary.desync.expect("reset must surface");
+        let served = serve_conn(&mut DyingStream { data, pos: 0 });
+        assert_eq!(served.service.snapshot_epoch(0).unwrap().admitted, 1);
+        let fault = served.summary.fault.expect("reset must surface");
         assert_eq!(fault.offset, healthy);
         assert!(
             matches!(fault.error, LdpError::ConnectionLost { .. }),
@@ -1492,14 +1455,23 @@ mod tests {
             .unwrap();
         WireMessage::Shutdown.write_to(&mut stream).unwrap();
 
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert!(summary.shutdown);
-        assert_eq!(summary.admitted, 50);
-        assert_eq!(summary.rejected_malformed, 0);
-        let snap = &summary.snapshots[0];
-        assert_eq!(snap.admitted, 50);
-        assert_eq!(snap.rejected_duplicates, 0);
+        let served = serve_bytes(&stream);
+        assert!(served.summary.shutdown);
+        assert_eq!(acks(&served.responses, AckOutcome::Admitted), 50);
+        assert_eq!(served.service.rejected_malformed(), 0);
+        assert_eq!(served.summary.corrupt_frames, 0);
+        // The flush is answered in stream order, after the 50 submits.
+        assert_eq!(
+            served.responses.last(),
+            Some(&ResponseMessage::SnapshotAck {
+                epoch: 0,
+                admitted: 50,
+                rejected_duplicates: 0,
+                rejected_malformed: 0,
+                users: 50,
+            })
+        );
+        let snap = served.service.snapshot_epoch(0).unwrap();
         let result = snap.result.as_ref().unwrap();
         assert_eq!(result.n, 50);
         assert_eq!(result.means.len(), 2);
@@ -1514,11 +1486,10 @@ mod tests {
         for user in [1u64, 2, 1, 3, 2, 1] {
             submit_for(&enc, user, 0).write_to(&mut stream).unwrap();
         }
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.admitted, 3);
-        assert_eq!(summary.rejected_duplicates, 3);
-        let snap = service.snapshot_epoch(0).unwrap();
+        let served = serve_bytes(&stream);
+        assert_eq!(acks(&served.responses, AckOutcome::Admitted), 3);
+        assert_eq!(acks(&served.responses, AckOutcome::Duplicate), 3);
+        let snap = served.service.snapshot_epoch(0).unwrap();
         assert_eq!(snap.admitted, 3);
         assert_eq!(snap.rejected_duplicates, 3);
         assert_eq!(snap.result.unwrap().n, 3);
@@ -1542,10 +1513,9 @@ mod tests {
         submit_for(&enc, 1, 0).write_to(&mut stream).unwrap();
         hello().write_to(&mut stream).unwrap();
         submit_for(&enc, 1, 0).write_to(&mut stream).unwrap();
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.rejected_malformed, 1);
-        assert_eq!(summary.admitted, 1);
+        let served = serve_bytes(&stream);
+        assert_eq!(served.service.rejected_malformed(), 1);
+        assert_eq!(served.service.snapshot_epoch(0).unwrap().admitted, 1);
     }
 
     #[test]
@@ -1591,10 +1561,9 @@ mod tests {
         // Valid submit kind, garbage payload.
         frame::write_frame(&mut stream, KIND_SUBMIT, b"short").unwrap();
         submit_for(&enc, 9, 0).write_to(&mut stream).unwrap();
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.rejected_malformed, 2);
-        assert_eq!(summary.admitted, 1);
+        let served = serve_bytes(&stream);
+        assert_eq!(served.service.rejected_malformed(), 2);
+        assert_eq!(served.service.snapshot_epoch(0).unwrap().admitted, 1);
     }
 
     #[test]
@@ -1613,14 +1582,8 @@ mod tests {
             msg.write_to(&mut single_stream).unwrap();
         }
 
-        let mut shards: Vec<ReportService> = streams
-            .iter()
-            .map(|s| {
-                let mut shard = ReportService::new(ServiceConfig::default());
-                shard.serve(&mut s.as_slice()).unwrap();
-                shard
-            })
-            .collect();
+        let mut shards: Vec<ReportService> =
+            streams.iter().map(|s| serve_bytes(s).service).collect();
         // Tree merge in a scrambled order.
         let c = shards.pop().unwrap();
         let b = shards.pop().unwrap();
@@ -1629,8 +1592,7 @@ mod tests {
         bc.merge(c).unwrap();
         a.merge(bc).unwrap();
 
-        let mut single = ReportService::new(ServiceConfig::default());
-        single.serve(&mut single_stream.as_slice()).unwrap();
+        let single = serve_bytes(&single_stream).service;
 
         let merged = a.snapshot_epoch(0).unwrap();
         let reference = single.snapshot_epoch(0).unwrap();
@@ -1674,10 +1636,12 @@ mod tests {
             .write_to(&mut stream)
             .unwrap();
         }
-        let mut service = ReportService::new(ServiceConfig::default());
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.admitted, 20);
-        assert_eq!(service.snapshot_epoch(0).unwrap().result.unwrap().n, 20);
+        let served = serve_bytes(&stream);
+        assert_eq!(acks(&served.responses, AckOutcome::Admitted), 20);
+        assert_eq!(
+            served.service.snapshot_epoch(0).unwrap().result.unwrap().n,
+            20
+        );
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! [`duplex`] builds the in-process socket pair the chaos suite runs over:
 //! two [`PipeStream`] halves connected by byte channels, with genuine
 //! EOF-on-drop and broken-pipe semantics but no OS socket dependency.
+//! [`ScriptedStream`] is the one-shot alternative: a recorded client
+//! stream served on the calling thread, responses collected in memory.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -442,6 +444,51 @@ impl Write for PipeStream {
         self.tx
             .send(buf.to_vec())
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A recorded client connection: reads drain a fixed request buffer and
+/// then hit end of stream; writes append to an in-memory response buffer.
+///
+/// Lets [`ConnHandle::serve_stream`](super::ConnHandle::serve_stream) serve
+/// a pre-built byte stream on the calling thread — including one that
+/// ends without `Shutdown` or inside a frame, which a [`duplex`] pair can
+/// only signal by dropping the half the responses are written to.
+#[derive(Debug)]
+pub struct ScriptedStream<'a> {
+    requests: &'a [u8],
+    responses: Vec<u8>,
+}
+
+impl<'a> ScriptedStream<'a> {
+    /// A connection whose client sends exactly `requests`, then hangs up.
+    pub fn new(requests: &'a [u8]) -> Self {
+        ScriptedStream {
+            requests,
+            responses: Vec::new(),
+        }
+    }
+
+    /// Every response frame written so far, in order.
+    pub fn responses(&self) -> &[u8] {
+        &self.responses
+    }
+}
+
+impl Read for ScriptedStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.requests.read(buf)
+    }
+}
+
+impl Write for ScriptedStream<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.responses.extend_from_slice(buf);
         Ok(buf.len())
     }
 

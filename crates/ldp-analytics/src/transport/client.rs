@@ -184,9 +184,11 @@ impl<C: Connect> ReportClient<C> {
     /// already spent — both are success.
     ///
     /// # Errors
-    /// The server's `Rejected` verdict is permanent
-    /// ([`LdpError::MalformedFrame`]); transient faults are returned only
-    /// after `max_attempts` consecutive failures.
+    /// The server's `Rejected` verdict is permanent and returned at once:
+    /// [`LdpError::MalformedFrame`] for the submit itself,
+    /// [`LdpError::InvalidParameter`] for a session `Hello` the server
+    /// refuses. Transient faults are returned only after `max_attempts`
+    /// consecutive failures.
     pub fn submit(
         &mut self,
         user: u64,
@@ -350,10 +352,13 @@ impl<C: Connect> ReportClient<C> {
                 self.conn = Some(stream);
                 Ok(())
             }
+            // Permanent: the same Hello fails identically on every
+            // reconnect, so it must not look transient to the retry loop.
             ResponseMessage::Ack {
                 outcome: AckOutcome::Rejected,
                 ..
-            } => Err(LdpError::MalformedFrame {
+            } => Err(LdpError::InvalidParameter {
+                name: "hello",
                 message: "server rejected session hello (parameters disagree \
                           with the established session)"
                     .into(),

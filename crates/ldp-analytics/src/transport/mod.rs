@@ -18,10 +18,11 @@
 //!   ledger answers a resent-but-already-admitted report with a
 //!   `Duplicate` verdict, so retries are **idempotent by construction**
 //!   — at-most-once budget spend without client-side bookkeeping.
-//! * [`chaos`] — a deterministic fault injector ([`ChaosStream`]) and an
-//!   in-process socket pair ([`duplex`]), so the integration suite can
-//!   prove the property that matters: a chaos-ridden run's merged
-//!   snapshot is *bit-identical* to a clean run's.
+//! * [`chaos`] — a deterministic fault injector ([`ChaosStream`]), an
+//!   in-process socket pair ([`duplex`]) and a recorded one-shot
+//!   connection ([`ScriptedStream`]), so the integration suite can prove
+//!   the property that matters: a chaos-ridden run's merged snapshot is
+//!   *bit-identical* to a clean run's.
 //! * [`net`] (feature `net`, on by default) — `std::net` TCP and Unix
 //!   domain socket shells over the stream-agnostic core.
 //!
@@ -143,7 +144,9 @@ pub mod net;
 pub mod server;
 
 pub use backoff::Backoff;
-pub use chaos::{duplex, ChaosConfig, ChaosStream, CrashSwitch, FaultCounts, PipeStream};
+pub use chaos::{
+    duplex, ChaosConfig, ChaosStream, CrashSwitch, FaultCounts, PipeStream, ScriptedStream,
+};
 pub use client::{ClientConfig, ClientStats, Connect, FlushReceipt, ReportClient, SubmitOutcome};
 #[cfg(feature = "net")]
 pub use net::{NetConfig, TcpConnector, TcpReportServer};
@@ -152,6 +155,7 @@ pub use server::{ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportS
 #[cfg(test)]
 mod tests {
     use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -300,6 +304,63 @@ mod tests {
         let service = finisher.join().unwrap();
         assert_eq!(service.snapshot_epoch(0).unwrap().admitted, 10);
         assert_eq!(stats.submits(), 10);
+    }
+
+    #[test]
+    fn rejected_hello_fails_fast_without_reconnecting() {
+        let server = ReportServer::start(ServerConfig::default());
+        let mut conn_threads = Vec::new();
+        let mut connect = |count: usize| {
+            let mut streams = Vec::new();
+            for _ in 0..count {
+                let (client_half, mut server_half) = duplex();
+                let handle = server.handle();
+                conn_threads.push(std::thread::spawn(move || {
+                    handle.serve_stream(&mut server_half)
+                }));
+                streams.push(client_half);
+            }
+            QueueConnector { streams }
+        };
+
+        // The first client establishes the session.
+        let mut first = ReportClient::new(connect(1), hello(), no_sleep_config()).unwrap();
+        assert_eq!(
+            first.submit(1, 0, 0, report_bytes(1)).unwrap(),
+            SubmitOutcome::Admitted
+        );
+
+        // A second client disagrees about ε. It holds spare streams, so a
+        // retry loop that took the rejection for a transient fault would
+        // reconnect and resend its Hello.
+        let disagreeing = WireMessage::Hello {
+            protocol: protocol(),
+            epsilon: Epsilon::new(2.0).unwrap(),
+            specs: specs(),
+            epoch: 0,
+        };
+        let pauses = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&pauses);
+        let mut second = ReportClient::new(connect(3), disagreeing, no_sleep_config())
+            .unwrap()
+            .with_sleeper(Box::new(move |_| {
+                counted.fetch_add(1, Ordering::Relaxed);
+            }));
+        let err = second.submit(2, 0, 0, report_bytes(2)).unwrap_err();
+        assert!(
+            matches!(err, LdpError::InvalidParameter { name: "hello", .. }),
+            "{err:?}"
+        );
+        assert_eq!(second.stats().connects, 1);
+        assert_eq!(second.stats().faults, 0);
+        assert_eq!(pauses.load(Ordering::Relaxed), 0, "no backoff pause");
+
+        drop(second);
+        first.close();
+        for conn in conn_threads {
+            conn.join().unwrap();
+        }
+        assert_eq!(server.finish().rejected_malformed(), 1);
     }
 
     #[test]

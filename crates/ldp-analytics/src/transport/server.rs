@@ -259,8 +259,8 @@ impl ConnHandle {
     /// Applies one message to the shared backend and renders its verdict,
     /// or sheds it with `Overloaded` when the in-flight bound is full.
     /// `None` is a frame that verified its checksum but failed message
-    /// decoding: it is counted by the service (not just the transport) so
-    /// snapshot counters match a direct [`ReportService::serve`] run.
+    /// decoding: the service counts it too (not just the transport), so a
+    /// snapshot's `rejected_malformed` covers every rejected message.
     fn apply(&self, msg: Option<&WireMessage>) -> ResponseMessage {
         // `Relaxed` is enough: the count publishes no data (the lock
         // does), it only bounds how many messages may wait for the lock.

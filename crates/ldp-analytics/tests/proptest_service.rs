@@ -5,17 +5,20 @@
 //! 1. **Round trip** — every `Report` variant survives the framed codec
 //!    (report bytes → `Submit` frame → frame reader → report) bit-exactly.
 //! 2. **Rejection safety** — truncated, bit-flipped, oversized-length and
-//!    garbage-payload frames produce typed errors (never a panic) and
-//!    leave the aggregate snapshot bit-identical to before the bytes
-//!    arrived.
+//!    garbage-payload frames, served through the same `ReportServer`
+//!    connection loop a deployment runs, produce typed errors (never a
+//!    panic) and leave the aggregate snapshot bit-identical to before the
+//!    bytes arrived.
 //! 3. **Ledger soundness** — the privacy-budget ledger matches a reference
 //!    set model under arbitrary submit sequences, and sharding + merge is
 //!    indistinguishable from serial processing.
 
 use ldp_analytics::pipeline::block_rng;
 use ldp_analytics::service::{
-    decode_report, encode_report, ReportService, ServiceConfig, WireMessage,
+    decode_report, encode_report, AckOutcome, EpochSnapshot, ReportService, ResponseMessage,
+    WireMessage,
 };
+use ldp_analytics::transport::{ConnSummary, ReportServer, ScriptedStream, ServerConfig};
 use ldp_analytics::{
     BestEffortNumeric, BudgetLedger, ClientEncoder, CollectionResult, Protocol, Report,
 };
@@ -121,40 +124,76 @@ fn assert_bit_identical(a: &CollectionResult, b: &CollectionResult, label: &str)
     }
 }
 
-/// A service that has already admitted `warm` reports, plus the snapshot
-/// of its state — the baseline an adversarial stream must not disturb.
-fn warmed_service(
+/// One connection served through the shipping loop.
+struct Conn {
+    summary: ConnSummary,
+    /// Submits this connection got an `Admitted` verdict for.
+    admitted: u64,
+}
+
+/// Serves each byte stream as one connection, in order, to a fresh
+/// [`ReportServer`] and hands back its service.
+fn serve_connections(connections: &[&[u8]]) -> (Vec<Conn>, ReportService) {
+    let server = ReportServer::start(ServerConfig::default());
+    let conns = connections
+        .iter()
+        .map(|bytes| {
+            let mut stream = ScriptedStream::new(bytes);
+            let summary = server.handle().serve_stream(&mut stream);
+            let (mut responses, mut scratch) = (stream.responses(), Vec::new());
+            let mut admitted = 0;
+            while let Some(response) =
+                ResponseMessage::read_from(&mut responses, &mut scratch).unwrap()
+            {
+                if let ResponseMessage::Ack {
+                    outcome: AckOutcome::Admitted,
+                    ..
+                } = response
+                {
+                    admitted += 1;
+                }
+            }
+            Conn { summary, admitted }
+        })
+        .collect();
+    (conns, server.finish())
+}
+
+/// A warm-up connection admitting `warm` reports, plus the snapshot of the
+/// state it leaves — the baseline an adversarial stream must not disturb.
+fn warm_up(
     protocol: Protocol,
     specs: &[AttrSpec],
     warm: u64,
     seed: u64,
-) -> (ReportService, ClientEncoder, ldp_analytics::EpochSnapshot) {
+) -> (Vec<u8>, ClientEncoder, EpochSnapshot) {
     let eps = Epsilon::new(1.0).unwrap();
     let encoder = ClientEncoder::new(protocol, eps, specs.to_vec()).unwrap();
-    let mut service = ReportService::new(ServiceConfig::default());
-    service
-        .handle(&WireMessage::Hello {
-            protocol,
-            epsilon: eps,
-            specs: specs.to_vec(),
-            epoch: 0,
-        })
-        .unwrap();
-    for user in 0..warm {
-        service
-            .handle(&WireMessage::Submit {
-                user,
-                epoch: 0,
-                block: user % 4,
-                report: encode_report(&encode_user(&encoder, user, seed), specs),
-            })
-            .unwrap();
+    let mut stream = Vec::new();
+    WireMessage::Hello {
+        protocol,
+        epsilon: eps,
+        specs: specs.to_vec(),
+        epoch: 0,
     }
-    let baseline = service.snapshot_epoch(0).unwrap();
-    (service, encoder, baseline)
+    .write_to(&mut stream)
+    .unwrap();
+    for user in 0..warm {
+        WireMessage::Submit {
+            user,
+            epoch: 0,
+            block: user % 4,
+            report: encode_report(&encode_user(&encoder, user, seed), specs),
+        }
+        .write_to(&mut stream)
+        .unwrap();
+    }
+    let baseline = serve_connections(&[&stream]).1.snapshot_epoch(0).unwrap();
+    assert_eq!(baseline.admitted, warm, "warm-up reports are all admitted");
+    (stream, encoder, baseline)
 }
 
-fn assert_snapshot_unchanged(service: &ReportService, baseline: &ldp_analytics::EpochSnapshot) {
+fn assert_snapshot_unchanged(service: &ReportService, baseline: &EpochSnapshot) {
     let now = service.snapshot_epoch(0).unwrap();
     assert_eq!(now.admitted, baseline.admitted, "admitted count moved");
     assert_eq!(
@@ -221,7 +260,7 @@ proptest! {
     ) {
         let protocol = protocol_pick(pick);
         let specs = schema(2, &[5]);
-        let (mut service, encoder, baseline) = warmed_service(protocol, &specs, warm, seed);
+        let (warm, encoder, baseline) = warm_up(protocol, &specs, warm, seed);
 
         let frame_bytes = WireMessage::Submit {
             user: 10_000,
@@ -234,9 +273,13 @@ proptest! {
         let cut = 1 + cut_pick % (frame_bytes.len() - 1);
         let truncated = &frame_bytes[..cut];
 
-        let summary = service.serve(&mut &truncated[..]).unwrap();
-        prop_assert_eq!(summary.admitted, 0, "truncated frame was admitted");
-        let fault = summary.desync.expect("truncation must surface as a fault");
+        let (conns, service) = serve_connections(&[&warm, truncated]);
+        prop_assert_eq!(conns[1].admitted, 0, "truncated frame was admitted");
+        let fault = conns[1]
+            .summary
+            .fault
+            .clone()
+            .expect("truncation must surface as a fault");
         prop_assert_eq!(fault.offset, 0, "fault must name the frame's first byte");
         prop_assert!(
             matches!(&fault.error, LdpError::MalformedFrame { .. }),
@@ -258,7 +301,7 @@ proptest! {
     ) {
         let protocol = protocol_pick(pick);
         let specs = schema(2, &[5]);
-        let (mut service, encoder, baseline) = warmed_service(protocol, &specs, warm, seed);
+        let (warm, encoder, baseline) = warm_up(protocol, &specs, warm, seed);
 
         let mut frame_bytes = WireMessage::Submit {
             user: 10_000,
@@ -271,12 +314,16 @@ proptest! {
         let bit = bit_pick % (frame_bytes.len() * 8);
         frame_bytes[bit / 8] ^= 1 << (bit % 8);
 
-        let summary = service.serve(&mut frame_bytes.as_slice()).unwrap();
-        prop_assert_eq!(summary.admitted, 0, "corrupted frame was admitted");
-        match summary.desync {
+        let (conns, service) = serve_connections(&[&warm, &frame_bytes]);
+        prop_assert_eq!(conns[1].admitted, 0, "corrupted frame was admitted");
+        match conns[1].summary.fault.clone() {
             None => {
+                // A checksum failure is answered `Resend` and counted by
+                // the connection; a verified frame that fails decoding or
+                // validation is counted by the service.
+                let malformed = service.snapshot_epoch(0).unwrap().rejected_malformed;
                 prop_assert!(
-                    summary.rejected_malformed > 0,
+                    conns[1].summary.corrupt_frames + malformed > 0,
                     "corruption neither rejected nor fatal"
                 );
             }
@@ -304,7 +351,7 @@ proptest! {
     ) {
         let protocol = protocol_pick(pick);
         let specs = schema(2, &[5]);
-        let (mut service, encoder, baseline) = warmed_service(protocol, &specs, warm, seed);
+        let (warm, encoder, baseline) = warm_up(protocol, &specs, warm, seed);
 
         let mut stream = Vec::new();
         WireMessage::Submit { user: 10_000, epoch: 0, block: 0, report: garbage }
@@ -321,16 +368,16 @@ proptest! {
         .write_to(&mut stream)
         .unwrap();
 
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        prop_assert!(summary.admitted >= 1, "healthy submit after garbage was lost");
+        let (conns, service) = serve_connections(&[&warm, &stream]);
+        prop_assert!(conns[1].admitted >= 1, "healthy submit after garbage was lost");
         // `rejected_malformed == 0` would mean the garbage parsed as a
         // canonical, schema-valid report (astronomically unlikely) and was
         // legitimately admitted; otherwise the rejection left exactly the
         // healthy report's worth of state change.
-        if summary.rejected_malformed > 0 {
-            prop_assert_eq!(summary.rejected_malformed, 1);
-            prop_assert_eq!(summary.admitted, 1);
-            let now = service.snapshot_epoch(0).unwrap();
+        let now = service.snapshot_epoch(0).unwrap();
+        if now.rejected_malformed > 0 {
+            prop_assert_eq!(now.rejected_malformed, 1);
+            prop_assert_eq!(conns[1].admitted, 1);
             prop_assert_eq!(now.admitted, baseline.admitted + 1);
         }
     }
@@ -406,16 +453,18 @@ proptest! {
 fn oversized_length_aborts_with_typed_error() {
     let protocol = protocol_pick(0);
     let specs = schema(2, &[5]);
-    let (mut service, _, baseline) = warmed_service(protocol, &specs, 10, 7);
+    let (warm, _, baseline) = warm_up(protocol, &specs, 10, 7);
 
     let mut stream = Vec::new();
     stream.extend_from_slice(&((frame::MAX_FRAME_PAYLOAD as u32) + 1).to_be_bytes());
     stream.push(2);
     stream.extend_from_slice(&0u64.to_be_bytes());
 
-    let summary = service.serve(&mut stream.as_slice()).unwrap();
-    let fault = summary
-        .desync
+    let (conns, service) = serve_connections(&[&warm, &stream]);
+    let fault = conns[1]
+        .summary
+        .fault
+        .clone()
         .expect("oversized length must surface as a fault");
     assert_eq!(fault.offset, 0);
     let msg = fault.error.to_string();
@@ -429,7 +478,7 @@ fn oversized_length_aborts_with_typed_error() {
 fn corrupt_frame_between_healthy_frames_is_skipped() {
     let protocol = protocol_pick(0);
     let specs = schema(2, &[5]);
-    let (mut service, encoder, baseline) = warmed_service(protocol, &specs, 5, 11);
+    let (warm, encoder, baseline) = warm_up(protocol, &specs, 5, 11);
 
     let mut stream = Vec::new();
     for user in [100u64, 101, 102] {
@@ -448,9 +497,12 @@ fn corrupt_frame_between_healthy_frames_is_skipped() {
     let second_start = frame::FRAME_HEADER_BYTES + first_len;
     stream[second_start + frame::FRAME_HEADER_BYTES + 2] ^= 0x10;
 
-    let summary = service.serve(&mut stream.as_slice()).unwrap();
-    assert_eq!(summary.admitted, 2);
-    assert_eq!(summary.rejected_malformed, 1);
+    let (conns, service) = serve_connections(&[&warm, &stream]);
+    assert_eq!(conns[1].admitted, 2);
+    // Counted by the connection that answered it `Resend`; the service
+    // never saw the frame.
+    assert_eq!(conns[1].summary.corrupt_frames, 1);
     let now = service.snapshot_epoch(0).unwrap();
+    assert_eq!(now.rejected_malformed, 0);
     assert_eq!(now.admitted, baseline.admitted + 2);
 }

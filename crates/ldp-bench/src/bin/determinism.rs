@@ -30,7 +30,8 @@
 //! diffable stream, gating grid lowering, collection, consistency repair,
 //! and evidence combination end to end.
 
-use ldp_analytics::service::{encode_report, ReportService, ServiceConfig, WireMessage};
+use ldp_analytics::service::{encode_report, ReportService, WireMessage};
+use ldp_analytics::transport::{ReportServer, ScriptedStream, ServerConfig};
 use ldp_analytics::{
     block_partition, block_rng, Aggregator, BestEffortNumeric, ClientEncoder, CollectionResult,
     Collector, Protocol, DEFAULT_SHARDS,
@@ -100,8 +101,8 @@ fn session_run_reversed(
 
 /// Reproduces one pipeline run across the wire boundary: every report is
 /// framed onto one of three shard byte streams (block `b` → shard
-/// `b % 3`, blocks in reverse order within each stream), served by three
-/// `ReportService` instances, tree-merged, and snapshotted.
+/// `b % 3`, blocks in reverse order within each stream), each served as
+/// one connection by its own `ReportServer`, tree-merged, and snapshotted.
 fn service_run_wire(
     protocol: Protocol,
     eps: Epsilon,
@@ -149,9 +150,14 @@ fn service_run_wire(
     let mut shards: Vec<ReportService> = streams
         .iter()
         .map(|stream| {
-            let mut shard = ReportService::new(ServiceConfig::default());
-            let summary = shard.serve(&mut stream.as_slice()).expect("clean stream");
-            assert_eq!(summary.rejected_malformed, 0, "clean stream");
+            let server = ReportServer::start(ServerConfig::default());
+            let summary = server
+                .handle()
+                .serve_stream(&mut ScriptedStream::new(stream));
+            assert!(summary.fault.is_none(), "clean stream");
+            assert_eq!(summary.corrupt_frames, 0, "clean stream");
+            let shard = server.finish();
+            assert_eq!(shard.rejected_malformed(), 0, "clean stream");
             shard
         })
         .collect();

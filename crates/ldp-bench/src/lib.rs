@@ -1,9 +1,9 @@
 //! # ldp-bench — the experiment harness
 //!
 //! One binary per table/figure of Wang et al. (ICDE 2019), each printing
-//! the same rows/series the paper plots, plus ablation benches and criterion
-//! micro-benchmarks. `run_all` executes everything and is what
-//! EXPERIMENTS.md records.
+//! the same rows/series the paper plots, plus ablation benches and the
+//! throughput, audit and determinism binaries. `run_all` executes
+//! everything and is what EXPERIMENTS.md records.
 //!
 //! Common flags (see [`cli::Args`]): `--users`, `--runs`, `--threads`,
 //! `--seed`, `--folds`, `--repeats`, `--ml-users`, `--quick`,

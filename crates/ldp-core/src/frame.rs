@@ -106,9 +106,9 @@ pub fn io_error(op: &'static str, e: &std::io::Error) -> LdpError {
 
 /// Encode one frame into a fresh byte vector.
 ///
-/// Useful when building a stream in memory (tests, the in-process pipes in
-/// `examples/report_service.rs`) or when the caller wants to hand a complete
-/// frame to a transport in one write.
+/// Useful when building a stream in memory (tests, recorded client
+/// streams) or when the caller wants to hand a complete frame to a
+/// transport in one write.
 pub fn frame_to_vec(kind: u8, payload: &[u8]) -> Result<Vec<u8>> {
     if payload.len() > MAX_FRAME_PAYLOAD {
         return Err(malformed(format!(

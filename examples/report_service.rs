@@ -1,4 +1,4 @@
-//! Report-stream aggregation service: three shard threads absorbing
+//! Report-stream aggregation service: three shard servers absorbing
 //! length-framed wire messages from live byte streams, tree-merged into a
 //! result bit-identical to a single-process `Collector::run`.
 //!
@@ -10,61 +10,36 @@
 //!
 //! * every *client* frames its ε-LDP report into a `Submit` message —
 //!   nothing else crosses the wire;
-//! * each *shard thread* runs [`ReportService::serve`] over a pipe-like
-//!   reader fed in deliberately awkward 7-byte chunks, so frames are
-//!   reassembled across arbitrary read boundaries;
+//! * each *shard* is a `ReportServer` whose connection thread runs
+//!   `ConnHandle::serve_stream` over an in-process pipe fed in
+//!   deliberately awkward 7-byte chunks, so frames are reassembled across
+//!   arbitrary read boundaries;
 //! * one stream also carries a replayed (duplicate) submit and a
 //!   bit-flipped frame — the budget ledger rejects the replay, the
-//!   checksum rejects the corruption, both are counted, and neither moves
-//!   a single bit of the estimates;
+//!   checksum catches the corruption (answered with a resend request),
+//!   both are counted, and neither moves a single bit of the estimates;
 //! * the shards tree-merge and the epoch snapshot is asserted
 //!   bit-identical to the canonical pipeline on the same seed.
 
-use ldp::analytics::service::{encode_report, ReportService, ServeSummary, WireMessage};
+use ldp::analytics::service::{encode_report, WireMessage};
+use ldp::analytics::transport::{duplex, PipeStream, ReportServer, ServerConfig};
 use ldp::analytics::{
-    block_partition, block_rng, ClientEncoder, Collector, Protocol, ServiceConfig, DEFAULT_SHARDS,
+    block_partition, block_rng, ClientEncoder, Collector, Protocol, DEFAULT_SHARDS,
 };
 use ldp::core::frame::FRAME_HEADER_BYTES;
 use ldp::core::rng::RngBlock;
 use ldp::core::{AttrValue, Epsilon, LdpError, NumericKind, OracleKind};
 use ldp::data::census::generate_br;
-use std::io::Read;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::io::Write;
 use std::thread;
 
 const SHARDS: usize = 3;
 
-/// A `Read` over a channel of byte chunks: what a socket looks like to the
-/// framer. Senders dropping is clean EOF.
-struct ChannelReader {
-    rx: Receiver<Vec<u8>>,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl Read for ChannelReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        while self.pos == self.buf.len() {
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.buf = chunk;
-                    self.pos = 0;
-                }
-                Err(_) => return Ok(0),
-            }
-        }
-        let n = (self.buf.len() - self.pos).min(out.len());
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// Sends `bytes` down a shard's pipe in 7-byte chunks — no frame ever
-/// arrives whole, which is exactly the situation `serve` must handle.
-fn send_chunked(tx: &Sender<Vec<u8>>, bytes: &[u8]) {
+/// Writes `bytes` down a shard's pipe in 7-byte chunks — no frame ever
+/// arrives whole, which is exactly the situation the server must handle.
+fn send_chunked(pipe: &mut PipeStream, bytes: &[u8]) {
     for chunk in bytes.chunks(7) {
-        tx.send(chunk.to_vec()).expect("shard thread alive");
+        pipe.write_all(chunk).expect("shard connection alive");
     }
 }
 
@@ -84,22 +59,19 @@ fn main() -> Result<(), LdpError> {
         eps.value()
     );
 
-    // Shard threads: each serves its pipe until the Shutdown frame.
-    let mut pipes: Vec<Sender<Vec<u8>>> = Vec::new();
-    let mut shards: Vec<thread::JoinHandle<(ReportService, ServeSummary)>> = Vec::new();
+    // Shard servers: one connection thread each serves its pipe until the
+    // Shutdown frame. The client halves stay alive until those threads
+    // return, so every verdict has somewhere to go.
+    let mut servers = Vec::new();
+    let mut pipes = Vec::new();
+    let mut connections = Vec::new();
     for _ in 0..SHARDS {
-        let (tx, rx) = channel::<Vec<u8>>();
-        pipes.push(tx);
-        shards.push(thread::spawn(move || {
-            let mut service = ReportService::new(ServiceConfig::default());
-            let mut reader = ChannelReader {
-                rx,
-                buf: Vec::new(),
-                pos: 0,
-            };
-            let summary = service.serve(&mut reader).expect("stream stays framed");
-            (service, summary)
-        }));
+        let server = ReportServer::start(ServerConfig::default());
+        let (client_half, mut server_half) = duplex();
+        let handle = server.handle();
+        connections.push(thread::spawn(move || handle.serve_stream(&mut server_half)));
+        servers.push(server);
+        pipes.push(client_half);
     }
 
     // Client side: session hello on every stream, then each block's reports
@@ -112,8 +84,8 @@ fn main() -> Result<(), LdpError> {
         specs: specs.clone(),
         epoch: 0,
     };
-    for tx in &pipes {
-        send_chunked(tx, &hello.to_frame()?);
+    for pipe in &mut pipes {
+        send_chunked(pipe, &hello.to_frame()?);
     }
     let blocks: Vec<_> = block_partition(n, DEFAULT_SHARDS)
         .into_iter()
@@ -121,7 +93,7 @@ fn main() -> Result<(), LdpError> {
         .collect();
     let mut replayed: Option<Vec<u8>> = None;
     for (b, range) in blocks.into_iter().rev() {
-        let tx = &pipes[b % SHARDS];
+        let pipe = &mut pipes[b % SHARDS];
         let mut rng: RngBlock<rand::rngs::StdRng> = RngBlock::new(block_rng(seed, b));
         let mut report = encoder.empty_report();
         let mut scratch = encoder.scratch();
@@ -139,7 +111,7 @@ fn main() -> Result<(), LdpError> {
             if replayed.is_none() {
                 replayed = Some(frame.clone());
             }
-            send_chunked(tx, &frame);
+            send_chunked(pipe, &frame);
         }
     }
 
@@ -147,31 +119,38 @@ fn main() -> Result<(), LdpError> {
     // (a spent budget), then the same frame with one payload byte flipped
     // (a checksum failure). Both must be rejected and counted.
     let replay = replayed.expect("at least one submit");
-    send_chunked(&pipes[0], &replay);
+    send_chunked(&mut pipes[0], &replay);
     let mut corrupt = replay;
     corrupt[FRAME_HEADER_BYTES] ^= 0x40;
-    send_chunked(&pipes[0], &corrupt);
+    send_chunked(&mut pipes[0], &corrupt);
 
-    for tx in &pipes {
-        send_chunked(tx, &WireMessage::Shutdown.to_frame()?);
+    for pipe in &mut pipes {
+        send_chunked(pipe, &WireMessage::Shutdown.to_frame()?);
     }
-    drop(pipes);
 
     let mut services = Vec::new();
-    for (s, handle) in shards.into_iter().enumerate() {
-        let (service, summary) = handle.join().expect("shard thread");
+    let mut corrupt_frames = 0;
+    for (s, (connection, server)) in connections.into_iter().zip(servers).enumerate() {
+        let summary = connection.join().expect("connection thread");
+        let service = server.finish();
+        let shard = service.snapshot_epoch(0)?;
         println!(
             "shard {s}: {} frames, {} admitted, {} duplicate(s) rejected, \
-             {} malformed frame(s) rejected, shutdown = {}",
+             {} corrupt frame(s) resent, {} malformed message(s) rejected, shutdown = {}",
             summary.frames,
-            summary.admitted,
-            summary.rejected_duplicates,
-            summary.rejected_malformed,
+            shard.admitted,
+            shard.rejected_duplicates,
+            summary.corrupt_frames,
+            shard.rejected_malformed,
             summary.shutdown
         );
         assert!(summary.shutdown, "every stream ended with Shutdown");
+        assert_eq!(shard.rejected_malformed, 0, "no malformed messages sent");
+        corrupt_frames += summary.corrupt_frames;
         services.push(service);
     }
+    drop(pipes);
+    assert_eq!(corrupt_frames, 1, "the bit-flipped frame");
 
     // Tree merge: (s0 + (s1 + s2)). The keyed ledger and the ordinal-keyed
     // epoch aggregates both merge order-independently.

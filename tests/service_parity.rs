@@ -1,13 +1,15 @@
-//! Wire-service parity: three `ReportService` shards fed interleaved,
+//! Wire-service parity: three `ReportServer` shards fed interleaved,
 //! out-of-order client streams tree-merge to a snapshot bit-identical to
 //! the single-process `Collector::run` on the same seed.
 //!
-//! This is the PR 4 merge contract pushed across a byte boundary: every
-//! report is framed, serialized, checksummed, parsed back, ledger-checked
-//! and only then absorbed — and none of that plumbing may move a single
-//! bit of the estimates.
+//! This is the session merge contract pushed across a byte boundary: every
+//! report is framed, serialized, checksummed, read back by the connection
+//! loop that ships (`ConnHandle::serve_stream`), ledger-checked and only
+//! then absorbed — and none of that plumbing may move a single bit of the
+//! estimates.
 
-use ldp::analytics::service::{encode_report, ReportService, ServiceConfig, WireMessage};
+use ldp::analytics::service::{encode_report, ReportService, WireMessage};
+use ldp::analytics::transport::{ConnSummary, ReportServer, ScriptedStream, ServerConfig};
 use ldp::analytics::{
     block_partition, block_rng, BestEffortNumeric, ClientEncoder, CollectionResult, Collector,
     Protocol, DEFAULT_SHARDS,
@@ -85,24 +87,39 @@ fn client_streams(protocol: Protocol, eps: Epsilon, dataset: &Dataset, seed: u64
     streams
 }
 
-/// Serves each stream on its own shard, then tree-merges `(s0 + (s1 + s2))`.
-fn serve_and_merge(streams: Vec<Vec<u8>>) -> ReportService {
-    let mut shards: Vec<ReportService> = streams
-        .iter()
-        .map(|stream| {
-            let mut shard = ReportService::new(ServiceConfig::default());
-            let summary = shard.serve(&mut stream.as_slice()).unwrap();
-            assert_eq!(summary.rejected_malformed, 0, "clean streams only");
-            assert_eq!(summary.rejected_duplicates, 0, "clean streams only");
-            shard
-        })
-        .collect();
+/// Serves one stream as one connection to its own shard server.
+fn serve_shard(stream: &[u8]) -> (ConnSummary, ReportService) {
+    let server = ReportServer::start(ServerConfig::default());
+    let summary = server
+        .handle()
+        .serve_stream(&mut ScriptedStream::new(stream));
+    (summary, server.finish())
+}
+
+/// Tree-merges served shards as `(s0 + (s1 + s2))`.
+fn merge_right(mut shards: Vec<ReportService>) -> ReportService {
     let s2 = shards.pop().unwrap();
     let mut s1 = shards.pop().unwrap();
     let mut s0 = shards.pop().unwrap();
     s1.merge(s2).unwrap();
     s0.merge(s1).unwrap();
     s0
+}
+
+/// Serves clean streams, one shard each, then merges `(s0 + (s1 + s2))`.
+fn serve_and_merge(streams: Vec<Vec<u8>>) -> ReportService {
+    let shards = streams
+        .iter()
+        .map(|stream| {
+            let (summary, shard) = serve_shard(stream);
+            assert_eq!(summary.corrupt_frames, 0, "clean streams only");
+            assert_eq!(shard.rejected_malformed(), 0, "clean streams only");
+            let snapshot = shard.snapshot_epoch(0).unwrap();
+            assert_eq!(snapshot.rejected_duplicates, 0, "clean streams only");
+            shard
+        })
+        .collect();
+    merge_right(shards)
 }
 
 fn parity_case(protocol: Protocol, label: &str) {
@@ -166,14 +183,7 @@ fn merge_tree_shape_does_not_matter() {
     let streams = client_streams(protocol, eps, &dataset, 17);
 
     let left_assoc = {
-        let mut shards: Vec<ReportService> = streams
-            .iter()
-            .map(|stream| {
-                let mut shard = ReportService::new(ServiceConfig::default());
-                shard.serve(&mut stream.as_slice()).unwrap();
-                shard
-            })
-            .collect();
+        let mut shards: Vec<ReportService> = streams.iter().map(|s| serve_shard(s).1).collect();
         let s2 = shards.pop().unwrap();
         let s1 = shards.pop().unwrap();
         let mut s0 = shards.pop().unwrap();
@@ -219,7 +229,7 @@ fn duplicates_across_the_wire_do_not_bias_the_estimates() {
     streams[0].extend_from_slice(&replay);
     assert!(replayed_bytes > 0);
 
-    let merged = serve_and_merge_allowing_duplicates(streams);
+    let merged = merge_right(streams.iter().map(|s| serve_shard(s).1).collect());
     let snapshot = merged.snapshot_epoch(0).unwrap();
     assert_eq!(snapshot.admitted, 3_000);
     assert!(snapshot.rejected_duplicates > 0);
@@ -230,21 +240,4 @@ fn duplicates_across_the_wire_do_not_bias_the_estimates() {
         &snapshot.result.unwrap(),
         "despite replayed submits",
     );
-}
-
-fn serve_and_merge_allowing_duplicates(streams: Vec<Vec<u8>>) -> ReportService {
-    let mut shards: Vec<ReportService> = streams
-        .iter()
-        .map(|stream| {
-            let mut shard = ReportService::new(ServiceConfig::default());
-            shard.serve(&mut stream.as_slice()).unwrap();
-            shard
-        })
-        .collect();
-    let s2 = shards.pop().unwrap();
-    let mut s1 = shards.pop().unwrap();
-    let mut s0 = shards.pop().unwrap();
-    s1.merge(s2).unwrap();
-    s0.merge(s1).unwrap();
-    s0
 }

@@ -15,7 +15,7 @@
 //! * estimates are bit-identical to the clean run (ordinal-keyed merges
 //!   make them independent of delivery order and client count);
 //! * the ledger accounts for every resend: submits that reached the
-//!   absorber = admitted + rejected duplicates, so lost acks never
+//!   service = admitted + rejected duplicates, so lost acks never
 //!   double-spend budget.
 
 use std::thread;
@@ -142,7 +142,7 @@ struct ChaosRun {
     result: CollectionResult,
     admitted: u64,
     rejected_duplicates: u64,
-    submits_reaching_absorber: u64,
+    submits_reaching_service: u64,
     client_faults: u64,
     client_duplicate_acks: u64,
     client_connects: u64,
@@ -223,7 +223,7 @@ fn chaos_run(seed: u64, reports: &[(u64, u64, Vec<u8>)]) -> ChaosRun {
         result: snap.result.expect("chaos run has estimates"),
         admitted: snap.admitted,
         rejected_duplicates: snap.rejected_duplicates,
-        submits_reaching_absorber: stats.submits(),
+        submits_reaching_service: stats.submits(),
         client_faults,
         client_duplicate_acks,
         client_connects,
@@ -262,12 +262,12 @@ fn chaos_run_is_bit_identical_to_clean_run_across_seeds() {
         assert_bit_identical(&chaos.result, &clean, &format!("seed {seed}"));
 
         // At-most-once budget spend: every submit that reached the
-        // absorber is accounted as exactly one admission or one counted
+        // service is accounted as exactly one admission or one counted
         // duplicate — resends never double-spend.
         assert_eq!(
-            chaos.submits_reaching_absorber,
+            chaos.submits_reaching_service,
             chaos.admitted + chaos.rejected_duplicates,
-            "seed {seed}: absorber accounting leak"
+            "seed {seed}: service accounting leak"
         );
         // A duplicate verdict can itself be lost to chaos (triggering yet
         // another counted resend), so the ledger may see more duplicates
@@ -324,7 +324,8 @@ fn tiny_queue_backpressure_is_lossless() {
                     max_resends: 8,
                     // Real (if tiny) backoff: against a capacity-1 queue,
                     // zero-delay retries could livelock three hammering
-                    // clients; the jittered pause lets the absorber drain.
+                    // clients; the jittered pause lets the in-flight
+                    // message finish.
                     backoff_base: Duration::from_micros(50),
                     backoff_cap: Duration::from_millis(2),
                     backoff_seed: seed ^ client_idx,
