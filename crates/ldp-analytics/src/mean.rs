@@ -224,9 +224,12 @@ mod tests {
         let t = [0.8, -0.2, 0.0, 0.4];
         let tuple: Vec<_> = t.iter().map(|&x| ldp_core::AttrValue::Numeric(x)).collect();
         let mut acc = MeanAccumulator::new(d);
+        let mut report = SparseReport::with_capacity(d, p.k());
+        let mut scratch = p.scratch();
         for _ in 0..n {
-            acc.add_sparse(&p.perturb(&tuple, &mut rng).unwrap())
+            p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch)
                 .unwrap();
+            acc.add_sparse(&report).unwrap();
         }
         let est = acc.estimate().unwrap();
         for j in 0..d {
@@ -247,7 +250,6 @@ mod tests {
         let mut acc = MeanAccumulator::new(2);
         let report = SparseReport {
             d: 3,
-            k: 1,
             entries: vec![],
         };
         assert!(acc.add_sparse(&report).is_err());

@@ -372,8 +372,10 @@ impl WireMessage {
                     Epsilon::new(f64::from_bits(eps_bits)).map_err(|e| bit_err("hello", e))?;
                 let epoch = read(&mut r, 64)?;
                 let d = read(&mut r, 16)? as usize;
-                let mut specs = Vec::with_capacity(d);
                 let mut bits: usize = 8 + 8 + 8 + 64 + 64 + 16;
+                // `d` is untrusted: reserve no more specs than the payload
+                // can hold at one bit each.
+                let mut specs = Vec::with_capacity(d.min((payload.len() * 8).saturating_sub(bits)));
                 for _ in 0..d {
                     if read(&mut r, 1)? == 0 {
                         specs.push(AttrSpec::Numeric);

@@ -1086,82 +1086,96 @@ impl Aggregator {
                 part.means.add_sparse(fused)
             }
             Engine::Composition { numeric, oracles } => {
-                let ScratchInner::Composition {
-                    dense,
-                    numeric_block,
-                    noisy,
-                    duchi,
-                    cat_reports,
-                } = &mut scratch.inner
-                else {
-                    return Err(scratch_mismatch());
-                };
-                encoder.validate(tuple)?;
-                let shape = &self.shape;
-                let part = self
-                    .parts
-                    .entry(self.ordinal)
-                    .or_insert_with(|| Partial::new(shape));
-                dense.iter_mut().for_each(|x| *x = 0.0);
-                match numeric {
-                    CompositionNumeric::None => {}
-                    CompositionNumeric::PerAttr(mech) => {
-                        for &j in &shape.num_indices {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            dense[j] = mech.perturb(x, &mut *rng)?;
-                        }
-                    }
-                    CompositionNumeric::Duchi(md) => {
-                        for (slot, &j) in shape.num_indices.iter().enumerate() {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            numeric_block[slot] = x;
-                        }
-                        md.perturb_into(
-                            numeric_block,
-                            &mut *rng,
-                            noisy,
-                            duchi.as_mut().expect("built with Duchi state"),
-                        )?;
-                        for (slot, &j) in shape.num_indices.iter().enumerate() {
-                            dense[j] = noisy[slot];
-                        }
-                    }
-                }
-                for (slot, &j) in shape.cat_indices.iter().enumerate() {
-                    let AttrValue::Categorical(v) = tuple[j] else {
-                        unreachable!("validated above");
-                    };
-                    // Fused perturb-and-count: GRR reports go
-                    // ordinal-direct (no report object at all); unary
-                    // reports are absorbed by backing word when dense, or
-                    // hit-by-hit as they are placed when sparse (identical
-                    // counts either way — routing only).
-                    let acc = &mut part.freqs[slot];
-                    acc.note_report();
-                    if let Some(grr) = oracles[slot].as_grr() {
-                        acc.note_hit(grr.sample(v, &mut *rng)?);
-                    } else if shape.word_level[slot] {
-                        oracles[slot].perturb_into(v, &mut *rng, &mut cat_reports[slot])?;
-                        let CategoricalReport::Bits(bits) = &cat_reports[slot] else {
-                            unreachable!("unary oracles produce bit reports");
-                        };
-                        acc.note_words(bits.words());
-                    } else {
-                        oracles[slot].perturb_into_noting(
-                            v,
-                            &mut *rng,
-                            &mut cat_reports[slot],
-                            |c| acc.note_hit(c),
-                        )?;
-                    }
-                }
-                part.means.add_dense(dense)
+                self.absorb_composition(encoder, numeric, oracles, tuple, rng, scratch)
             }
         }
+    }
+
+    /// The composition arm of [`Aggregator::absorb_with`]. Deliberately
+    /// `inline(never)`, like `ldp_core`'s `absorb_unary`: compiled inside
+    /// `absorb_with`'s body, the per-attribute numeric loop below runs
+    /// markedly slower on wide all-numeric schemas such as LDP-SGD's
+    /// gradients.
+    #[inline(never)]
+    fn absorb_composition<R: DrawSource + ?Sized>(
+        &mut self,
+        encoder: &ClientEncoder,
+        numeric: &CompositionNumeric,
+        oracles: &[AnyOracle],
+        tuple: &[AttrValue],
+        rng: &mut R,
+        scratch: &mut EncoderScratch,
+    ) -> Result<()> {
+        let ScratchInner::Composition {
+            dense,
+            numeric_block,
+            noisy,
+            duchi,
+            cat_reports,
+        } = &mut scratch.inner
+        else {
+            return Err(scratch_mismatch());
+        };
+        encoder.validate(tuple)?;
+        let shape = &self.shape;
+        let part = self
+            .parts
+            .entry(self.ordinal)
+            .or_insert_with(|| Partial::new(shape));
+        dense.iter_mut().for_each(|x| *x = 0.0);
+        match numeric {
+            CompositionNumeric::None => {}
+            CompositionNumeric::PerAttr(mech) => {
+                for &j in &shape.num_indices {
+                    let AttrValue::Numeric(x) = tuple[j] else {
+                        unreachable!("validated above");
+                    };
+                    dense[j] = mech.perturb(x, &mut *rng)?;
+                }
+            }
+            CompositionNumeric::Duchi(md) => {
+                for (slot, &j) in shape.num_indices.iter().enumerate() {
+                    let AttrValue::Numeric(x) = tuple[j] else {
+                        unreachable!("validated above");
+                    };
+                    numeric_block[slot] = x;
+                }
+                md.perturb_into(
+                    numeric_block,
+                    &mut *rng,
+                    noisy,
+                    duchi.as_mut().expect("built with Duchi state"),
+                )?;
+                for (slot, &j) in shape.num_indices.iter().enumerate() {
+                    dense[j] = noisy[slot];
+                }
+            }
+        }
+        for (slot, &j) in shape.cat_indices.iter().enumerate() {
+            let AttrValue::Categorical(v) = tuple[j] else {
+                unreachable!("validated above");
+            };
+            // Fused perturb-and-count: GRR reports go ordinal-direct (no
+            // report object at all); unary reports are absorbed by backing
+            // word when dense, or hit-by-hit as they are placed when sparse
+            // (identical counts either way — routing only).
+            let acc = &mut part.freqs[slot];
+            acc.note_report();
+            if let Some(grr) = oracles[slot].as_grr() {
+                acc.note_hit(grr.sample(v, &mut *rng)?);
+            } else if shape.word_level[slot] {
+                oracles[slot].perturb_into(v, &mut *rng, &mut cat_reports[slot])?;
+                let CategoricalReport::Bits(bits) = &cat_reports[slot] else {
+                    unreachable!("unary oracles produce bit reports");
+                };
+                acc.note_words(bits.words());
+            } else {
+                oracles[slot].perturb_into_noting(v, &mut *rng, &mut cat_reports[slot], |c| {
+                    acc.note_hit(c)
+                })?;
+            }
+        }
+        part.means.add_dense(dense)
     }
 
     /// Merges another aggregator's partials into this one. Order-invariant:
@@ -1296,12 +1310,8 @@ impl Aggregator {
                 });
             }
         }
-        for (slot, cat) in report.categorical.iter().enumerate() {
-            let k = shape.cats[slot].0;
-            validate_entry(
-                &AttrReport::Categorical(cat.clone()),
-                &AttrSpec::Categorical { k },
-            )?;
+        for (cat, &(k, _)) in report.categorical.iter().zip(&shape.cats) {
+            validate_categorical(cat, k)?;
         }
         Ok(())
     }
@@ -1320,17 +1330,30 @@ fn validate_entry(rep: &AttrReport, spec: &AttrSpec) -> Result<()> {
                 })
             }
         }
-        (AttrReport::Categorical(CategoricalReport::Value(v)), AttrSpec::Categorical { k }) => {
-            if v < k {
+        (AttrReport::Categorical(cat), AttrSpec::Categorical { k }) => {
+            validate_categorical(cat, *k)
+        }
+        _ => Err(LdpError::InvalidParameter {
+            name: "report",
+            message: "report entry type disagrees with the schema".into(),
+        }),
+    }
+}
+
+/// Validates one categorical report against its domain size `k`.
+fn validate_categorical(cat: &CategoricalReport, k: u32) -> Result<()> {
+    match cat {
+        CategoricalReport::Value(v) => {
+            if *v < k {
                 Ok(())
             } else {
-                Err(LdpError::InvalidCategory { value: *v, k: *k })
+                Err(LdpError::InvalidCategory { value: *v, k })
             }
         }
-        (AttrReport::Categorical(CategoricalReport::Bits(bits)), AttrSpec::Categorical { k }) => {
-            if bits.len() != *k {
+        CategoricalReport::Bits(bits) => {
+            if bits.len() != k {
                 return Err(LdpError::DimensionMismatch {
-                    expected: *k as usize,
+                    expected: k as usize,
                     actual: bits.len() as usize,
                 });
             }
@@ -1346,10 +1369,6 @@ fn validate_entry(rep: &AttrReport, spec: &AttrSpec) -> Result<()> {
             }
             Ok(())
         }
-        _ => Err(LdpError::InvalidParameter {
-            name: "report",
-            message: "report entry type disagrees with the schema".into(),
-        }),
     }
 }
 

@@ -285,7 +285,6 @@ mod tests {
         let mk = |cat: u32| {
             Report::Sampling(SparseReport {
                 d: 1,
-                k: 1,
                 entries: vec![(0, AttrReport::Categorical(CategoricalReport::Value(cat)))],
             })
         };

@@ -112,7 +112,7 @@ pub fn frequency_oracles(args: &Args) -> String {
 /// protocols, quantified for ours.
 pub fn communication(args: &Args) -> String {
     use ldp_analytics::{BestEffortNumeric, ClientEncoder, Report};
-    use ldp_core::multidim::{wire, DuchiMultidim, SamplingPerturber};
+    use ldp_core::multidim::wire;
     use ldp_core::rng::seeded_rng;
     use ldp_core::AttrValue;
     let ds = generate_br(2_000.min(args.users), args.seed).expect("generator is domain-safe");
@@ -130,9 +130,15 @@ pub fn communication(args: &Args) -> String {
     );
     for eps in EPSILONS {
         let e = Epsilon::new(eps).expect("positive");
-        let sampling =
-            SamplingPerturber::new(e, specs.clone(), NumericKind::Hybrid, OracleKind::Oue)
-                .expect("valid schema");
+        let sampling = ClientEncoder::new(
+            Protocol::Sampling {
+                numeric: NumericKind::Hybrid,
+                oracle: OracleKind::Oue,
+            },
+            e,
+            specs.clone(),
+        )
+        .expect("valid schema");
         // Every composition report carries every attribute, so its size is
         // a schema constant; the actual Report::Composition wire codec
         // backs it with encoded sizes in the bytes-per-user column.
@@ -147,7 +153,6 @@ pub fn communication(args: &Args) -> String {
         )
         .expect("valid schema");
         let d_num = schema.numeric_indices().len();
-        let duchi = DuchiMultidim::new(e, d_num).expect("d ≥ 1");
 
         let mut rng = seeded_rng(args.seed);
         let mut tuple: Vec<AttrValue> = Vec::new();
@@ -156,10 +161,11 @@ pub fn communication(args: &Args) -> String {
             ds.canonical_tuple_into(i, &mut tuple);
             // Schema-aware accounting: direct categorical reports are
             // charged their true ⌈log₂ k⌉ bits, exactly matching the codec.
-            s_bits += wire::sparse_report_bits_with_schema(
-                &sampling.perturb(&tuple, &mut rng).expect("valid tuple"),
-                &specs,
-            );
+            let Report::Sampling(report) = sampling.encode(&tuple, &mut rng).expect("valid tuple")
+            else {
+                unreachable!("sampling protocol");
+            };
+            s_bits += wire::sparse_report_bits_with_schema(&report, &specs);
             let Report::Composition(report) =
                 encoder.encode(&tuple, &mut rng).expect("valid tuple")
             else {
@@ -173,7 +179,7 @@ pub fn communication(args: &Args) -> String {
             );
             codec_bytes += bytes.len();
         }
-        let duchi_bits = wire::duchi_md_report_bits(duchi.d());
+        let duchi_bits = wire::duchi_md_report_bits(d_num);
         table.row(vec![
             format!("{eps}"),
             format!("{:.1}", s_bits as f64 / ds.n() as f64),

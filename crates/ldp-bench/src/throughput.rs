@@ -361,7 +361,7 @@ fn run_sampling_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> V
             };
             entries.push((j, entry));
         }
-        let report = SparseReport { d, k, entries };
+        let report = SparseReport { d, entries };
         for (j, rep) in &report.entries {
             if let AttrReport::Categorical(cat) = rep {
                 let slot = cat_indices

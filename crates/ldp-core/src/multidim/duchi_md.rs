@@ -8,8 +8,7 @@ use crate::rng::{bernoulli, sample_distinct_into, sample_weighted};
 use rand::RngCore;
 
 /// Caller-owned scratch for [`DuchiMultidim::perturb_into`]: the direction
-/// vector and agreement-set buffers that the allocating path re-creates per
-/// call.
+/// vector and agreement-set buffers, reused across calls.
 #[derive(Debug, Clone, Default)]
 pub struct DuchiScratch {
     v: Vec<f64>,
@@ -94,11 +93,6 @@ impl DuchiMultidim {
         self.b
     }
 
-    /// Dimensionality `d`.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
     /// The privacy budget.
     pub fn epsilon(&self) -> Epsilon {
         self.epsilon
@@ -123,30 +117,16 @@ impl DuchiMultidim {
         }
     }
 
-    /// Perturbs a tuple `t ∈ [-1, 1]^d` into a vertex of `{-B, B}^d`.
-    ///
-    /// Convenience wrapper over [`DuchiMultidim::perturb_into`]; simulation
-    /// loops should hold an output vector + scratch and call that instead.
-    ///
-    /// # Errors
-    /// [`LdpError::DimensionMismatch`] for wrong tuple length,
-    /// [`LdpError::OutOfDomain`] for out-of-range coordinates.
-    pub fn perturb(&self, t: &[f64], rng: &mut dyn RngCore) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.d);
-        let mut scratch = self.scratch();
-        self.perturb_into(t, rng, &mut out, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// Zero-allocation streaming form of [`DuchiMultidim::perturb`]: writes
-    /// the perturbed vertex into `out` (cleared and refilled), reusing the
-    /// caller's scratch buffers. Generic over the rng so a concrete
+    /// Perturbs a tuple `t ∈ [-1, 1]^d` into a vertex of `{-B, B}^d`,
+    /// written into `out` (cleared and refilled) with no allocation once the
+    /// caller's buffers are warm. Generic over the rng so a concrete
     /// generator (e.g. [`crate::rng::RngBlock`]) monomorphizes the whole
     /// sampling chain — direction coins, halfspace choice, agreement-set
     /// placement — with no virtual call per draw.
     ///
     /// # Errors
-    /// As [`DuchiMultidim::perturb`].
+    /// [`LdpError::DimensionMismatch`] for wrong tuple length,
+    /// [`LdpError::OutOfDomain`] for out-of-range coordinates.
     pub fn perturb_into<R: RngCore + ?Sized>(
         &self,
         t: &[f64],
@@ -232,6 +212,13 @@ mod tests {
         DuchiMultidim::new(Epsilon::new(eps).unwrap(), d).unwrap()
     }
 
+    /// One perturbation through fresh buffers.
+    fn perturb(md: &DuchiMultidim, t: &[f64], rng: &mut dyn RngCore) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        md.perturb_into(t, rng, &mut out, &mut md.scratch())?;
+        Ok(out)
+    }
+
     #[test]
     fn c_d_small_values() {
         // d=1 (odd): 2^0 / C(0,0) = 1.
@@ -272,7 +259,7 @@ mod tests {
         let t = 0.4;
         let n = 200_000;
         let heads = (0..n)
-            .filter(|_| md.perturb(&[t], &mut rng).unwrap()[0] > 0.0)
+            .filter(|_| perturb(&md, &[t], &mut rng).unwrap()[0] > 0.0)
             .count();
         let frac = heads as f64 / n as f64;
         assert!((frac - oned.head_probability(t)).abs() < 0.01, "{frac}");
@@ -284,7 +271,7 @@ mod tests {
         let mut rng = seeded_rng(111);
         let t = [0.2, -0.7, 0.0, 1.0, -1.0];
         for _ in 0..500 {
-            let out = md.perturb(&t, &mut rng).unwrap();
+            let out = perturb(&md, &t, &mut rng).unwrap();
             assert_eq!(out.len(), 5);
             for x in out {
                 assert!((x.abs() - md.b()).abs() < 1e-12, "{x}");
@@ -301,7 +288,7 @@ mod tests {
             let n = 200_000;
             let mut sums = vec![0.0; d];
             for _ in 0..n {
-                for (s, x) in sums.iter_mut().zip(md.perturb(&t, &mut rng).unwrap()) {
+                for (s, x) in sums.iter_mut().zip(perturb(&md, &t, &mut rng).unwrap()) {
                     *s += x;
                 }
             }
@@ -327,7 +314,7 @@ mod tests {
         let mut sums = [0.0; 4];
         let mut sq = [0.0; 4];
         for _ in 0..n {
-            for (j, x) in md.perturb(&t, &mut rng).unwrap().into_iter().enumerate() {
+            for (j, x) in perturb(&md, &t, &mut rng).unwrap().into_iter().enumerate() {
                 sums[j] += x;
                 sq[j] += x * x;
             }
@@ -366,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn perturb_into_matches_perturb() {
+    fn perturb_into_recycled_buffers_match_fresh_ones() {
         let md = mech(1.5, 7);
         let t = [0.3, -0.3, 0.9, 0.0, -1.0, 1.0, 0.5];
         let mut rng_a = seeded_rng(777);
@@ -374,10 +361,10 @@ mod tests {
         let mut out = Vec::new();
         let mut scratch = md.scratch();
         for round in 0..300 {
-            let owned = md.perturb(&t, &mut rng_a).unwrap();
+            let fresh = perturb(&md, &t, &mut rng_a).unwrap();
             md.perturb_into(&t, &mut rng_b, &mut out, &mut scratch)
                 .unwrap();
-            assert_eq!(out, owned, "round {round}");
+            assert_eq!(out, fresh, "round {round}");
         }
     }
 
@@ -386,13 +373,13 @@ mod tests {
         let md = mech(1.0, 3);
         let mut rng = seeded_rng(122);
         assert!(matches!(
-            md.perturb(&[0.0, 0.0], &mut rng),
+            perturb(&md, &[0.0, 0.0], &mut rng),
             Err(LdpError::DimensionMismatch {
                 expected: 3,
                 actual: 2
             })
         ));
-        assert!(md.perturb(&[0.0, 2.0, 0.0], &mut rng).is_err());
+        assert!(perturb(&md, &[0.0, 2.0, 0.0], &mut rng).is_err());
         assert!(DuchiMultidim::new(Epsilon::new(1.0).unwrap(), 0).is_err());
     }
 
@@ -403,7 +390,7 @@ mod tests {
         assert!(md.b().is_finite() && md.b() > 0.0);
         let mut rng = seeded_rng(123);
         let t = vec![0.1; 94];
-        let out = md.perturb(&t, &mut rng).unwrap();
+        let out = perturb(&md, &t, &mut rng).unwrap();
         assert_eq!(out.len(), 94);
     }
 }

@@ -8,7 +8,6 @@ use crate::mechanism::CategoricalReport;
 use crate::multidim::{AttrReport, AttrSpec, AttrValue, CatReportView};
 use crate::numeric::AnyNumeric;
 use crate::rng::sample_distinct_into;
-use rand::RngCore;
 
 /// The paper's choice of the number of sampled attributes (Equation 12):
 /// `k = max(1, min(d, ⌊ε/2.5⌋))`.
@@ -29,9 +28,8 @@ pub fn optimal_k(epsilon: Epsilon, d: usize) -> usize {
 pub struct SparseReport {
     /// Total number of attributes in the schema.
     pub d: usize,
-    /// Number of sampled attributes.
-    pub k: usize,
-    /// `(attribute index, report)` pairs, sorted by index, length `k`.
+    /// `(attribute index, report)` pairs, sorted by index, one per sampled
+    /// attribute.
     pub entries: Vec<(u32, AttrReport)>,
 }
 
@@ -41,27 +39,8 @@ impl SparseReport {
     pub fn with_capacity(d: usize, k: usize) -> Self {
         SparseReport {
             d,
-            k,
             entries: Vec::with_capacity(k),
         }
-    }
-
-    /// Densifies a numeric-only report into the `t* ∈ ℝ^d` tuple of
-    /// Algorithm 4 (zeros at unsampled positions).
-    ///
-    /// # Panics
-    /// Panics if the report contains categorical entries.
-    pub fn to_dense_numeric(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.d];
-        for (j, rep) in &self.entries {
-            match rep {
-                AttrReport::Numeric(x) => out[*j as usize] = *x,
-                AttrReport::Categorical(_) => {
-                    panic!("to_dense_numeric on a report with categorical entries")
-                }
-            }
-        }
-        out
     }
 }
 
@@ -94,15 +73,21 @@ pub enum CatObservation {
 /// sampled indices are chosen independently of the data, and each attribute
 /// is perturbed at most once, so by composition the full report is ε-LDP.
 ///
+/// Collections build it through `ldp_analytics::ClientEncoder`, which owns
+/// the session's budget split. A direct caller keeps one report + scratch
+/// pair per perturber and refills it user after user:
+///
 /// ```
-/// use ldp_core::multidim::SamplingPerturber;
+/// use ldp_core::multidim::{SamplingPerturber, SparseReport};
 /// use ldp_core::{AttrSpec, AttrValue, Epsilon, NumericKind, OracleKind, rng::seeded_rng};
 ///
 /// let specs = vec![AttrSpec::Numeric, AttrSpec::Categorical { k: 4 }, AttrSpec::Numeric];
 /// let perturber = SamplingPerturber::new(
 ///     Epsilon::new(1.0)?, specs, NumericKind::Hybrid, OracleKind::Oue)?;
+/// let mut report = SparseReport::with_capacity(perturber.d(), perturber.k());
+/// let mut scratch = perturber.scratch();
 /// let tuple = [AttrValue::Numeric(0.2), AttrValue::Categorical(3), AttrValue::Numeric(-0.9)];
-/// let report = perturber.perturb(&tuple, &mut seeded_rng(1))?;
+/// perturber.perturb_into(&tuple, &mut seeded_rng(1), &mut report, &mut scratch)?;
 /// assert_eq!(report.entries.len(), perturber.k()); // k sampled attributes
 /// # Ok::<(), ldp_core::LdpError>(())
 /// ```
@@ -143,8 +128,8 @@ impl SamplingPerturber {
         Self::with_k(epsilon, specs, numeric_kind, oracle_kind, k)
     }
 
-    /// Builds the perturber with an explicit `k` (exposed for the
-    /// `ablation_k_choice` bench, which sweeps `k` to verify Equation 12).
+    /// Builds the perturber with an explicit `k`: [`SamplingPerturber::new`]
+    /// passes Equation 12's, and tests pin other values.
     ///
     /// # Errors
     /// Fails if `k` is not in `{1, …, d}` or the schema is invalid.
@@ -236,26 +221,10 @@ impl SamplingPerturber {
         }
     }
 
-    /// Perturbs one user tuple.
-    ///
-    /// Convenience wrapper over [`SamplingPerturber::perturb_into`] that
-    /// allocates the report (and a transient scratch); simulation loops
-    /// should hold a report + scratch pair and call `perturb_into` instead.
-    ///
-    /// # Errors
-    /// Rejects tuples whose length or attribute types do not match the
-    /// schema, or whose values are out of domain.
-    pub fn perturb(&self, tuple: &[AttrValue], rng: &mut dyn RngCore) -> Result<SparseReport> {
-        let mut report = SparseReport::with_capacity(self.specs.len(), self.k);
-        let mut scratch = self.scratch();
-        self.perturb_into(tuple, rng, &mut report, &mut scratch)?;
-        Ok(report)
-    }
-
-    /// Zero-allocation streaming form of [`SamplingPerturber::perturb`]:
-    /// refills `report` in place, recycling the previous call's entry vector
-    /// and categorical payloads (bit vectors) through `scratch`. After the
-    /// first call per attribute, steady-state perturbation performs no heap
+    /// Perturbs one user tuple: refills `report` in place with the `k`
+    /// sampled entries, recycling the previous call's entry vector and
+    /// categorical payloads (bit vectors) through `scratch`. After the first
+    /// call per attribute, steady-state perturbation performs no heap
     /// allocation at all.
     ///
     /// Generic over the rng: with a trait object (`R = dyn RngCore`) this is
@@ -271,7 +240,8 @@ impl SamplingPerturber {
     /// shuttle between the two across calls.
     ///
     /// # Errors
-    /// As [`SamplingPerturber::perturb`].
+    /// Rejects tuples whose length or attribute types do not match the
+    /// schema, or whose values are out of domain.
     pub fn perturb_into<R: crate::rng::DrawSource + ?Sized>(
         &self,
         tuple: &[AttrValue],
@@ -324,7 +294,6 @@ impl SamplingPerturber {
             report.entries.push((j, entry));
         }
         report.d = d;
-        report.k = self.k;
         Ok(())
     }
 
@@ -349,7 +318,7 @@ impl SamplingPerturber {
     /// under the same seed (pinned by tests).
     ///
     /// # Errors
-    /// As [`SamplingPerturber::perturb`].
+    /// As [`SamplingPerturber::perturb_into`].
     pub fn perturb_counting<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatObservation)>(
         &self,
         tuple: &[AttrValue],
@@ -405,7 +374,6 @@ impl SamplingPerturber {
             }
         }
         report.d = d;
-        report.k = self.k;
         Ok(())
     }
 
@@ -428,7 +396,7 @@ impl SamplingPerturber {
     /// session suite.
     ///
     /// # Errors
-    /// As [`SamplingPerturber::perturb`].
+    /// As [`SamplingPerturber::perturb_into`].
     #[inline]
     pub fn perturb_wordwise<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatReportView)>(
         &self,
@@ -489,18 +457,7 @@ impl SamplingPerturber {
             }
         }
         report.d = d;
-        report.k = self.k;
         Ok(())
-    }
-
-    /// Convenience for numeric-only schemas: perturbs `t ∈ [-1,1]^d` and
-    /// densifies, exactly matching Algorithm 4's output tuple.
-    ///
-    /// # Errors
-    /// As [`SamplingPerturber::perturb`].
-    pub fn perturb_numeric(&self, t: &[f64], rng: &mut dyn RngCore) -> Result<Vec<f64>> {
-        let tuple: Vec<AttrValue> = t.iter().map(|&x| AttrValue::Numeric(x)).collect();
-        Ok(self.perturb(&tuple, rng)?.to_dense_numeric())
     }
 
     /// The unboxed oracle for attribute `j`, if categorical — the handle
@@ -594,10 +551,12 @@ mod tests {
         )
         .unwrap();
         let mut rng = seeded_rng(130);
-        let t = [0.1; 8];
-        let tuple: Vec<AttrValue> = t.iter().map(|&x| AttrValue::Numeric(x)).collect();
+        let tuple = [AttrValue::Numeric(0.1); 8];
+        let mut rep = SparseReport::with_capacity(p.d(), p.k());
+        let mut scratch = p.scratch();
         for _ in 0..200 {
-            let rep = p.perturb(&tuple, &mut rng).unwrap();
+            p.perturb_into(&tuple, &mut rng, &mut rep, &mut scratch)
+                .unwrap();
             assert_eq!(rep.entries.len(), 3);
             assert!(rep.entries.windows(2).all(|w| w[0].0 < w[1].0));
         }
@@ -617,16 +576,21 @@ mod tests {
         assert_eq!(p.k(), 2);
         let mut rng = seeded_rng(131);
         let t: Vec<f64> = vec![-0.9, -0.5, -0.1, 0.2, 0.6, 1.0];
+        let tuple: Vec<AttrValue> = t.iter().map(|&x| AttrValue::Numeric(x)).collect();
+        let mut rep = SparseReport::with_capacity(p.d(), p.k());
+        let mut scratch = p.scratch();
         let n = 300_000;
+        // Unsampled attributes report zero, so summing the sampled entries
+        // sums Algorithm 4's dense output tuple.
         let mut sums = vec![0.0; d];
         for _ in 0..n {
-            for (j, x) in p
-                .perturb_numeric(&t, &mut rng)
-                .unwrap()
-                .into_iter()
-                .enumerate()
-            {
-                sums[j] += x;
+            p.perturb_into(&tuple, &mut rng, &mut rep, &mut scratch)
+                .unwrap();
+            for (j, entry) in &rep.entries {
+                let AttrReport::Numeric(x) = entry else {
+                    unreachable!("numeric schema");
+                };
+                sums[*j as usize] += x;
             }
         }
         for j in 0..d {
@@ -658,7 +622,9 @@ mod tests {
             AttrValue::Categorical(6),
         ];
         let mut rng = seeded_rng(132);
-        let rep = p.perturb(&tuple, &mut rng).unwrap();
+        let mut rep = SparseReport::with_capacity(p.d(), p.k());
+        p.perturb_into(&tuple, &mut rng, &mut rep, &mut p.scratch())
+            .unwrap();
         assert_eq!(rep.entries.len(), 4);
         for (j, r) in &rep.entries {
             match (*j, r) {
@@ -673,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn perturb_into_matches_perturb_and_recycles_buffers() {
+    fn perturb_into_recycled_buffers_match_fresh_ones() {
         let specs = vec![
             AttrSpec::Numeric,
             AttrSpec::Categorical { k: 6 },
@@ -694,19 +660,19 @@ mod tests {
             AttrValue::Categorical(0),
             AttrValue::Numeric(-0.4),
         ];
-        // Identical RNG streams through the allocating and streaming paths
-        // must produce identical report sequences.
+        // Identical RNG streams through fresh buffers every call and one
+        // recycled report + scratch pair must produce identical reports.
         let mut rng_a = seeded_rng(555);
         let mut rng_b = seeded_rng(555);
         let mut report = SparseReport::with_capacity(p.d(), p.k());
         let mut scratch = p.scratch();
         for round in 0..200 {
-            let owned = p.perturb(&tuple, &mut rng_a).unwrap();
+            let mut fresh = SparseReport::with_capacity(p.d(), p.k());
+            p.perturb_into(&tuple, &mut rng_a, &mut fresh, &mut p.scratch())
+                .unwrap();
             p.perturb_into(&tuple, &mut rng_b, &mut report, &mut scratch)
                 .unwrap();
-            assert_eq!(report.d, owned.d);
-            assert_eq!(report.k, owned.k);
-            assert_eq!(report.entries, owned.entries, "round {round}");
+            assert_eq!(report, fresh, "round {round}");
         }
         // Validation errors still surface through the streaming path.
         assert!(p
@@ -917,28 +883,17 @@ mod tests {
         )
         .unwrap();
         let mut rng = seeded_rng(133);
+        let mut perturb = |tuple: &[AttrValue]| {
+            let mut rep = SparseReport::with_capacity(p.d(), p.k());
+            p.perturb_into(tuple, &mut rng, &mut rep, &mut p.scratch())
+        };
         // Wrong arity.
-        assert!(p.perturb(&[AttrValue::Numeric(0.0)], &mut rng).is_err());
+        assert!(perturb(&[AttrValue::Numeric(0.0)]).is_err());
         // Type mismatch.
-        assert!(p
-            .perturb(
-                &[AttrValue::Categorical(0), AttrValue::Categorical(0)],
-                &mut rng
-            )
-            .is_err());
+        assert!(perturb(&[AttrValue::Categorical(0), AttrValue::Categorical(0)]).is_err());
         // Out-of-domain values.
-        assert!(p
-            .perturb(
-                &[AttrValue::Numeric(1.5), AttrValue::Categorical(0)],
-                &mut rng
-            )
-            .is_err());
-        assert!(p
-            .perturb(
-                &[AttrValue::Numeric(0.0), AttrValue::Categorical(3)],
-                &mut rng
-            )
-            .is_err());
+        assert!(perturb(&[AttrValue::Numeric(1.5), AttrValue::Categorical(0)]).is_err());
+        assert!(perturb(&[AttrValue::Numeric(0.0), AttrValue::Categorical(3)]).is_err());
     }
 
     #[test]
@@ -970,20 +925,6 @@ mod tests {
             OracleKind::Oue
         )
         .is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "categorical")]
-    fn to_dense_numeric_rejects_mixed_reports() {
-        let rep = SparseReport {
-            d: 2,
-            k: 1,
-            entries: vec![(
-                0,
-                AttrReport::Categorical(crate::mechanism::CategoricalReport::Value(1)),
-            )],
-        };
-        rep.to_dense_numeric();
     }
 
     #[test]

@@ -196,12 +196,20 @@ impl WireFormat {
     /// values (the protocol fixes this, so it is not encoded per report).
     ///
     /// # Errors
-    /// [`crate::LdpError::InvalidParameter`] on truncated buffers or
-    /// out-of-range indices/values.
+    /// [`crate::LdpError::InvalidParameter`] on truncated buffers, more
+    /// entries than attributes, or out-of-range indices/values.
     pub fn decode_sparse(&self, bytes: &[u8], unary: bool) -> crate::Result<SparseReport> {
         let mut r = BitReader::new(bytes);
         let d = self.specs.len();
         let count = r.read_bits(16)? as usize;
+        // Checked before reserving: the count is untrusted, and a report
+        // samples each attribute at most once.
+        if count > d {
+            return Err(crate::LdpError::InvalidParameter {
+                name: "wire",
+                message: format!("report declares {count} entries for {d} attributes"),
+            });
+        }
         let idx_bits = index_bits(d);
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
@@ -246,11 +254,7 @@ impl WireFormat {
             };
             entries.push((j as u32, rep));
         }
-        Ok(SparseReport {
-            d,
-            k: count,
-            entries,
-        })
+        Ok(SparseReport { d, entries })
     }
 }
 
@@ -480,13 +484,15 @@ mod tests {
                     })
                     .collect();
                 let format = WireFormat::new(specs.clone());
+                let mut report = SparseReport::with_capacity(p.d(), p.k());
+                let mut scratch = p.scratch();
                 for _ in 0..4 {
-                    let report = p.perturb(&tuple, &mut rng).unwrap();
+                    p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch).unwrap();
                     let fast = format.encode_sparse(&report);
                     let naive = encode_sparse_naive(&specs, &report);
                     prop_assert_eq!(&fast, &naive, "word writer diverged from the bit writer");
                     let back = format.decode_sparse(&fast, !grr).unwrap();
-                    prop_assert_eq!(back.entries, report.entries);
+                    prop_assert_eq!(&back.entries, &report.entries);
                 }
             }
 
@@ -551,7 +557,6 @@ mod tests {
         // d = 16 numeric attributes, k = 1 sample: 4 + 64 bits vs 16·64.
         let sparse = SparseReport {
             d: 16,
-            k: 1,
             entries: vec![(3, AttrReport::Numeric(1.5))],
         };
         assert_eq!(sparse_report_bits(&sparse), 4 + 64);
@@ -588,7 +593,6 @@ mod tests {
         ];
         let report = SparseReport {
             d: 3,
-            k: 3,
             entries: vec![
                 (0, AttrReport::Numeric(0.5)),
                 (1, AttrReport::Categorical(CategoricalReport::Value(13))),
@@ -649,8 +653,11 @@ mod tests {
             AttrValue::Categorical(12),
         ];
         let mut rng = seeded_rng(42);
+        let mut report = SparseReport::with_capacity(p.d(), p.k());
+        let mut scratch = p.scratch();
         for _ in 0..200 {
-            let report = p.perturb(&tuple, &mut rng).unwrap();
+            p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch)
+                .unwrap();
             let bytes = format.encode_sparse(&report);
             // Size check: header + payload bits, rounded up to bytes.
             let expect_bits = 16 + sparse_report_bits(&report);
@@ -681,8 +688,11 @@ mod tests {
         .unwrap();
         let tuple = vec![AttrValue::Categorical(6), AttrValue::Categorical(0)];
         let mut rng = seeded_rng(43);
+        let mut report = SparseReport::with_capacity(p.d(), p.k());
+        let mut scratch = p.scratch();
         for _ in 0..100 {
-            let report = p.perturb(&tuple, &mut rng).unwrap();
+            p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch)
+                .unwrap();
             let bytes = format.encode_sparse(&report);
             let back = format.decode_sparse(&bytes, false).unwrap();
             assert_eq!(back.entries, report.entries);
@@ -698,6 +708,14 @@ mod tests {
         w.write_bits(1, 16);
         let bytes = w.finish();
         assert!(format.decode_sparse(&bytes, true).is_err());
+        // Complete, but one entry more than the schema has attributes.
+        let mut w = BitWriter::new();
+        w.write_bits(3, 16);
+        for j in [0, 1, 0] {
+            w.write_bits(j, 1); // index (1 bit for d = 2)
+            w.write_bits(0.5f64.to_bits(), 64);
+        }
+        assert!(format.decode_sparse(&w.finish(), true).is_err());
         // Out-of-range category value.
         let format = WireFormat::new(vec![AttrSpec::Categorical { k: 3 }]);
         let mut w = BitWriter::new();
@@ -727,7 +745,6 @@ mod tests {
     fn mixed_sparse_report_counts_bit_vectors() {
         let sparse = SparseReport {
             d: 16,
-            k: 2,
             entries: vec![
                 (0, AttrReport::Numeric(0.5)),
                 (

@@ -6,7 +6,7 @@
 //! integration tests where sample sizes can be controlled.
 
 use ldp_core::math::{epsilon_sharp, epsilon_star};
-use ldp_core::multidim::{optimal_k, DuchiMultidim, SamplingPerturber};
+use ldp_core::multidim::{optimal_k, DuchiMultidim, SamplingPerturber, SparseReport};
 use ldp_core::numeric::{Duchi1d, Hybrid, Piecewise, Scdf, Staircase};
 use ldp_core::rng::seeded_rng;
 use ldp_core::{variance, AttrSpec, Epsilon, NumericKind, NumericMechanism, OracleKind};
@@ -169,9 +169,10 @@ proptest! {
             e, vec![AttrSpec::Numeric; d], NumericKind::Piecewise, OracleKind::Oue).unwrap();
         let mut rng = seeded_rng(seed);
         let t: Vec<f64> = (0..d).map(|j| (j as f64 / d as f64) * 2.0 - 1.0).collect();
-        let report = p.perturb(
+        let mut report = SparseReport::with_capacity(p.d(), p.k());
+        p.perturb_into(
             &t.iter().map(|&x| ldp_core::AttrValue::Numeric(x)).collect::<Vec<_>>(),
-            &mut rng).unwrap();
+            &mut rng, &mut report, &mut p.scratch()).unwrap();
         prop_assert_eq!(report.entries.len(), p.k());
         prop_assert!(report.entries.windows(2).all(|w| w[0].0 < w[1].0));
         let c = (e.value() / (2.0 * p.k() as f64)).exp();
@@ -191,7 +192,8 @@ proptest! {
         let md = DuchiMultidim::new(Epsilon::new(eps).unwrap(), d).unwrap();
         let mut rng = seeded_rng(seed);
         let t: Vec<f64> = (0..d).map(|j| ((j * 7919) % 2000) as f64 / 1000.0 - 1.0).collect();
-        let out = md.perturb(&t, &mut rng).unwrap();
+        let mut out = Vec::new();
+        md.perturb_into(&t, &mut rng, &mut out, &mut md.scratch()).unwrap();
         prop_assert_eq!(out.len(), d);
         for x in out {
             prop_assert!((x.abs() - md.b()).abs() < 1e-9);
@@ -230,7 +232,8 @@ proptest! {
                 })
                 .collect();
             let mut rng = seeded_rng(seed);
-            let report = p.perturb(&tuple, &mut rng).unwrap();
+            let mut report = SparseReport::with_capacity(p.d(), p.k());
+            p.perturb_into(&tuple, &mut rng, &mut report, &mut p.scratch()).unwrap();
             let format = WireFormat::new(specs.clone());
             let bytes = format.encode_sparse(&report);
             let back = format.decode_sparse(&bytes, unary).unwrap();

@@ -142,8 +142,10 @@ fn duchi_md_d2_matches_exact_distribution() {
     let mut rng = seeded_rng(903);
     let n = 500_000;
     let mut counts: HashMap<(i8, i8), usize> = HashMap::new();
+    let (mut out, mut scratch) = (Vec::new(), md.scratch());
     for _ in 0..n {
-        let out = md.perturb(&t, &mut rng).unwrap();
+        md.perturb_into(&t, &mut rng, &mut out, &mut scratch)
+            .unwrap();
         let key = (out[0].signum() as i8, out[1].signum() as i8);
         *counts.entry(key).or_insert(0) += 1;
     }

@@ -7,8 +7,10 @@
 //! * [`loss`] — the three losses with analytically-verified gradients.
 //! * [`gradient`] — the `[-1,1]` clipping that bounds mechanism inputs.
 //! * [`sgd`] — [`sgd::NonPrivateSgd`] (baseline) and [`sgd::LdpSgd`], which
-//!   consumes each user at most once (no budget splitting across
-//!   iterations; §V shows `m > 1` participation only hurts).
+//!   collects each group's clipped gradients through the
+//!   `ldp_analytics` session API (one `ClientEncoder`, one `Aggregator`
+//!   per group) and consumes each user at most once (no budget splitting
+//!   across iterations; §V shows `m > 1` participation only hurts).
 //! * [`eval`] — misclassification / regression-MSE metrics and the 10-fold
 //!   cross-validation harness of §VI-B.
 

@@ -1,6 +1,14 @@
 //! Stochastic gradient descent: the non-private baseline and the §V
 //! LDP-compliant variant.
 //!
+//! LDP-SGD collects each group's gradients through the same session API as
+//! every other collection: each [`GradientMechanism`] names a [`Protocol`]
+//! over the all-numeric schema of the gradient's dimension, one
+//! [`ClientEncoder`] perturbs every user's clipped gradient, and a fresh
+//! [`Aggregator`](ldp_analytics::Aggregator) per group yields the averaged
+//! noisy gradient the server steps on. Figures 9–11 therefore come from the
+//! encoder code and budget split that `ldp-audit` attacks.
+//!
 //! ## Privacy accounting (§V)
 //!
 //! Each user participates in **at most one** iteration: the paper shows that
@@ -13,9 +21,9 @@
 
 use crate::gradient::clip_unit;
 use crate::loss::LossKind;
-use ldp_core::multidim::SamplingPerturber;
+use ldp_analytics::{BestEffortNumeric, ClientEncoder, Protocol};
 use ldp_core::rng::seeded_rng;
-use ldp_core::{AttrSpec, Epsilon, LdpError, NumericKind, OracleKind, Result};
+use ldp_core::{AttrSpec, AttrValue, Epsilon, LdpError, NumericKind, OracleKind, Result};
 use ldp_data::DesignMatrix;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -78,6 +86,26 @@ impl GradientMechanism {
             GradientMechanism::Sampling(kind) => kind.name(),
             GradientMechanism::DuchiMultidim => "Duchi",
             GradientMechanism::LaplaceSplit => "Laplace",
+        }
+    }
+
+    /// The collection protocol that perturbs a gradient under this
+    /// mechanism, over the all-numeric schema `vec![AttrSpec::Numeric; d]`.
+    /// The oracle is unused: gradients have no categorical attributes.
+    pub fn protocol(self) -> Protocol {
+        match self {
+            GradientMechanism::Sampling(numeric) => Protocol::Sampling {
+                numeric,
+                oracle: OracleKind::Oue,
+            },
+            GradientMechanism::DuchiMultidim => Protocol::BestEffort {
+                numeric: BestEffortNumeric::DuchiMultidim,
+                oracle: OracleKind::Oue,
+            },
+            GradientMechanism::LaplaceSplit => Protocol::BestEffort {
+                numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
+                oracle: OracleKind::Oue,
+            },
         }
     }
 }
@@ -261,40 +289,22 @@ impl LdpSgd {
         order.shuffle(&mut rng);
         let iterations = order.len() / self.group_size;
 
-        enum Perturber {
-            Sampling(SamplingPerturber),
-            Duchi(ldp_core::multidim::DuchiMultidim),
-            // Unboxed (`AnyNumeric`): the per-coordinate Laplace draw below
-            // monomorphizes over the trainer's rng instead of paying a
-            // virtual call per gradient coordinate.
-            Laplace(ldp_core::AnyNumeric),
-        }
-        let perturber = match self.mechanism {
-            GradientMechanism::Sampling(kind) => Perturber::Sampling(SamplingPerturber::new(
-                self.epsilon,
-                vec![AttrSpec::Numeric; d],
-                kind,
-                OracleKind::Oue,
-            )?),
-            GradientMechanism::DuchiMultidim => {
-                Perturber::Duchi(ldp_core::multidim::DuchiMultidim::new(self.epsilon, d)?)
-            }
-            GradientMechanism::LaplaceSplit => Perturber::Laplace(ldp_core::AnyNumeric::build(
-                NumericKind::Laplace,
-                self.epsilon.split(d)?,
-            )),
-        };
-
+        let encoder = ClientEncoder::new(
+            self.mechanism.protocol(),
+            self.epsilon,
+            vec![AttrSpec::Numeric; d],
+        )?;
+        let mut scratch = encoder.scratch();
         let mut beta = vec![0.0; d];
         let mut grad = vec![0.0; d];
-        let mut sum = vec![0.0; d];
+        let mut tuple = vec![AttrValue::Numeric(0.0); d];
         let tail_start = iterations / 2;
         let mut tail_sum = vec![0.0; d];
         let mut tail_count = 0usize;
         for t in 0..iterations {
             let gamma = self.config.learning_rate / ((t + 1) as f64).sqrt();
             let group = &order[t * self.group_size..(t + 1) * self.group_size];
-            sum.iter_mut().for_each(|g| *g = 0.0);
+            let mut aggregator = encoder.aggregator()?;
             for &i in group {
                 // User side: regularized gradient, clipped, perturbed.
                 self.config
@@ -304,30 +314,14 @@ impl LdpSgd {
                     *g += self.config.lambda * b;
                 }
                 clip_unit(&mut grad);
-                match &perturber {
-                    Perturber::Sampling(p) => {
-                        let report = p.perturb_numeric(&grad, &mut rng)?;
-                        for (s, x) in sum.iter_mut().zip(report) {
-                            *s += x;
-                        }
-                    }
-                    Perturber::Duchi(p) => {
-                        let report = p.perturb(&grad, &mut rng)?;
-                        for (s, x) in sum.iter_mut().zip(report) {
-                            *s += x;
-                        }
-                    }
-                    Perturber::Laplace(m) => {
-                        for (s, &g) in sum.iter_mut().zip(&grad) {
-                            *s += m.perturb(g, &mut rng)?;
-                        }
-                    }
+                for (v, &g) in tuple.iter_mut().zip(&grad) {
+                    *v = AttrValue::Numeric(g);
                 }
+                aggregator.absorb_with(&encoder, &tuple, &mut rng, &mut scratch)?;
             }
-            // Aggregator side: average the noisy gradients, step.
-            let inv = 1.0 / group.len() as f64;
-            for (b, s) in beta.iter_mut().zip(&sum) {
-                *b -= gamma * s * inv;
+            // Aggregator side: the group's averaged noisy gradient, step.
+            for (b, (_, g)) in beta.iter_mut().zip(aggregator.snapshot()?.means) {
+                *b -= gamma * g;
             }
             if self.tail_averaging && t >= tail_start {
                 for (a, b) in tail_sum.iter_mut().zip(&beta) {
@@ -535,12 +529,34 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_labels() {
+    fn mechanism_labels_and_budget_split() {
         assert_eq!(
             GradientMechanism::Sampling(NumericKind::Piecewise).label(),
             "PM"
         );
         assert_eq!(GradientMechanism::DuchiMultidim.label(), "Duchi");
         assert_eq!(GradientMechanism::LaplaceSplit.label(), "Laplace");
+        // The encoder each mechanism builds on a d-coordinate gradient.
+        let (eps, d) = (Epsilon::new(6.0).unwrap(), 90);
+        let encoder = |mech: GradientMechanism| {
+            ClientEncoder::new(mech.protocol(), eps, vec![AttrSpec::Numeric; d]).unwrap()
+        };
+        // Algorithm 4: ε/k on each of Equation 12's k = ⌊6/2.5⌋ = 2.
+        let k = ldp_core::multidim::optimal_k(eps, d);
+        assert_eq!(k, 2);
+        for kind in [NumericKind::Piecewise, NumericKind::Hybrid] {
+            let sampling = encoder(GradientMechanism::Sampling(kind));
+            assert_eq!(sampling.sampled_k(), k);
+            assert_eq!(sampling.per_attribute_epsilon(), eps.split(k).unwrap());
+            assert_eq!(sampling.numeric_mechanism().unwrap().name(), kind.name());
+        }
+        // The Laplace baseline: ε/d on every coordinate.
+        let laplace = encoder(GradientMechanism::LaplaceSplit);
+        assert_eq!(laplace.per_attribute_epsilon(), eps.split(d).unwrap());
+        assert_eq!(laplace.numeric_mechanism().unwrap().name(), "Laplace");
+        // Duchi et al.: one joint report, no per-coordinate mechanism.
+        assert!(encoder(GradientMechanism::DuchiMultidim)
+            .numeric_mechanism()
+            .is_none());
     }
 }

@@ -121,96 +121,69 @@ fn equation_8_against_simulation() {
 /// the unit tests).
 #[test]
 fn multidim_variance_formulas_against_simulation() {
-    use ldp::core::multidim::{DuchiMultidim, SamplingPerturber};
-    use ldp::core::{AttrSpec, OracleKind};
+    use ldp::core::multidim::{DuchiMultidim, SamplingPerturber, SparseReport};
+    use ldp::core::{AttrReport, AttrSpec, AttrValue, OracleKind};
     let eps = Epsilon::new(4.0).unwrap();
     let d = 6usize;
     let t = [0.3, -0.5, 0.0, 0.8, -0.9, 0.1];
+    let tuple = t.map(AttrValue::Numeric);
     let n = 150_000;
+    // Per-coordinate empirical variance of the n reports against a closed
+    // form.
+    let check = |label: &str, sums: &[f64], sq: &[f64], formula: fn(f64, usize, f64) -> f64| {
+        for j in 0..d {
+            let mean = sums[j] / n as f64;
+            let var = sq[j] / n as f64 - mean * mean;
+            let expect = formula(eps.value(), d, t[j]);
+            assert!(
+                (var - expect).abs() / expect < 0.05,
+                "{label} j={j}: {var} vs {expect}"
+            );
+        }
+    };
 
     // Duchi MD (Equation 13).
     let md = DuchiMultidim::new(eps, d).unwrap();
     let mut rng = seeded_rng(2026);
     let mut sq = vec![0.0; d];
     let mut sums = vec![0.0; d];
+    let (mut out, mut scratch) = (Vec::new(), md.scratch());
     for _ in 0..n {
-        for (j, x) in md.perturb(&t, &mut rng).unwrap().into_iter().enumerate() {
+        md.perturb_into(&t, &mut rng, &mut out, &mut scratch)
+            .unwrap();
+        for (j, x) in out.iter().enumerate() {
             sums[j] += x;
             sq[j] += x * x;
         }
     }
-    for j in 0..d {
-        let mean = sums[j] / n as f64;
-        let var = sq[j] / n as f64 - mean * mean;
-        let expect = variance::duchi_md(eps.value(), d, t[j]);
-        assert!(
-            (var - expect).abs() / expect < 0.05,
-            "Duchi j={j}: {var} vs {expect}"
-        );
-    }
+    check("Duchi", &sums, &sq, variance::duchi_md);
 
-    // Algorithm 4 + PM (Equation 14).
-    let p = SamplingPerturber::new(
-        eps,
-        vec![AttrSpec::Numeric; d],
-        NumericKind::Piecewise,
-        OracleKind::Oue,
-    )
-    .unwrap();
-    let mut rng = seeded_rng(2027);
-    let mut sq = vec![0.0; d];
-    let mut sums = vec![0.0; d];
-    for _ in 0..n {
-        for (j, x) in p
-            .perturb_numeric(&t, &mut rng)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-        {
-            sums[j] += x;
-            sq[j] += x * x;
+    // Algorithm 4 + PM (Equation 14) and + HM (Equation 15, with the
+    // derived small-ε branch).
+    let pm_md: fn(f64, usize, f64) -> f64 = variance::pm_md;
+    for (label, kind, seed, formula) in [
+        ("PM", NumericKind::Piecewise, 2027, pm_md),
+        ("HM", NumericKind::Hybrid, 2028, variance::hm_md),
+    ] {
+        let p =
+            SamplingPerturber::new(eps, vec![AttrSpec::Numeric; d], kind, OracleKind::Oue).unwrap();
+        let mut rng = seeded_rng(seed);
+        let mut sq = vec![0.0; d];
+        let mut sums = vec![0.0; d];
+        let (mut report, mut scratch) = (SparseReport::with_capacity(d, p.k()), p.scratch());
+        for _ in 0..n {
+            p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch)
+                .unwrap();
+            // Unsampled attributes report zero and add nothing to either sum.
+            for (j, entry) in &report.entries {
+                let AttrReport::Numeric(x) = entry else {
+                    unreachable!("numeric schema");
+                };
+                sums[*j as usize] += x;
+                sq[*j as usize] += x * x;
+            }
         }
-    }
-    for j in 0..d {
-        let mean = sums[j] / n as f64;
-        let var = sq[j] / n as f64 - mean * mean;
-        let expect = variance::pm_md(eps.value(), d, t[j]);
-        assert!(
-            (var - expect).abs() / expect < 0.05,
-            "PM j={j}: {var} vs {expect}"
-        );
-    }
-
-    // Algorithm 4 + HM (Equation 15, with the derived small-ε branch).
-    let p = SamplingPerturber::new(
-        eps,
-        vec![AttrSpec::Numeric; d],
-        NumericKind::Hybrid,
-        OracleKind::Oue,
-    )
-    .unwrap();
-    let mut rng = seeded_rng(2028);
-    let mut sq = vec![0.0; d];
-    let mut sums = vec![0.0; d];
-    for _ in 0..n {
-        for (j, x) in p
-            .perturb_numeric(&t, &mut rng)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-        {
-            sums[j] += x;
-            sq[j] += x * x;
-        }
-    }
-    for j in 0..d {
-        let mean = sums[j] / n as f64;
-        let var = sq[j] / n as f64 - mean * mean;
-        let expect = variance::hm_md(eps.value(), d, t[j]);
-        assert!(
-            (var - expect).abs() / expect < 0.05,
-            "HM j={j}: {var} vs {expect}"
-        );
+        check(label, &sums, &sq, formula);
     }
 }
 
