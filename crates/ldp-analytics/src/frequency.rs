@@ -1,7 +1,7 @@
 //! Aggregator-side frequency estimation for categorical attributes.
 //!
-//! Every [`FrequencyOracle`] exposes a debiased per-report `support`, but
-//! that support is *affine* in the report's raw hit bit (see
+//! Every frequency oracle has a debiased per-report `support`, but that
+//! support is *affine* in the report's raw hit bit (see
 //! [`ldp_core::DebiasParams`]), so the accumulator never evaluates it per
 //! report: it counts raw hits per category and debiases once at estimation
 //! time with `(c − n·q)/(p − q)`. Unary reports are absorbed *by backing
@@ -15,7 +15,7 @@
 
 use crate::wordhist::WordHistogram;
 use ldp_core::multidim::wire::{BitReader, BitWriter};
-use ldp_core::{CategoricalReport, DebiasParams, FrequencyOracle, LdpError, Result};
+use ldp_core::{CategoricalReport, DebiasParams, LdpError, Result};
 
 /// Streaming accumulator for the value frequencies of one categorical
 /// attribute.
@@ -43,58 +43,35 @@ pub struct FrequencyAccumulator {
     /// defaults to the report count.
     population: Option<usize>,
     scale: f64,
-    /// The `(p, q)` debiasing pair of the oracle that produced the absorbed
-    /// reports; recorded on first [`FrequencyAccumulator::add`].
-    debias: Option<DebiasParams>,
+    /// The `(p, q)` debiasing pair of the oracle that produces the absorbed
+    /// reports.
+    debias: DebiasParams,
 }
 
 impl FrequencyAccumulator {
     /// An empty accumulator for a `k`-value attribute with the given
-    /// protocol scale (`1.0` dense, `d/k` for Algorithm 4).
-    pub fn new(k: u32, scale: f64) -> Self {
+    /// protocol scale (`1.0` dense, `d/k` for Algorithm 4) and the `(p, q)`
+    /// debiasing pair of the oracle whose reports it will absorb. No report
+    /// carries the pair, so it is declared here, once; [`Self::merge`]
+    /// rejects an accumulator declared with any other pair.
+    pub fn new(k: u32, scale: f64, debias: DebiasParams) -> Self {
         FrequencyAccumulator {
             counts: vec![0; k as usize],
             hist: None,
             reports: 0,
             population: None,
             scale,
-            debias: None,
-        }
-    }
-
-    /// An empty accumulator with the oracle's debiasing parameters declared
-    /// up front — the constructor for the fused perturb-and-count engine,
-    /// whose per-hit path ([`FrequencyAccumulator::note_report`] /
-    /// [`FrequencyAccumulator::note_hit`]) carries no oracle to read them
-    /// from. Declaring them here preserves the mixed-parameter safety check:
-    /// [`FrequencyAccumulator::add`] and
-    /// [`FrequencyAccumulator::merge`] still reject any other `(p, q)`.
-    pub fn with_debias(k: u32, scale: f64, debias: DebiasParams) -> Self {
-        FrequencyAccumulator {
-            counts: vec![0; k as usize],
-            hist: None,
-            reports: 0,
-            population: None,
-            scale,
-            debias: Some(debias),
+            debias,
         }
     }
 
     /// Fused-engine path: records that one report arrived for this
     /// attribute. The report's raw hits follow through
     /// [`FrequencyAccumulator::note_hit`]; together the pair is exactly
-    /// [`FrequencyAccumulator::add`] minus the second walk over the bit
-    /// vector (the perturber streams each hit as it places it).
-    ///
-    /// The accumulator must have been built with
-    /// [`FrequencyAccumulator::with_debias`] (debug-asserted): estimation
-    /// needs the `(p, q)` the reports were produced with.
+    /// [`FrequencyAccumulator::count_report`] minus the second walk over
+    /// the bit vector (the perturber streams each hit as it places it).
     #[inline]
     pub fn note_report(&mut self) {
-        debug_assert!(
-            self.debias.is_some(),
-            "fused counting needs with_debias(); the (p, q) pair cannot be recovered later"
-        );
         self.reports += 1;
     }
 
@@ -120,10 +97,6 @@ impl FrequencyAccumulator {
     /// Panics (debug builds) on a word count not matching the domain.
     #[inline]
     pub fn note_words(&mut self, words: &[u64]) {
-        debug_assert!(
-            self.debias.is_some(),
-            "fused counting needs with_debias(); the (p, q) pair cannot be recovered later"
-        );
         self.hist_mut().add_words(words);
     }
 
@@ -135,11 +108,10 @@ impl FrequencyAccumulator {
         self.hist.get_or_insert_with(|| WordHistogram::new(k))
     }
 
-    /// Absorbs one already-materialized report using the debias parameters
-    /// declared at construction ([`FrequencyAccumulator::with_debias`]) —
-    /// the aggregator-side path of the session API, where no oracle object
-    /// travels with the wire report. Counts exactly like
-    /// [`FrequencyAccumulator::note_report`] plus one
+    /// Absorbs one already-materialized report, to be debiased with the
+    /// pair declared at construction — the aggregator-side path of the
+    /// session API, where no oracle object travels with the wire report.
+    /// Counts exactly like [`FrequencyAccumulator::note_report`] plus one
     /// [`FrequencyAccumulator::note_hit`] per set bit (unary) or reported
     /// value (direct) — but unary reports are absorbed whole-word through
     /// the [`WordHistogram`] plane ([`FrequencyAccumulator::note_words`])
@@ -148,13 +120,8 @@ impl FrequencyAccumulator {
     /// # Panics
     /// Panics if a unary report's length differs from the domain or a
     /// direct report's value is out of domain (callers holding untrusted
-    /// reports should validate first), and debug-asserts that debias
-    /// parameters were declared.
+    /// reports should validate first).
     pub fn count_report(&mut self, report: &CategoricalReport) {
-        debug_assert!(
-            self.debias.is_some(),
-            "count_report needs with_debias(); the (p, q) pair cannot be recovered later"
-        );
         match report {
             CategoricalReport::Bits(bits) => {
                 assert_eq!(bits.len(), self.k(), "report/accumulator domain mismatch");
@@ -188,11 +155,9 @@ impl FrequencyAccumulator {
         out
     }
 
-    /// The `(p, q)` debias pair the absorbed reports were perturbed with, or
-    /// `None` while the accumulator is empty. Read-only: downstream
-    /// post-processors (e.g. the `ldp-query` grid repair) need the oracle's
-    /// parameters without re-deriving them from `(ε, k)`.
-    pub fn debias_params(&self) -> Option<DebiasParams> {
+    /// The `(p, q)` debias pair declared at construction: the pair of the
+    /// oracle whose reports this accumulator absorbs.
+    pub fn debias_params(&self) -> DebiasParams {
         self.debias
     }
 
@@ -210,18 +175,14 @@ impl FrequencyAccumulator {
 
     /// Debiased per-category *support counts* — the estimate numerators
     /// `scale · (c_v − reports·q) / (p − q)` before division by the
-    /// population. `None` while no reports have been absorbed (the debias
-    /// pair is unknown). Unlike [`FrequencyAccumulator::estimate`] this never
-    /// fails on an undeclared population, which is what count-space
-    /// consumers (grid repair, sharded consistency checks) want.
-    pub fn debiased_counts(&self) -> Option<Vec<f64>> {
-        let debias = self.debias?;
-        Some(
-            self.counts()
-                .into_iter()
-                .map(|c| self.scale * debias.debias_count(c, self.reports))
-                .collect(),
-        )
+    /// population. Unlike [`FrequencyAccumulator::estimate`] this never
+    /// fails on an undeclared population or an empty accumulator (every
+    /// count is then zero).
+    pub fn debiased_counts(&self) -> Vec<f64> {
+        self.counts()
+            .into_iter()
+            .map(|c| self.scale * self.debias.debias_count(c, self.reports))
+            .collect()
     }
 
     /// Exact serialized size of [`FrequencyAccumulator::encode_state`] in
@@ -263,40 +224,6 @@ impl FrequencyAccumulator {
         Ok(())
     }
 
-    /// Absorbs one report. The oracle only contributes its
-    /// [`DebiasParams`] — all reports in one accumulator must come from
-    /// oracles with the same `(p, q)`, since the debias is applied once at
-    /// estimation time (mixing parameters would silently bias every
-    /// estimate, so it is rejected here just as [`FrequencyAccumulator::merge`]
-    /// rejects it).
-    ///
-    /// # Panics
-    /// Panics if the oracle's debias parameters differ from those of the
-    /// reports already absorbed.
-    pub fn add(&mut self, oracle: &dyn FrequencyOracle, report: &CategoricalReport) {
-        debug_assert_eq!(oracle.k(), self.k(), "oracle/accumulator domain mismatch");
-        let params = oracle.debias_params();
-        match self.debias {
-            None => self.debias = Some(params),
-            Some(prev) => assert_eq!(
-                prev, params,
-                "accumulator fed by oracles with different debias parameters"
-            ),
-        }
-        match report {
-            CategoricalReport::Bits(bits) => {
-                debug_assert_eq!(bits.len(), self.k(), "report/accumulator domain mismatch");
-                // Whole-word carry-save add into the bit-sliced plane:
-                // O(words) per report, scatter deferred to plane flushes.
-                self.hist_mut().add_words(bits.words());
-            }
-            CategoricalReport::Value(x) => {
-                self.counts[*x as usize] += 1;
-            }
-        }
-        self.reports += 1;
-    }
-
     /// Declares the total population `n` (including users who sampled other
     /// attributes and therefore sent nothing for this one).
     pub fn set_population(&mut self, n: usize) {
@@ -309,8 +236,8 @@ impl FrequencyAccumulator {
     ///
     /// # Errors
     /// [`LdpError::DimensionMismatch`] on differing domain sizes,
-    /// [`LdpError::DebiasMismatch`] when the two sides absorbed reports
-    /// from oracles with different debiasing parameters, and
+    /// [`LdpError::DebiasMismatch`] when the two sides were declared with
+    /// different debiasing parameters, and
     /// [`LdpError::InvalidParameter`] when they disagree on the protocol
     /// scale — either mixture would silently bias the merged estimates.
     pub fn merge(&mut self, other: &FrequencyAccumulator) -> Result<()> {
@@ -329,15 +256,11 @@ impl FrequencyAccumulator {
                 ),
             });
         }
-        match (self.debias, other.debias) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(LdpError::DebiasMismatch {
-                    expected: a,
-                    actual: b,
-                });
-            }
-            (None, Some(b)) => self.debias = Some(b),
-            _ => {}
+        if other.debias != self.debias {
+            return Err(LdpError::DebiasMismatch {
+                expected: self.debias,
+                actual: other.debias,
+            });
         }
         // Exact integer folds, so merge order can never move an estimate:
         // the other side's direct counts and word plane (flushed + pending)
@@ -363,15 +286,10 @@ impl FrequencyAccumulator {
         if n == 0 {
             return Err(LdpError::EmptyInput("reports"));
         }
-        let Some(debias) = self.debias else {
-            // Population declared but no reports absorbed: every support sum
-            // is zero regardless of the (unknown) debias parameters.
-            return Ok(vec![0.0; self.counts.len()]);
-        };
         Ok(self
             .counts()
             .into_iter()
-            .map(|c| self.scale * debias.debias_count(c, self.reports) / n as f64)
+            .map(|c| self.scale * self.debias.debias_count(c, self.reports) / n as f64)
             .collect())
     }
 
@@ -405,10 +323,10 @@ impl FrequencyAccumulator {
 mod tests {
     use super::*;
     use ldp_core::assert_within_ci;
-    use ldp_core::categorical::{Grr, Oue};
     use ldp_core::rng::seeded_rng;
     use ldp_core::testutil::fixture_rng;
-    use ldp_core::Epsilon;
+    use ldp_core::{AnyOracle, Epsilon, OracleKind};
+    use rand::rngs::StdRng;
     use rand::Rng;
 
     fn sample_value(rng: &mut impl Rng, freqs: &[f64]) -> u32 {
@@ -422,45 +340,55 @@ mod tests {
         freqs.len() as u32 - 1
     }
 
+    /// One report from the oracle's sampler.
+    fn perturb(oracle: &AnyOracle, v: u32, rng: &mut StdRng) -> CategoricalReport {
+        let mut out = CategoricalReport::Value(0);
+        oracle.perturb_into(v, rng, &mut out).unwrap();
+        out
+    }
+
+    /// An empty accumulator for `oracle`'s reports.
+    fn accumulator(oracle: &AnyOracle, scale: f64) -> FrequencyAccumulator {
+        FrequencyAccumulator::new(oracle.k(), scale, oracle.debias_params())
+    }
+
     #[test]
     fn oue_frequencies_converge() {
         let eps = Epsilon::new(1.0).unwrap();
-        let oracle = Oue::new(eps, 4).unwrap();
+        let oracle = OracleKind::Oue.build(eps, 4).unwrap();
         let truth = [0.55, 0.25, 0.15, 0.05];
         let mut rng = fixture_rng("frequency::oue_frequencies_converge");
-        let mut acc = FrequencyAccumulator::new(4, 1.0);
+        let mut acc = accumulator(&oracle, 1.0);
         let n = 150_000;
         for _ in 0..n {
             let v = sample_value(&mut rng, &truth);
-            let rep = oracle.perturb(v, &mut rng).unwrap();
-            acc.add(&oracle, &rep);
+            acc.count_report(&perturb(&oracle, v, &mut rng));
         }
         let est = acc.estimate().unwrap();
         for (v, (&e, &t)) in est.iter().zip(&truth).enumerate() {
             // Values are drawn from `truth`, so the per-report variance is
             // exactly `support_variance(t)` (data + response randomness).
-            assert_within_ci!(e, t, oracle.support_variance(t), n, "v={v}");
+            assert_within_ci!(e, t, oracle.as_dyn().support_variance(t), n, "v={v}");
         }
     }
 
     #[test]
     fn accessors_expose_debias_state_read_only() {
         let eps = Epsilon::new(1.0).unwrap();
-        let oracle = Oue::new(eps, 4).unwrap();
-        let mut acc = FrequencyAccumulator::new(4, 2.0);
+        let oracle = OracleKind::Oue.build(eps, 4).unwrap();
+        let mut acc = accumulator(&oracle, 2.0);
 
-        // Empty accumulator: no debias pair yet, so no debiased counts.
-        assert_eq!(acc.debias_params(), None);
-        assert_eq!(acc.debiased_counts(), None);
+        // Empty accumulator: the declared pair, and all-zero debiased counts.
+        assert_eq!(acc.debias_params(), oracle.debias_params());
+        assert_eq!(acc.debiased_counts(), vec![0.0; 4]);
         assert_eq!(acc.scale(), 2.0);
         assert_eq!(acc.population(), None);
 
         let mut rng = fixture_rng("frequency::accessors_read_only");
         for _ in 0..100 {
-            let rep = oracle.perturb(1, &mut rng).unwrap();
-            acc.add(&oracle, &rep);
+            acc.count_report(&perturb(&oracle, 1, &mut rng));
         }
-        assert_eq!(acc.debias_params(), Some(oracle.debias_params()));
+        assert_eq!(acc.debias_params(), oracle.debias_params());
         acc.set_population(250);
         assert_eq!(acc.population(), Some(250));
     }
@@ -468,18 +396,17 @@ mod tests {
     #[test]
     fn debiased_counts_are_estimate_numerators() {
         let eps = Epsilon::new(2.0).unwrap();
-        let oracle = Oue::new(eps, 5).unwrap();
+        let oracle = OracleKind::Oue.build(eps, 5).unwrap();
         let scale = 3.0;
-        let mut acc = FrequencyAccumulator::new(5, scale);
+        let mut acc = accumulator(&oracle, scale);
         let mut rng = fixture_rng("frequency::debiased_counts_numerators");
         for i in 0..1_000u32 {
-            let rep = oracle.perturb(i % 5, &mut rng).unwrap();
-            acc.add(&oracle, &rep);
+            acc.count_report(&perturb(&oracle, i % 5, &mut rng));
         }
         let n = 4_000;
         acc.set_population(n);
         let est = acc.estimate().unwrap();
-        let counts = acc.debiased_counts().unwrap();
+        let counts = acc.debiased_counts();
         assert_eq!(counts.len(), est.len());
         for (c, e) in counts.iter().zip(&est) {
             // estimate = debiased_count / population, exactly.
@@ -492,18 +419,18 @@ mod tests {
     #[test]
     fn grr_frequencies_converge() {
         let eps = Epsilon::new(2.0).unwrap();
-        let oracle = Grr::new(eps, 3).unwrap();
+        let oracle = OracleKind::Grr.build(eps, 3).unwrap();
         let truth = [0.7, 0.2, 0.1];
         let mut rng = fixture_rng("frequency::grr_frequencies_converge");
-        let mut acc = FrequencyAccumulator::new(3, 1.0);
+        let mut acc = accumulator(&oracle, 1.0);
         let n = 150_000;
         for _ in 0..n {
             let v = sample_value(&mut rng, &truth);
-            acc.add(&oracle, &oracle.perturb(v, &mut rng).unwrap());
+            acc.count_report(&perturb(&oracle, v, &mut rng));
         }
         let est = acc.estimate().unwrap();
         for (v, (&e, &t)) in est.iter().zip(&truth).enumerate() {
-            assert_within_ci!(e, t, oracle.support_variance(t), n, "v={v}");
+            assert_within_ci!(e, t, oracle.as_dyn().support_variance(t), n, "v={v}");
         }
     }
 
@@ -512,15 +439,15 @@ mod tests {
         // Simulate Algorithm 4 with d = 3, k = 1: each user reports this
         // attribute with probability 1/3; the d/k = 3 scaling must undo that.
         let eps = Epsilon::new(1.0).unwrap();
-        let oracle = Oue::new(eps, 3).unwrap();
+        let oracle = OracleKind::Oue.build(eps, 3).unwrap();
         let truth = [0.5, 0.3, 0.2];
         let mut rng = fixture_rng("frequency::sampling_scale_restores_unbiasedness");
         let n = 240_000;
-        let mut acc = FrequencyAccumulator::new(3, 3.0);
+        let mut acc = accumulator(&oracle, 3.0);
         for _ in 0..n {
             if rng.random::<f64>() < 1.0 / 3.0 {
                 let v = sample_value(&mut rng, &truth);
-                acc.add(&oracle, &oracle.perturb(v, &mut rng).unwrap());
+                acc.count_report(&perturb(&oracle, v, &mut rng));
             }
         }
         acc.set_population(n);
@@ -530,7 +457,7 @@ mod tests {
             // and `d/k = 3`, so `Var = 3·E[s²] − t² = 3·support_variance(t)
             // + 2t²` — the sampling step triples the response variance and
             // adds a `2t²` thinning term.
-            let var = 3.0 * oracle.support_variance(t) + 2.0 * t * t;
+            let var = 3.0 * oracle.as_dyn().support_variance(t) + 2.0 * t * t;
             assert_within_ci!(e, t, var, n, "v={v}");
         }
     }
@@ -541,25 +468,20 @@ mod tests {
         // support()-loop estimates to f64 summation tolerance: the support
         // is affine in the hit bit, so `Σ support = (c − n·q)/(p − q)`
         // exactly up to floating-point associativity.
-        use ldp_core::categorical::Sue;
-        use ldp_core::OracleKind;
         let eps = Epsilon::new(1.2).unwrap();
         let k = 9u32;
-        let oracles: Vec<Box<dyn ldp_core::FrequencyOracle>> = vec![
-            OracleKind::Oue.build(eps, k).unwrap(),
-            OracleKind::Grr.build(eps, k).unwrap(),
-            Box::new(Sue::new(eps, k).unwrap()),
-        ];
-        for oracle in &oracles {
+        for kind in OracleKind::ALL {
+            let oracle = kind.build(eps, k).unwrap();
+            let described = oracle.as_dyn();
             let mut rng = fixture_rng("frequency::count_vs_support");
-            let mut acc = FrequencyAccumulator::new(k, 2.5);
+            let mut acc = accumulator(&oracle, 2.5);
             let mut supports = vec![0.0f64; k as usize];
             let n = 4_000;
             for i in 0..n {
-                let rep = oracle.perturb(i % k, &mut rng).unwrap();
-                acc.add(oracle.as_ref(), &rep);
+                let rep = perturb(&oracle, i % k, &mut rng);
+                acc.count_report(&rep);
                 for v in 0..k {
-                    supports[v as usize] += oracle.support(&rep, v);
+                    supports[v as usize] += described.support(&rep, v);
                 }
             }
             acc.set_population(2 * n as usize);
@@ -569,45 +491,35 @@ mod tests {
                 assert!(
                     (e - legacy).abs() <= 1e-9 * legacy.abs().max(1.0),
                     "{}: v={v}: count-path {e} vs support-path {legacy}",
-                    oracle.name()
+                    described.name()
                 );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "different debias parameters")]
-    fn add_rejects_mismatched_debias_params() {
-        let k = 4u32;
-        let o1 = Oue::new(Epsilon::new(1.0).unwrap(), k).unwrap();
-        let o2 = Oue::new(Epsilon::new(3.0).unwrap(), k).unwrap();
-        let mut rng = seeded_rng(501);
-        let mut acc = FrequencyAccumulator::new(k, 1.0);
-        acc.add(&o1, &o1.perturb(0, &mut rng).unwrap());
-        acc.add(&o2, &o2.perturb(0, &mut rng).unwrap());
-    }
-
-    #[test]
     fn merge_rejects_mismatched_debias_params() {
         let eps = Epsilon::new(1.0).unwrap();
         let k = 4u32;
-        let o1 = Oue::new(eps, k).unwrap();
-        let o2 = Oue::new(Epsilon::new(3.0).unwrap(), k).unwrap();
+        let o1 = OracleKind::Oue.build(eps, k).unwrap();
+        let o2 = OracleKind::Oue
+            .build(Epsilon::new(3.0).unwrap(), k)
+            .unwrap();
         let mut rng = seeded_rng(500);
-        let mut a = FrequencyAccumulator::new(k, 1.0);
-        let mut b = FrequencyAccumulator::new(k, 1.0);
-        a.add(&o1, &o1.perturb(0, &mut rng).unwrap());
-        b.add(&o2, &o2.perturb(1, &mut rng).unwrap());
+        let mut a = accumulator(&o1, 1.0);
+        let mut b = accumulator(&o2, 1.0);
+        a.count_report(&perturb(&o1, 0, &mut rng));
+        b.count_report(&perturb(&o2, 1, &mut rng));
         // Typed rejection: callers can match on the mismatch specifically.
         assert!(
             matches!(a.merge(&b), Err(LdpError::DebiasMismatch { .. })),
             "different ε ⇒ different (p, q)"
         );
         // Mismatched protocol scales are the same silent-bias class.
-        let scaled = FrequencyAccumulator::new(k, 3.0);
+        let scaled = accumulator(&o1, 3.0);
         assert!(a.merge(&scaled).is_err(), "different scales must not merge");
-        // Merging an empty accumulator adopts the other side's parameters.
-        let mut c = FrequencyAccumulator::new(k, 1.0);
+        // An empty accumulator with the same pair absorbs the other side.
+        let mut c = accumulator(&o1, 1.0);
         c.merge(&a).unwrap();
         assert_eq!(c.reports(), 1);
         assert_eq!(c.counts(), a.counts());
@@ -620,13 +532,13 @@ mod tests {
         // (un-flushed) planes at read and merge time.
         let eps = Epsilon::new(1.0).unwrap();
         let k = 70u32; // straddles a word boundary
-        let oracle = Oue::new(eps, k).unwrap();
+        let oracle = OracleKind::Oue.build(eps, k).unwrap();
         let mut rng = seeded_rng(606);
-        let mut acc = FrequencyAccumulator::with_debias(k, 1.0, oracle.debias_params());
-        let mut fused = FrequencyAccumulator::with_debias(k, 1.0, oracle.debias_params());
+        let mut acc = accumulator(&oracle, 1.0);
+        let mut fused = accumulator(&oracle, 1.0);
         let mut reference = vec![0u64; k as usize];
         for i in 0..500 {
-            let rep = oracle.perturb(i % k, &mut rng).unwrap();
+            let rep = perturb(&oracle, i % k, &mut rng);
             let CategoricalReport::Bits(bits) = &rep else {
                 unreachable!("OUE is unary");
             };
@@ -641,7 +553,7 @@ mod tests {
         assert_eq!(fused.counts(), reference);
         assert_eq!(acc.estimate().unwrap(), fused.estimate().unwrap());
         // Merging folds the other side's pending planes exactly.
-        let mut merged = FrequencyAccumulator::with_debias(k, 1.0, oracle.debias_params());
+        let mut merged = accumulator(&oracle, 1.0);
         merged.merge(&acc).unwrap();
         merged.merge(&fused).unwrap();
         let doubled: Vec<u64> = reference.iter().map(|c| 2 * c).collect();
@@ -651,11 +563,11 @@ mod tests {
     #[test]
     fn normalized_estimates_form_distribution() {
         let eps = Epsilon::new(0.5).unwrap();
-        let oracle = Oue::new(eps, 5).unwrap();
+        let oracle = OracleKind::Oue.build(eps, 5).unwrap();
         let mut rng = seeded_rng(313);
-        let mut acc = FrequencyAccumulator::new(5, 1.0);
+        let mut acc = accumulator(&oracle, 1.0);
         for _ in 0..500 {
-            acc.add(&oracle, &oracle.perturb(0, &mut rng).unwrap());
+            acc.count_report(&perturb(&oracle, 0, &mut rng));
         }
         let est = acc.estimate_normalized().unwrap();
         assert!((est.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -664,19 +576,19 @@ mod tests {
 
     #[test]
     fn empty_and_merge_behaviour() {
-        let acc = FrequencyAccumulator::new(3, 1.0);
+        let eps = Epsilon::new(1.0).unwrap();
+        let oracle = OracleKind::Oue.build(eps, 3).unwrap();
+        let acc = accumulator(&oracle, 1.0);
         assert!(acc.estimate().is_err());
 
-        let eps = Epsilon::new(1.0).unwrap();
-        let oracle = Oue::new(eps, 3).unwrap();
         let mut rng = seeded_rng(314);
-        let mut a = FrequencyAccumulator::new(3, 1.0);
-        let mut b = FrequencyAccumulator::new(3, 1.0);
-        let mut whole = FrequencyAccumulator::new(3, 1.0);
+        let mut a = accumulator(&oracle, 1.0);
+        let mut b = accumulator(&oracle, 1.0);
+        let mut whole = accumulator(&oracle, 1.0);
         for i in 0..50 {
-            let rep = oracle.perturb(i % 3, &mut rng).unwrap();
-            whole.add(&oracle, &rep);
-            if i % 2 == 0 { &mut a } else { &mut b }.add(&oracle, &rep);
+            let rep = perturb(&oracle, i % 3, &mut rng);
+            whole.count_report(&rep);
+            if i % 2 == 0 { &mut a } else { &mut b }.count_report(&rep);
         }
         a.merge(&b).unwrap();
         assert_eq!(a.reports(), whole.reports());
@@ -684,7 +596,7 @@ mod tests {
         for (x, y) in a.estimate().unwrap().iter().zip(whole.estimate().unwrap()) {
             assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
-        let bad = FrequencyAccumulator::new(4, 1.0);
+        let bad = FrequencyAccumulator::new(4, 1.0, oracle.debias_params());
         assert!(a.merge(&bad).is_err());
     }
 }

@@ -59,12 +59,23 @@ impl MeanAccumulator {
     /// accumulators).
     ///
     /// # Errors
-    /// [`LdpError::DimensionMismatch`] if the report's `d` differs.
+    /// * [`LdpError::DimensionMismatch`] if the report's `d` differs.
+    /// * [`LdpError::InvalidParameter`] if an entry's attribute index is
+    ///   not below `d`.
+    ///
+    /// A rejected report leaves the accumulator unchanged.
     pub fn add_sparse(&mut self, report: &SparseReport) -> Result<()> {
-        if report.d != self.sums.len() {
+        let d = self.sums.len();
+        if report.d != d {
             return Err(LdpError::DimensionMismatch {
-                expected: self.sums.len(),
+                expected: d,
                 actual: report.d,
+            });
+        }
+        if let Some((j, _)) = report.entries.iter().find(|(j, _)| *j as usize >= d) {
+            return Err(LdpError::InvalidParameter {
+                name: "report",
+                message: format!("attribute index {j} out of range {d}"),
             });
         }
         for (j, rep) in &report.entries {
@@ -253,5 +264,18 @@ mod tests {
             entries: vec![],
         };
         assert!(acc.add_sparse(&report).is_err());
+        // A deserialized report can name an attribute past `d`: rejected
+        // with a typed error, before any sum moves.
+        let out_of_range = SparseReport {
+            d: 2,
+            entries: vec![(0, AttrReport::Numeric(0.5)), (5, AttrReport::Numeric(1.0))],
+        };
+        assert!(matches!(
+            acc.add_sparse(&out_of_range),
+            Err(LdpError::InvalidParameter { .. })
+        ));
+        assert_eq!(acc.n(), 0);
+        acc.add_dense(&[0.0, 0.0]).unwrap();
+        assert_eq!(acc.estimate().unwrap(), vec![0.0, 0.0]);
     }
 }

@@ -336,10 +336,11 @@ enum ScratchInner {
 ///
 /// Built from public knowledge only — the protocol, the total budget and
 /// the schema — so every client constructs an identical encoder without
-/// coordination. The encoder is `Clone + Send + Sync` (all mechanism state
-/// is unboxed via [`AnyNumeric`]/[`AnyOracle`]) and fully monomorphized
-/// over the caller's rng: driven by an [`ldp_core::rng::RngBlock`] there is
-/// no virtual call anywhere in the per-draw path.
+/// coordination. The encoder is `Clone + Send + Sync` (every mechanism is
+/// held through its one handle, [`AnyNumeric`] or [`AnyOracle`]) and fully
+/// monomorphized over the caller's rng: driven by an
+/// [`ldp_core::rng::RngBlock`] there is no virtual call anywhere in the
+/// per-draw path.
 ///
 /// ```
 /// use ldp_analytics::{ClientEncoder, Protocol};
@@ -405,7 +406,7 @@ impl ClientEncoder {
                 } else {
                     match numeric {
                         BestEffortNumeric::PerAttribute(kind) => {
-                            CompositionNumeric::PerAttr(AnyNumeric::build(kind, per_attr))
+                            CompositionNumeric::PerAttr(kind.build(per_attr))
                         }
                         BestEffortNumeric::DuchiMultidim => {
                             let block_eps = epsilon.fraction(d_num as f64 / d as f64)?;
@@ -417,7 +418,7 @@ impl ClientEncoder {
                     .iter()
                     .filter_map(|spec| match spec {
                         AttrSpec::Numeric => None,
-                        AttrSpec::Categorical { k } => Some(AnyOracle::build(oracle, per_attr, *k)),
+                        AttrSpec::Categorical { k } => Some(oracle.build(per_attr, *k)),
                     })
                     .collect::<Result<Vec<_>>>()?;
                 (Engine::Composition { numeric, oracles }, per_attr)
@@ -715,7 +716,7 @@ impl Partial {
             freqs: shape
                 .cats
                 .iter()
-                .map(|&(k, params)| FrequencyAccumulator::with_debias(k, shape.scale, params))
+                .map(|&(k, params)| FrequencyAccumulator::new(k, shape.scale, params))
                 .collect(),
         }
     }
@@ -1218,20 +1219,13 @@ impl Aggregator {
     /// [`LdpError::EmptyInput`] before any report arrives.
     pub fn snapshot(&self) -> Result<CollectionResult> {
         let shape = &self.shape;
-        let mut means = MeanAccumulator::new(shape.d);
-        let mut freqs: Vec<FrequencyAccumulator> = shape
-            .cats
-            .iter()
-            .map(|&(k, _)| FrequencyAccumulator::new(k, shape.scale))
-            .collect();
+        let mut total = Partial::new(shape);
         // BTreeMap iteration is ascending in ordinal: the canonical fold
         // order that makes the merged f64 sums independent of merge order.
         for part in self.parts.values() {
-            means.merge(&part.means)?;
-            for (acc, shard_acc) in freqs.iter_mut().zip(&part.freqs) {
-                acc.merge(shard_acc)?;
-            }
+            total.merge(part)?;
         }
+        let Partial { means, mut freqs } = total;
         let n = means.n();
         let mean_est = means.estimate()?;
         let mut frequencies = Vec::with_capacity(shape.cat_indices.len());

@@ -169,7 +169,7 @@ proptest! {
         hits in prop::collection::vec(0u32..12, 0..40),
     ) {
         let debias = DebiasParams { p: 0.75, q: 0.25 };
-        let mut acc = FrequencyAccumulator::with_debias(k, 1.25, debias);
+        let mut acc = FrequencyAccumulator::new(k, 1.25, debias);
         for _ in 0..reports {
             acc.note_report();
         }
@@ -181,13 +181,13 @@ proptest! {
         let bytes = w.finish();
         prop_assert_eq!(bytes.len(), FrequencyAccumulator::state_bits(k).div_ceil(8));
 
-        let mut back = FrequencyAccumulator::with_debias(k, 1.25, debias);
+        let mut back = FrequencyAccumulator::new(k, 1.25, debias);
         back.decode_state(&mut BitReader::new(&bytes)).unwrap();
         prop_assert_eq!(back.reports(), acc.reports());
         prop_assert_eq!(back.counts(), acc.counts());
 
         if bytes.len() > 1 {
-            let mut fresh = FrequencyAccumulator::with_debias(k, 1.25, debias);
+            let mut fresh = FrequencyAccumulator::new(k, 1.25, debias);
             prop_assert!(fresh
                 .decode_state(&mut BitReader::new(&bytes[..bytes.len() - 8]))
                 .is_err());

@@ -7,11 +7,20 @@
 //! not an unlucky draw.
 
 use ldp_analytics::{FrequencyAccumulator, MeanAccumulator};
-use ldp_core::categorical::Oue;
 use ldp_core::numeric::Hybrid;
 use ldp_core::rng::seeded_rng;
-use ldp_core::{assert_within_ci, Epsilon, FrequencyOracle, NumericMechanism};
+use ldp_core::{
+    assert_within_ci, AnyOracle, CategoricalReport, Epsilon, NumericMechanism, OracleKind,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+
+/// Absorbs one report of `v` from the oracle's sampler into `acc`.
+fn absorb(acc: &mut FrequencyAccumulator, oracle: &AnyOracle, v: u32, rng: &mut StdRng) {
+    let mut rep = CategoricalReport::Value(0);
+    oracle.perturb_into(v, rng, &mut rep).unwrap();
+    acc.count_report(&rep);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -63,12 +72,11 @@ proptest! {
     /// n halves every estimate.
     #[test]
     fn frequency_population_scaling(seed in 0u64..200, k in 2u32..12) {
-        let oracle = Oue::new(Epsilon::new(1.0).unwrap(), k).unwrap();
+        let oracle = OracleKind::Oue.build(Epsilon::new(1.0).unwrap(), k).unwrap();
         let mut rng = seeded_rng(seed);
-        let mut acc = FrequencyAccumulator::new(k, 1.0);
+        let mut acc = FrequencyAccumulator::new(k, 1.0, oracle.debias_params());
         for i in 0..20u32 {
-            let rep = oracle.perturb(i % k, &mut rng).unwrap();
-            acc.add(&oracle, &rep);
+            absorb(&mut acc, &oracle, i % k, &mut rng);
         }
         acc.set_population(100);
         let at_100 = acc.estimate().unwrap();
@@ -84,15 +92,14 @@ proptest! {
     /// confidence bound derived from the oracle's support variance.
     #[test]
     fn oue_estimates_within_analytic_ci(seed in 0u64..1000, k in 2u32..10, eps in 0.4f64..4.0) {
-        let oracle = Oue::new(Epsilon::new(eps).unwrap(), k).unwrap();
+        let oracle = OracleKind::Oue.build(Epsilon::new(eps).unwrap(), k).unwrap();
         let mut rng = seeded_rng(seed);
         let n = 20_000usize;
-        let mut acc = FrequencyAccumulator::new(k, 1.0);
+        let mut acc = FrequencyAccumulator::new(k, 1.0, oracle.debias_params());
         // Deterministic round-robin values: the true frequency of each
         // category is known exactly, so only response noise remains.
         for i in 0..n as u32 {
-            let rep = oracle.perturb(i % k, &mut rng).unwrap();
-            acc.add(&oracle, &rep);
+            absorb(&mut acc, &oracle, i % k, &mut rng);
         }
         let est = acc.estimate().unwrap();
         for target in 0..k {
@@ -104,7 +111,7 @@ proptest! {
             assert_within_ci!(
                 est[target as usize],
                 truth,
-                oracle.support_variance(truth),
+                oracle.as_dyn().support_variance(truth),
                 n,
                 "k={k} eps={eps} target={target}"
             );
@@ -133,12 +140,11 @@ proptest! {
     /// Normalized frequency estimates always form a probability vector.
     #[test]
     fn normalized_estimates_on_simplex(seed in 0u64..200, k in 2u32..12, n in 1usize..40) {
-        let oracle = Oue::new(Epsilon::new(0.5).unwrap(), k).unwrap();
+        let oracle = OracleKind::Oue.build(Epsilon::new(0.5).unwrap(), k).unwrap();
         let mut rng = seeded_rng(seed);
-        let mut acc = FrequencyAccumulator::new(k, 1.0);
+        let mut acc = FrequencyAccumulator::new(k, 1.0, oracle.debias_params());
         for i in 0..n as u32 {
-            let rep = oracle.perturb(i % k, &mut rng).unwrap();
-            acc.add(&oracle, &rep);
+            absorb(&mut acc, &oracle, i % k, &mut rng);
         }
         let est = acc.estimate_normalized().unwrap();
         prop_assert!((est.iter().sum::<f64>() - 1.0).abs() < 1e-9);

@@ -66,8 +66,8 @@ proptest! {
     }
 
     /// Accumulator-level equivalence across every oracle kind: absorbing a
-    /// report stream via `count_report`, via `add`, and via the streamed
-    /// `note_report`/`note_hit` path leaves three accumulators with
+    /// report stream via `count_report` and via the streamed
+    /// `note_report`/`note_hit` path leaves two accumulators with
     /// identical counts and bit-identical estimates — and so does chopping
     /// the stream into shards and merging them in a rotated (out-of-order)
     /// order.
@@ -88,17 +88,16 @@ proptest! {
         let scale = 1.75; // arbitrary protocol scale, shared by all sides
         let mut rng = seeded_rng(seed);
 
-        let mut by_count = FrequencyAccumulator::with_debias(k, scale, debias);
-        let mut by_add = FrequencyAccumulator::with_debias(k, scale, debias);
-        let mut by_note = FrequencyAccumulator::with_debias(k, scale, debias);
+        let mut by_count = FrequencyAccumulator::new(k, scale, debias);
+        let mut by_note = FrequencyAccumulator::new(k, scale, debias);
         let mut parts: Vec<FrequencyAccumulator> = (0..shards)
-            .map(|_| FrequencyAccumulator::with_debias(k, scale, debias))
+            .map(|_| FrequencyAccumulator::new(k, scale, debias))
             .collect();
 
+        let mut rep = CategoricalReport::Value(0);
         for i in 0..reports {
-            let rep = oracle.perturb(i as u32 % k, &mut rng).unwrap();
+            oracle.perturb_into(i as u32 % k, &mut rng, &mut rep).unwrap();
             by_count.count_report(&rep);
-            by_add.add(oracle.as_ref(), &rep);
             by_note.note_report();
             match &rep {
                 CategoricalReport::Bits(bits) => {
@@ -114,12 +113,11 @@ proptest! {
         }
 
         let reference = by_count.counts();
-        prop_assert_eq!(&by_add.counts(), &reference);
         prop_assert_eq!(&by_note.counts(), &reference);
 
         // Merge the shards starting from an arbitrary rotation: integer
         // counts make any merge order exact.
-        let mut merged = FrequencyAccumulator::with_debias(k, scale, debias);
+        let mut merged = FrequencyAccumulator::new(k, scale, debias);
         for s in 0..shards {
             merged.merge(&parts[(s + rotate) % shards]).unwrap();
         }
@@ -128,7 +126,7 @@ proptest! {
 
         // And the one-shot debias sees identical integers, so estimates are
         // bit-identical (not merely close).
-        for acc in [&by_add, &by_note, &merged] {
+        for acc in [&by_note, &merged] {
             prop_assert_eq!(acc.estimate().unwrap(), by_count.estimate().unwrap());
         }
     }

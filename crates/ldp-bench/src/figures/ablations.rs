@@ -201,7 +201,7 @@ pub fn communication(args: &Args) -> String {
 /// average, because PM is cheapest exactly where uniform data concentrates.
 pub fn table1_empirical(args: &Args) -> String {
     use ldp_core::rng::seeded_rng;
-    use ldp_core::{variance, NumericMechanism};
+    use ldp_core::{variance, AnyNumeric};
     use rand::Rng;
     let n = 100_000.min(args.users.max(10_000));
     let mut table = Table::new(
@@ -225,7 +225,7 @@ pub fn table1_empirical(args: &Args) -> String {
     let avg = |f: &dyn Fn(f64) -> f64| (f(0.0) * 2.0 + f(1.0)) / 3.0;
     for eps in [0.3, 1.0, 2.0, 4.0] {
         let e = Epsilon::new(eps).expect("positive");
-        let mechanisms: Vec<Box<dyn NumericMechanism>> = vec![
+        let mechanisms: [AnyNumeric; 3] = [
             NumericKind::Piecewise.build(e),
             NumericKind::Hybrid.build(e),
             NumericKind::Duchi.build(e),

@@ -6,10 +6,10 @@
 //! threaded:
 //!
 //! * **reference** — the naive per-bit oracle over the mechanisms of the
-//!   cell's [`ClientEncoder`]: an allocating perturb loop with the per-bit
-//!   unary sampler ([`ldp_core::FrequencyOracle::perturb_naive`]), a linear
-//!   slot scan per entry, and the O(k) per-report `support()` aggregation
-//!   loop;
+//!   cell's [`ClientEncoder`]: an allocating perturb loop that draws
+//!   through `&mut dyn RngCore`, with the per-bit unary sampler
+//!   ([`ldp_core::testutil::perturb_naive`]), a linear slot scan per entry,
+//!   and the O(k) per-report `support()` aggregation loop;
 //! * **production** — the code that ships: one [`ClientEncoder`] feeding
 //!   [`ldp_analytics::Aggregator::absorb_with`] from an [`RngBlock`] over
 //!   `seeded_rng(seed)`, then a snapshot. That is the per-block body of
@@ -38,6 +38,7 @@ use ldp_analytics::{
 };
 use ldp_core::multidim::SparseReport;
 use ldp_core::rng::{sample_distinct, seeded_rng, RngBlock};
+use ldp_core::testutil::perturb_naive;
 use ldp_core::{AttrReport, AttrSpec, AttrValue, Epsilon, NumericKind, OracleKind};
 use ldp_data::census::generate_br;
 use ldp_data::queries::br_query_workload;
@@ -330,11 +331,8 @@ fn run_sampling_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> V
     // The naive path draws through trait objects; pin that dispatch so
     // the reference arm keeps measuring what it always measured.
     let mut rng: &mut dyn RngCore = &mut seeded;
-    let oracle = |j: usize| encoder.oracle(j).expect("categorical").as_dyn();
-    let mech = encoder
-        .numeric_mechanism()
-        .expect("schema has numeric")
-        .as_dyn();
+    let oracle = |j: usize| encoder.oracle(j).expect("categorical");
+    let mech = encoder.numeric_mechanism().expect("schema has numeric");
     let (d, k) = (w.d, encoder.sampled_k());
     let cat_indices: Vec<usize> = (0..d).filter(|&j| !w.specs[j].is_numeric()).collect();
     let mut means = MeanAccumulator::new(d);
@@ -354,9 +352,7 @@ fn run_sampling_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> V
                     AttrReport::Numeric(scale * mech.perturb(x, &mut rng).expect("valid input"))
                 }
                 AttrValue::Categorical(v) => AttrReport::Categorical(
-                    oracle(j as usize)
-                        .perturb_naive(v, &mut rng)
-                        .expect("valid category"),
+                    perturb_naive(oracle(j as usize), v, &mut rng).expect("valid category"),
                 ),
             };
             entries.push((j, entry));
@@ -368,7 +364,7 @@ fn run_sampling_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> V
                     .iter()
                     .position(|&x| x == *j as usize)
                     .expect("categorical index");
-                let oracle = oracle(*j as usize);
+                let oracle = oracle(*j as usize).as_dyn();
                 for v in 0..oracle.k() {
                     supports[slot][v as usize] += oracle.support(cat, v);
                 }
@@ -388,10 +384,7 @@ fn run_sampling_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> V
 fn run_composition_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
     let mut seeded = seeded_rng(seed);
     let rng: &mut dyn RngCore = &mut seeded;
-    let mech = encoder
-        .numeric_mechanism()
-        .expect("schema has numeric")
-        .as_dyn();
+    let mech = encoder.numeric_mechanism().expect("schema has numeric");
     let mut supports: Vec<Vec<f64>> = (0..w.d)
         .filter_map(|j| encoder.oracle(j))
         .map(|o| vec![0.0; o.k() as usize])
@@ -405,8 +398,9 @@ fn run_composition_reference(encoder: &ClientEncoder, w: &Workload, seed: u64) -
                     mean_sum += mech.perturb(*x, &mut *rng).expect("valid input");
                 }
                 AttrValue::Categorical(v) => {
-                    let oracle = encoder.oracle(j).expect("categorical").as_dyn();
-                    let rep = oracle.perturb_naive(*v, &mut *rng).expect("valid category");
+                    let oracle = encoder.oracle(j).expect("categorical");
+                    let rep = perturb_naive(oracle, *v, &mut *rng).expect("valid category");
+                    let oracle = oracle.as_dyn();
                     for cat in 0..oracle.k() {
                         supports[slot][cat as usize] += oracle.support(&rep, cat);
                     }

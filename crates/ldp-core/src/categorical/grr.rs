@@ -67,9 +67,8 @@ impl Grr {
     /// *ordinal* without materializing a [`CategoricalReport`] at all —
     /// one Bernoulli coin, then (only on a lie) one range draw. Every GRR
     /// perturbation runs it: the fused perturb-and-count engines hand the
-    /// ordinal straight to a counter, and [`Grr::fill_into`] (behind
-    /// [`FrequencyOracle::perturb`] and every report-materializing encode)
-    /// wraps it in a report.
+    /// ordinal straight to a counter, and [`Grr::perturb_into`] (behind
+    /// every report-materializing encode) wraps it in a report.
     ///
     /// Both draws use precomputed forms of the plain arithmetic — the
     /// baked-in integer coin threshold instead of a float compare
@@ -80,7 +79,7 @@ impl Grr {
     /// plain form, which a unit test keeps as the reference.
     ///
     /// # Errors
-    /// As [`FrequencyOracle::perturb`].
+    /// [`crate::LdpError::InvalidCategory`] if `v ≥ k`.
     #[inline]
     pub fn sample<R: RngCore + ?Sized>(&self, value: u32, rng: &mut R) -> Result<u32> {
         check_category(value, self.k)?;
@@ -97,43 +96,25 @@ impl Grr {
         })
     }
 
-    /// Generic form of [`FrequencyOracle::perturb_into`], monomorphized over
-    /// the concrete rng: the [`Grr::sample`] kernel, with its ordinal
-    /// written into `out` as a direct report. The trait, generic and fused
-    /// paths therefore consume the same stream and report the same value.
+    /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report —
+    /// GRR's one report-materializing sampler: the [`Grr::sample`] kernel,
+    /// with its ordinal written into `out` as a direct report and handed to
+    /// `note`, the per-hit observer of the fused perturb-and-count engine
+    /// (a direct report's single "hit" is the reported category itself).
     ///
     /// # Errors
-    /// As [`FrequencyOracle::perturb`].
+    /// As [`Grr::sample`].
     #[inline]
-    pub fn fill_into<R: RngCore + ?Sized>(
-        &self,
-        value: u32,
-        rng: &mut R,
-        out: &mut CategoricalReport,
-    ) -> Result<()> {
-        *out = CategoricalReport::Value(self.sample(value, rng)?);
-        Ok(())
-    }
-
-    /// [`Grr::fill_into`] with the per-hit observer of the fused
-    /// perturb-and-count engine: a direct report's single "hit" is the
-    /// reported category itself.
-    ///
-    /// # Errors
-    /// As [`FrequencyOracle::perturb`].
-    #[inline]
-    pub fn fill_into_noting<R: RngCore + ?Sized, F: FnMut(u32)>(
+    pub fn perturb_into<R: RngCore + ?Sized, F: FnMut(u32)>(
         &self,
         value: u32,
         rng: &mut R,
         out: &mut CategoricalReport,
         mut note: F,
     ) -> Result<()> {
-        self.fill_into(value, rng, out)?;
-        let CategoricalReport::Value(x) = out else {
-            unreachable!("GRR produces direct reports");
-        };
-        note(*x);
+        let x = self.sample(value, rng)?;
+        *out = CategoricalReport::Value(x);
+        note(x);
         Ok(())
     }
 }
@@ -149,12 +130,6 @@ impl FrequencyOracle for Grr {
 
     fn name(&self) -> &'static str {
         "GRR"
-    }
-
-    fn perturb(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport> {
-        let mut out = CategoricalReport::Value(0);
-        self.fill_into(value, rng, &mut out)?;
-        Ok(out)
     }
 
     fn debias_params(&self) -> DebiasParams {
@@ -190,9 +165,17 @@ impl FrequencyOracle for Grr {
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+    use rand::rngs::StdRng;
 
     fn oracle(eps: f64, k: u32) -> Grr {
         Grr::new(Epsilon::new(eps).unwrap(), k).unwrap()
+    }
+
+    /// One report from the oracle's sampler.
+    fn perturb(o: &Grr, value: u32, rng: &mut StdRng) -> CategoricalReport {
+        let mut out = CategoricalReport::Value(0);
+        o.perturb_into(value, rng, &mut out, |_| {}).unwrap();
+        out
     }
 
     #[test]
@@ -209,7 +192,7 @@ mod tests {
         let mut rng = seeded_rng(90);
         let n = 200_000;
         let truthful = (0..n)
-            .filter(|_| matches!(o.perturb(3, &mut rng).unwrap(), CategoricalReport::Value(3)))
+            .filter(|_| matches!(perturb(&o, 3, &mut rng), CategoricalReport::Value(3)))
             .count();
         let frac = truthful as f64 / n as f64;
         assert!((frac - o.p()).abs() < 0.01, "{frac} vs {}", o.p());
@@ -222,7 +205,7 @@ mod tests {
         let n = 300_000;
         let mut counts = [0usize; 4];
         for _ in 0..n {
-            if let CategoricalReport::Value(x) = o.perturb(1, &mut rng).unwrap() {
+            if let CategoricalReport::Value(x) = perturb(&o, 1, &mut rng) {
                 counts[x as usize] += 1;
             }
         }
@@ -242,7 +225,7 @@ mod tests {
         let mut sum_true = 0.0;
         let mut sum_other = 0.0;
         for _ in 0..n {
-            let r = o.perturb(4, &mut rng).unwrap();
+            let r = perturb(&o, 4, &mut rng);
             sum_true += o.support(&r, 4);
             sum_other += o.support(&r, 0);
         }
@@ -256,7 +239,7 @@ mod tests {
         let mut rng = seeded_rng(93);
         let n = 200_000;
         let vals: Vec<f64> = (0..n)
-            .map(|_| o.support(&o.perturb(2, &mut rng).unwrap(), 2))
+            .map(|_| o.support(&perturb(&o, 2, &mut rng), 2))
             .collect();
         let mean = vals.iter().sum::<f64>() / n as f64;
         let var = vals.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
@@ -291,7 +274,7 @@ mod tests {
             for i in 0..5_000u32 {
                 let direct = o.sample(i % k, &mut rng_a).unwrap();
                 assert_eq!(direct, plain(&o, i % k, &mut rng_b), "k={k} round {i}");
-                o.fill_into(i % k, &mut rng_a, &mut out).unwrap();
+                o.perturb_into(i % k, &mut rng_a, &mut out, |_| {}).unwrap();
                 assert_eq!(
                     out,
                     CategoricalReport::Value(plain(&o, i % k, &mut rng_b)),

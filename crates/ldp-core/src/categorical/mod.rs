@@ -22,15 +22,14 @@ use crate::kinds::OracleKind;
 use crate::mechanism::{CategoricalReport, DebiasParams, FrequencyOracle};
 use crate::rng::DrawSource;
 
-/// Enum dispatch over the concrete frequency oracles.
+/// The one handle on a frequency oracle: enum dispatch over the concrete
+/// oracles, built by [`OracleKind::build`].
 ///
-/// The [`FrequencyOracle`] trait stays object-safe for the experiment
-/// harness (boxed oracles, `&mut dyn RngCore`), but a boxed oracle forces a
-/// virtual call per report *and* per draw — the dispatch the batched-RNG hot
-/// path exists to remove. `AnyOracle` is the monomorphic alternative the
-/// streaming pipelines hold: one predictable match per report, and a
-/// [`AnyOracle::perturb_into`] generic over the rng so the whole sampling
-/// loop inlines when driven by an [`crate::rng::RngBlock`].
+/// [`AnyOracle::perturb_into_noting`] is one predictable match per report,
+/// then the concrete oracle's one sampler, generic over the rng so the
+/// whole sampling loop inlines when driven by an [`crate::rng::RngBlock`].
+/// The object-safe [`FrequencyOracle`] description (debiasing pair,
+/// supports, likelihoods) is reached through [`AnyOracle::as_dyn`].
 #[derive(Debug, Clone)]
 pub enum AnyOracle {
     /// Optimized unary encoding (the paper's choice).
@@ -42,21 +41,8 @@ pub enum AnyOracle {
 }
 
 impl AnyOracle {
-    /// Instantiates the oracle selected by `kind` for budget `ε` and domain
-    /// size `k` — the unboxed counterpart of [`OracleKind::build`].
-    ///
-    /// # Errors
-    /// Propagates the oracle constructor's validation (`k ≥ 2`).
-    pub fn build(kind: OracleKind, epsilon: Epsilon, k: u32) -> Result<Self> {
-        Ok(match kind {
-            OracleKind::Oue => AnyOracle::Oue(Oue::new(epsilon, k)?),
-            OracleKind::Grr => AnyOracle::Grr(Grr::new(epsilon, k)?),
-            OracleKind::Sue => AnyOracle::Sue(Sue::new(epsilon, k)?),
-        })
-    }
-
     /// Borrows the oracle as a trait object, for the object-safe half of the
-    /// API (accumulators, harness tables, diagnostics).
+    /// API (supports, likelihoods, harness tables, diagnostics).
     pub fn as_dyn(&self) -> &dyn FrequencyOracle {
         match self {
             AnyOracle::Oue(o) => o,
@@ -65,7 +51,7 @@ impl AnyOracle {
         }
     }
 
-    /// The unboxed GRR oracle when this is the direct-encoding variant,
+    /// The GRR oracle when this is the direct-encoding variant,
     /// `None` for the unary encodings. Fused perturb-and-count engines
     /// branch on this once per report: a direct report needs no bit vector
     /// (or report object) at all — [`Grr::sample`] hands back the category
@@ -101,12 +87,13 @@ impl AnyOracle {
         self.as_dyn().log_likelihood(report, value)
     }
 
-    /// Monomorphized perturbation into a caller-owned report: one match,
-    /// then the concrete oracle's generic `fill_into`. Draw-for-draw
-    /// identical to the trait's `perturb_into`.
+    /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report,
+    /// reusing its storage (the bit vector of a unary report) when it
+    /// already has the right shape: [`AnyOracle::perturb_into_noting`]
+    /// with no observer.
     ///
     /// # Errors
-    /// As [`FrequencyOracle::perturb`].
+    /// [`LdpError::InvalidCategory`] if `v ≥ k`.
     #[inline]
     pub fn perturb_into<R: DrawSource + ?Sized>(
         &self,
@@ -114,22 +101,18 @@ impl AnyOracle {
         rng: &mut R,
         out: &mut CategoricalReport,
     ) -> Result<()> {
-        match self {
-            AnyOracle::Oue(o) => o.fill_into(value, rng, out),
-            AnyOracle::Grr(o) => o.fill_into(value, rng, out),
-            AnyOracle::Sue(o) => o.fill_into(value, rng, out),
-        }
+        self.perturb_into_noting(value, rng, out, |_| {})
     }
 
     /// [`AnyOracle::perturb_into`] with a per-raw-hit observer: `note(v)`
     /// fires once for every set bit of a unary report (as it is placed) or
-    /// once with the reported category of a direct report. Draw-for-draw
-    /// identical to `perturb_into`; the observed hits are exactly the hits
-    /// [`crate::mechanism::FrequencyOracle::support`] would see, which is
-    /// what lets a count-based aggregator skip re-walking the report.
+    /// once with the reported category of a direct report. The observed
+    /// hits are exactly the hits [`FrequencyOracle::support`] would see,
+    /// which is what lets a count-based aggregator skip re-walking the
+    /// report.
     ///
     /// # Errors
-    /// As [`FrequencyOracle::perturb`].
+    /// As [`AnyOracle::perturb_into`].
     #[inline]
     pub fn perturb_into_noting<R: DrawSource + ?Sized, F: FnMut(u32)>(
         &self,
@@ -139,9 +122,9 @@ impl AnyOracle {
         note: F,
     ) -> Result<()> {
         match self {
-            AnyOracle::Oue(o) => o.fill_into_noting(value, rng, out, note),
-            AnyOracle::Grr(o) => o.fill_into_noting(value, rng, out, note),
-            AnyOracle::Sue(o) => o.fill_into_noting(value, rng, out, note),
+            AnyOracle::Oue(o) => o.perturb_into(value, rng, out, note),
+            AnyOracle::Grr(o) => o.perturb_into(value, rng, out, note),
+            AnyOracle::Sue(o) => o.perturb_into(value, rng, out, note),
         }
     }
 }
@@ -170,8 +153,8 @@ pub fn best_oracle(epsilon: Epsilon, k: u32) -> OracleKind {
 /// differ only in their `(p, q)` pair): the true bit is set with
 /// probability `p`, every other bit independently with probability `q`.
 ///
-/// [`UnaryEncoder::fill_sparse`] draws reports in O(k·q) expected work
-/// instead of `k−1` Bernoulli draws:
+/// [`UnaryEncoder::fill_sparse_noting`] draws reports in O(k·q) expected
+/// work instead of `k−1` Bernoulli draws:
 ///
 /// 1. the number of flipped non-true bits comes from Binomial(k−1, q) via
 ///    one uniform and a binary search over a CDF precomputed at
@@ -182,10 +165,11 @@ pub fn best_oracle(epsilon: Epsilon, k: u32) -> OracleKind {
 ///
 /// A uniformly random m-subset with `m ~ Binomial(n, q)` is exactly `n`
 /// independent Bernoulli(q) coins, so marginals are identical to the naive
-/// per-bit sampler ([`UnaryEncoder::fill_dense`]); the `sparse_equivalence`
-/// integration tests pin that equivalence. When `(1−q)^{k−1}` underflows
-/// f64 (astronomically dense reports), a geometric-gap walk
-/// ([`crate::rng::for_each_bernoulli_index`]) covers the tail.
+/// per-bit sampler ([`crate::testutil::perturb_naive`]); the
+/// `sparse_equivalence` integration tests pin that equivalence. When
+/// `(1−q)^{k−1}` underflows f64 (astronomically dense reports), a
+/// geometric-gap walk ([`crate::rng::for_each_bernoulli_index`]) covers the
+/// tail.
 #[derive(Debug, Clone)]
 pub(crate) struct UnaryEncoder {
     p: f64,
@@ -228,23 +212,12 @@ impl UnaryEncoder {
 
     /// Sparse-samples one unary report into a caller-owned
     /// [`crate::mechanism::CategoricalReport`], reusing its bit vector when
-    /// it already has length `k` and replacing it otherwise. This is the
-    /// shared implementation behind OUE's and SUE's `perturb_into`. Generic
-    /// over the rng so concrete generators (e.g.
+    /// it already has length `k` and replacing it otherwise, with the
+    /// per-set-bit observer of [`UnaryEncoder::fill_sparse_noting`]. This is
+    /// the shared implementation behind OUE's and SUE's `perturb_into`.
+    /// Generic over the rng so concrete generators (e.g.
     /// [`crate::rng::RngBlock`]) monomorphize the whole sampling loop and
     /// serve the placement draws as buffer slices.
-    pub(crate) fn fill_report<R: DrawSource + ?Sized>(
-        &self,
-        k: u32,
-        value: u32,
-        rng: &mut R,
-        out: &mut crate::mechanism::CategoricalReport,
-    ) {
-        self.fill_report_noting(k, value, rng, out, |_| {});
-    }
-
-    /// [`UnaryEncoder::fill_report`] with the per-set-bit observer of
-    /// [`UnaryEncoder::fill_sparse_noting`].
     #[inline]
     pub(crate) fn fill_report_noting<R: DrawSource + ?Sized, F: FnMut(u32)>(
         &self,
@@ -268,24 +241,12 @@ impl UnaryEncoder {
         self.fill_sparse_noting(bits, value, rng, note);
     }
 
-    /// O(k·q) sparse report sampling (see the type docs), kept as the
-    /// observer-free entry point for tests and future callers.
-    #[cfg(test)]
-    pub(crate) fn fill_sparse<R: DrawSource + ?Sized>(
-        &self,
-        bits: &mut crate::mechanism::BitVec,
-        value: u32,
-        rng: &mut R,
-    ) {
-        self.fill_sparse_noting(bits, value, rng, |_| {});
-    }
-
-    /// [`UnaryEncoder::fill_sparse`] with an observer: `note` is called once
-    /// for every bit that ends up set, as it is placed. This is the hook the
-    /// fused perturb-and-count engine uses — the aggregator counts hits
-    /// during placement instead of re-walking the finished bit vector, so a
-    /// report costs O(set bits) *total*, not O(set bits) twice plus a
-    /// word scan.
+    /// O(k·q) sparse report sampling (see the type docs) with an observer:
+    /// `note` is called once for every bit that ends up set, as it is
+    /// placed. This is the hook the fused perturb-and-count engine uses —
+    /// the aggregator counts hits during placement instead of re-walking
+    /// the finished bit vector, so a report costs O(set bits) *total*, not
+    /// O(set bits) twice plus a word scan.
     #[inline]
     pub(crate) fn fill_sparse_noting<R: DrawSource + ?Sized, F: FnMut(u32)>(
         &self,
@@ -340,24 +301,6 @@ impl UnaryEncoder {
                 j += 1;
             }
         });
-    }
-
-    /// The naive per-bit reference sampler: one Bernoulli draw per bit.
-    /// Kept as the distribution oracle for equivalence tests and as the
-    /// throughput bench's `reference` arm.
-    pub(crate) fn fill_dense<R: rand::RngCore + ?Sized>(
-        &self,
-        bits: &mut crate::mechanism::BitVec,
-        value: u32,
-        rng: &mut R,
-    ) {
-        bits.clear();
-        for i in 0..bits.len() {
-            let one_prob = if i == value { self.p } else { self.q };
-            if crate::rng::bernoulli(rng, one_prob) {
-                bits.set(i, true);
-            }
-        }
     }
 }
 
@@ -420,7 +363,7 @@ mod tests {
         let trials = 2_000;
         let mut total = 0.0f64;
         for _ in 0..trials {
-            enc.fill_sparse(&mut bits, 7, &mut rng);
+            enc.fill_sparse_noting(&mut bits, 7, &mut rng, |_| {});
             total += f64::from(bits.count_ones());
         }
         let mean = 0.5 + f64::from(n) * q;

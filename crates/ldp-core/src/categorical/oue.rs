@@ -3,8 +3,7 @@
 use crate::budget::Epsilon;
 use crate::categorical::{check_category, check_domain_size, UnaryEncoder};
 use crate::error::Result;
-use crate::mechanism::{BitVec, CategoricalReport, DebiasParams, FrequencyOracle};
-use rand::RngCore;
+use crate::mechanism::{CategoricalReport, DebiasParams, FrequencyOracle};
 
 /// OUE perturbs the one-hot encoding of a category bit-by-bit with
 /// *asymmetric* flip probabilities:
@@ -23,8 +22,7 @@ pub struct Oue {
     k: u32,
     /// `q = 1/(e^ε+1)`; `p` is the constant 1/2.
     q: f64,
-    /// Shared sparse/dense unary sampler (owns the precomputed flip-count
-    /// CDF).
+    /// Shared sparse unary sampler (owns the precomputed flip-count CDF).
     enc: UnaryEncoder,
 }
 
@@ -57,35 +55,20 @@ impl Oue {
         P_TRUE
     }
 
-    /// Generic form of [`FrequencyOracle::perturb_into`]: the same sparse
-    /// sampler, monomorphized over the concrete rng so hot loops driven by a
-    /// [`crate::rng::RngBlock`] pay no virtual call per draw. The trait
-    /// method delegates here with `R = dyn RngCore`, so both paths consume
-    /// identical draw streams.
+    /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report —
+    /// OUE's one sampler. It reuses `out`'s bit vector when it has the
+    /// right length and draws only the non-true bits that come up 1 —
+    /// O(k·q) expected work instead of k Bernoulli draws. `note` is called
+    /// once per set bit, as it is placed: the fused perturb-and-count hook
+    /// (the aggregator increments its raw hit counts here instead of
+    /// re-walking the finished bit vector). Generic over the rng, so hot
+    /// loops driven by a [`crate::rng::RngBlock`] pay no virtual call per
+    /// draw.
     ///
     /// # Errors
-    /// As [`FrequencyOracle::perturb`].
+    /// [`crate::LdpError::InvalidCategory`] if `v ≥ k`.
     #[inline]
-    pub fn fill_into<R: crate::rng::DrawSource + ?Sized>(
-        &self,
-        value: u32,
-        rng: &mut R,
-        out: &mut CategoricalReport,
-    ) -> Result<()> {
-        check_category(value, self.k)?;
-        self.enc.fill_report(self.k, value, rng, out);
-        Ok(())
-    }
-
-    /// [`Oue::fill_into`] with an observer called once per set bit, as it
-    /// is placed — the fused perturb-and-count hook (the aggregator
-    /// increments its raw hit counts here instead of re-walking the
-    /// finished bit vector).
-    ///
-    /// # Errors
-    /// As [`FrequencyOracle::perturb`].
-    #[inline]
-    pub fn fill_into_noting<R: crate::rng::DrawSource + ?Sized, F: FnMut(u32)>(
+    pub fn perturb_into<R: crate::rng::DrawSource + ?Sized, F: FnMut(u32)>(
         &self,
         value: u32,
         rng: &mut R,
@@ -111,34 +94,6 @@ impl FrequencyOracle for Oue {
         "OUE"
     }
 
-    fn perturb(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport> {
-        let mut out = CategoricalReport::Bits(BitVec::zeros(self.k));
-        self.perturb_into(value, rng, &mut out)?;
-        Ok(out)
-    }
-
-    /// Zero-allocation sparse path: reuses `out`'s bit vector (when it has
-    /// the right length) and draws only the non-true bits that come up 1 via
-    /// geometric gap sampling — O(k·q) expected work instead of k Bernoulli
-    /// draws.
-    fn perturb_into(
-        &self,
-        value: u32,
-        rng: &mut dyn RngCore,
-        out: &mut CategoricalReport,
-    ) -> Result<()> {
-        self.fill_into(value, rng, out)
-    }
-
-    /// The naive per-bit sampler (one Bernoulli draw per bit) — the
-    /// reference distribution the sparse path must match.
-    fn perturb_naive(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport> {
-        check_category(value, self.k)?;
-        let mut bits = BitVec::zeros(self.k);
-        self.enc.fill_dense(&mut bits, value, rng);
-        Ok(CategoricalReport::Bits(bits))
-    }
-
     fn debias_params(&self) -> DebiasParams {
         DebiasParams {
             p: P_TRUE,
@@ -151,9 +106,17 @@ impl FrequencyOracle for Oue {
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+    use rand::rngs::StdRng;
 
     fn oracle(eps: f64, k: u32) -> Oue {
         Oue::new(Epsilon::new(eps).unwrap(), k).unwrap()
+    }
+
+    /// One freshly allocated report from the oracle's sampler.
+    fn perturb(o: &Oue, value: u32, rng: &mut StdRng) -> Result<CategoricalReport> {
+        let mut out = CategoricalReport::Value(0);
+        o.perturb_into(value, rng, &mut out, |_| {})?;
+        Ok(out)
     }
 
     #[test]
@@ -161,15 +124,15 @@ mod tests {
         assert!(Oue::new(Epsilon::new(1.0).unwrap(), 1).is_err());
         let o = oracle(1.0, 4);
         let mut rng = seeded_rng(80);
-        assert!(o.perturb(4, &mut rng).is_err());
-        assert!(o.perturb(3, &mut rng).is_ok());
+        assert!(perturb(&o, 4, &mut rng).is_err());
+        assert!(perturb(&o, 3, &mut rng).is_ok());
     }
 
     #[test]
     fn report_has_k_bits() {
         let o = oracle(1.0, 10);
         let mut rng = seeded_rng(81);
-        match o.perturb(3, &mut rng).unwrap() {
+        match perturb(&o, 3, &mut rng).unwrap() {
             CategoricalReport::Bits(b) => assert_eq!(b.len(), 10),
             _ => panic!("OUE must produce bit reports"),
         }
@@ -183,7 +146,7 @@ mod tests {
         let mut true_bit = 0usize;
         let mut other_bit = 0usize;
         for _ in 0..n {
-            match o.perturb(2, &mut rng).unwrap() {
+            match perturb(&o, 2, &mut rng).unwrap() {
                 CategoricalReport::Bits(b) => {
                     if b.get(2) {
                         true_bit += 1;
@@ -210,7 +173,7 @@ mod tests {
         let n = 200_000;
         let mut sums = [0.0f64; 4];
         for _ in 0..n {
-            let r = o.perturb(1, &mut rng).unwrap();
+            let r = perturb(&o, 1, &mut rng).unwrap();
             for v in 0..4 {
                 sums[v as usize] += o.support(&r, v);
             }
@@ -229,7 +192,7 @@ mod tests {
         let n = 200_000;
         // All users hold the target value, so f = 1.
         let vals: Vec<f64> = (0..n)
-            .map(|_| o.support(&o.perturb(0, &mut rng).unwrap(), 0))
+            .map(|_| o.support(&perturb(&o, 0, &mut rng).unwrap(), 0))
             .collect();
         let mean = vals.iter().sum::<f64>() / n as f64;
         let var = vals.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;

@@ -3,8 +3,7 @@
 use crate::budget::Epsilon;
 use crate::categorical::{check_category, check_domain_size, UnaryEncoder};
 use crate::error::Result;
-use crate::mechanism::{BitVec, CategoricalReport, DebiasParams, FrequencyOracle};
-use rand::RngCore;
+use crate::mechanism::{CategoricalReport, DebiasParams, FrequencyOracle};
 
 /// SUE perturbs the one-hot encoding with *symmetric* flip probabilities:
 /// every bit is reported truthfully with probability `e^{ε/2}/(e^{ε/2}+1)`,
@@ -20,8 +19,7 @@ pub struct Sue {
     k: u32,
     p: f64,
     q: f64,
-    /// Shared sparse/dense unary sampler (owns the precomputed flip-count
-    /// CDF).
+    /// Shared sparse unary sampler (owns the precomputed flip-count CDF).
     enc: UnaryEncoder,
 }
 
@@ -54,31 +52,14 @@ impl Sue {
         self.q
     }
 
-    /// Generic form of [`FrequencyOracle::perturb_into`]; see
-    /// [`crate::categorical::Oue::fill_into`] — SUE only differs in
-    /// `(p, q)`.
+    /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report —
+    /// SUE's one sampler; see [`crate::categorical::Oue::perturb_into`]
+    /// (SUE only differs in `(p, q)`).
     ///
     /// # Errors
-    /// As [`FrequencyOracle::perturb`].
+    /// [`crate::LdpError::InvalidCategory`] if `v ≥ k`.
     #[inline]
-    pub fn fill_into<R: crate::rng::DrawSource + ?Sized>(
-        &self,
-        value: u32,
-        rng: &mut R,
-        out: &mut CategoricalReport,
-    ) -> Result<()> {
-        check_category(value, self.k)?;
-        self.enc.fill_report(self.k, value, rng, out);
-        Ok(())
-    }
-
-    /// [`Sue::fill_into`] with the per-set-bit observer; see
-    /// [`crate::categorical::Oue::fill_into_noting`].
-    ///
-    /// # Errors
-    /// As [`FrequencyOracle::perturb`].
-    #[inline]
-    pub fn fill_into_noting<R: crate::rng::DrawSource + ?Sized, F: FnMut(u32)>(
+    pub fn perturb_into<R: crate::rng::DrawSource + ?Sized, F: FnMut(u32)>(
         &self,
         value: u32,
         rng: &mut R,
@@ -102,31 +83,6 @@ impl FrequencyOracle for Sue {
 
     fn name(&self) -> &'static str {
         "SUE"
-    }
-
-    fn perturb(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport> {
-        let mut out = CategoricalReport::Bits(BitVec::zeros(self.k));
-        self.perturb_into(value, rng, &mut out)?;
-        Ok(out)
-    }
-
-    /// Zero-allocation sparse path; see [`crate::categorical::Oue`]'s
-    /// `perturb_into` — SUE only differs in `(p, q)`.
-    fn perturb_into(
-        &self,
-        value: u32,
-        rng: &mut dyn RngCore,
-        out: &mut CategoricalReport,
-    ) -> Result<()> {
-        self.fill_into(value, rng, out)
-    }
-
-    /// The naive per-bit reference sampler.
-    fn perturb_naive(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport> {
-        check_category(value, self.k)?;
-        let mut bits = BitVec::zeros(self.k);
-        self.enc.fill_dense(&mut bits, value, rng);
-        Ok(CategoricalReport::Bits(bits))
     }
 
     fn debias_params(&self) -> DebiasParams {
@@ -161,7 +117,8 @@ mod tests {
         let mut sum_true = 0.0;
         let mut sum_other = 0.0;
         for _ in 0..n {
-            let r = o.perturb(0, &mut rng).unwrap();
+            let mut r = CategoricalReport::Value(0);
+            o.perturb_into(0, &mut rng, &mut r, |_| {}).unwrap();
             sum_true += o.support(&r, 0);
             sum_other += o.support(&r, 3);
         }

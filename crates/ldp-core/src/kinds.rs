@@ -1,13 +1,14 @@
 //! Runtime-selectable mechanism families.
 //!
-//! The experiment harness sweeps over mechanisms by name; these enums are the
-//! single place where a name is turned into a boxed trait object.
+//! Protocols, the experiment harness and the tests select mechanisms by
+//! kind; these enums are the single place where a kind is turned into a
+//! mechanism — an [`AnyNumeric`] or an [`AnyOracle`], the one handle each
+//! family has.
 
 use crate::budget::Epsilon;
-use crate::categorical::{Grr, Oue, Sue};
+use crate::categorical::{AnyOracle, Grr, Oue, Sue};
 use crate::error::Result;
-use crate::mechanism::{FrequencyOracle, NumericMechanism};
-use crate::numeric::{Duchi1d, Hybrid, Laplace, Piecewise, Scdf, Staircase};
+use crate::numeric::{AnyNumeric, Duchi1d, Hybrid, Laplace, Piecewise, Scdf, Staircase};
 use serde::{Deserialize, Serialize};
 
 /// The one-dimensional numeric mechanisms of §III.
@@ -39,14 +40,14 @@ impl NumericKind {
     ];
 
     /// Instantiates the mechanism for budget `ε`.
-    pub fn build(self, epsilon: Epsilon) -> Box<dyn NumericMechanism> {
+    pub fn build(self, epsilon: Epsilon) -> AnyNumeric {
         match self {
-            NumericKind::Laplace => Box::new(Laplace::new(epsilon)),
-            NumericKind::Scdf => Box::new(Scdf::new(epsilon)),
-            NumericKind::Staircase => Box::new(Staircase::new(epsilon)),
-            NumericKind::Duchi => Box::new(Duchi1d::new(epsilon)),
-            NumericKind::Piecewise => Box::new(Piecewise::new(epsilon)),
-            NumericKind::Hybrid => Box::new(Hybrid::new(epsilon)),
+            NumericKind::Laplace => AnyNumeric::Laplace(Laplace::new(epsilon)),
+            NumericKind::Scdf => AnyNumeric::Scdf(Scdf::new(epsilon)),
+            NumericKind::Staircase => AnyNumeric::Staircase(Staircase::new(epsilon)),
+            NumericKind::Duchi => AnyNumeric::Duchi(Duchi1d::new(epsilon)),
+            NumericKind::Piecewise => AnyNumeric::Piecewise(Piecewise::new(epsilon)),
+            NumericKind::Hybrid => AnyNumeric::Hybrid(Hybrid::new(epsilon)),
         }
     }
 
@@ -82,11 +83,11 @@ impl OracleKind {
     ///
     /// # Errors
     /// Propagates the oracle constructor's validation (`k ≥ 2`).
-    pub fn build(self, epsilon: Epsilon, k: u32) -> Result<Box<dyn FrequencyOracle>> {
+    pub fn build(self, epsilon: Epsilon, k: u32) -> Result<AnyOracle> {
         Ok(match self {
-            OracleKind::Oue => Box::new(Oue::new(epsilon, k)?),
-            OracleKind::Grr => Box::new(Grr::new(epsilon, k)?),
-            OracleKind::Sue => Box::new(Sue::new(epsilon, k)?),
+            OracleKind::Oue => AnyOracle::Oue(Oue::new(epsilon, k)?),
+            OracleKind::Grr => AnyOracle::Grr(Grr::new(epsilon, k)?),
+            OracleKind::Sue => AnyOracle::Sue(Sue::new(epsilon, k)?),
         })
     }
 
@@ -119,7 +120,7 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         for kind in OracleKind::ALL {
             let o = kind.build(eps, 5).unwrap();
-            assert_eq!(o.name(), kind.name());
+            assert_eq!(o.as_dyn().name(), kind.name());
             assert_eq!(o.k(), 5);
         }
     }

@@ -6,8 +6,10 @@
 //!
 //! ## One numeric attribute (§III)
 //!
-//! Six mechanisms perturb a value `t ∈ [-1, 1]` under ε-LDP, all behind the
-//! [`NumericMechanism`] trait:
+//! Six mechanisms perturb a value `t ∈ [-1, 1]` under ε-LDP. Each has one
+//! sampler, reached through one handle, [`AnyNumeric`] (built by
+//! [`NumericKind::build`]); the object-safe [`NumericMechanism`] trait
+//! describes them (name, ε, variances, output bound):
 //!
 //! | Mechanism | Output support | Worst-case variance |
 //! |---|---|---|
@@ -31,9 +33,10 @@
 //!
 //! ## Categorical attributes
 //!
-//! Frequency oracles behind the [`FrequencyOracle`] trait:
-//! [`categorical::Oue`] (the paper's choice), [`categorical::Grr`], and
-//! [`categorical::Sue`].
+//! Frequency oracles, each with one sampler reached through one handle,
+//! [`AnyOracle`] (built by [`OracleKind::build`]), and described by the
+//! object-safe [`FrequencyOracle`] trait: [`categorical::Oue`] (the paper's
+//! choice), [`categorical::Grr`], and [`categorical::Sue`].
 //!
 //! ## Quick example
 //!

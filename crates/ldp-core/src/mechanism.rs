@@ -2,31 +2,27 @@
 
 use crate::budget::Epsilon;
 use crate::error::{LdpError, Result};
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// A one-dimensional ε-LDP mechanism for numeric values in `[-1, 1]`.
+/// The object-safe description of a one-dimensional ε-LDP mechanism for
+/// numeric values in `[-1, 1]`: its name, budget, variances and output
+/// support.
 ///
-/// Implementations must be unbiased (`E[perturb(t)] = t`) and must satisfy
+/// Sampling is not part of the trait. Each concrete mechanism has one
+/// inherent `perturb`, generic over the rng, and
+/// [`crate::numeric::AnyNumeric`] dispatches to it; the
+/// [`crate::numeric::AnyNumeric::as_dyn`] view forwards here.
+/// Every sampler must be unbiased (`E[perturb(t)] = t`) and must satisfy
 /// ε-local differential privacy in the sense of Definition 1 of the paper:
 /// for any inputs `t, t'` and output `x`, `pdf(x|t) ≤ e^ε · pdf(x|t')`.
 /// Both properties are exercised by the crate's statistical and property
 /// tests for every implementation.
-///
-/// The trait is object-safe (the experiment harness iterates over
-/// `Box<dyn NumericMechanism>`), hence the `&mut dyn RngCore` parameter.
 pub trait NumericMechanism: Send + Sync {
     /// The privacy budget this mechanism was constructed with.
     fn epsilon(&self) -> Epsilon;
 
     /// Short stable name used in experiment output ("PM", "HM", "Duchi", …).
     fn name(&self) -> &'static str;
-
-    /// Perturbs a single value `t ∈ [-1, 1]`.
-    ///
-    /// # Errors
-    /// [`LdpError::OutOfDomain`] if `t` is NaN or outside `[-1, 1]`.
-    fn perturb(&self, input: f64, rng: &mut dyn RngCore) -> Result<f64>;
 
     /// Closed-form output variance `Var[t* | t]` for the given input.
     ///
@@ -90,9 +86,16 @@ impl DebiasParams {
     }
 }
 
-/// A mechanism for one categorical attribute with domain `{0, …, k-1}`,
-/// supporting frequency estimation ("frequency oracle" in the LDP
-/// literature; the paper plugs OUE into Algorithm 4 in §IV-C).
+/// The object-safe description of a mechanism for one categorical
+/// attribute with domain `{0, …, k-1}`, supporting frequency estimation
+/// ("frequency oracle" in the LDP literature; the paper plugs OUE into
+/// Algorithm 4 in §IV-C): its domain, budget, debiasing pair, supports and
+/// likelihoods.
+///
+/// Sampling is not part of the trait. Each concrete oracle has one
+/// inherent `perturb_into`, generic over the rng, and
+/// [`crate::AnyOracle`] dispatches to it; the [`crate::AnyOracle::as_dyn`]
+/// view forwards here.
 pub trait FrequencyOracle: Send + Sync {
     /// Domain size `k ≥ 2`.
     fn k(&self) -> u32;
@@ -102,41 +105,6 @@ pub trait FrequencyOracle: Send + Sync {
 
     /// Short stable name used in experiment output ("OUE", "GRR", "SUE").
     fn name(&self) -> &'static str;
-
-    /// Perturbs a category `v ∈ {0, …, k-1}`.
-    ///
-    /// # Errors
-    /// [`LdpError::InvalidCategory`] if `v ≥ k`.
-    fn perturb(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport>;
-
-    /// Perturbs a category into a caller-owned report, reusing its storage
-    /// (the bit vector of a unary report) when possible. This is the
-    /// zero-allocation path the streaming pipeline uses; the default
-    /// implementation simply replaces `out` with a fresh report.
-    ///
-    /// # Errors
-    /// As [`FrequencyOracle::perturb`].
-    fn perturb_into(
-        &self,
-        value: u32,
-        rng: &mut dyn RngCore,
-        out: &mut CategoricalReport,
-    ) -> Result<()> {
-        *out = self.perturb(value, rng)?;
-        Ok(())
-    }
-
-    /// Reference perturbation path, kept for distribution-equivalence tests
-    /// and the throughput bench's `reference` arm: unary oracles override
-    /// this with the naive bit-by-bit Bernoulli sampler that
-    /// [`FrequencyOracle::perturb`]'s sparse sampling must match in
-    /// distribution. Defaults to `perturb`.
-    ///
-    /// # Errors
-    /// As [`FrequencyOracle::perturb`].
-    fn perturb_naive(&self, value: u32, rng: &mut dyn RngCore) -> Result<CategoricalReport> {
-        self.perturb(value, rng)
-    }
 
     /// The `(p, q)` pair making the oracle's support affine in the hit bit —
     /// see [`DebiasParams`].

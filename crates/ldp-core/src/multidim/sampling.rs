@@ -97,14 +97,8 @@ pub struct SamplingPerturber {
     specs: Vec<AttrSpec>,
     k: usize,
     /// The shared ε/k numeric mechanism (None for all-categorical schemas).
-    /// Stored unboxed ([`AnyNumeric`]) so the per-draw path is fully
-    /// monomorphized — no vtable between the sampling loop and the
-    /// generator, matching the oracles below.
     numeric: Option<AnyNumeric>,
     /// One oracle per attribute slot (None for numeric slots), all at ε/k.
-    /// Stored unboxed ([`AnyOracle`]) so the generic `perturb_into` path
-    /// dispatches with one match instead of a vtable, and the sampling loop
-    /// monomorphizes over the caller's rng.
     oracles: Vec<Option<AnyOracle>>,
     scale: f64,
 }
@@ -155,14 +149,12 @@ impl SamplingPerturber {
         }
         let per_attr = epsilon.split(k)?;
         let any_numeric = specs.iter().any(AttrSpec::is_numeric);
-        let numeric = any_numeric.then(|| AnyNumeric::build(numeric_kind, per_attr));
+        let numeric = any_numeric.then(|| numeric_kind.build(per_attr));
         let oracles = specs
             .iter()
             .map(|spec| match spec {
                 AttrSpec::Numeric => Ok(None),
-                AttrSpec::Categorical { k: dom } => {
-                    AnyOracle::build(oracle_kind, per_attr, *dom).map(Some)
-                }
+                AttrSpec::Categorical { k: dom } => oracle_kind.build(per_attr, *dom).map(Some),
             })
             .collect::<Result<Vec<_>>>()?;
         let scale = d as f64 / k as f64;
@@ -227,12 +219,11 @@ impl SamplingPerturber {
     /// call per attribute, steady-state perturbation performs no heap
     /// allocation at all.
     ///
-    /// Generic over the rng: with a trait object (`R = dyn RngCore`) this is
-    /// the classic scalar path, while a concrete generator — in particular
-    /// [`crate::rng::RngBlock`] — monomorphizes the categorical sampling
-    /// loop end to end, removing every virtual call from the per-draw hot
-    /// path. Both instantiations consume identical draw streams, so they
-    /// produce bit-identical reports under the same seed.
+    /// Generic over the rng: a bare generator is the scalar path, while
+    /// [`crate::rng::RngBlock`] monomorphizes the categorical sampling loop
+    /// end to end and serves its draws from a buffer. Both consume
+    /// identical draw streams, so they produce bit-identical reports under
+    /// the same seed.
     ///
     /// `report` and `scratch` may start empty (see
     /// [`SparseReport::with_capacity`] and [`SamplingPerturber::scratch`])
@@ -272,8 +263,7 @@ impl SamplingPerturber {
             let entry = match tuple[j as usize] {
                 AttrValue::Numeric(x) => {
                     // Lines 5–6 of Algorithm 4: perturb with budget ε/k and
-                    // scale by d/k, through the unboxed [`AnyNumeric`] so
-                    // the draw monomorphizes over the caller's rng.
+                    // scale by d/k.
                     let mech = self
                         .numeric
                         .as_ref()
@@ -460,14 +450,12 @@ impl SamplingPerturber {
         Ok(())
     }
 
-    /// The unboxed oracle for attribute `j`, if categorical — the handle
-    /// monomorphized aggregation loops use to avoid per-report vtables.
+    /// The oracle for attribute `j`, if categorical.
     pub fn any_oracle(&self, j: usize) -> Option<&AnyOracle> {
         self.oracles.get(j).and_then(Option::as_ref)
     }
 
-    /// The unboxed ε/k numeric mechanism, if the schema has numeric
-    /// attributes — the handle monomorphized client loops use.
+    /// The ε/k numeric mechanism, if the schema has numeric attributes.
     pub fn any_numeric(&self) -> Option<&AnyNumeric> {
         self.numeric.as_ref()
     }

@@ -62,12 +62,13 @@ impl Duchi1d {
         }
     }
 
-    /// Monomorphic form of [`NumericMechanism::perturb`]: generic over the
-    /// rng, draw-for-draw identical to the trait path.
+    /// Perturbs a single value `t ∈ [-1, 1]`: this mechanism's one
+    /// sampler, generic over the rng so concrete generators (e.g.
+    /// [`crate::rng::RngBlock`]) inline every draw.
     ///
     /// # Errors
-    /// As [`NumericMechanism::perturb`].
-    pub fn perturb_any<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
+    /// [`crate::LdpError::OutOfDomain`] if `t` is NaN or outside `[-1, 1]`.
+    pub fn perturb<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
         check_unit_interval(input)?;
         if bernoulli(rng, self.head_probability(input)) {
             Ok(self.magnitude)
@@ -84,10 +85,6 @@ impl NumericMechanism for Duchi1d {
 
     fn name(&self) -> &'static str {
         "Duchi"
-    }
-
-    fn perturb(&self, input: f64, rng: &mut dyn RngCore) -> Result<f64> {
-        self.perturb_any(input, rng)
     }
 
     fn variance(&self, input: f64) -> f64 {

@@ -106,20 +106,21 @@ impl Hybrid {
         }
     }
 
-    /// Monomorphic form of [`NumericMechanism::perturb`]: generic over the
-    /// rng, draw-for-draw identical to the trait path.
+    /// Perturbs a single value `t ∈ [-1, 1]`: this mechanism's one
+    /// sampler, generic over the rng so concrete generators (e.g.
+    /// [`crate::rng::RngBlock`]) inline every draw.
     ///
     /// # Errors
-    /// As [`NumericMechanism::perturb`].
-    pub fn perturb_any<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
+    /// [`crate::LdpError::OutOfDomain`] if `t` is NaN or outside `[-1, 1]`.
+    pub fn perturb<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
         check_unit_interval(input)?;
         // Mixing two ε-LDP mechanisms with an input-independent coin is
         // ε-LDP: the output density is the α-convex combination of two
         // densities that each satisfy the e^ε ratio bound.
         if bernoulli(rng, self.alpha) {
-            self.pm.perturb_any(input, rng)
+            self.pm.perturb(input, rng)
         } else {
-            self.duchi.perturb_any(input, rng)
+            self.duchi.perturb(input, rng)
         }
     }
 }
@@ -131,10 +132,6 @@ impl NumericMechanism for Hybrid {
 
     fn name(&self) -> &'static str {
         "HM"
-    }
-
-    fn perturb(&self, input: f64, rng: &mut dyn RngCore) -> Result<f64> {
-        self.perturb_any(input, rng)
     }
 
     fn variance(&self, input: f64) -> f64 {

@@ -44,13 +44,13 @@ impl Laplace {
         }
     }
 
-    /// Monomorphic form of [`NumericMechanism::perturb`]: generic over the
-    /// rng, so concrete generators (e.g. [`crate::rng::RngBlock`]) inline
-    /// every draw. Draw-for-draw identical to the trait path.
+    /// Perturbs a single value `t ∈ [-1, 1]`: this mechanism's one
+    /// sampler, generic over the rng so concrete generators (e.g.
+    /// [`crate::rng::RngBlock`]) inline every draw.
     ///
     /// # Errors
-    /// As [`NumericMechanism::perturb`].
-    pub fn perturb_any<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
+    /// [`crate::LdpError::OutOfDomain`] if `t` is NaN or outside `[-1, 1]`.
+    pub fn perturb<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
         check_unit_interval(input)?;
         Ok(input + self.sample_noise(rng))
     }
@@ -76,10 +76,6 @@ impl NumericMechanism for Laplace {
 
     fn name(&self) -> &'static str {
         "Laplace"
-    }
-
-    fn perturb(&self, input: f64, rng: &mut dyn RngCore) -> Result<f64> {
-        self.perturb_any(input, rng)
     }
 
     fn variance(&self, _input: f64) -> f64 {

@@ -24,24 +24,22 @@ pub use staircase::Staircase;
 
 use crate::budget::Epsilon;
 use crate::error::Result;
-use crate::kinds::NumericKind;
 use crate::mechanism::NumericMechanism;
 use rand::RngCore;
 
-/// Enum dispatch over the concrete 1-D numeric mechanisms — the numeric
+/// The one handle on a 1-D numeric mechanism: enum dispatch over the
+/// concrete mechanisms, built by [`crate::NumericKind::build`] — the numeric
 /// counterpart of [`crate::AnyOracle`].
 ///
-/// The [`NumericMechanism`] trait stays object-safe for the experiment
-/// harness (boxed mechanisms, `&mut dyn RngCore`), but a boxed mechanism
-/// forces a virtual call per draw — the last piece of dyn dispatch the
-/// batched-RNG hot path had left. `AnyNumeric` is the concrete, clonable
-/// alternative the client-side perturbers hold: one predictable match per
-/// value, and a [`AnyNumeric::perturb`] generic over the rng so the whole
-/// numeric draw inlines when driven by an [`crate::rng::RngBlock`].
+/// [`AnyNumeric::perturb`] is one predictable match per value, then the
+/// concrete mechanism's one sampler, generic over the rng so the whole
+/// numeric draw inlines when driven by an [`crate::rng::RngBlock`]. The
+/// object-safe [`NumericMechanism`] description (name, ε, variances,
+/// output bound) is reached through [`AnyNumeric::as_dyn`].
 ///
 /// ```
-/// use ldp_core::{numeric::AnyNumeric, Epsilon, NumericKind, rng::seeded_rng};
-/// let hm = AnyNumeric::build(NumericKind::Hybrid, Epsilon::new(1.0)?);
+/// use ldp_core::{Epsilon, NumericKind, rng::seeded_rng};
+/// let hm = NumericKind::Hybrid.build(Epsilon::new(1.0)?);
 /// let noisy = hm.perturb(0.25, &mut seeded_rng(7))?;
 /// assert!(noisy.abs() <= hm.output_bound().unwrap());
 /// # Ok::<(), ldp_core::LdpError>(())
@@ -63,19 +61,6 @@ pub enum AnyNumeric {
 }
 
 impl AnyNumeric {
-    /// Instantiates the mechanism selected by `kind` for budget `ε` — the
-    /// unboxed counterpart of [`NumericKind::build`].
-    pub fn build(kind: NumericKind, epsilon: Epsilon) -> Self {
-        match kind {
-            NumericKind::Laplace => AnyNumeric::Laplace(Laplace::new(epsilon)),
-            NumericKind::Scdf => AnyNumeric::Scdf(Scdf::new(epsilon)),
-            NumericKind::Staircase => AnyNumeric::Staircase(Staircase::new(epsilon)),
-            NumericKind::Duchi => AnyNumeric::Duchi(Duchi1d::new(epsilon)),
-            NumericKind::Piecewise => AnyNumeric::Piecewise(Piecewise::new(epsilon)),
-            NumericKind::Hybrid => AnyNumeric::Hybrid(Hybrid::new(epsilon)),
-        }
-    }
-
     /// Borrows the mechanism as a trait object, for the object-safe half of
     /// the API (harness tables, diagnostics, variance plots).
     pub fn as_dyn(&self) -> &dyn NumericMechanism {
@@ -89,22 +74,20 @@ impl AnyNumeric {
         }
     }
 
-    /// Monomorphized perturbation: one match, then the concrete mechanism's
-    /// generic sampler. Draw-for-draw identical to the trait's `perturb`
-    /// under the same seed — swapping a boxed mechanism for `AnyNumeric`
-    /// never changes an estimate.
+    /// Perturbs a single value `t ∈ [-1, 1]`: one match, then the concrete
+    /// mechanism's sampler.
     ///
     /// # Errors
-    /// As [`NumericMechanism::perturb`].
+    /// [`crate::LdpError::OutOfDomain`] if `t` is NaN or outside `[-1, 1]`.
     #[inline]
     pub fn perturb<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
         match self {
-            AnyNumeric::Laplace(m) => m.perturb_any(input, rng),
-            AnyNumeric::Scdf(m) => m.perturb_any(input, rng),
-            AnyNumeric::Staircase(m) => m.perturb_any(input, rng),
-            AnyNumeric::Duchi(m) => m.perturb_any(input, rng),
-            AnyNumeric::Piecewise(m) => m.perturb_any(input, rng),
-            AnyNumeric::Hybrid(m) => m.perturb_any(input, rng),
+            AnyNumeric::Laplace(m) => m.perturb(input, rng),
+            AnyNumeric::Scdf(m) => m.perturb(input, rng),
+            AnyNumeric::Staircase(m) => m.perturb(input, rng),
+            AnyNumeric::Duchi(m) => m.perturb(input, rng),
+            AnyNumeric::Piecewise(m) => m.perturb(input, rng),
+            AnyNumeric::Hybrid(m) => m.perturb(input, rng),
         }
     }
 
@@ -169,41 +152,11 @@ impl AnyNumeric {
 mod any_tests {
     use super::*;
     use crate::rng::seeded_rng;
-
-    #[test]
-    fn any_numeric_matches_boxed_mechanisms_bit_for_bit() {
-        // The enum is the same computation as the boxed trait object: same
-        // draws, same outputs, for every kind and a spread of inputs.
-        let eps = Epsilon::new(1.3).unwrap();
-        for kind in NumericKind::ALL {
-            let boxed = kind.build(eps);
-            let unboxed = AnyNumeric::build(kind, eps);
-            assert_eq!(unboxed.name(), boxed.name());
-            assert_eq!(unboxed.epsilon(), boxed.epsilon());
-            assert_eq!(unboxed.output_bound(), boxed.output_bound());
-            assert_eq!(
-                unboxed.worst_case_variance().to_bits(),
-                boxed.worst_case_variance().to_bits()
-            );
-            let mut rng_a = seeded_rng(2024);
-            let mut rng_b = seeded_rng(2024);
-            for round in 0..500 {
-                let t = -1.0 + 2.0 * (round % 101) as f64 / 100.0;
-                let a = boxed.perturb(t, &mut rng_a).unwrap();
-                let b = unboxed.perturb(t, &mut rng_b).unwrap();
-                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} round {round}");
-                assert_eq!(
-                    unboxed.variance(t).to_bits(),
-                    boxed.variance(t).to_bits(),
-                    "{kind:?}"
-                );
-            }
-        }
-    }
+    use crate::NumericKind;
 
     #[test]
     fn any_numeric_rejects_out_of_domain() {
-        let m = AnyNumeric::build(NumericKind::Piecewise, Epsilon::new(1.0).unwrap());
+        let m = NumericKind::Piecewise.build(Epsilon::new(1.0).unwrap());
         let mut rng = seeded_rng(3);
         assert!(m.perturb(1.5, &mut rng).is_err());
         assert!(m.perturb(f64::NAN, &mut rng).is_err());

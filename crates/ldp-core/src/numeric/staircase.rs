@@ -50,12 +50,13 @@ impl Staircase {
         self.noise.pdf(x)
     }
 
-    /// Monomorphic form of [`NumericMechanism::perturb`]: generic over the
-    /// rng, draw-for-draw identical to the trait path.
+    /// Perturbs a single value `t ∈ [-1, 1]`: this mechanism's one
+    /// sampler, generic over the rng so concrete generators (e.g.
+    /// [`crate::rng::RngBlock`]) inline every draw.
     ///
     /// # Errors
-    /// As [`NumericMechanism::perturb`].
-    pub fn perturb_any<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
+    /// [`crate::LdpError::OutOfDomain`] if `t` is NaN or outside `[-1, 1]`.
+    pub fn perturb<R: RngCore + ?Sized>(&self, input: f64, rng: &mut R) -> Result<f64> {
         check_unit_interval(input)?;
         Ok(input + self.noise.sample(rng))
     }
@@ -68,10 +69,6 @@ impl NumericMechanism for Staircase {
 
     fn name(&self) -> &'static str {
         "Staircase"
-    }
-
-    fn perturb(&self, input: f64, rng: &mut dyn RngCore) -> Result<f64> {
-        self.perturb_any(input, rng)
     }
 
     fn variance(&self, _input: f64) -> f64 {

@@ -1,10 +1,9 @@
 //! Randomness helpers shared by all mechanisms.
 //!
-//! Mechanism *traits* take `&mut dyn RngCore` so they stay object-safe (the
-//! harness iterates over boxed mechanisms), while the helpers here are
-//! generic over `R: RngCore + ?Sized`: the same function serves trait
-//! objects (`R = dyn RngCore`) and monomorphizes fully — every draw inlined,
-//! no virtual calls — when handed a concrete generator such as
+//! Every sampler in the crate — each mechanism's one `perturb` or
+//! `perturb_into`, and the helpers here — is generic over
+//! `R: RngCore + ?Sized`. It monomorphizes fully (every draw inlined, no
+//! virtual calls) when handed a concrete generator such as
 //! [`RngBlock`]`<StdRng>`. Tests and examples use seeded [`StdRng`]s for
 //! reproducibility.
 
@@ -126,8 +125,8 @@ impl<R: RngCore + Clone, const LEN: usize> RngCore for RngBlock<R, LEN> {
 ///
 /// The unary oracles' Floyd placement loop consumes one raw draw per
 /// flipped bit. Through [`RngCore`] alone, each of those draws pays the
-/// source's per-call bookkeeping (a virtual call on the scalar path, a
-/// buffer-cursor check on the batched one). `DrawSource::with_raw` lets a
+/// source's per-call bookkeeping (for [`RngBlock`], a buffer-cursor
+/// check). `DrawSource::with_raw` lets a
 /// source hand the loop a whole *slice* of upcoming draws instead:
 /// [`RngBlock`] serves its internal buffer directly — one cursor update per
 /// chunk rather than per draw, with the placement loop iterating plain
@@ -153,13 +152,6 @@ fn singles<R: RngCore + ?Sized>(rng: &mut R, n: u32, mut f: impl FnMut(&[u64])) 
 }
 
 impl DrawSource for StdRng {
-    #[inline]
-    fn with_raw(&mut self, n: u32, f: impl FnMut(&[u64])) {
-        singles(self, n, f);
-    }
-}
-
-impl DrawSource for dyn RngCore + '_ {
     #[inline]
     fn with_raw(&mut self, n: u32, f: impl FnMut(&[u64])) {
         singles(self, n, f);

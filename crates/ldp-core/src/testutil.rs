@@ -1,5 +1,6 @@
-//! Shared test support: seeded RNG fixtures and confidence-bounded
-//! statistical assertions.
+//! Shared test support: seeded RNG fixtures, confidence-bounded
+//! statistical assertions, and the naive reference sampler for the
+//! frequency oracles.
 //!
 //! Statistical tests in this workspace run at **fixed seeds** (the RNG is
 //! fully deterministic — see `shims/README.md`), so an assertion either
@@ -13,8 +14,12 @@
 //! should mean. (Arcolezi et al.'s audit of multidimensional-LDP analyses
 //! is the cautionary tale for eyeballed tolerances.)
 
-use crate::rng::seeded_rng;
+use crate::categorical::{check_category, AnyOracle};
+use crate::error::Result;
+use crate::mechanism::{BitVec, CategoricalReport, DebiasParams};
+use crate::rng::{bernoulli, seeded_rng};
 use rand::rngs::StdRng;
+use rand::RngCore;
 
 /// z-score used by every confidence bound here: `P(|Z| > 4.4172) ≈ 1e-5`
 /// for a standard normal.
@@ -63,6 +68,36 @@ pub fn mse_ci_bounds(expected_mse_lo: f64, expected_mse_hi: f64, cells: usize) -
     let lo = expected_mse_lo * (1.0 - spread).max(0.0);
     let hi = expected_mse_hi * (1.0 + spread);
     (lo, hi)
+}
+
+/// The naive reference sampler for a frequency oracle: for a unary
+/// encoding, one Bernoulli draw per bit — `p` at the true category, `q`
+/// everywhere else, from the oracle's [`DebiasParams`]; for GRR, its
+/// [`crate::categorical::Grr::sample`] kernel. The sparse unary sampler
+/// behind [`AnyOracle::perturb_into`] must match it in distribution (the
+/// `sparse_equivalence` tests pin that), and the throughput bench's
+/// `reference` arm times it.
+///
+/// # Errors
+/// [`crate::LdpError::InvalidCategory`] if `value ≥ k`.
+pub fn perturb_naive<R: RngCore + ?Sized>(
+    oracle: &AnyOracle,
+    value: u32,
+    rng: &mut R,
+) -> Result<CategoricalReport> {
+    if let Some(grr) = oracle.as_grr() {
+        return Ok(CategoricalReport::Value(grr.sample(value, rng)?));
+    }
+    let k = oracle.k();
+    check_category(value, k)?;
+    let DebiasParams { p, q } = oracle.debias_params();
+    let mut bits = BitVec::zeros(k);
+    for i in 0..k {
+        if bernoulli(rng, if i == value { p } else { q }) {
+            bits.set(i, true);
+        }
+    }
+    Ok(CategoricalReport::Bits(bits))
 }
 
 /// Asserts that `estimate` lies within the CLT confidence interval around

@@ -9,7 +9,9 @@ use ldp_core::math::{epsilon_sharp, epsilon_star};
 use ldp_core::multidim::{optimal_k, DuchiMultidim, SamplingPerturber, SparseReport};
 use ldp_core::numeric::{Duchi1d, Hybrid, Piecewise, Scdf, Staircase};
 use ldp_core::rng::seeded_rng;
-use ldp_core::{variance, AttrSpec, Epsilon, NumericKind, NumericMechanism, OracleKind};
+use ldp_core::{
+    variance, AttrSpec, CategoricalReport, Epsilon, NumericKind, NumericMechanism, OracleKind,
+};
 use proptest::prelude::*;
 
 fn eps_strategy() -> impl Strategy<Value = f64> {
@@ -256,9 +258,10 @@ proptest! {
         for kind in OracleKind::ALL {
             let oracle = kind.build(e, k).unwrap();
             let mut rng = seeded_rng(seed);
-            let report = oracle.perturb(v, &mut rng).unwrap();
+            let mut report = CategoricalReport::Value(0);
+            oracle.perturb_into(v, &mut rng, &mut report).unwrap();
             for target in 0..k {
-                let s = oracle.support(&report, target);
+                let s = oracle.as_dyn().support(&report, target);
                 // Debiased indicator: (b − q)/(p − q) with b ∈ {0, 1} —
                 // so s·(p−q) + q must be exactly 0 or 1.
                 prop_assert!(s.is_finite());

@@ -12,10 +12,9 @@ use ldp_core::rng::{
     bernoulli, for_each_bernoulli_index, sample_binomial_inversion, sample_distinct_into,
     seeded_rng, uniform_index, RngBlock,
 };
-use ldp_core::{
-    AnyOracle, AttrSpec, AttrValue, CategoricalReport, Epsilon, NumericKind, OracleKind,
-};
+use ldp_core::{AttrSpec, AttrValue, CategoricalReport, Epsilon, NumericKind, OracleKind};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::RngCore;
 
 /// Exhaustive scalar-vs-batched equivalence of the two draw primitives the
@@ -62,7 +61,7 @@ fn bernoulli_index_walk_matches_scalar_path() {
 
 /// Full-stack equivalence: a SamplingPerturber over a mixed schema produces
 /// bit-identical sparse reports whether driven by the bare generator (the
-/// scalar dyn path) or any capacity of RngBlock (the batched path).
+/// scalar path) or any capacity of RngBlock (the batched path).
 #[test]
 fn perturber_reports_are_identical_scalar_vs_batched() {
     let specs = vec![
@@ -86,15 +85,14 @@ fn perturber_reports_are_identical_scalar_vs_batched() {
             AttrValue::Categorical(0),
             AttrValue::Numeric(-0.9),
         ];
-        let mut scalar_seeded = seeded_rng(314);
-        let scalar: &mut dyn RngCore = &mut scalar_seeded;
+        let mut scalar = seeded_rng(314);
         let mut batched = RngBlock::<_, 11>::new(seeded_rng(314));
         let mut report_a = SparseReport::with_capacity(p.d(), p.k());
         let mut report_b = SparseReport::with_capacity(p.d(), p.k());
         let mut scratch_a = p.scratch();
         let mut scratch_b = p.scratch();
         for round in 0..300 {
-            p.perturb_into(&tuple, &mut *scalar, &mut report_a, &mut scratch_a)
+            p.perturb_into(&tuple, &mut scalar, &mut report_a, &mut scratch_a)
                 .unwrap();
             p.perturb_into(&tuple, &mut batched, &mut report_b, &mut scratch_b)
                 .unwrap();
@@ -106,22 +104,34 @@ fn perturber_reports_are_identical_scalar_vs_batched() {
     }
 }
 
-/// Same contract one layer down: AnyOracle's monomorphized perturb_into and
-/// the boxed trait path consume identical streams.
+/// Same contract one layer down: every oracle and every numeric mechanism,
+/// through its one handle, draws identically from an RngBlock and from the
+/// bare generator.
 #[test]
-fn any_oracle_matches_boxed_trait_path() {
+fn any_handles_match_across_block_and_bare_rng() {
     let eps = Epsilon::new(1.3).unwrap();
     for kind in [OracleKind::Oue, OracleKind::Sue, OracleKind::Grr] {
-        let any = AnyOracle::build(kind, eps, 33).unwrap();
-        let boxed = kind.build(eps, 33).unwrap();
-        let mut rng_a: RngBlock<rand::rngs::StdRng> = RngBlock::new(seeded_rng(77));
+        let oracle = kind.build(eps, 33).unwrap();
+        let mut rng_a: RngBlock<StdRng> = RngBlock::new(seeded_rng(77));
         let mut rng_b = seeded_rng(77);
         let mut out_a = CategoricalReport::Value(0);
         let mut out_b = CategoricalReport::Value(0);
         for v in (0..33).cycle().take(500) {
-            any.perturb_into(v, &mut rng_a, &mut out_a).unwrap();
-            boxed.perturb_into(v, &mut rng_b, &mut out_b).unwrap();
+            oracle.perturb_into(v, &mut rng_a, &mut out_a).unwrap();
+            oracle.perturb_into(v, &mut rng_b, &mut out_b).unwrap();
             assert_eq!(out_a, out_b, "{kind:?} v={v}");
+        }
+    }
+    for kind in NumericKind::ALL {
+        let mech = kind.build(eps);
+        let mut rng_a = RngBlock::<_, 13>::new(seeded_rng(78));
+        let mut rng_b = seeded_rng(78);
+        for round in 0..500 {
+            // Inputs sweep [-1, 1], both endpoints included.
+            let t = -1.0 + 2.0 * f64::from(round % 101) / 100.0;
+            let a = mech.perturb(t, &mut rng_a).unwrap();
+            let b = mech.perturb(t, &mut rng_b).unwrap();
+            assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} round {round}");
         }
     }
 }

@@ -6,7 +6,7 @@
 use ldp_core::multidim::DuchiMultidim;
 use ldp_core::numeric::{Piecewise, Scdf, Staircase};
 use ldp_core::rng::seeded_rng;
-use ldp_core::{Epsilon, NumericMechanism};
+use ldp_core::Epsilon;
 use std::collections::HashMap;
 
 /// Chi-square-style histogram comparison: empirical bin frequencies vs the

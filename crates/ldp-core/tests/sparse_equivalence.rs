@@ -1,15 +1,16 @@
 //! Distribution-equivalence tests for the sparse unary samplers.
 //!
-//! OUE/SUE's `perturb` draws the flipped non-true bits with geometric gap
-//! sampling (O(k·q) draws) instead of the naive per-bit Bernoulli loop that
-//! `perturb_naive` keeps as the reference. The two paths must be identical
-//! in distribution; these tests pin the per-bit marginals and the popcount
-//! moments of both paths to the analytic values with CI-bounded assertions
-//! (`ldp_core::testutil`), at fixed seeds.
+//! OUE/SUE's one sampler (`AnyOracle::perturb_into`) draws the number of
+//! flipped non-true bits and places them with Floyd's algorithm (O(k·q)
+//! draws) instead of the naive per-bit Bernoulli loop that
+//! `ldp_core::testutil::perturb_naive` keeps as the reference. The two
+//! paths must be identical in distribution; these tests pin the per-bit
+//! marginals and the popcount moments of both paths to the analytic values
+//! with CI-bounded assertions (`ldp_core::testutil`), at fixed seeds.
 
-use ldp_core::categorical::{Oue, Sue};
-use ldp_core::testutil::fixture_rng;
-use ldp_core::{assert_within_ci, CategoricalReport, Epsilon, FrequencyOracle};
+use ldp_core::testutil::{fixture_rng, perturb_naive};
+use ldp_core::{assert_within_ci, AnyOracle, CategoricalReport, Epsilon, OracleKind};
+use rand::rngs::StdRng;
 
 /// Per-bit empirical one-frequencies and mean/variance of the popcount.
 struct BitStats {
@@ -45,10 +46,17 @@ where
     }
 }
 
+/// One report from the oracle's sampler.
+fn perturb(oracle: &AnyOracle, value: u32, rng: &mut StdRng) -> CategoricalReport {
+    let mut out = CategoricalReport::Value(0);
+    oracle.perturb_into(value, rng, &mut out).unwrap();
+    out
+}
+
 /// Asserts both sampling paths match the analytic per-bit marginals
 /// `Pr[b_true = 1] = p`, `Pr[b_other = 1] = q` and the popcount moments
 /// `mean = p + (k−1)q`, `var = p(1−p) + (k−1)q(1−q)`.
-fn assert_paths_match(oracle: &dyn FrequencyOracle, seed_tag: &str) {
+fn assert_paths_match(oracle: &AnyOracle, seed_tag: &str) {
     let k = oracle.k();
     let value = k / 2;
     let n = 60_000;
@@ -56,9 +64,9 @@ fn assert_paths_match(oracle: &dyn FrequencyOracle, seed_tag: &str) {
     let (p, q) = (params.p, params.q);
     let mut rng_sparse = fixture_rng(&format!("{seed_tag}::sparse"));
     let mut rng_naive = fixture_rng(&format!("{seed_tag}::naive"));
-    let sparse = collect_stats(k, n, || oracle.perturb(value, &mut rng_sparse).unwrap());
+    let sparse = collect_stats(k, n, || perturb(oracle, value, &mut rng_sparse));
     let naive = collect_stats(k, n, || {
-        oracle.perturb_naive(value, &mut rng_naive).unwrap()
+        perturb_naive(oracle, value, &mut rng_naive).unwrap()
     });
     for stats in [&sparse, &naive] {
         for (v, &freq) in stats.ones_freq.iter().enumerate() {
@@ -88,7 +96,9 @@ fn assert_paths_match(oracle: &dyn FrequencyOracle, seed_tag: &str) {
 #[test]
 fn oue_sparse_matches_naive_marginals() {
     for (eps, k) in [(0.5, 8u32), (1.0, 64), (4.0, 128)] {
-        let oracle = Oue::new(Epsilon::new(eps).unwrap(), k).unwrap();
+        let oracle = OracleKind::Oue
+            .build(Epsilon::new(eps).unwrap(), k)
+            .unwrap();
         assert_paths_match(&oracle, &format!("sparse_eq::oue::{eps}::{k}"));
     }
 }
@@ -96,7 +106,9 @@ fn oue_sparse_matches_naive_marginals() {
 #[test]
 fn sue_sparse_matches_naive_marginals() {
     for (eps, k) in [(1.0, 16u32), (2.0, 96)] {
-        let oracle = Sue::new(Epsilon::new(eps).unwrap(), k).unwrap();
+        let oracle = OracleKind::Sue
+            .build(Epsilon::new(eps).unwrap(), k)
+            .unwrap();
         assert_paths_match(&oracle, &format!("sparse_eq::sue::{eps}::{k}"));
     }
 }
@@ -108,16 +120,17 @@ fn sparse_and_naive_support_sums_agree_statistically() {
     // value must be ≈ 1 under both samplers.
     let eps = Epsilon::new(1.0).unwrap();
     let k = 32u32;
-    let oracle = Oue::new(eps, k).unwrap();
+    let oracle = OracleKind::Oue.build(eps, k).unwrap();
+    let described = oracle.as_dyn();
     let n = 40_000;
     let mut rng = fixture_rng("sparse_eq::support_sums");
     let mut sum_sparse = 0.0;
     let mut sum_naive = 0.0;
     for _ in 0..n {
-        sum_sparse += oracle.support(&oracle.perturb(7, &mut rng).unwrap(), 7);
-        sum_naive += oracle.support(&oracle.perturb_naive(7, &mut rng).unwrap(), 7);
+        sum_sparse += described.support(&perturb(&oracle, 7, &mut rng), 7);
+        sum_naive += described.support(&perturb_naive(&oracle, 7, &mut rng).unwrap(), 7);
     }
-    let var = oracle.support_variance(1.0);
+    let var = described.support_variance(1.0);
     assert_within_ci!(sum_sparse / n as f64, 1.0, var, n, "sparse path");
     assert_within_ci!(sum_naive / n as f64, 1.0, var, n, "naive path");
 }

@@ -18,7 +18,7 @@
 //! ## Quick start: estimate a mean under ε-LDP
 //!
 //! ```
-//! use ldp::core::{numeric::Hybrid, Epsilon, NumericMechanism, rng::seeded_rng};
+//! use ldp::core::{numeric::Hybrid, Epsilon, rng::seeded_rng};
 //!
 //! let eps = Epsilon::new(1.0)?;
 //! let hm = Hybrid::new(eps);
