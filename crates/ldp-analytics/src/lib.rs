@@ -63,12 +63,12 @@ pub use frequency::FrequencyAccumulator;
 pub use ledger::BudgetLedger;
 pub use mean::MeanAccumulator;
 pub use pipeline::{
-    block_partition, block_rng, categorical_mse, numeric_mse, BestEffortNumeric, CollectionResult,
-    Collector, Protocol, BLOCK_USERS, DEFAULT_SHARDS,
+    block_partition, block_rng, categorical_mse, numeric_mse, run_blocks, BestEffortNumeric,
+    CollectionResult, Collector, Protocol, BLOCK_USERS, DEFAULT_SHARDS,
 };
 pub use service::{
     AckOutcome, EpochSnapshot, ReportService, ResponseMessage, ServiceConfig, StreamFault,
     WireMessage,
 };
-pub use session::{Aggregator, ClientEncoder, CompositionReport, EncoderScratch, Report};
+pub use session::{Aggregator, ClientEncoder, EncoderScratch, Report};
 pub use wordhist::WordHistogram;

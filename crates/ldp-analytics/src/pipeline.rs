@@ -19,7 +19,7 @@
 //! user order) draws from an RNG seeded by `(run seed, b)` and accumulates
 //! into its own local accumulators, which are merged in block order at the
 //! end. Worker threads are pure *schedulers*: a deterministic work-stealing
-//! runner hands blocks to whichever worker is idle (a shared atomic cursor
+//! runner ([`run_blocks`]) hands blocks to whichever worker is idle (a shared atomic cursor
 //! — idle workers steal the remaining blocks), so neither the worker count
 //! nor the steal order can change a single bit of any estimate. That
 //! invariant is what makes default-configuration runs reproducible across
@@ -206,66 +206,6 @@ impl Collector {
         self.protocol
     }
 
-    /// Runs every block's closure across the worker pool, returning results
-    /// in block order.
-    ///
-    /// Scheduling is deterministic work-stealing: a shared atomic cursor
-    /// over the block list; each worker claims (steals) the next unclaimed
-    /// block the moment it goes idle, so a straggler block never strands the
-    /// rest of the pool the way the old statically striped scheduler could.
-    /// Because every block owns its seed (derived from its index) and
-    /// results are scattered back into index-ordered slots, neither the
-    /// worker count nor the steal order can affect what this returns — only
-    /// how fast it returns it.
-    fn run_blocks<T, F>(&self, n: usize, f: F) -> Vec<Result<T>>
-    where
-        T: Send,
-        F: Fn(usize, std::ops::Range<usize>) -> Result<T> + Sync,
-    {
-        let blocks = block_partition(n, self.shards);
-        let workers = self
-            .workers
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-            .clamp(1, blocks.len());
-        let mut slots: Vec<Option<Result<T>>> = (0..blocks.len()).map(|_| None).collect();
-        if workers == 1 {
-            for (b, range) in blocks.iter().enumerate() {
-                slots[b] = Some(f(b, range.clone()));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let per_worker: Vec<Vec<(usize, Result<T>)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let blocks = &blocks;
-                        let next = &next;
-                        let f = &f;
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(range) = blocks.get(b) else { break };
-                                done.push((b, f(b, range.clone())));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("block worker panicked"))
-                    .collect()
-            });
-            for (b, res) in per_worker.into_iter().flatten() {
-                slots[b] = Some(res);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every block is claimed by exactly one worker"))
-            .collect()
-    }
-
     /// Simulates every user perturbing her tuple and aggregates the reports.
     ///
     /// A thin driver over the public session API: one [`ClientEncoder`]
@@ -286,7 +226,7 @@ impl Collector {
         }
         let schema = dataset.schema();
         let encoder = ClientEncoder::new(self.protocol, self.epsilon, schema.attr_specs())?;
-        let results = self.run_blocks(dataset.n(), |b, range| {
+        let results = run_blocks(dataset.n(), self.shards, self.workers, |b, range| {
             // Batched, monomorphized, fused hot path: every draw comes from
             // the block's buffered generator with no dyn dispatch, and
             // categorical hits stream straight into the count accumulators
@@ -352,6 +292,66 @@ pub fn block_partition(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
         out.push(start..shard.end);
     }
     out
+}
+
+/// Runs `f(block, range)` for every block of [`block_partition`]`(n,
+/// shards)` on `workers` threads (`None` = the machine's parallelism) and
+/// returns the results in block order — the scheduler behind
+/// [`Collector::run`] and the privacy audit.
+///
+/// Scheduling is deterministic work-stealing: a shared atomic cursor over
+/// the block list; each worker claims (steals) the next unclaimed block
+/// the moment it goes idle, so a straggler block never strands the rest of
+/// the pool. Because every block owns its seed (derived from its index, see
+/// [`block_rng`]) and results are scattered back into index-ordered slots,
+/// neither the worker count nor the steal order can affect what this
+/// returns — only how fast it returns it.
+pub fn run_blocks<T, F>(n: usize, shards: usize, workers: Option<usize>, f: F) -> Vec<Result<T>>
+where
+    T: Send,
+    F: Fn(usize, std::ops::Range<usize>) -> Result<T> + Sync,
+{
+    let blocks = block_partition(n, shards);
+    let workers = workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+        .clamp(1, blocks.len());
+    let mut slots: Vec<Option<Result<T>>> = (0..blocks.len()).map(|_| None).collect();
+    if workers == 1 {
+        for (b, range) in blocks.iter().enumerate() {
+            slots[b] = Some(f(b, range.clone()));
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let per_worker: Vec<Vec<(usize, Result<T>)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let blocks = &blocks;
+                    let next = &next;
+                    let f = &f;
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            let b = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(range) = blocks.get(b) else { break };
+                            done.push((b, f(b, range.clone())));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("block worker panicked"))
+                .collect()
+        });
+        for (b, res) in per_worker.into_iter().flatten() {
+            slots[b] = Some(res);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every block is claimed by exactly one worker"))
+        .collect()
 }
 
 /// Decorrelated per-block RNG, derived from `(run seed, block index)`.

@@ -24,17 +24,20 @@
 //! | 3 | [`WireMessage::FlushEpoch`] | epoch to snapshot |
 //! | 4 | [`WireMessage::Shutdown`] | empty |
 //!
-//! Report bytes inside `Submit` use the canonical codecs:
-//! [`WireFormat::encode_sparse`] for Algorithm 4 reports and
-//! [`CompositionReport::encode_wire`] for the best-effort baselines.
+//! Report bytes inside `Submit` are [`encode_report`]'s canonical layout
+//! for the session's protocol ([`wire::encode_sampled`] for Algorithm 4
+//! reports, [`wire::encode_full`] for the best-effort baselines), and
+//! [`decode_report`] accepts nothing else.
 //!
 //! ## Validation discipline
 //!
 //! Nothing touches aggregate state until it has fully cleared three gates,
 //! in order: the **frame** gate (length sane, checksum matches), the
-//! **message** gate (payload parses as its kind, exact encoded length, the
-//! report validates against the session's schema and protocol), and the
-//! **ledger** gate (the user has not already spent this epoch's budget).
+//! **message** gate (payload parses as its kind; the report bytes decode
+//! once, at their exact canonical length, and the report validates once
+//! against the session's schema and protocol), and the **ledger** gate
+//! (the user has not already spent this epoch's budget). Only then is the
+//! report counted, without a second validation.
 //! A failure at any gate is a typed [`LdpError`] — never a panic — and
 //! leaves the aggregate bit-identical to before the frame arrived; the
 //! `proptest_service` suite drives truncated, bit-flipped and oversized
@@ -129,9 +132,9 @@
 
 use crate::ledger::BudgetLedger;
 use crate::pipeline::{self, CollectionResult, Protocol};
-use crate::session::{Aggregator, CompositionReport, Report};
+use crate::session::{Aggregator, Report};
 use ldp_core::frame::{self, FrameRead};
-use ldp_core::multidim::wire::{self, BitReader, BitWriter, WireFormat};
+use ldp_core::multidim::wire::{self, BitReader, BitWriter};
 use ldp_core::multidim::AttrSpec;
 use ldp_core::{Epsilon, LdpError, NumericKind, OracleKind, Result};
 use std::collections::BTreeMap;
@@ -161,17 +164,6 @@ const SUBMIT_ENVELOPE_BYTES: usize = 24;
 
 fn malformed(message: String) -> LdpError {
     LdpError::MalformedFrame { message }
-}
-
-/// True when `oracle` emits unary bit vectors (OUE/SUE) rather than GRR's
-/// direct `⌈log₂ k⌉`-bit values — the flag every report codec needs.
-fn oracle_is_unary(oracle: OracleKind) -> bool {
-    !matches!(oracle, OracleKind::Grr)
-}
-
-fn protocol_unary(protocol: Protocol) -> bool {
-    let (Protocol::Sampling { oracle, .. } | Protocol::BestEffort { oracle, .. }) = protocol;
-    oracle_is_unary(oracle)
 }
 
 /// Stable wire codes for [`Protocol`]: family, numeric kind, oracle kind.
@@ -680,37 +672,40 @@ impl ResponseMessage {
     }
 }
 
-/// Encodes a session report into its canonical wire bytes — the inverse of
-/// what the service performs on every `Submit`.
-///
-/// Convenience form that builds a throwaway [`WireFormat`]; hot encode
-/// loops (the wire bench) should hold one `WireFormat` and call
-/// [`WireFormat::encode_sparse`] / [`CompositionReport::encode_wire`]
-/// directly.
+/// Encodes a session report into its canonical wire bytes: the variant
+/// picks the layout — [`wire::encode_sampled`] for
+/// [`Report::Sampling`] (entry count, then index + payload per entry),
+/// [`wire::encode_full`] for [`Report::Composition`] (numeric payloads,
+/// then categorical ones).
 ///
 /// # Panics
 /// Panics if the report disagrees with `specs` (reports produced by a
 /// [`crate::ClientEncoder`] on the same schema always agree).
 pub fn encode_report(report: &Report, specs: &[AttrSpec]) -> Vec<u8> {
     match report {
-        Report::Sampling(sparse) => WireFormat::new(specs.to_vec()).encode_sparse(sparse),
-        Report::Composition(comp) => comp.encode_wire(specs),
+        Report::Sampling(sparse) => wire::encode_sampled(sparse, specs),
+        Report::Composition(full) => wire::encode_full(full, specs),
     }
 }
 
-/// Decodes canonical report bytes for `protocol` over `specs`.
+/// Decodes canonical report bytes for `protocol` over `specs` — the one
+/// report decoder, which the service runs on every `Submit`. Only the
+/// canonical length is accepted: trailing bytes would let a client smuggle
+/// stream junk.
 ///
 /// # Errors
-/// Typed [`LdpError`]s on truncated or out-of-domain payloads; never
-/// panics.
+/// [`LdpError::MalformedFrame`] on a non-canonical length, other typed
+/// [`LdpError`]s on truncated or out-of-domain payloads; never panics.
 pub fn decode_report(protocol: Protocol, specs: &[AttrSpec], bytes: &[u8]) -> Result<Report> {
-    let unary = protocol_unary(protocol);
+    // OUE/SUE payloads are unary bit vectors, GRR's direct values.
+    let (Protocol::Sampling { oracle, .. } | Protocol::BestEffort { oracle, .. }) = protocol;
+    let unary = oracle != OracleKind::Grr;
     match protocol {
-        Protocol::Sampling { .. } => WireFormat::new(specs.to_vec())
-            .decode_sparse(bytes, unary)
-            .map(Report::Sampling),
+        Protocol::Sampling { .. } => {
+            wire::decode_sampled(specs, bytes, unary).map(Report::Sampling)
+        }
         Protocol::BestEffort { .. } => {
-            CompositionReport::decode_wire(specs, bytes, unary).map(Report::Composition)
+            wire::decode_full(specs, bytes, unary).map(Report::Composition)
         }
     }
 }
@@ -734,14 +729,18 @@ impl Default for ServiceConfig {
 /// Session state established by the first `Hello`.
 #[derive(Debug, Clone)]
 struct Session {
-    protocol: Protocol,
-    epsilon: Epsilon,
-    specs: Vec<AttrSpec>,
-    wire: WireFormat,
-    unary: bool,
     base_epoch: u64,
-    /// Validated blank aggregator, cloned for each new epoch.
+    /// Validated blank aggregator, cloned for each new epoch. It holds the
+    /// session's protocol, ε and schema.
     template: Aggregator,
+}
+
+impl Session {
+    /// `(protocol, epsilon, specs, base_epoch)`, as a `Hello` carries them.
+    fn params(&self) -> (Protocol, Epsilon, &[AttrSpec], u64) {
+        let t = &self.template;
+        (t.protocol(), t.epsilon(), t.specs(), self.base_epoch)
+    }
 }
 
 /// One epoch's estimates plus the admission counters behind them.
@@ -950,11 +949,7 @@ impl ReportService {
             // Idempotent for identical parameters (many clients, one
             // stream); anything else is a different session and would
             // corrupt the estimates if absorbed.
-            if sess.protocol == protocol
-                && sess.epsilon.value().to_bits() == epsilon.value().to_bits()
-                && sess.specs == specs
-                && sess.base_epoch == epoch
-            {
+            if sess.params() == (protocol, epsilon, specs, epoch) {
                 return Ok(());
             }
             return Err(malformed(
@@ -964,11 +959,6 @@ impl ReportService {
         // Template construction performs full schema validation.
         let template = Aggregator::new(protocol, epsilon, specs.to_vec())?;
         self.session = Some(Session {
-            protocol,
-            epsilon,
-            specs: specs.to_vec(),
-            wire: WireFormat::new(specs.to_vec()),
-            unary: protocol_unary(protocol),
             base_epoch: epoch,
             template,
         });
@@ -986,24 +976,20 @@ impl ReportService {
                 sess.base_epoch
             )));
         }
-        // Gate 2a: the report bytes must decode, at their exact canonical
-        // length (trailing bytes would let a client smuggle stream junk).
-        let report = decode_submit_report(sess, bytes)?;
-        // Gate 2b: the decoded report must validate against the session —
-        // before the ledger runs, so a malformed report does not burn its
-        // user's budget.
+        // Gate 2: the report bytes decode once, at their exact canonical
+        // length, and the report validates once against the session's
+        // template (every epoch's aggregator is a clone of it) — before the
+        // ledger runs, so a malformed report does not burn its user's
+        // budget.
         let template = &sess.template;
-        self.epochs
-            .get(&epoch)
-            .unwrap_or(template)
-            .validate_report(&report)?;
+        let report = decode_report(template.protocol(), template.specs(), bytes)?;
+        template.validate_report(&report)?;
         // Gate 3: one report per user per epoch.
         self.ledger.admit(user, epoch)?;
         // All gates cleared: route into the block's partial.
         let agg = self.epochs.entry(epoch).or_insert_with(|| template.clone());
         agg.set_ordinal(block);
-        agg.absorb(&report)
-            .expect("validated above; absorb re-checks the same invariants");
+        agg.absorb_validated(&report);
         Ok(())
     }
 
@@ -1040,24 +1026,22 @@ impl ReportService {
     /// integrity alarm.
     ///
     /// # Errors
-    /// Mismatched ledger keys or session parameters.
+    /// Mismatched ledger keys or session parameters; a refused merge
+    /// leaves `self` untouched.
     pub fn merge(&mut self, other: ReportService) -> Result<()> {
-        match (&self.session, &other.session) {
-            (Some(a), Some(b))
-                if a.protocol != b.protocol
-                    || a.epsilon.value().to_bits() != b.epsilon.value().to_bits()
-                    || a.specs != b.specs
-                    || a.base_epoch != b.base_epoch =>
-            {
+        if let (Some(a), Some(b)) = (&self.session, &other.session) {
+            if a.params() != b.params() {
                 return Err(LdpError::InvalidParameter {
                     name: "service",
                     message: "cannot merge services from different sessions".into(),
                 });
             }
-            (None, Some(_)) => self.session = other.session.clone(),
-            _ => {}
         }
+        // Refuses a different ledger key before changing either ledger.
         self.ledger.merge(other.ledger)?;
+        if self.session.is_none() {
+            self.session = other.session;
+        }
         self.rejected_malformed += other.rejected_malformed;
         for (epoch, agg) in other.epochs {
             match self.epochs.entry(epoch) {
@@ -1086,9 +1070,7 @@ impl ReportService {
     /// first `Hello`. The durable log header is exactly these four values
     /// (plus the ledger key), so recovery can re-issue the `Hello` itself.
     pub fn session_params(&self) -> Option<(Protocol, Epsilon, &[AttrSpec], u64)> {
-        self.session
-            .as_ref()
-            .map(|s| (s.protocol, s.epsilon, s.specs.as_slice(), s.base_epoch))
+        self.session.as_ref().map(Session::params)
     }
 
     /// Exact-length partial-state encoding of one epoch's aggregator (see
@@ -1153,37 +1135,6 @@ impl ReportService {
     /// the clean run's.
     pub fn restore_counters(&mut self, rejected_malformed: u64) {
         self.rejected_malformed = rejected_malformed;
-    }
-}
-
-/// Decodes submit report bytes under the session, enforcing the exact
-/// canonical length — the service-side hot path (no codec allocation).
-fn decode_submit_report(sess: &Session, bytes: &[u8]) -> Result<Report> {
-    match sess.protocol {
-        Protocol::Sampling { .. } => {
-            let sparse = sess.wire.decode_sparse(bytes, sess.unary)?;
-            // Entries conform to the schema by construction of the decoder,
-            // so the schema-aware size never panics here.
-            let expected =
-                (16 + wire::sparse_report_bits_with_schema(&sparse, &sess.specs)).div_ceil(8);
-            if bytes.len() != expected {
-                return Err(malformed(format!(
-                    "sampling report has {} bytes, canonical encoding is {expected}",
-                    bytes.len()
-                )));
-            }
-            Ok(Report::Sampling(sparse))
-        }
-        Protocol::BestEffort { .. } => {
-            let expected = wire::composition_report_bits(&sess.specs, sess.unary).div_ceil(8);
-            if bytes.len() != expected {
-                return Err(malformed(format!(
-                    "composition report has {} bytes, canonical encoding is {expected}",
-                    bytes.len()
-                )));
-            }
-            CompositionReport::decode_wire(&sess.specs, bytes, sess.unary).map(Report::Composition)
-        }
     }
 }
 
@@ -1706,5 +1657,91 @@ mod tests {
         // Either the decode or the validation gate fires; both are typed.
         assert!(service.snapshot_epoch(0).unwrap().result.is_none());
         drop(err);
+    }
+
+    #[test]
+    fn decode_report_accepts_only_the_canonical_length() {
+        let composition = Protocol::BestEffort {
+            numeric: pipeline::BestEffortNumeric::PerAttribute(NumericKind::Laplace),
+            oracle: OracleKind::Grr,
+        };
+        let specs = test_specs();
+        for protocol in [test_protocol(), composition] {
+            let encoder =
+                ClientEncoder::new(protocol, Epsilon::new(1.0).unwrap(), specs.clone()).unwrap();
+            let report = encoder
+                .encode(&tuple_for(5), &mut ldp_core::rng::seeded_rng(5))
+                .unwrap();
+            let mut bytes = encode_report(&report, &specs);
+            assert_eq!(decode_report(protocol, &specs, &bytes).unwrap(), report);
+            bytes.push(0);
+            let err = decode_report(protocol, &specs, &bytes).unwrap_err();
+            assert!(
+                matches!(err, LdpError::MalformedFrame { .. }),
+                "{protocol:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_layouts_are_pinned_byte_for_byte() {
+        use ldp_core::multidim::SparseReport;
+        use ldp_core::{AttrReport, BitVec, CategoricalReport};
+        let hex = |bytes: Vec<u8>| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let bits = |k: u32, ones: &[u32]| {
+            let mut b = BitVec::zeros(k);
+            ones.iter().for_each(|&i| b.set(i, true));
+            AttrReport::Categorical(CategoricalReport::Bits(b))
+        };
+        let value = |v: u32| AttrReport::Categorical(CategoricalReport::Value(v));
+        // Interleaved schema: the full layout writes both numeric payloads
+        // before any categorical one; k = 70 straddles a word boundary.
+        let specs = vec![
+            AttrSpec::Numeric,
+            AttrSpec::Categorical { k: 5 },
+            AttrSpec::Numeric,
+            AttrSpec::Categorical { k: 70 },
+        ];
+        let full = |cat_5, cat_70| {
+            Report::Composition(SparseReport {
+                d: 4,
+                entries: vec![
+                    (0, AttrReport::Numeric(0.25)),
+                    (1, cat_5),
+                    (2, AttrReport::Numeric(-0.75)),
+                    (3, cat_70),
+                ],
+            })
+        };
+        let oue = full(bits(5, &[0, 3]), bits(70, &[1, 63, 64, 69]));
+        assert_eq!(
+            hex(encode_report(&oue, &specs)),
+            "3fd0000000000000bfe800000000000092000000000000000c20"
+        );
+        let grr = full(value(4), value(69));
+        assert_eq!(
+            hex(encode_report(&grr, &specs)),
+            "3fd0000000000000bfe80000000000009140"
+        );
+        // k = d = 1 keeps the sampled layout: 16-bit count, 1-bit index.
+        let sampled = Report::Sampling(SparseReport {
+            d: 1,
+            entries: vec![(0, AttrReport::Numeric(0.5))],
+        });
+        assert_eq!(
+            hex(encode_report(&sampled, &[AttrSpec::Numeric])),
+            "00011ff000000000000000"
+        );
+    }
+
+    #[test]
+    fn refused_merge_leaves_the_service_untouched() {
+        let mut unconfigured = ReportService::new(ServiceConfig { ledger_key: 1 });
+        let mut configured = ReportService::new(ServiceConfig { ledger_key: 2 });
+        configured.handle(&hello()).unwrap();
+        configured.handle(&submit_for(&encoder(), 1, 0)).unwrap();
+        assert!(unconfigured.merge(configured).is_err());
+        assert!(!unconfigured.is_configured());
+        assert_eq!(unconfigured.epochs().count(), 0);
     }
 }

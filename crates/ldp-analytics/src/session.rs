@@ -9,9 +9,11 @@
 //! * [`ClientEncoder`] — built from a [`Protocol`], an [`Epsilon`] and the
 //!   public schema; turns one user tuple into a serde-able [`Report`]
 //!   (Algorithm 4 sparse sampling, or the best-effort ε/d composition).
-//! * [`Report`] — the only thing that crosses the trust boundary: sampled
-//!   attribute indices plus numeric draws and categorical bits. Sized by
-//!   [`ldp_core::multidim::wire`], serialized by serde.
+//! * [`Report`] — the only thing that crosses the trust boundary: one
+//!   [`SparseReport`] of `(attribute index, numeric draw or categorical
+//!   bits)` entries — Algorithm 4's `k` sampled attributes, or all `d`
+//!   under composition. Encoded and sized by [`ldp_core::multidim::wire`],
+//!   serialized by serde.
 //! * [`Aggregator`] — consumes reports incrementally ([`Aggregator::absorb`]),
 //!   merges partial aggregates from other shards or processes
 //!   ([`Aggregator::merge`]), and yields a [`CollectionResult`] snapshot at
@@ -61,133 +63,24 @@ use std::collections::BTreeMap;
 /// The perturbed message one user submits for one record — the only data
 /// that crosses the client→server trust boundary.
 ///
-/// Serde-able and compact: numeric entries are single `f64` draws,
-/// categorical entries are oracle bits (a `⌈log₂ k⌉`-bit value for GRR, a
-/// `k`-bit vector for OUE/SUE). [`ldp_core::multidim::wire`] provides the
-/// bit-level codec and size accounting for the sampling variant.
+/// Both variants hold the same shape, a [`SparseReport`]: numeric entries
+/// are single `f64` draws, categorical entries are oracle bits (a
+/// `⌈log₂ k⌉`-bit value for GRR, a `k`-bit vector for OUE/SUE). The
+/// variant names the protocol family and, with it, the wire layout
+/// [`crate::service::encode_report`] writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Report {
     /// An Algorithm 4 report: `k` sampled attributes, each carrying an
-    /// ε/k-LDP sub-report (numeric entries pre-scaled by `d/k`).
+    /// ε/k-LDP sub-report (numeric entries pre-scaled by `d/k`). Travels
+    /// in [`wire::encode_sampled`]'s layout.
     Sampling(SparseReport),
-    /// A best-effort composition report: every attribute reported at its
-    /// split budget.
-    Composition(CompositionReport),
-}
-
-/// The dense report of the best-effort composition protocols: one numeric
-/// draw per numeric attribute and one categorical report per categorical
-/// attribute, each in schema slot order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct CompositionReport {
-    /// Noisy numeric values, one per numeric attribute in schema order.
-    /// Under [`BestEffortNumeric::DuchiMultidim`] these are the coordinates
-    /// of Duchi et al.'s joint report; otherwise independent 1-D draws.
-    pub numeric: Vec<f64>,
-    /// Oracle reports, one per categorical attribute in schema order.
-    pub categorical: Vec<CategoricalReport>,
-}
-
-impl CompositionReport {
-    /// Encodes the report into the canonical bit-level wire format, the
-    /// composition counterpart of
-    /// [`wire::WireFormat::encode_sparse`]: 64 bits
-    /// per numeric draw, then per categorical attribute either the unary
-    /// report's `k` bits (word-at-a-time, vector bit 0 first) or the direct
-    /// report's `⌈log₂ k⌉`-bit value. Schema order is implied and every
-    /// attribute is present, so no indices and no header go on the wire —
-    /// the encoded size is exactly
-    /// [`wire::composition_report_bits`] rounded up
-    /// to bytes.
-    ///
-    /// # Panics
-    /// Panics if the report's shape or entry types disagree with the schema
-    /// (reports produced by a [`ClientEncoder`] on the same schema always
-    /// agree).
-    pub fn encode_wire(&self, specs: &[AttrSpec]) -> Vec<u8> {
-        let d_num = specs.iter().filter(|s| s.is_numeric()).count();
-        assert_eq!(self.numeric.len(), d_num, "schema mismatch");
-        assert_eq!(
-            self.categorical.len(),
-            specs.len() - d_num,
-            "schema mismatch"
-        );
-        let mut w = wire::BitWriter::new();
-        for x in &self.numeric {
-            w.write_bits(x.to_bits(), 64);
-        }
-        let mut cats = self.categorical.iter();
-        for spec in specs {
-            let AttrSpec::Categorical { k } = spec else {
-                continue;
-            };
-            match cats.next().expect("counted above") {
-                CategoricalReport::Value(v) => {
-                    w.write_bits(u64::from(*v), wire::index_bits(*k as usize));
-                }
-                CategoricalReport::Bits(bits) => {
-                    assert_eq!(bits.len(), *k, "bit-vector length mismatch");
-                    // Same word-at-a-time layout as the sparse codec: the
-                    // stream wants vector bit 0 first, `write_bits` emits
-                    // high bit first, so each word goes out reversed.
-                    let mut remaining = *k;
-                    for &word in bits.words() {
-                        let width = remaining.min(64);
-                        w.write_bits(word.reverse_bits() >> (64 - width), width as usize);
-                        remaining -= width;
-                    }
-                }
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes a composition report. As with
-    /// [`wire::WireFormat::decode_sparse`], the
-    /// protocol fixes whether categorical payloads are unary bit vectors
-    /// (`unary = true`, OUE/SUE) or `⌈log₂ k⌉`-bit direct values (GRR), so
-    /// it is not encoded per report.
-    ///
-    /// # Errors
-    /// [`LdpError::InvalidParameter`] on truncated buffers and
-    /// [`LdpError::InvalidCategory`] on out-of-range direct values.
-    pub fn decode_wire(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<CompositionReport> {
-        let mut r = wire::BitReader::new(bytes);
-        let d_num = specs.iter().filter(|s| s.is_numeric()).count();
-        let mut numeric = Vec::with_capacity(d_num);
-        for _ in 0..d_num {
-            numeric.push(f64::from_bits(r.read_bits(64)?));
-        }
-        let mut categorical = Vec::with_capacity(specs.len() - d_num);
-        for spec in specs {
-            let AttrSpec::Categorical { k } = spec else {
-                continue;
-            };
-            categorical.push(if unary {
-                let mut words = vec![0u64; (*k as usize).div_ceil(64)];
-                let mut base = 0u32;
-                for word in &mut words {
-                    let width = (*k - base).min(64);
-                    let chunk = r.read_bits(width as usize)?;
-                    *word = chunk.reverse_bits() >> (64 - width);
-                    base += width;
-                }
-                let bits = ldp_core::BitVec::from_words(*k, words)
-                    .expect("masked reads are well-formed by construction");
-                CategoricalReport::Bits(bits)
-            } else {
-                let v = r.read_bits(wire::index_bits(*k as usize))? as u32;
-                if v >= *k {
-                    return Err(LdpError::InvalidCategory { value: v, k: *k });
-                }
-                CategoricalReport::Value(v)
-            });
-        }
-        Ok(CompositionReport {
-            numeric,
-            categorical,
-        })
-    }
+    /// A best-effort composition report: Algorithm 4's shape with every
+    /// attribute sampled (`k = d`, so the `d/k` scale is 1), all `d`
+    /// entries in schema order, each at its split budget. Under
+    /// [`BestEffortNumeric::DuchiMultidim`] the numeric entries are the
+    /// coordinates of Duchi et al.'s joint report. Travels in
+    /// [`wire::encode_full`]'s layout: no count and no indices.
+    Composition(SparseReport),
 }
 
 /// Expected set bits per unary report above which the fused engines absorb
@@ -518,7 +411,6 @@ impl ClientEncoder {
             shape: self.shape.clone(),
             ordinal: 0,
             parts: BTreeMap::new(),
-            dense: vec![0.0; self.shape.d],
         })
     }
 
@@ -555,7 +447,9 @@ impl ClientEncoder {
     pub fn empty_report(&self) -> Report {
         match &self.engine {
             Engine::Sampling(p) => Report::Sampling(SparseReport::with_capacity(p.d(), p.k())),
-            Engine::Composition { .. } => Report::Composition(CompositionReport::default()),
+            Engine::Composition { .. } => {
+                Report::Composition(SparseReport::with_capacity(self.shape.d, self.shape.d))
+            }
         }
     }
 
@@ -625,7 +519,15 @@ impl ClientEncoder {
                     return Err(scratch_mismatch());
                 };
                 self.validate(tuple)?;
-                out.numeric.clear();
+                // Every attribute, in schema order. A report already of
+                // this shape keeps its categorical payload buffers.
+                let d = self.shape.d;
+                if out.entries.len() != d {
+                    out.entries.clear();
+                    out.entries
+                        .extend((0..d as u32).map(|j| (j, AttrReport::Numeric(0.0))));
+                }
+                out.d = d;
                 match numeric {
                     CompositionNumeric::None => {}
                     CompositionNumeric::PerAttr(mech) => {
@@ -633,7 +535,8 @@ impl ClientEncoder {
                             let AttrValue::Numeric(x) = tuple[j] else {
                                 unreachable!("validated above");
                             };
-                            out.numeric.push(mech.perturb(x, &mut *rng)?);
+                            let y = mech.perturb(x, &mut *rng)?;
+                            out.entries[j] = (j as u32, AttrReport::Numeric(y));
                         }
                     }
                     CompositionNumeric::Duchi(md) => {
@@ -649,19 +552,24 @@ impl ClientEncoder {
                             noisy,
                             duchi.as_mut().expect("built with Duchi state"),
                         )?;
-                        out.numeric.extend_from_slice(noisy);
+                        for (&y, &j) in noisy.iter().zip(&self.shape.num_indices) {
+                            out.entries[j] = (j as u32, AttrReport::Numeric(y));
+                        }
                     }
-                }
-                if out.categorical.len() != self.shape.cat_indices.len() {
-                    out.categorical.clear();
-                    out.categorical
-                        .resize_with(self.shape.cat_indices.len(), || CategoricalReport::Value(0));
                 }
                 for (slot, &j) in self.shape.cat_indices.iter().enumerate() {
                     let AttrValue::Categorical(v) = tuple[j] else {
                         unreachable!("validated above");
                     };
-                    oracles[slot].perturb_into(v, &mut *rng, &mut out.categorical[slot])?;
+                    let entry = &mut out.entries[j];
+                    entry.0 = j as u32;
+                    if !matches!(entry.1, AttrReport::Categorical(_)) {
+                        entry.1 = AttrReport::Categorical(CategoricalReport::Value(0));
+                    }
+                    let AttrReport::Categorical(cat) = &mut entry.1 else {
+                        unreachable!("made categorical above");
+                    };
+                    oracles[slot].perturb_into(v, &mut *rng, cat)?;
                 }
                 Ok(())
             }
@@ -777,8 +685,6 @@ pub struct Aggregator {
     shape: Shape,
     ordinal: u64,
     parts: BTreeMap<u64, Partial>,
-    /// Scatter buffer for dense absorbs.
-    dense: Vec<f64>,
 }
 
 impl Aggregator {
@@ -816,31 +722,62 @@ impl Aggregator {
 
     /// Checks `report` against this aggregator's protocol and schema
     /// without touching any state: variant/protocol agreement, arity,
-    /// entry types, domains, and (for sampling reports) the sampled-entry
-    /// count and ordering. Exactly the checks [`Aggregator::absorb`] runs
-    /// before mutating, exposed so a service can interpose its own
-    /// admission control (e.g. the privacy-budget ledger) between
-    /// validation and absorption — a report that fails here must not burn
-    /// its user's per-epoch budget.
+    /// entry count (`k` sampled, or all `d` under composition), strictly
+    /// increasing attribute indices, entry types and domains. Exactly the
+    /// checks [`Aggregator::absorb`] runs before mutating, exposed so a
+    /// service can interpose its own admission control (e.g. the
+    /// privacy-budget ledger) between validation and absorption — a report
+    /// that fails here must not burn its user's per-epoch budget.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] / [`LdpError::DimensionMismatch`] /
     /// [`LdpError::InvalidCategory`] on malformed reports.
     pub fn validate_report(&self, report: &Report) -> Result<()> {
-        match report {
-            Report::Sampling(sparse) => {
-                if !matches!(self.protocol, Protocol::Sampling { .. }) {
-                    return Err(report_mismatch());
-                }
-                self.validate_sparse(sparse)
+        let sparse = match (report, self.protocol) {
+            (Report::Sampling(sparse), Protocol::Sampling { .. })
+            | (Report::Composition(sparse), Protocol::BestEffort { .. }) => sparse,
+            _ => {
+                return Err(LdpError::InvalidParameter {
+                    name: "report",
+                    message: "report variant does not match the aggregator's protocol".into(),
+                })
             }
-            Report::Composition(dense_rep) => {
-                if !matches!(self.protocol, Protocol::BestEffort { .. }) {
-                    return Err(report_mismatch());
-                }
-                self.validate_composition(dense_rep)
-            }
+        };
+        let shape = &self.shape;
+        if sparse.d != shape.d {
+            return Err(LdpError::DimensionMismatch {
+                expected: shape.d,
+                actual: sparse.d,
+            });
         }
+        if sparse.entries.len() != shape.sampled_k {
+            return Err(LdpError::InvalidParameter {
+                name: "report",
+                message: format!(
+                    "report must carry exactly {} entries, got {}",
+                    shape.sampled_k,
+                    sparse.entries.len()
+                ),
+            });
+        }
+        let mut prev: Option<u32> = None;
+        for (j, rep) in &sparse.entries {
+            if *j as usize >= shape.d {
+                return Err(LdpError::InvalidParameter {
+                    name: "report",
+                    message: format!("attribute index {j} out of range {}", shape.d),
+                });
+            }
+            if prev.is_some_and(|p| p >= *j) {
+                return Err(LdpError::InvalidParameter {
+                    name: "report",
+                    message: "report entries must be strictly increasing in attribute".into(),
+                });
+            }
+            prev = Some(*j);
+            validate_entry(rep, &self.specs[*j as usize])?;
+        }
+        Ok(())
     }
 
     /// The protocol this aggregator estimates for.
@@ -948,8 +885,7 @@ impl Aggregator {
 
     /// Absorbs one report into this aggregator's own partial.
     ///
-    /// Validates the report against the schema and protocol (arity, entry
-    /// types, domains, sampled-entry count and ordering), so a malformed or
+    /// Runs [`Aggregator::validate_report`] first, so a malformed or
     /// cross-protocol report is rejected rather than silently biasing the
     /// estimates.
     ///
@@ -957,47 +893,30 @@ impl Aggregator {
     /// [`LdpError::InvalidParameter`] / [`LdpError::DimensionMismatch`] /
     /// [`LdpError::InvalidCategory`] on malformed reports.
     pub fn absorb(&mut self, report: &Report) -> Result<()> {
-        match report {
-            Report::Sampling(sparse) => {
-                if !matches!(self.protocol, Protocol::Sampling { .. }) {
-                    return Err(report_mismatch());
-                }
-                self.validate_sparse(sparse)?;
-                let shape = &self.shape;
-                let part = self
-                    .parts
-                    .entry(self.ordinal)
-                    .or_insert_with(|| Partial::new(shape));
-                for (j, rep) in &sparse.entries {
-                    if let AttrReport::Categorical(cat) = rep {
-                        let slot = shape.slot_of[*j as usize].expect("validated categorical");
-                        part.freqs[slot].count_report(cat);
-                    }
-                }
-                part.means.add_sparse(sparse)
-            }
-            Report::Composition(dense_rep) => {
-                if !matches!(self.protocol, Protocol::BestEffort { .. }) {
-                    return Err(report_mismatch());
-                }
-                self.validate_composition(dense_rep)?;
-                let shape = &self.shape;
-                // Scatter the numeric draws into a dense tuple so the mean
-                // accumulator sees exactly what the fused engine feeds it.
-                self.dense.iter_mut().for_each(|x| *x = 0.0);
-                for (slot, &j) in shape.num_indices.iter().enumerate() {
-                    self.dense[j] = dense_rep.numeric[slot];
-                }
-                let part = self
-                    .parts
-                    .entry(self.ordinal)
-                    .or_insert_with(|| Partial::new(shape));
-                for (slot, cat) in dense_rep.categorical.iter().enumerate() {
-                    part.freqs[slot].count_report(cat);
-                }
-                part.means.add_dense(&self.dense)
+        self.validate_report(report)?;
+        self.absorb_validated(report);
+        Ok(())
+    }
+
+    /// Counts a report that already passed [`Aggregator::validate_report`]
+    /// on a same-session aggregator — the service validates against its
+    /// template once, before its ledger admits, and absorbs through here.
+    pub(crate) fn absorb_validated(&mut self, report: &Report) {
+        let (Report::Sampling(sparse) | Report::Composition(sparse)) = report;
+        let shape = &self.shape;
+        let part = self
+            .parts
+            .entry(self.ordinal)
+            .or_insert_with(|| Partial::new(shape));
+        for (j, rep) in &sparse.entries {
+            if let AttrReport::Categorical(cat) = rep {
+                let slot = shape.slot_of[*j as usize].expect("validated categorical");
+                part.freqs[slot].count_report(cat);
             }
         }
+        part.means
+            .add_sparse(sparse)
+            .expect("validated reports match the schema");
     }
 
     /// Fused simulation path: encodes `tuple` with `encoder` and absorbs
@@ -1245,70 +1164,6 @@ impl Aggregator {
             frequencies,
         })
     }
-
-    fn validate_sparse(&self, report: &SparseReport) -> Result<()> {
-        let shape = &self.shape;
-        if report.d != shape.d {
-            return Err(LdpError::DimensionMismatch {
-                expected: shape.d,
-                actual: report.d,
-            });
-        }
-        if report.entries.len() != shape.sampled_k {
-            return Err(LdpError::InvalidParameter {
-                name: "report",
-                message: format!(
-                    "sampling report must carry exactly {} entries, got {}",
-                    shape.sampled_k,
-                    report.entries.len()
-                ),
-            });
-        }
-        let mut prev: Option<u32> = None;
-        for (j, rep) in &report.entries {
-            if *j as usize >= shape.d {
-                return Err(LdpError::InvalidParameter {
-                    name: "report",
-                    message: format!("attribute index {j} out of range {}", shape.d),
-                });
-            }
-            if prev.is_some_and(|p| p >= *j) {
-                return Err(LdpError::InvalidParameter {
-                    name: "report",
-                    message: "report entries must be strictly increasing in attribute".into(),
-                });
-            }
-            prev = Some(*j);
-            validate_entry(rep, &self.specs[*j as usize])?;
-        }
-        Ok(())
-    }
-
-    fn validate_composition(&self, report: &CompositionReport) -> Result<()> {
-        let shape = &self.shape;
-        if report.numeric.len() != shape.num_indices.len()
-            || report.categorical.len() != shape.cat_indices.len()
-        {
-            return Err(LdpError::DimensionMismatch {
-                expected: shape.d,
-                actual: report.numeric.len() + report.categorical.len(),
-            });
-        }
-        for x in &report.numeric {
-            // One NaN would poison the mean sums for every later snapshot;
-            // reject it here like the sparse path does.
-            if !x.is_finite() {
-                return Err(LdpError::InvalidParameter {
-                    name: "report",
-                    message: "numeric entry must be finite".into(),
-                });
-            }
-        }
-        for (cat, &(k, _)) in report.categorical.iter().zip(&shape.cats) {
-            validate_categorical(cat, k)?;
-        }
-        Ok(())
-    }
 }
 
 /// Validates one report entry against its attribute spec.
@@ -1363,13 +1218,6 @@ fn validate_categorical(cat: &CategoricalReport, k: u32) -> Result<()> {
             }
             Ok(())
         }
-    }
-}
-
-fn report_mismatch() -> LdpError {
-    LdpError::InvalidParameter {
-        name: "report",
-        message: "report variant does not match the aggregator's protocol".into(),
     }
 }
 
@@ -1638,9 +1486,9 @@ mod tests {
         else {
             unreachable!();
         };
-        bad.categorical[0] = CategoricalReport::Value(99);
+        bad.entries[1].1 = AttrReport::Categorical(CategoricalReport::Value(99));
         assert!(comp_agg.absorb(&Report::Composition(bad.clone())).is_err());
-        bad.categorical.pop();
+        bad.entries.pop();
         assert!(comp_agg.absorb(&Report::Composition(bad)).is_err());
 
         // Non-finite numeric entries would poison the mean sums forever.
@@ -1649,7 +1497,7 @@ mod tests {
         else {
             unreachable!();
         };
-        poisoned.numeric[0] = f64::NAN;
+        poisoned.entries[0].1 = AttrReport::Numeric(f64::NAN);
         assert!(comp_agg.absorb(&Report::Composition(poisoned)).is_err());
 
         // Cross-session merges are rejected.
@@ -1734,18 +1582,18 @@ mod tests {
                 else {
                     unreachable!("composition protocol");
                 };
-                let bytes = report.encode_wire(encoder.specs());
+                let bytes = wire::encode_full(&report, encoder.specs());
                 // The encoded size is the canonical accounting, exactly.
                 assert_eq!(
                     bytes.len(),
-                    wire::composition_report_bits(encoder.specs(), unary).div_ceil(8)
+                    wire::full_report_bits(encoder.specs(), unary).div_ceil(8)
                 );
-                let back = CompositionReport::decode_wire(encoder.specs(), &bytes, unary).unwrap();
+                let back = wire::decode_full(encoder.specs(), &bytes, unary).unwrap();
                 assert_eq!(back, report, "{oracle:?} round {i}");
             }
         }
         // Truncated buffers are rejected, not misread.
-        assert!(CompositionReport::decode_wire(&mixed_specs(), &[0u8; 2], true).is_err());
+        assert!(wire::decode_full(&mixed_specs(), &[0u8; 2], true).is_err());
     }
 
     #[test]

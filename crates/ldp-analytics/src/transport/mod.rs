@@ -23,8 +23,7 @@
 //!   connection ([`ScriptedStream`]), so the integration suite can prove
 //!   the property that matters: a chaos-ridden run's merged snapshot is
 //!   *bit-identical* to a clean run's.
-//! * [`net`] (feature `net`, on by default) — `std::net` TCP and Unix
-//!   domain socket shells over the stream-agnostic core.
+//! * [`net`] — `std::net` TCP shells over the stream-agnostic core.
 //!
 //! ## Verdicts and the retry contract
 //!
@@ -139,7 +138,6 @@
 pub mod backoff;
 pub mod chaos;
 pub mod client;
-#[cfg(feature = "net")]
 pub mod net;
 pub mod server;
 
@@ -148,7 +146,6 @@ pub use chaos::{
     duplex, ChaosConfig, ChaosStream, CrashSwitch, FaultCounts, PipeStream, ScriptedStream,
 };
 pub use client::{ClientConfig, ClientStats, Connect, FlushReceipt, ReportClient, SubmitOutcome};
-#[cfg(feature = "net")]
 pub use net::{NetConfig, TcpConnector, TcpReportServer};
 pub use server::{ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportStats};
 

@@ -1,8 +1,7 @@
-//! OS-socket bindings for the transport: TCP (and, on Unix, domain
-//! sockets) around [`ReportServer`] /
+//! OS-socket bindings for the transport: TCP around [`ReportServer`] /
 //! [`ReportClient`](crate::transport::ReportClient).
 //!
-//! Everything here is a thin shell: accept loops spawn one
+//! Everything here is a thin shell: the accept loop spawns one
 //! [`ConnHandle::serve_stream`] thread per connection, and connectors
 //! implement [`Connect`] with timeouts classified through
 //! [`ldp_core::frame::io_error`], so all retry/backoff/idempotency logic
@@ -169,124 +168,5 @@ impl Connect for TcpConnector {
             .and_then(|()| stream.set_write_timeout(self.io_timeout))
             .map_err(|e| io_error("connect", &e))?;
         Ok(stream)
-    }
-}
-
-/// Unix-domain-socket twins of the TCP types.
-#[cfg(unix)]
-pub mod unix {
-    use std::os::unix::net::{UnixListener, UnixStream};
-    use std::path::{Path, PathBuf};
-
-    use super::*;
-
-    /// A [`ReportServer`] listening on a Unix domain socket.
-    #[derive(Debug)]
-    pub struct UnixReportServer {
-        path: PathBuf,
-        stop: Arc<AtomicBool>,
-        accept_thread: JoinHandle<Vec<ConnSummary>>,
-        server: ReportServer,
-    }
-
-    impl UnixReportServer {
-        /// Binds `path` (removing any stale socket file first) and starts
-        /// accepting connections.
-        ///
-        /// # Errors
-        /// Bind failures, classified through [`io_error`].
-        pub fn bind<P: AsRef<Path>>(path: P, config: ServerConfig, net: NetConfig) -> Result<Self> {
-            let path = path.as_ref().to_path_buf();
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path).map_err(|e| io_error("bind", &e))?;
-            let server = ReportServer::start(config);
-            let stop = Arc::new(AtomicBool::new(false));
-            let accept_thread =
-                spawn_unix_accept_loop(listener, server.handle(), Arc::clone(&stop), net);
-            Ok(UnixReportServer {
-                path,
-                stop,
-                accept_thread,
-                server,
-            })
-        }
-
-        /// The socket path this server listens on.
-        pub fn path(&self) -> &Path {
-            &self.path
-        }
-
-        /// As [`TcpReportServer::finish`], plus removal of the socket
-        /// file.
-        pub fn finish(self) -> (ReportService, Vec<ConnSummary>) {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = UnixStream::connect(&self.path);
-            let summaries = self
-                .accept_thread
-                .join()
-                .expect("unix accept thread panicked");
-            let _ = std::fs::remove_file(&self.path);
-            (self.server.finish(), summaries)
-        }
-    }
-
-    fn spawn_unix_accept_loop(
-        listener: UnixListener,
-        handle: ConnHandle,
-        stop: Arc<AtomicBool>,
-        net: NetConfig,
-    ) -> JoinHandle<Vec<ConnSummary>> {
-        thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<ConnSummary>> = Vec::new();
-            loop {
-                let accepted = listener.accept();
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok((mut stream, _)) = accepted else {
-                    continue;
-                };
-                let _ = stream.set_read_timeout(net.io_timeout);
-                let _ = stream.set_write_timeout(net.io_timeout);
-                let conn = handle.clone();
-                workers.push(thread::spawn(move || conn.serve_stream(&mut stream)));
-            }
-            drop(handle);
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("connection thread panicked"))
-                .collect()
-        })
-    }
-
-    /// A [`Connect`] implementation dialing one Unix socket path.
-    #[derive(Debug, Clone)]
-    pub struct UnixConnector {
-        path: PathBuf,
-        /// Read/write timeout on the established stream.
-        pub io_timeout: Option<Duration>,
-    }
-
-    impl UnixConnector {
-        /// A connector for the socket at `path`.
-        pub fn new<P: AsRef<Path>>(path: P) -> Self {
-            UnixConnector {
-                path: path.as_ref().to_path_buf(),
-                io_timeout: Some(Duration::from_secs(5)),
-            }
-        }
-    }
-
-    impl Connect for UnixConnector {
-        type Stream = UnixStream;
-
-        fn connect(&mut self) -> Result<Self::Stream> {
-            let stream = UnixStream::connect(&self.path).map_err(|e| io_error("connect", &e))?;
-            stream
-                .set_read_timeout(self.io_timeout)
-                .and_then(|()| stream.set_write_timeout(self.io_timeout))
-                .map_err(|e| io_error("connect", &e))?;
-            Ok(stream)
-        }
     }
 }

@@ -243,10 +243,10 @@ fn tree_reduction_matches_flat_merge() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The `Report::Composition` wire codec round-trips genuine encoder
-    /// output — unary and direct payloads, word-straddling domains,
-    /// numeric-only and categorical-only schemas alike — and its encoded
-    /// size is exactly the canonical `composition_report_bits` accounting.
+    /// The full-layout wire codec of `Report::Composition` round-trips
+    /// genuine encoder output — unary and direct payloads, word-straddling
+    /// domains, numeric-only and categorical-only schemas alike — and its
+    /// encoded size is exactly the canonical `full_report_bits` accounting.
     #[test]
     fn composition_wire_codec_round_trips(
         seed in 0u64..1_000_000,
@@ -255,7 +255,7 @@ proptest! {
         doms in prop::collection::vec(2u32..200, 0..4),
         grr in prop::bool::ANY,
     ) {
-        use ldp_analytics::{CompositionReport, Report};
+        use ldp_analytics::Report;
         use ldp_core::multidim::wire;
         use ldp_core::AttrSpec;
         prop_assume!(d_num + doms.len() > 0);
@@ -283,13 +283,13 @@ proptest! {
             let Report::Composition(report) = encoder.encode(&tuple, &mut rng).unwrap() else {
                 unreachable!("composition protocol");
             };
-            let bytes = report.encode_wire(&specs);
+            let bytes = wire::encode_full(&report, &specs);
             prop_assert_eq!(
                 bytes.len(),
-                wire::composition_report_bits(&specs, !grr).div_ceil(8),
+                wire::full_report_bits(&specs, !grr).div_ceil(8),
                 "encoded size must equal the canonical accounting"
             );
-            let back = CompositionReport::decode_wire(&specs, &bytes, !grr).unwrap();
+            let back = wire::decode_full(&specs, &bytes, !grr).unwrap();
             prop_assert_eq!(&back, &report, "codec round trip diverged");
         }
     }

@@ -19,7 +19,7 @@
 //! region achieves the likelihood-ratio bound `e^ε` with equality, so the
 //! certified ε approaches the theoretical ε as trials grow.
 
-use ldp_analytics::{ClientEncoder, CompositionReport, Report};
+use ldp_analytics::{ClientEncoder, Report};
 use ldp_core::audit::worst_case_pair;
 use ldp_core::multidim::{AttrReport, AttrSpec, AttrValue};
 use ldp_core::{AnyNumeric, AnyOracle, LdpError, Result};
@@ -80,9 +80,10 @@ impl Attacker {
     ///
     /// Attribute draws are independent given the sampled set, and the
     /// sampled-index distribution itself is input-independent, so the ratio
-    /// factorizes over report entries; entries for attributes where `v1`
-    /// and `v2` agree contribute zero and unsampled attributes contribute
-    /// nothing. Numeric sampling entries arrive pre-scaled by `d/k` (line 6
+    /// factorizes over report entries — the `k` sampled ones under
+    /// Algorithm 4, all `d` under composition; entries for attributes where
+    /// `v1` and `v2` agree contribute zero and unsampled attributes
+    /// contribute nothing. Numeric sampling entries arrive pre-scaled by `d/k` (line 6
     /// of Algorithm 4); the scaling is a fixed bijection, so it cancels in
     /// the ratio and is inverted here before density evaluation — with the
     /// two-point / mixed supports matched bitwise by recomputing
@@ -92,16 +93,12 @@ impl Attacker {
     /// Shape mismatches between the report and the schema (wrong entry
     /// type, out-of-range attribute index or category).
     pub fn ln_likelihood_ratio(&self, report: &Report) -> Result<f64> {
-        match report {
-            Report::Sampling(sparse) => {
-                let mut lnlr = 0.0;
-                for (attr, entry) in &sparse.entries {
-                    lnlr += self.entry_lnlr(*attr as usize, entry)?;
-                }
-                Ok(lnlr)
-            }
-            Report::Composition(comp) => self.composition_lnlr(comp),
+        let (Report::Sampling(sparse) | Report::Composition(sparse)) = report;
+        let mut lnlr = 0.0;
+        for (attr, entry) in &sparse.entries {
+            lnlr += self.entry_lnlr(*attr as usize, entry)?;
         }
+        Ok(lnlr)
     }
 
     fn attr_values(&self, attr: usize) -> Result<(&AttrValue, &AttrValue)> {
@@ -176,47 +173,6 @@ impl Attacker {
             }
         }
         y / self.scale
-    }
-
-    fn composition_lnlr(&self, comp: &CompositionReport) -> Result<f64> {
-        let mut lnlr = 0.0;
-        let mut num_i = 0usize;
-        let mut cat_i = 0usize;
-        for (attr, spec) in self.specs.iter().enumerate() {
-            match spec {
-                AttrSpec::Numeric => {
-                    let y = *comp.numeric.get(num_i).ok_or(LdpError::DimensionMismatch {
-                        expected: self.specs.len(),
-                        actual: comp.numeric.len() + comp.categorical.len(),
-                    })?;
-                    num_i += 1;
-                    let (v1, v2) = self.attr_values(attr)?;
-                    let (AttrValue::Numeric(t1), AttrValue::Numeric(t2)) = (v1, v2) else {
-                        unreachable!("worst_case_pair follows the schema");
-                    };
-                    lnlr += self.numeric_lnlr(y, *t1, *t2)?;
-                }
-                AttrSpec::Categorical { .. } => {
-                    let rep = comp
-                        .categorical
-                        .get(cat_i)
-                        .ok_or(LdpError::DimensionMismatch {
-                            expected: self.specs.len(),
-                            actual: comp.numeric.len() + comp.categorical.len(),
-                        })?;
-                    cat_i += 1;
-                    let (v1, v2) = self.attr_values(attr)?;
-                    let (AttrValue::Categorical(c1), AttrValue::Categorical(c2)) = (v1, v2) else {
-                        unreachable!("worst_case_pair follows the schema");
-                    };
-                    let oracle = self.oracles[attr]
-                        .as_ref()
-                        .expect("categorical slot has an oracle");
-                    lnlr += oracle.log_likelihood(rep, *c1)? - oracle.log_likelihood(rep, *c2)?;
-                }
-            }
-        }
-        Ok(lnlr)
     }
 
     /// The attacker's deterministic guess for a report: `true` = "input was

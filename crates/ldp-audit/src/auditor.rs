@@ -9,21 +9,21 @@
 //! on the privacy loss the implementation actually spends — see
 //! [`estimate_eps`].
 //!
-//! Trials are scheduled with the same contract as every estimate in this
-//! workspace: [`block_partition`] fixes the block boundaries as a pure
-//! function of `(trials, shards)`, [`block_rng`] derives each block's rng
-//! from `(seed, block)` alone, and a work-stealing cursor hands blocks to
-//! workers. Per-trial win/loss counts are integers summed over disjoint
-//! blocks, so the audit artifact is bit-identical at any worker count.
+//! Trials are scheduled by the same code as every estimate in this
+//! workspace, [`run_blocks`]: [`ldp_analytics::block_partition`] fixes the
+//! block boundaries as a pure function of `(trials, shards)`,
+//! [`block_rng`] derives each block's rng from `(seed, block)` alone, and a
+//! work-stealing cursor hands blocks to workers. Per-trial win/loss counts
+//! are integers summed over disjoint blocks, so the audit artifact is
+//! bit-identical at any worker count.
 
 use crate::attack::Attacker;
 use crate::confidence::{clopper_pearson_lower, clopper_pearson_upper};
-use ldp_analytics::{block_partition, block_rng, ClientEncoder, Protocol, DEFAULT_SHARDS};
+use ldp_analytics::{block_rng, run_blocks, ClientEncoder, Protocol, DEFAULT_SHARDS};
 use ldp_core::categorical::Grr;
 use ldp_core::multidim::AttrSpec;
 use ldp_core::rng::RngBlock;
 use ldp_core::{Epsilon, LdpError, NumericKind, OracleKind, Result};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tuning knobs for one audit run, shared by every cell of a grid.
 #[derive(Debug, Clone, Copy)]
@@ -162,57 +162,19 @@ pub fn estimate_eps(counts: &TrialCounts, alpha: f64) -> EpsEstimate {
     }
 }
 
-/// Runs `trials` distinguishing trials under the workspace scheduling
-/// contract and merges the per-block tallies in block order.
+/// Runs `trials` distinguishing trials through the workspace's block
+/// scheduler ([`run_blocks`]) and merges the per-block tallies in block
+/// order.
 ///
 /// `run_block(block, range)` must tally exactly the trials of `range`,
 /// deriving all randomness from `block_rng(seed, block)`.
-fn run_blocks<F>(cfg: &AuditConfig, run_block: F) -> Result<TrialCounts>
+fn run_trials<F>(cfg: &AuditConfig, run_block: F) -> Result<TrialCounts>
 where
     F: Fn(usize, std::ops::Range<usize>) -> Result<TrialCounts> + Sync,
 {
-    let blocks = block_partition(cfg.trials, cfg.shards);
-    let workers = cfg
-        .workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-        .clamp(1, blocks.len().max(1));
-    let mut slots: Vec<Option<Result<TrialCounts>>> = (0..blocks.len()).map(|_| None).collect();
-    if workers <= 1 {
-        for (b, range) in blocks.iter().enumerate() {
-            slots[b] = Some(run_block(b, range.clone()));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, Result<TrialCounts>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let blocks = &blocks;
-                    let next = &next;
-                    let run_block = &run_block;
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = blocks.get(b) else { break };
-                            done.push((b, run_block(b, range.clone())));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("audit worker panicked"))
-                .collect()
-        });
-        for (b, res) in per_worker.into_iter().flatten() {
-            slots[b] = Some(res);
-        }
-    }
     let mut total = TrialCounts::default();
-    for slot in slots {
-        let counts = slot.expect("every block is claimed by exactly one worker")?;
-        total.merge(&counts);
+    for counts in run_blocks(cfg.trials, cfg.shards, cfg.workers, run_block) {
+        total.merge(&counts?);
     }
     Ok(total)
 }
@@ -227,7 +189,7 @@ pub fn audit_encode_cell(encoder: &ClientEncoder, cfg: &AuditConfig) -> Result<T
     let attacker = Attacker::new(encoder)?;
     let (v1, v2) = attacker.pair();
     let (v1, v2) = (v1.to_vec(), v2.to_vec());
-    run_blocks(cfg, |block, range| {
+    run_trials(cfg, |block, range| {
         let mut rng: RngBlock<rand::rngs::StdRng> = RngBlock::new(block_rng(cfg.seed, block));
         let mut report = encoder.empty_report();
         let mut scratch = encoder.scratch();
@@ -255,7 +217,7 @@ pub fn audit_encode_cell(encoder: &ClientEncoder, cfg: &AuditConfig) -> Result<T
 pub fn audit_grr_direct_cell(epsilon: Epsilon, k: u32, cfg: &AuditConfig) -> Result<TrialCounts> {
     let grr = Grr::new(epsilon, k)?;
     let (c1, c2) = (0u32, k - 1);
-    run_blocks(cfg, |block, range| {
+    run_trials(cfg, |block, range| {
         let mut rng: RngBlock<rand::rngs::StdRng> = RngBlock::new(block_rng(cfg.seed, block));
         let mut counts = TrialCounts::default();
         for trial in range {

@@ -25,9 +25,9 @@
 //! harness itself lost its teeth.
 //!
 //! Trials follow the workspace determinism contract —
-//! [`ldp_analytics::block_partition`] / [`ldp_analytics::block_rng`] with
-//! a work-stealing scheduler — so `BENCH_audit.json` is bit-identical at
-//! any `--workers` count.
+//! [`ldp_analytics::block_partition`] / [`ldp_analytics::block_rng`],
+//! scheduled by [`ldp_analytics::run_blocks`] — so `BENCH_audit.json` is
+//! bit-identical at any `--workers` count.
 //!
 //! ```
 //! use ldp_audit::{audit_grr_direct_cell, estimate_eps, AuditConfig};

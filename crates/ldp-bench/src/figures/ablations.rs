@@ -111,6 +111,7 @@ pub fn frequency_oracles(args: &Args) -> String {
 /// on the BR schema — the concern §VII raises against k-sized-vector
 /// protocols, quantified for ours.
 pub fn communication(args: &Args) -> String {
+    use ldp_analytics::service::encode_report;
     use ldp_analytics::{BestEffortNumeric, ClientEncoder, Report};
     use ldp_core::multidim::wire;
     use ldp_core::rng::seeded_rng;
@@ -140,9 +141,9 @@ pub fn communication(args: &Args) -> String {
         )
         .expect("valid schema");
         // Every composition report carries every attribute, so its size is
-        // a schema constant; the actual Report::Composition wire codec
-        // backs it with encoded sizes in the bytes-per-user column.
-        let c_bits = wire::composition_report_bits(&specs, true);
+        // a schema constant; encoding each report in the full layout backs
+        // it with encoded sizes in the bytes-per-user column.
+        let c_bits = wire::full_report_bits(&specs, true);
         let encoder = ClientEncoder::new(
             Protocol::BestEffort {
                 numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
@@ -165,13 +166,9 @@ pub fn communication(args: &Args) -> String {
             else {
                 unreachable!("sampling protocol");
             };
-            s_bits += wire::sparse_report_bits_with_schema(&report, &specs);
-            let Report::Composition(report) =
-                encoder.encode(&tuple, &mut rng).expect("valid tuple")
-            else {
-                unreachable!("composition protocol");
-            };
-            let bytes = report.encode_wire(&specs);
+            s_bits += wire::sampled_report_bits(&report, &specs);
+            let report = encoder.encode(&tuple, &mut rng).expect("valid tuple");
+            let bytes = encode_report(&report, &specs);
             debug_assert_eq!(
                 bytes.len(),
                 c_bits.div_ceil(8),

@@ -130,9 +130,10 @@ pub struct WireCell {
     pub bytes_per_report: f64,
     /// Reports/sec through `encode_report` (report → canonical bytes).
     pub encode_reports_per_sec: f64,
-    /// Reports/sec through `decode_report` (canonical bytes → validated
-    /// report, including the exact-length and bounds checks the service
-    /// runs on every submit).
+    /// Reports/sec through `decode_report` (canonical bytes → report):
+    /// the one decoder the service runs on every submit, its exact-length
+    /// and bounds checks included. The schema validation that follows it
+    /// in the service is not timed here.
     pub decode_reports_per_sec: f64,
     /// Reports/sec through the full transport path one `Submit` takes:
     /// frame the message (length header + kind + FNV checksum), read it

@@ -6,9 +6,12 @@
 //!   to tuples mixing numeric and categorical attributes.
 //!
 //! The budget-splitting baseline (ε/d per attribute) that §IV's
-//! introduction shows is sub-optimal has no perturber of its own:
-//! `ldp_analytics::ClientEncoder` builds its per-attribute mechanisms next
-//! to Algorithm 4's.
+//! introduction shows is sub-optimal is Algorithm 4 with every attribute
+//! sampled (`k = d`, so the `d/k` scale is 1). It has no perturber of its
+//! own: `ldp_analytics::ClientEncoder` builds its per-attribute mechanisms
+//! next to Algorithm 4's, and its report is a [`SparseReport`] holding
+//! all `d` entries in schema order, which [`wire`] encodes in its full
+//! layout.
 
 mod duchi_md;
 mod sampling;

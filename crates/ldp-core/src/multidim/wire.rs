@@ -1,24 +1,40 @@
-//! Communication-cost accounting for perturbed reports.
+//! The canonical wire encoding of perturbed reports, and its size
+//! accounting.
 //!
-//! §VII of the paper criticizes LoPub-style protocols for transmitting
-//! multiple k-sized vectors per user; this module makes the comparison
-//! quantitative by computing the wire size of every report type under a
-//! simple canonical encoding:
+//! Every report is a [`SparseReport`]. It travels in one of two bit-level
+//! layouts over the public schema, which both sides share, so no type tags
+//! go on the wire:
+//!
+//! * **sampled** ([`encode_sampled`] / [`decode_sampled`]) — Algorithm 4's
+//!   `k` entries: a 16-bit entry count, then per entry its attribute index
+//!   (`⌈log₂ d⌉` bits) and payload;
+//! * **full** ([`encode_full`] / [`decode_full`]) — the best-effort
+//!   baseline's report of all `d` attributes in schema order: every numeric
+//!   payload, then every categorical one. No count and no indices, so the
+//!   size is a schema constant.
+//!
+//! Both layouts write one attribute's payload the same way:
 //!
 //! * numeric value — 64 bits;
-//! * attribute index — `⌈log₂ d⌉` bits;
 //! * direct categorical report — `⌈log₂ k⌉` bits;
-//! * unary categorical report — `k` bits;
-//! * Duchi et al. multidimensional report — `d` sign bits (the magnitude
-//!   `B` is public).
+//! * unary categorical report — `k` bits, vector bit 0 first.
 //!
-//! The `communication` ablation bench tabulates these per protocol.
+//! Whether categorical payloads are unary (OUE/SUE) or direct (GRR) is
+//! fixed by the protocol, so decoders take it as `unary`. A Duchi et al.
+//! multidimensional report costs `d` sign bits (the magnitude `B` is
+//! public). §VII of the paper criticizes LoPub-style protocols for
+//! transmitting multiple k-sized vectors per user; the `communication`
+//! ablation tabulates these sizes per protocol.
 
-use crate::mechanism::CategoricalReport;
-use crate::multidim::{AttrReport, SparseReport};
+use crate::mechanism::{BitVec, CategoricalReport};
+use crate::multidim::{AttrReport, AttrSpec, SparseReport};
+use crate::{LdpError, Result};
 
 /// Bits for one 64-bit float.
 const F64_BITS: usize = 64;
+
+/// Bits of the sampled layout's entry-count header.
+const COUNT_BITS: usize = 16;
 
 /// `⌈log₂ n⌉`, with the convention that 1 value still needs 1 bit on the
 /// wire (a tag must occupy space).
@@ -26,100 +42,53 @@ pub fn index_bits(n: usize) -> usize {
     n.max(2).next_power_of_two().trailing_zeros() as usize
 }
 
-/// Wire size of one categorical report.
-pub fn categorical_report_bits(report: &CategoricalReport, k: u32) -> usize {
-    match report {
-        CategoricalReport::Value(_) => index_bits(k as usize),
-        CategoricalReport::Bits(bits) => bits.len() as usize,
-    }
-}
-
-/// Wire size of one attribute report (excluding the attribute index).
-pub fn attr_report_bits(report: &AttrReport) -> usize {
-    match report {
-        AttrReport::Numeric(_) => F64_BITS,
-        AttrReport::Categorical(c) => match c {
-            CategoricalReport::Value(_) => {
-                // Domain size is not stored in the report; a direct value is
-                // at most 32 bits and typically ⌈log₂ k⌉ — callers with the
-                // schema should prefer `categorical_report_bits`.
-                32
-            }
-            CategoricalReport::Bits(bits) => bits.len() as usize,
-        },
-    }
-}
-
-/// Wire size of one attribute report given its schema spec, charging direct
-/// categorical reports their true `⌈log₂ k⌉` bits instead of
-/// [`attr_report_bits`]'s schema-less 32-bit fallback.
+/// Wire size of one attribute's payload (excluding any attribute index).
 ///
 /// # Panics
-/// Panics if the report type disagrees with the spec (reports produced by a
-/// perturber on the same schema always agree).
-pub fn attr_report_bits_with_schema(
-    report: &AttrReport,
-    spec: &crate::multidim::AttrSpec,
-) -> usize {
+/// Panics if the report type disagrees with the spec (reports produced by
+/// an encoder on the same schema always agree).
+pub fn payload_bits(report: &AttrReport, spec: &AttrSpec) -> usize {
     match (report, spec) {
-        (AttrReport::Numeric(_), crate::multidim::AttrSpec::Numeric) => F64_BITS,
-        (AttrReport::Categorical(c), crate::multidim::AttrSpec::Categorical { k }) => {
-            categorical_report_bits(c, *k)
+        (AttrReport::Numeric(_), AttrSpec::Numeric) => F64_BITS,
+        (AttrReport::Categorical(CategoricalReport::Value(_)), AttrSpec::Categorical { k }) => {
+            index_bits(*k as usize)
+        }
+        (AttrReport::Categorical(CategoricalReport::Bits(bits)), AttrSpec::Categorical { .. }) => {
+            bits.len() as usize
         }
         _ => panic!("report entry type disagrees with schema"),
     }
 }
 
-/// Wire size of an Algorithm 4 sparse report: per entry, an attribute index
-/// plus the payload.
-pub fn sparse_report_bits(report: &SparseReport) -> usize {
-    let idx = index_bits(report.d);
-    report
-        .entries
-        .iter()
-        .map(|(_, rep)| idx + attr_report_bits(rep))
-        .sum()
-}
-
-/// Schema-aware form of [`sparse_report_bits`]: sizes each entry with
-/// [`attr_report_bits_with_schema`], so GRR-style direct reports are charged
-/// `⌈log₂ k⌉` bits — exactly what [`WireFormat::encode_sparse`] emits
-/// (minus its 16-bit header).
+/// Wire size of a report's entries in the sampled layout: per entry, an
+/// attribute index plus the payload — exactly what [`encode_sampled`]
+/// emits after its 16-bit header.
 ///
 /// # Panics
 /// Panics if the report's dimensionality or entry types disagree with the
 /// schema.
-pub fn sparse_report_bits_with_schema(
-    report: &SparseReport,
-    specs: &[crate::multidim::AttrSpec],
-) -> usize {
+pub fn sampled_report_bits(report: &SparseReport, specs: &[AttrSpec]) -> usize {
     assert_eq!(report.d, specs.len(), "schema mismatch");
     let idx = index_bits(report.d);
     report
         .entries
         .iter()
-        .map(|(j, rep)| idx + attr_report_bits_with_schema(rep, &specs[*j as usize]))
+        .map(|(j, rep)| idx + payload_bits(rep, &specs[*j as usize]))
         .sum()
 }
 
-/// Wire size of one composition report under the canonical encoding, from
-/// the schema alone: 64 bits per numeric attribute, plus `k` bits (unary
-/// oracles) or `⌈log₂ k⌉` bits (direct/GRR reports) per categorical
-/// attribute. No indices and no header — the schema order is implied and
-/// every attribute is present, so the size is a schema constant. This is
-/// exactly what the `Report::Composition` codec in `ldp-analytics` emits.
-pub fn composition_report_bits(specs: &[crate::multidim::AttrSpec], unary: bool) -> usize {
+/// Wire size of a report in the full layout, from the schema alone: 64
+/// bits per numeric attribute, plus `k` bits (unary oracles) or
+/// `⌈log₂ k⌉` bits (direct/GRR reports) per categorical attribute. No
+/// indices and no header — every attribute is present in schema order —
+/// so this is exactly what [`encode_full`] emits.
+pub fn full_report_bits(specs: &[AttrSpec], unary: bool) -> usize {
     specs
         .iter()
         .map(|spec| match spec {
-            crate::multidim::AttrSpec::Numeric => F64_BITS,
-            crate::multidim::AttrSpec::Categorical { k } => {
-                if unary {
-                    *k as usize
-                } else {
-                    index_bits(*k as usize)
-                }
-            }
+            AttrSpec::Numeric => F64_BITS,
+            AttrSpec::Categorical { k } if unary => *k as usize,
+            AttrSpec::Categorical { k } => index_bits(*k as usize),
         })
         .sum()
 }
@@ -130,132 +99,182 @@ pub fn duchi_md_report_bits(d: usize) -> usize {
     d
 }
 
-/// A bit-level codec for Algorithm 4 sparse reports, realizing exactly the
-/// canonical sizes above (plus a 16-bit entry-count header). Users and the
-/// aggregator share the schema, so only indices and payloads go on the wire.
-#[derive(Debug, Clone)]
-pub struct WireFormat {
-    specs: Vec<crate::multidim::AttrSpec>,
+/// Encodes a report in the sampled layout.
+///
+/// # Panics
+/// Panics if the report's dimensionality disagrees with the schema, or an
+/// entry's type disagrees with its attribute spec (reports produced by an
+/// encoder on the same schema always agree).
+pub fn encode_sampled(report: &SparseReport, specs: &[AttrSpec]) -> Vec<u8> {
+    assert_eq!(report.d, specs.len(), "schema mismatch");
+    let mut w = BitWriter::new();
+    w.write_bits(report.entries.len() as u64, COUNT_BITS);
+    let idx_bits = index_bits(report.d);
+    for (j, rep) in &report.entries {
+        w.write_bits(u64::from(*j), idx_bits);
+        write_payload(&mut w, rep, &specs[*j as usize]);
+    }
+    w.finish()
 }
 
-impl WireFormat {
-    /// A codec for the given schema.
-    pub fn new(specs: Vec<crate::multidim::AttrSpec>) -> Self {
-        WireFormat { specs }
+/// Decodes a report in the sampled layout, accepting only its canonical
+/// length.
+///
+/// # Errors
+/// [`LdpError::InvalidParameter`] on truncated buffers, more entries than
+/// attributes, or out-of-range indices; [`LdpError::InvalidCategory`] on
+/// out-of-range direct values; [`LdpError::MalformedFrame`] on trailing
+/// bytes.
+pub fn decode_sampled(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<SparseReport> {
+    let mut r = BitReader::new(bytes);
+    let d = specs.len();
+    let count = r.read_bits(COUNT_BITS)? as usize;
+    // Checked before reserving: the count is untrusted, and a report
+    // samples each attribute at most once.
+    if count > d {
+        return Err(LdpError::InvalidParameter {
+            name: "wire",
+            message: format!("report declares {count} entries for {d} attributes"),
+        });
     }
+    let idx_bits = index_bits(d);
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let j = r.read_bits(idx_bits)? as usize;
+        let spec = specs.get(j).ok_or_else(|| LdpError::InvalidParameter {
+            name: "wire",
+            message: format!("attribute index {j} out of range {d}"),
+        })?;
+        entries.push((j as u32, read_payload(&mut r, spec, unary)?));
+    }
+    check_canonical(bytes.len(), r.bit.div_ceil(8))?;
+    Ok(SparseReport { d, entries })
+}
 
-    /// Encodes a sparse report into a byte buffer.
-    ///
-    /// # Panics
-    /// Panics if the report's dimensionality disagrees with the schema, or
-    /// an entry's type disagrees with its attribute spec (reports produced
-    /// by [`crate::multidim::SamplingPerturber`] on the same schema always
-    /// agree).
-    pub fn encode_sparse(&self, report: &SparseReport) -> Vec<u8> {
-        assert_eq!(report.d, self.specs.len(), "schema mismatch");
-        let mut w = BitWriter::new();
-        w.write_bits(report.entries.len() as u64, 16);
-        let idx_bits = index_bits(report.d);
-        for (j, rep) in &report.entries {
-            w.write_bits(u64::from(*j), idx_bits);
-            match (rep, &self.specs[*j as usize]) {
-                (AttrReport::Numeric(x), crate::multidim::AttrSpec::Numeric) => {
-                    w.write_bits(x.to_bits(), 64);
-                }
-                (
-                    AttrReport::Categorical(CategoricalReport::Value(v)),
-                    crate::multidim::AttrSpec::Categorical { k },
-                ) => {
-                    w.write_bits(u64::from(*v), index_bits(*k as usize));
-                }
-                (
-                    AttrReport::Categorical(CategoricalReport::Bits(bits)),
-                    crate::multidim::AttrSpec::Categorical { k },
-                ) => {
-                    assert_eq!(bits.len(), *k, "bit-vector length mismatch");
-                    // Word-at-a-time: the stream wants vector bit 0 first,
-                    // and `write_bits` emits a value's high bit first, so
-                    // each backing word goes out with its low `width` bits
-                    // reversed — one `reverse_bits` + one `write_bits` per
-                    // 64 categories instead of 64 single-bit appends.
-                    let mut remaining = *k;
-                    for &word in bits.words() {
-                        let width = remaining.min(64);
-                        w.write_bits(word.reverse_bits() >> (64 - width), width as usize);
-                        remaining -= width;
-                    }
-                }
-                _ => panic!("report entry type disagrees with schema"),
+/// Encodes a report of all `d` attributes, in schema order, in the full
+/// layout.
+///
+/// # Panics
+/// Panics unless the report carries exactly one entry per attribute in
+/// schema order, each of its attribute's type (reports produced by an
+/// encoder on the same schema always do).
+pub fn encode_full(report: &SparseReport, specs: &[AttrSpec]) -> Vec<u8> {
+    assert!(
+        report.d == specs.len() && report.entries.len() == specs.len(),
+        "schema mismatch"
+    );
+    let mut w = BitWriter::new();
+    for numeric_block in [true, false] {
+        for (slot, ((j, rep), spec)) in report.entries.iter().zip(specs).enumerate() {
+            assert_eq!(*j as usize, slot, "full reports list attributes in order");
+            if spec.is_numeric() == numeric_block {
+                write_payload(&mut w, rep, spec);
             }
         }
-        w.finish()
     }
+    w.finish()
+}
 
-    /// Decodes a sparse report. Unary vs direct categorical payloads are
-    /// chosen by `unary`: true for OUE/SUE bit vectors, false for GRR
-    /// values (the protocol fixes this, so it is not encoded per report).
-    ///
-    /// # Errors
-    /// [`crate::LdpError::InvalidParameter`] on truncated buffers, more
-    /// entries than attributes, or out-of-range indices/values.
-    pub fn decode_sparse(&self, bytes: &[u8], unary: bool) -> crate::Result<SparseReport> {
-        let mut r = BitReader::new(bytes);
-        let d = self.specs.len();
-        let count = r.read_bits(16)? as usize;
-        // Checked before reserving: the count is untrusted, and a report
-        // samples each attribute at most once.
-        if count > d {
-            return Err(crate::LdpError::InvalidParameter {
-                name: "wire",
-                message: format!("report declares {count} entries for {d} attributes"),
-            });
-        }
-        let idx_bits = index_bits(d);
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let j = r.read_bits(idx_bits)? as usize;
-            if j >= d {
-                return Err(crate::LdpError::InvalidParameter {
-                    name: "wire",
-                    message: format!("attribute index {j} out of range {d}"),
-                });
-            }
-            let rep = match self.specs[j] {
-                crate::multidim::AttrSpec::Numeric => {
-                    AttrReport::Numeric(f64::from_bits(r.read_bits(64)?))
-                }
-                crate::multidim::AttrSpec::Categorical { k } => {
-                    if unary {
-                        let mut bits = crate::mechanism::BitVec::zeros(k);
-                        // Word-at-a-time inverse of `encode_sparse`: read up
-                        // to 64 stream bits, un-reverse them into a backing
-                        // word, then scatter only the set bits.
-                        let mut base = 0u32;
-                        while base < k {
-                            let width = (k - base).min(64);
-                            let chunk = r.read_bits(width as usize)?;
-                            let mut word = chunk.reverse_bits() >> (64 - width);
-                            while word != 0 {
-                                let tz = word.trailing_zeros();
-                                bits.set(base + tz, true);
-                                word &= word - 1;
-                            }
-                            base += width;
-                        }
-                        AttrReport::Categorical(CategoricalReport::Bits(bits))
-                    } else {
-                        let v = r.read_bits(index_bits(k as usize))? as u32;
-                        if v >= k {
-                            return Err(crate::LdpError::InvalidCategory { value: v, k });
-                        }
-                        AttrReport::Categorical(CategoricalReport::Value(v))
-                    }
-                }
-            };
-            entries.push((j as u32, rep));
-        }
-        Ok(SparseReport { d, entries })
+/// Decodes a report in the full layout, accepting only its canonical
+/// length.
+///
+/// # Errors
+/// [`LdpError::MalformedFrame`] when the length is not the schema's;
+/// [`LdpError::InvalidCategory`] on out-of-range direct values.
+pub fn decode_full(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<SparseReport> {
+    check_canonical(bytes.len(), full_report_bits(specs, unary).div_ceil(8))?;
+    // The numeric block is whole 64-bit words, so the categorical payloads
+    // start on a byte boundary: one reader per block lets a single pass
+    // rebuild the entries in schema order.
+    let d_num = specs.iter().filter(|s| s.is_numeric()).count();
+    let (numeric, categorical) = bytes.split_at(d_num * F64_BITS / 8);
+    let (mut num, mut cat) = (BitReader::new(numeric), BitReader::new(categorical));
+    let mut entries = Vec::with_capacity(specs.len());
+    for (j, spec) in specs.iter().enumerate() {
+        let r = if spec.is_numeric() {
+            &mut num
+        } else {
+            &mut cat
+        };
+        entries.push((j as u32, read_payload(r, spec, unary)?));
     }
+    Ok(SparseReport {
+        d: specs.len(),
+        entries,
+    })
+}
+
+/// Rejects any length but the canonical one: trailing bytes would let a
+/// client smuggle stream junk past the report codec.
+fn check_canonical(len: usize, canonical: usize) -> Result<()> {
+    if len == canonical {
+        Ok(())
+    } else {
+        Err(LdpError::MalformedFrame {
+            message: format!("report has {len} bytes, canonical encoding is {canonical}"),
+        })
+    }
+}
+
+/// Writes one attribute's payload — the one payload writer both layouts
+/// share. Forced inline like [`read_payload`]: out of line, full-layout
+/// encoding ran ~1.1× slower.
+#[inline(always)]
+fn write_payload(w: &mut BitWriter, report: &AttrReport, spec: &AttrSpec) {
+    match (report, spec) {
+        (AttrReport::Numeric(x), AttrSpec::Numeric) => w.write_bits(x.to_bits(), F64_BITS),
+        (AttrReport::Categorical(CategoricalReport::Value(v)), AttrSpec::Categorical { k }) => {
+            w.write_bits(u64::from(*v), index_bits(*k as usize));
+        }
+        (AttrReport::Categorical(CategoricalReport::Bits(bits)), AttrSpec::Categorical { k }) => {
+            assert_eq!(bits.len(), *k, "bit-vector length mismatch");
+            // Word-at-a-time: the stream wants vector bit 0 first, and
+            // `write_bits` emits a value's high bit first, so each backing
+            // word goes out with its low `width` bits reversed.
+            let mut remaining = *k;
+            for &word in bits.words() {
+                let width = remaining.min(64);
+                w.write_bits(word.reverse_bits() >> (64 - width), width as usize);
+                remaining -= width;
+            }
+        }
+        _ => panic!("report entry type disagrees with schema"),
+    }
+}
+
+/// Reads one attribute's payload — the one payload reader both layouts
+/// share. Forced inline: out of line, returning each entry's
+/// `Result<AttrReport>` through memory ran full-layout GRR decoding at
+/// ~2.3× the inlined cost (interleaved pairs on 2 vCPUs).
+#[inline(always)]
+fn read_payload(r: &mut BitReader<'_>, spec: &AttrSpec, unary: bool) -> Result<AttrReport> {
+    let k = match *spec {
+        AttrSpec::Numeric => {
+            return Ok(AttrReport::Numeric(f64::from_bits(r.read_bits(F64_BITS)?)))
+        }
+        AttrSpec::Categorical { k } => k,
+    };
+    let report = if unary {
+        // Word-at-a-time inverse of `write_payload`: read up to 64 stream
+        // bits and un-reverse them into a backing word.
+        let mut words = vec![0u64; (k as usize).div_ceil(64)];
+        let mut remaining = k;
+        for word in &mut words {
+            let width = remaining.min(64);
+            *word = r.read_bits(width as usize)?.reverse_bits() >> (64 - width);
+            remaining -= width;
+        }
+        CategoricalReport::Bits(
+            BitVec::from_words(k, words).expect("masked reads are well-formed by construction"),
+        )
+    } else {
+        let v = r.read_bits(index_bits(k as usize))? as u32;
+        if v >= k {
+            return Err(LdpError::InvalidCategory { value: v, k });
+        }
+        CategoricalReport::Value(v)
+    };
+    Ok(AttrReport::Categorical(report))
 }
 
 /// Append-only bit buffer (MSB-first within each byte).
@@ -263,13 +282,13 @@ impl WireFormat {
 /// Word-oriented: pending bits accumulate MSB-aligned in a 64-bit register
 /// and flush eight bytes at a time, so a `write_bits` call costs a couple
 /// of shifts regardless of width — the old writer paid a bounds-checked
-/// byte append *per bit*, which made `encode_sparse` the slowest loop in
-/// the codec. The emitted byte stream is identical (pinned by the
+/// byte append *per bit*, which made the sampled encoder the slowest loop
+/// in the codec. The emitted byte stream is identical (pinned by the
 /// `word_writer_matches_naive_bit_writer` proptest).
 ///
-/// Public so report codecs outside this crate (e.g. the
-/// `Report::Composition` codec in `ldp-analytics`) share the exact wire
-/// primitive instead of re-deriving the bit layout.
+/// Public so codecs outside this crate (the service's messages, the
+/// aggregator's checkpoint state) share the exact wire primitive instead
+/// of re-deriving the bit layout.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
@@ -335,7 +354,9 @@ impl BitWriter {
     }
 }
 
-/// Reader matching [`BitWriter`]'s layout (byte-at-a-time, not bit-at-a-time).
+/// Reader matching [`BitWriter`]'s layout: one eight-byte load per read
+/// while eight bytes remain from the read position, byte-at-a-time near
+/// the end of the buffer.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
@@ -351,15 +372,23 @@ impl<'a> BitReader<'a> {
     /// Reads the next `width` bits, most-significant first.
     ///
     /// # Errors
-    /// [`crate::LdpError::InvalidParameter`] when fewer than `width` bits
+    /// [`LdpError::InvalidParameter`] when fewer than `width` bits
     /// remain.
-    pub fn read_bits(&mut self, width: usize) -> crate::Result<u64> {
+    pub fn read_bits(&mut self, width: usize) -> Result<u64> {
         debug_assert!(width <= 64);
         if self.bit + width > self.buf.len() * 8 {
-            return Err(crate::LdpError::InvalidParameter {
+            return Err(LdpError::InvalidParameter {
                 name: "wire",
                 message: "truncated report buffer".into(),
             });
+        }
+        let (byte, skip) = (self.bit / 8, self.bit % 8);
+        if let Some(chunk) = self.buf.get(byte..byte + 8) {
+            if width > 0 && skip + width <= 64 {
+                let word = u64::from_be_bytes(chunk.try_into().expect("eight bytes"));
+                self.bit += width;
+                return Ok((word << skip) >> (64 - width));
+            }
         }
         let mut out = 0u64;
         let mut need = width;
@@ -379,7 +408,6 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::BitVec;
 
     /// The pre-optimization writer, verbatim: one bounds-checked byte append
     /// per bit. Kept as the reference the word-oriented [`BitWriter`] must
@@ -410,27 +438,27 @@ mod tests {
         }
     }
 
-    /// `encode_sparse` as it was before the word-oriented writer: naive
+    /// The sampled encoder as it was before the word-oriented writer: naive
     /// writer, bit-by-bit unary payloads.
-    fn encode_sparse_naive(specs: &[crate::multidim::AttrSpec], report: &SparseReport) -> Vec<u8> {
+    fn encode_sampled_naive(specs: &[AttrSpec], report: &SparseReport) -> Vec<u8> {
         let mut w = NaiveBitWriter::new();
         w.write_bits(report.entries.len() as u64, 16);
         let idx_bits = index_bits(report.d);
         for (j, rep) in &report.entries {
             w.write_bits(u64::from(*j), idx_bits);
             match (rep, &specs[*j as usize]) {
-                (AttrReport::Numeric(x), crate::multidim::AttrSpec::Numeric) => {
+                (AttrReport::Numeric(x), AttrSpec::Numeric) => {
                     w.write_bits(x.to_bits(), 64);
                 }
                 (
                     AttrReport::Categorical(CategoricalReport::Value(v)),
-                    crate::multidim::AttrSpec::Categorical { k },
+                    AttrSpec::Categorical { k },
                 ) => {
                     w.write_bits(u64::from(*v), index_bits(*k as usize));
                 }
                 (
                     AttrReport::Categorical(CategoricalReport::Bits(bits)),
-                    crate::multidim::AttrSpec::Categorical { k },
+                    AttrSpec::Categorical { k },
                 ) => {
                     assert_eq!(bits.len(), *k);
                     for b in bits.iter() {
@@ -445,7 +473,7 @@ mod tests {
 
     mod word_writer_proptests {
         use super::*;
-        use crate::multidim::{AttrSpec, AttrValue, SamplingPerturber};
+        use crate::multidim::{AttrValue, SamplingPerturber};
         use crate::rng::seeded_rng;
         use crate::{Epsilon, NumericKind, OracleKind};
         use proptest::prelude::*;
@@ -483,15 +511,14 @@ mod tests {
                         AttrSpec::Categorical { k } => AttrValue::Categorical(k - 1),
                     })
                     .collect();
-                let format = WireFormat::new(specs.clone());
                 let mut report = SparseReport::with_capacity(p.d(), p.k());
                 let mut scratch = p.scratch();
                 for _ in 0..4 {
                     p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch).unwrap();
-                    let fast = format.encode_sparse(&report);
-                    let naive = encode_sparse_naive(&specs, &report);
+                    let fast = encode_sampled(&report, &specs);
+                    let naive = encode_sampled_naive(&specs, &report);
                     prop_assert_eq!(&fast, &naive, "word writer diverged from the bit writer");
-                    let back = format.decode_sparse(&fast, !grr).unwrap();
+                    let back = decode_sampled(&specs, &fast, !grr).unwrap();
                     prop_assert_eq!(&back.entries, &report.entries);
                 }
             }
@@ -544,12 +571,11 @@ mod tests {
 
     #[test]
     fn categorical_sizes() {
-        assert_eq!(categorical_report_bits(&CategoricalReport::Value(3), 27), 5);
-        let bits = BitVec::zeros(27);
-        assert_eq!(
-            categorical_report_bits(&CategoricalReport::Bits(bits), 27),
-            27
-        );
+        let spec = AttrSpec::Categorical { k: 27 };
+        let value = AttrReport::Categorical(CategoricalReport::Value(3));
+        assert_eq!(payload_bits(&value, &spec), 5);
+        let bits = AttrReport::Categorical(CategoricalReport::Bits(BitVec::zeros(27)));
+        assert_eq!(payload_bits(&bits, &spec), 27);
     }
 
     #[test]
@@ -559,10 +585,10 @@ mod tests {
             d: 16,
             entries: vec![(3, AttrReport::Numeric(1.5))],
         };
-        assert_eq!(sparse_report_bits(&sparse), 4 + 64);
-        let specs = vec![crate::multidim::AttrSpec::Numeric; 16];
-        assert_eq!(composition_report_bits(&specs, true), 16 * 64);
-        assert!(sparse_report_bits(&sparse) < composition_report_bits(&specs, true));
+        let specs = vec![AttrSpec::Numeric; 16];
+        assert_eq!(sampled_report_bits(&sparse, &specs), 4 + 64);
+        assert_eq!(full_report_bits(&specs, true), 16 * 64);
+        assert!(sampled_report_bits(&sparse, &specs) < full_report_bits(&specs, true));
     }
 
     #[test]
@@ -572,20 +598,18 @@ mod tests {
 
     #[test]
     fn composition_sizes_are_schema_constants() {
-        use crate::multidim::AttrSpec;
         let specs = vec![
             AttrSpec::Numeric,
             AttrSpec::Categorical { k: 27 },
             AttrSpec::Categorical { k: 5 },
         ];
         // Unary payloads are k bits; direct payloads ⌈log₂ k⌉.
-        assert_eq!(composition_report_bits(&specs, true), 64 + 27 + 5);
-        assert_eq!(composition_report_bits(&specs, false), 64 + 5 + 3);
+        assert_eq!(full_report_bits(&specs, true), 64 + 27 + 5);
+        assert_eq!(full_report_bits(&specs, false), 64 + 5 + 3);
     }
 
     #[test]
     fn schema_aware_sizes_charge_log_k_for_direct_reports() {
-        use crate::multidim::AttrSpec;
         let specs = vec![
             AttrSpec::Numeric,
             AttrSpec::Categorical { k: 27 },
@@ -603,32 +627,25 @@ mod tests {
             ],
         };
         // Indices: 2 bits each; payloads: 64 + ⌈log₂ 27⌉ = 5 + 5 unary bits.
-        assert_eq!(
-            sparse_report_bits_with_schema(&report, &specs),
-            3 * 2 + 64 + 5 + 5
-        );
-        // The schema-less fallback charges 32 bits for the direct report.
-        assert_eq!(sparse_report_bits(&report), 3 * 2 + 64 + 32 + 5);
-        // Schema-aware accounting matches the codec's emitted size exactly
-        // (modulo the 16-bit entry-count header).
-        let format = WireFormat::new(specs.clone());
-        let bytes = format.encode_sparse(&report);
+        assert_eq!(sampled_report_bits(&report, &specs), 3 * 2 + 64 + 5 + 5);
+        // The accounting matches the codec's emitted size exactly (modulo
+        // the 16-bit entry-count header).
+        let bytes = encode_sampled(&report, &specs);
         assert_eq!(
             bytes.len(),
-            (16 + sparse_report_bits_with_schema(&report, &specs)).div_ceil(8)
+            (16 + sampled_report_bits(&report, &specs)).div_ceil(8)
         );
     }
 
     #[test]
     #[should_panic(expected = "disagrees with schema")]
     fn schema_aware_sizes_reject_type_mismatch() {
-        use crate::multidim::AttrSpec;
-        attr_report_bits_with_schema(&AttrReport::Numeric(0.0), &AttrSpec::Categorical { k: 4 });
+        payload_bits(&AttrReport::Numeric(0.0), &AttrSpec::Categorical { k: 4 });
     }
 
     #[test]
     fn codec_round_trips_mixed_reports() {
-        use crate::multidim::{AttrSpec, AttrValue, SamplingPerturber};
+        use crate::multidim::{AttrValue, SamplingPerturber};
         use crate::rng::seeded_rng;
         use crate::{Epsilon, NumericKind, OracleKind};
         let specs = vec![
@@ -637,10 +654,9 @@ mod tests {
             AttrSpec::Numeric,
             AttrSpec::Categorical { k: 13 },
         ];
-        let format = WireFormat::new(specs.clone());
         let p = SamplingPerturber::with_k(
             Epsilon::new(2.0).unwrap(),
-            specs,
+            specs.clone(),
             NumericKind::Hybrid,
             OracleKind::Oue,
             3,
@@ -658,11 +674,11 @@ mod tests {
         for _ in 0..200 {
             p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch)
                 .unwrap();
-            let bytes = format.encode_sparse(&report);
+            let bytes = encode_sampled(&report, &specs);
             // Size check: header + payload bits, rounded up to bytes.
-            let expect_bits = 16 + sparse_report_bits(&report);
+            let expect_bits = 16 + sampled_report_bits(&report, &specs);
             assert_eq!(bytes.len(), expect_bits.div_ceil(8));
-            let back = format.decode_sparse(&bytes, true).unwrap();
+            let back = decode_sampled(&specs, &bytes, true).unwrap();
             assert_eq!(back.d, report.d);
             assert_eq!(back.entries, report.entries);
         }
@@ -670,17 +686,16 @@ mod tests {
 
     #[test]
     fn codec_round_trips_grr_reports() {
-        use crate::multidim::{AttrSpec, AttrValue, SamplingPerturber};
+        use crate::multidim::{AttrValue, SamplingPerturber};
         use crate::rng::seeded_rng;
         use crate::{Epsilon, NumericKind, OracleKind};
         let specs = vec![
             AttrSpec::Categorical { k: 7 },
             AttrSpec::Categorical { k: 3 },
         ];
-        let format = WireFormat::new(specs.clone());
         let p = SamplingPerturber::with_k(
             Epsilon::new(1.0).unwrap(),
-            specs,
+            specs.clone(),
             NumericKind::Hybrid,
             OracleKind::Grr,
             2,
@@ -693,21 +708,20 @@ mod tests {
         for _ in 0..100 {
             p.perturb_into(&tuple, &mut rng, &mut report, &mut scratch)
                 .unwrap();
-            let bytes = format.encode_sparse(&report);
-            let back = format.decode_sparse(&bytes, false).unwrap();
+            let bytes = encode_sampled(&report, &specs);
+            let back = decode_sampled(&specs, &bytes, false).unwrap();
             assert_eq!(back.entries, report.entries);
         }
     }
 
     #[test]
     fn decode_rejects_truncated_and_garbage() {
-        use crate::multidim::AttrSpec;
-        let format = WireFormat::new(vec![AttrSpec::Numeric, AttrSpec::Numeric]);
+        let specs = [AttrSpec::Numeric, AttrSpec::Numeric];
         // Truncated: claims one entry but has no payload.
         let mut w = BitWriter::new();
         w.write_bits(1, 16);
         let bytes = w.finish();
-        assert!(format.decode_sparse(&bytes, true).is_err());
+        assert!(decode_sampled(&specs, &bytes, true).is_err());
         // Complete, but one entry more than the schema has attributes.
         let mut w = BitWriter::new();
         w.write_bits(3, 16);
@@ -715,14 +729,14 @@ mod tests {
             w.write_bits(j, 1); // index (1 bit for d = 2)
             w.write_bits(0.5f64.to_bits(), 64);
         }
-        assert!(format.decode_sparse(&w.finish(), true).is_err());
+        assert!(decode_sampled(&specs, &w.finish(), true).is_err());
         // Out-of-range category value.
-        let format = WireFormat::new(vec![AttrSpec::Categorical { k: 3 }]);
+        let specs = [AttrSpec::Categorical { k: 3 }];
         let mut w = BitWriter::new();
         w.write_bits(1, 16); // one entry
         w.write_bits(0, 1); // index 0 (1 bit for d=1)
         w.write_bits(3, 2); // value 3 ≥ k=3
-        assert!(format.decode_sparse(&w.finish(), false).is_err());
+        assert!(decode_sampled(&specs, &w.finish(), false).is_err());
     }
 
     #[test]
@@ -753,7 +767,9 @@ mod tests {
                 ),
             ],
         };
+        let mut specs = vec![AttrSpec::Numeric; 16];
+        specs[9] = AttrSpec::Categorical { k: 10 };
         // Two indices at 4 bits + 64-bit float + 10-bit OUE vector.
-        assert_eq!(sparse_report_bits(&sparse), 4 + 64 + 4 + 10);
+        assert_eq!(sampled_report_bits(&sparse, &specs), 4 + 64 + 4 + 10);
     }
 }

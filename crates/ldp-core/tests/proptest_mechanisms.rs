@@ -211,7 +211,7 @@ proptest! {
         schema_bits in prop::collection::vec(prop::option::of(2u32..20), 1..10),
         k_frac in 0.0f64..=1.0,
     ) {
-        use ldp_core::multidim::wire::WireFormat;
+        use ldp_core::multidim::wire::{decode_sampled, encode_sampled};
         // None → numeric attribute, Some(k) → categorical with domain k.
         let specs: Vec<AttrSpec> = schema_bits
             .iter()
@@ -236,9 +236,8 @@ proptest! {
             let mut rng = seeded_rng(seed);
             let mut report = SparseReport::with_capacity(p.d(), p.k());
             p.perturb_into(&tuple, &mut rng, &mut report, &mut p.scratch()).unwrap();
-            let format = WireFormat::new(specs.clone());
-            let bytes = format.encode_sparse(&report);
-            let back = format.decode_sparse(&bytes, unary).unwrap();
+            let bytes = encode_sampled(&report, &specs);
+            let back = decode_sampled(&specs, &bytes, unary).unwrap();
             prop_assert_eq!(back.d, report.d);
             prop_assert_eq!(back.entries, report.entries);
         }
