@@ -8,10 +8,11 @@
 //! configured [`FsyncPolicy`] promises. A process kill at *any* instant
 //! then loses at most unacked work: on restart, [`Recovery::replay`]
 //! installs the newest checkpoint, replays the log's admitted records
-//! through the untouched production path
-//! ([`crate::service::WireMessage::decode`] +
-//! [`ReportService::handle`]), truncates the torn tail a mid-append crash
-//! leaves, and the recovered epoch snapshots are **bit-identical** —
+//! through the production `Submit` path (the one envelope parser, then
+//! the service's decode, validation, ledger and absorb, with each report
+//! borrowed from the log image and decoded into one recycled report),
+//! truncates the torn tail a mid-append crash leaves, and the recovered
+//! epoch snapshots are **bit-identical** —
 //! every mean and frequency compared via `to_bits()` — to a run that never
 //! crashed. The crash-recovery suite gates on exactly that, plus the
 //! conservation invariant `admitted == wal_replayed + checkpointed`.
@@ -20,10 +21,11 @@
 //!
 //! - `wal`: the log — a binding header record (protocol, ε, schema,
 //!   base epoch, ledger key, run seed) followed by one frame per admitted
-//!   `Submit`, byte-identical to its wire payload. Torn tails truncate
-//!   silently; corruption *before* the tail is a typed
-//!   [`ldp_core::LdpError::WalCorrupt`] with the byte offset, mirroring
-//!   [`crate::service::StreamFault`] semantics.
+//!   `Submit`, byte-identical to its wire payload. A torn tail — damage
+//!   that fits in the one record a crash can tear, bounded by the largest
+//!   record the schema admits — truncates silently; damage reaching
+//!   further is a typed [`ldp_core::LdpError::WalCorrupt`] with the byte
+//!   offset, mirroring [`crate::service::StreamFault`] semantics.
 //! - `checkpoint`: full-state snapshots (aggregator partials keyed by
 //!   ordinal, the budget ledger as keyed hashes, the stream counters)
 //!   written with [`ldp_core::fsio`]'s fsync-hardened tmp+rename. After a
@@ -46,7 +48,9 @@ pub use checkpoint::{
     KIND_CHECKPOINT_META,
 };
 pub use recovery::{Recovery, RecoveryReport};
-pub use wal::{scan, WalHeader, WalScan, WalWriter, KIND_WAL_HEADER, KIND_WAL_SUBMIT, WAL_FILE};
+pub use wal::{
+    scan, SubmitRecord, WalHeader, WalScan, WalWriter, KIND_WAL_HEADER, KIND_WAL_SUBMIT, WAL_FILE,
+};
 
 use crate::service::{EpochSnapshot, ReportService, ServiceConfig, WireMessage};
 use ldp_core::rng::{seeded_rng, uniform_index};
@@ -282,27 +286,58 @@ impl DurableService {
     ) -> Result<(Self, RecoveryReport)> {
         std::fs::create_dir_all(dir).map_err(|e| disk_err("durable_dir", &e))?;
         let (service, header, report) = Recovery::replay(dir, &config)?;
-        let wal_path = dir.join(WAL_FILE);
-        let wal = match &header {
-            // A crash can land after the checkpoint rename with the log
-            // missing or rotated away mid-swap; recreate it from the
-            // binding either way.
-            Some(h) if !wal_path.exists() => Some(WalWriter::create(&wal_path, h, config.fsync)?),
-            Some(_) => Some(WalWriter::open_end(&wal_path, config.fsync)?),
-            None => None,
+        let mut durable = DurableService {
+            service,
+            config,
+            dir: dir.to_path_buf(),
+            wal: None,
+            header,
+            crash,
+            checkpoints: 0,
         };
-        Ok((
-            DurableService {
-                service,
-                config,
-                dir: dir.to_path_buf(),
-                wal,
-                header,
-                crash,
-                checkpoints: 0,
-            },
-            report,
-        ))
+        durable.open_log()?;
+        Ok((durable, report))
+    }
+
+    /// Opens the log for appending unless it is open. A bound session
+    /// reopens its log, recreated from the binding if it is missing (a
+    /// crash after the checkpoint rename can leave it missing or rotated
+    /// away mid-swap, and a failed rotation leaves it closed). A session
+    /// with no binding yet gets a fresh log with its header; any log file
+    /// already there has none, so it is started over. Before any session
+    /// there is nothing to bind, and the log stays closed.
+    ///
+    /// # Errors
+    /// I/O failures creating or opening the log.
+    fn open_log(&mut self) -> Result<()> {
+        if self.wal.is_some() {
+            return Ok(());
+        }
+        let path = self.dir.join(WAL_FILE);
+        let fsync = self.config.fsync;
+        let wal = match &self.header {
+            Some(_) if path.exists() => WalWriter::open_end(&path, fsync)?,
+            Some(header) => WalWriter::create(&path, header, fsync)?,
+            None => {
+                let Some((protocol, epsilon, specs, base_epoch)) = self.service.session_params()
+                else {
+                    return Ok(());
+                };
+                let header = WalHeader {
+                    protocol,
+                    epsilon,
+                    specs: specs.to_vec(),
+                    base_epoch,
+                    ledger_key: self.service.config().ledger_key,
+                    run_seed: self.config.run_seed,
+                };
+                let wal = WalWriter::create(&path, &header, fsync)?;
+                self.header = Some(header);
+                wal
+            }
+        };
+        self.wal = Some(wal);
+        Ok(())
     }
 
     /// The wrapped service (read-only; all mutation goes through
@@ -341,16 +376,19 @@ impl DurableService {
     ///
     /// - `Hello`: establishes the session, then durably creates the log
     ///   with its binding header (idempotent re-hellos reuse it);
-    /// - `Submit`: admitted by the service first (all three validation
-    ///   gates), then appended; the `Ok` — and any ack built from it —
-    ///   happens strictly after the append returns per the fsync policy;
+    /// - `Submit`: reopens the log if a failed rotation closed it, then is
+    ///   admitted by the service (all three validation gates), then
+    ///   appended; the `Ok` — and any ack built from it — happens strictly
+    ///   after the append returns per the fsync policy;
     /// - `FlushEpoch`: flushes the log (the `OnFlush` durability
     ///   boundary), then snapshots;
     /// - `Shutdown`: flushes the log.
     ///
     /// # Errors
     /// Service rejections pass through unchanged (a duplicate is still
-    /// [`LdpError::DuplicateReport`] and is *not* logged). A WAL append
+    /// [`LdpError::DuplicateReport`] and is *not* logged). A log that
+    /// cannot reopen fails the `Submit` before the service sees it, so no
+    /// budget is spent. A WAL append
     /// failure after an in-memory admit is surfaced as-is: the transport
     /// maps it to a retryable `Overloaded`, and since the admit kept the
     /// in-memory ledger entry, the client's idempotent retry resolves to
@@ -359,32 +397,18 @@ impl DurableService {
         match msg {
             WireMessage::Hello { .. } => {
                 self.service.handle(msg)?;
-                if self.wal.is_none() {
-                    let (protocol, epsilon, specs, base_epoch) = self
-                        .service
-                        .session_params()
-                        .expect("hello just established the session");
-                    let header = WalHeader {
-                        protocol,
-                        epsilon,
-                        specs: specs.to_vec(),
-                        base_epoch,
-                        ledger_key: self.service.config().ledger_key,
-                        run_seed: self.config.run_seed,
-                    };
-                    let wal =
-                        WalWriter::create(&self.dir.join(WAL_FILE), &header, self.config.fsync)?;
-                    self.header = Some(header);
-                    self.wal = Some(wal);
-                }
+                self.open_log()?;
                 Ok(None)
             }
             WireMessage::Submit { .. } => {
+                // The log opens before the service admits anything, so a
+                // log that cannot open spends no budget.
+                self.open_log()?;
                 self.service.handle(msg)?;
                 let wal = self
                     .wal
                     .as_mut()
-                    .expect("service admitted a submit, so a hello created the log");
+                    .expect("an admitted submit has a session, so the log opened");
                 wal.append(msg, &mut self.crash)?;
                 Ok(None)
             }
@@ -458,14 +482,15 @@ impl DurableService {
         note(&mut self.crash, CrashPoint::AfterCheckpointCommit)?;
 
         // Rotate: drop the open handle, then atomically swap in a fresh
-        // header-only log and reopen it for appending.
+        // header-only log and reopen it for appending. If the rotation
+        // fails, the log stays closed and the next message reopens it.
         self.wal = None;
         let wal_path = self.dir.join(WAL_FILE);
         let fresh = wal::header_only_log(&header)?;
         let staged = fsio::stage(&wal_path, &fresh).map_err(|e| disk_err("wal_rotate", &e))?;
         fsio::commit(&wal_path, &staged).map_err(|e| disk_err("wal_rotate", &e))?;
         note(&mut self.crash, CrashPoint::AfterRotate)?;
-        self.wal = Some(WalWriter::open_end(&wal_path, self.config.fsync)?);
+        self.open_log()?;
         self.checkpoints += 1;
         Ok(())
     }
@@ -620,6 +645,85 @@ mod tests {
         // Dead stays dead, whatever the point.
         let err = s.note(CrashPoint::AfterRotate).unwrap_err();
         assert!(is_injected_crash(&err));
+    }
+
+    #[test]
+    fn submit_after_a_failed_rotation_reopens_the_log() {
+        let dir = temp_dir("failed_rotation");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut durable, _) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        durable.handle(&hello()).unwrap();
+        let all = submits(6);
+        for msg in &all[..4] {
+            durable.handle(msg).unwrap();
+        }
+        // A directory where rotation stages the fresh log: the checkpoint
+        // commits, then the rotation fails and leaves the log closed.
+        let wal_path = dir.join(WAL_FILE);
+        std::fs::create_dir(dir.join(format!("{WAL_FILE}.tmp"))).unwrap();
+        assert!(is_storage_error(&durable.checkpoint().unwrap_err()));
+
+        // A log that cannot reopen refuses the submit before the ledger
+        // spends anything.
+        let moved = dir.join("wal.log.moved");
+        std::fs::rename(&wal_path, &moved).unwrap();
+        std::fs::create_dir(&wal_path).unwrap();
+        assert!(is_storage_error(&durable.handle(&all[4]).unwrap_err()));
+        assert_eq!(durable.service().ledger().admitted(0), 4);
+        std::fs::remove_dir(&wal_path).unwrap();
+        std::fs::rename(&moved, &wal_path).unwrap();
+
+        for msg in &all[4..] {
+            durable.handle(msg).unwrap();
+        }
+        drop(durable);
+        let (recovered, report) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        assert_eq!(report.checkpointed, 4);
+        assert_eq!(report.wal_skipped, 4);
+        assert_eq!(report.wal_replayed, 2);
+        assert_eq!(report.recovered_admits(), 6);
+        assert_eq!(recovered.service().ledger().admitted(0), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_bit_never_truncates_more_than_one_record() {
+        let dir = temp_dir("flips");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut durable, _) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        durable.handle(&hello()).unwrap();
+        for msg in submits(10) {
+            durable.handle(&msg).unwrap();
+        }
+        drop(durable);
+        let wal_path = dir.join(WAL_FILE);
+        let image = std::fs::read(&wal_path).unwrap();
+        let header_len = u32::from_be_bytes(image[..4].try_into().unwrap()) as usize;
+        let first_submit = ldp_core::frame::FRAME_HEADER_BYTES + header_len;
+        let largest_record = (ldp_core::frame::FRAME_HEADER_BYTES
+            + crate::service::max_submit_payload(test_protocol(), &test_specs()))
+            as u64;
+        for byte in first_submit..image.len() {
+            for bit in 0..8 {
+                let mut damaged = image.clone();
+                damaged[byte] ^= 1 << bit;
+                std::fs::write(&wal_path, &damaged).unwrap();
+                match Recovery::replay(&dir, &DurableConfig::default()) {
+                    // A torn tail fits in the one record a crash can tear.
+                    Ok((_, _, report)) => assert!(
+                        report.truncated_bytes <= largest_record,
+                        "flip at byte {byte} bit {bit} truncated {} bytes",
+                        report.truncated_bytes
+                    ),
+                    Err(LdpError::WalCorrupt { offset, .. }) => assert!(
+                        offset <= byte as u64,
+                        "flip at byte {byte} bit {bit} reported at {offset}"
+                    ),
+                    Err(other) => panic!("flip at byte {byte} bit {bit}: {other:?}"),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

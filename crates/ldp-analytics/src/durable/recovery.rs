@@ -5,7 +5,7 @@
 use super::checkpoint::{Checkpoint, CHECKPOINT_FILE};
 use super::wal::{self, WalHeader, WAL_FILE};
 use super::{disk_err, DurableConfig};
-use crate::service::{ReportService, WireMessage};
+use crate::service::ReportService;
 use ldp_core::{LdpError, Result};
 use std::fs::OpenOptions;
 use std::path::Path;
@@ -56,9 +56,14 @@ impl Recovery {
     ///
     /// Order matters: the checkpoint installs first (it is strictly newer
     /// than the records the rotation it belongs to compacted away), then
-    /// the log replays on top, oldest record first. The log's header must
-    /// match the checkpoint's binding; records the checkpoint already
-    /// covers are skipped without counting. A torn tail is truncated off
+    /// the log replays on top, oldest record first. The whole log is
+    /// scanned before any record applies, so damage anywhere fails the
+    /// replay before it changes the service. Each record's report is
+    /// borrowed from the log image and goes through the service's
+    /// production `Submit` path, decoded into one recycled report. The
+    /// log's header must match the checkpoint's binding; records the
+    /// checkpoint already covers are skipped without counting. A torn tail
+    /// — no longer than one record, see [`wal::scan`] — is truncated off
     /// the file on disk so subsequent appends resume from the last valid
     /// record.
     ///
@@ -113,17 +118,20 @@ impl Recovery {
                         header = Some(wal_header);
                     }
                 }
-                for msg in &scan.submits {
-                    report.wal_records += 1;
-                    let WireMessage::Submit { user, epoch, .. } = msg else {
-                        unreachable!("wal::scan yields only submits");
-                    };
-                    if service.ledger().contains(*user, *epoch) {
+                report.wal_records = scan.submits.len() as u64;
+                for record in &scan.submits {
+                    if service.ledger().contains(record.user, record.epoch) {
                         report.wal_skipped += 1;
                         continue;
                     }
-                    match service.handle(msg) {
-                        Ok(_) => report.wal_replayed += 1,
+                    let applied = service.handle_submit(
+                        record.user,
+                        record.epoch,
+                        record.block,
+                        record.report,
+                    );
+                    match applied {
+                        Ok(()) => report.wal_replayed += 1,
                         Err(_) => report.wal_rejected += 1,
                     }
                 }

@@ -3,13 +3,15 @@
 //!
 //! Every record is an [`ldp_core::frame`] frame, so the log inherits the
 //! wire format's length/checksum discipline. A `Submit` record's payload is
-//! **byte-identical** to the payload the message travelled the wire as —
-//! replay is `WireMessage::decode` + `ReportService::handle`, the exact
-//! production path, with nothing re-derived.
+//! **byte-identical** to the payload the message travelled the wire as.
+//! [`scan`] reads it with the wire's one `Submit` parser into a
+//! [`SubmitRecord`] borrowed from the log image, and replay hands that to
+//! the service's `Submit` path — the production decode, validation,
+//! ledger and absorb, with nothing re-derived and nothing copied.
 
 use super::{disk_err, note, CrashPoint, CrashSchedule, FsyncPolicy};
 use crate::pipeline::Protocol;
-use crate::service::{WireMessage, KIND_HELLO, KIND_SUBMIT};
+use crate::service::{max_submit_payload, parse_submit, WireMessage, KIND_HELLO, KIND_SUBMIT};
 use ldp_core::frame::{self, FrameRead};
 use ldp_core::multidim::AttrSpec;
 use ldp_core::{Epsilon, LdpError, Result};
@@ -233,14 +235,27 @@ impl WalWriter {
     }
 }
 
-/// Everything one pass over a log file yields.
+/// One admitted `Submit` record, its report borrowed from the log image.
+#[derive(Debug, Clone, Copy)]
+pub struct SubmitRecord<'a> {
+    /// The submitting user's id.
+    pub user: u64,
+    /// Epoch the report spends its budget in.
+    pub epoch: u64,
+    /// Block ordinal of the report's partial.
+    pub block: u64,
+    /// The canonical report bytes.
+    pub report: &'a [u8],
+}
+
+/// Everything one pass over a log image yields, borrowed from the image.
 #[derive(Debug)]
-pub struct WalScan {
+pub struct WalScan<'a> {
     /// The binding header, absent only when the file is empty (a crash
     /// between log creation and the header write).
     pub header: Option<WalHeader>,
     /// The admitted submits, in append order.
-    pub submits: Vec<WireMessage>,
+    pub submits: Vec<SubmitRecord<'a>>,
     /// Bytes up to and including the last intact record; recovery
     /// truncates the file here.
     pub valid_bytes: u64,
@@ -248,37 +263,39 @@ pub struct WalScan {
     pub truncated_bytes: u64,
 }
 
-/// Scans a complete log image, separating a torn tail (the expected
-/// signature of a crash mid-append: a truncated final frame, or a
-/// checksum-corrupt record that runs exactly to end-of-file) from mid-log
-/// corruption (intact durable records *after* the damage — impossible to
-/// produce with a single crash).
+/// Scans a complete log image, separating a torn tail (the signature of a
+/// crash mid-append) from damage that reaches acknowledged records.
+///
+/// A crash tears at most the record being appended, so a damaged tail is
+/// torn only if it fits in one record. The bound is the largest `Submit`
+/// record the header's schema admits: a frame cut off by end-of-file (or
+/// with an unreadable length field) must leave fewer bytes than that, and
+/// a checksum-corrupt record that runs exactly to end-of-file must be no
+/// longer. Anything else is mid-log damage: a longer damaged tail, a frame
+/// error right after a corrupt record, or intact records after one. A
+/// damaged header record has no schema to bound it and stays a torn tail,
+/// as a crash during log creation leaves it.
 ///
 /// # Errors
-/// [`LdpError::WalCorrupt`] with the byte offset of the first corrupt
-/// record when durable records follow it, when a checksum-valid record
-/// fails to decode, or when a record kind is out of place.
-pub fn scan(buf: &[u8]) -> Result<WalScan> {
-    let mut cursor: &[u8] = buf;
-    let mut payload = Vec::new();
+/// [`LdpError::WalCorrupt`] with the byte offset of the first damaged
+/// record for mid-log damage, when a checksum-valid record fails to
+/// decode, or when a record kind is out of place.
+pub fn scan(buf: &[u8]) -> Result<WalScan<'_>> {
+    let mut rest = buf;
     let mut header: Option<WalHeader> = None;
+    // Bytes of the largest submit record, once the header names a schema.
+    let mut max_record = usize::MAX;
     let mut submits = Vec::new();
     let mut valid_bytes = 0u64;
     // A checksum-corrupt record is only `WalCorrupt` once we know durable
     // bytes follow it; until then it is a candidate torn tail.
     let mut pending_corrupt: Option<(u64, String)> = None;
     loop {
-        let offset = (buf.len() - cursor.len()) as u64;
-        let read = match frame::read_frame(&mut cursor, &mut payload) {
-            Ok(read) => read,
-            // A frame cut off by end-of-file (or an unreadable length
-            // field) is the torn tail itself: stop, truncate here.
-            Err(LdpError::MalformedFrame { .. }) => break,
-            Err(e) => return Err(e),
-        };
-        let kind = match read {
-            None => break, // clean EOF
-            Some(FrameRead::Corrupt { declared, computed }) => {
+        let offset = (buf.len() - rest.len()) as u64;
+        let (kind, payload) = match frame::split_frame(&mut rest) {
+            Ok(None) => break, // clean EOF
+            Ok(Some((FrameRead::Valid { kind }, payload))) => (kind, payload),
+            Ok(Some((FrameRead::Corrupt { declared, computed }, _))) => {
                 if let Some((off, message)) = pending_corrupt.take() {
                     return Err(LdpError::WalCorrupt {
                         offset: off,
@@ -293,7 +310,25 @@ pub fn scan(buf: &[u8]) -> Result<WalScan> {
                 ));
                 continue;
             }
-            Some(FrameRead::Valid { kind }) => kind,
+            Err(LdpError::MalformedFrame { message }) => {
+                if let Some((off, message)) = pending_corrupt.take() {
+                    return Err(LdpError::WalCorrupt {
+                        offset: off,
+                        message,
+                    });
+                }
+                if rest.len() >= max_record {
+                    return Err(LdpError::WalCorrupt {
+                        offset,
+                        message: format!(
+                            "unreadable record with {} bytes left, more than one record: {message}",
+                            rest.len()
+                        ),
+                    });
+                }
+                break; // the torn tail itself: truncate here
+            }
+            Err(e) => return Err(e),
         };
         if let Some((off, message)) = pending_corrupt.take() {
             return Err(LdpError::WalCorrupt {
@@ -301,23 +336,27 @@ pub fn scan(buf: &[u8]) -> Result<WalScan> {
                 message,
             });
         }
-        match (kind, header.is_some()) {
-            (KIND_WAL_HEADER, false) if offset == 0 => {
-                header = Some(
-                    WalHeader::decode(&payload).map_err(|e| LdpError::WalCorrupt {
-                        offset,
-                        message: format!("header record failed to decode: {e}"),
-                    })?,
-                );
+        match (kind, &header) {
+            (KIND_WAL_HEADER, None) if offset == 0 => {
+                let h = WalHeader::decode(payload).map_err(|e| LdpError::WalCorrupt {
+                    offset,
+                    message: format!("header record failed to decode: {e}"),
+                })?;
+                max_record = frame::FRAME_HEADER_BYTES + max_submit_payload(h.protocol, &h.specs);
+                header = Some(h);
             }
-            (KIND_WAL_SUBMIT, true) => {
-                let msg = WireMessage::decode(KIND_SUBMIT, &payload).map_err(|e| {
-                    LdpError::WalCorrupt {
+            (KIND_WAL_SUBMIT, Some(_)) => {
+                let (user, epoch, block, report) =
+                    parse_submit(payload).map_err(|e| LdpError::WalCorrupt {
                         offset,
                         message: format!("submit record failed to decode: {e}"),
-                    }
-                })?;
-                submits.push(msg);
+                    })?;
+                submits.push(SubmitRecord {
+                    user,
+                    epoch,
+                    block,
+                    report,
+                });
             }
             _ => {
                 return Err(LdpError::WalCorrupt {
@@ -326,7 +365,15 @@ pub fn scan(buf: &[u8]) -> Result<WalScan> {
                 });
             }
         }
-        valid_bytes = (buf.len() - cursor.len()) as u64;
+        valid_bytes = (buf.len() - rest.len()) as u64;
+    }
+    if let Some((off, message)) = pending_corrupt {
+        if buf.len() - off as usize > max_record {
+            return Err(LdpError::WalCorrupt {
+                offset: off,
+                message: format!("{message}; the damaged tail is longer than one record"),
+            });
+        }
     }
     Ok(WalScan {
         header,

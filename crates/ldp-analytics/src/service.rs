@@ -135,8 +135,9 @@ use crate::pipeline::{self, CollectionResult, Protocol};
 use crate::session::{Aggregator, Report};
 use ldp_core::frame::{self, FrameRead};
 use ldp_core::multidim::wire::{self, BitReader, BitWriter};
-use ldp_core::multidim::AttrSpec;
+use ldp_core::multidim::{AttrSpec, SparseReport};
 use ldp_core::{Epsilon, LdpError, NumericKind, OracleKind, Result};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
@@ -282,7 +283,8 @@ impl WireMessage {
     }
 
     // `pub(crate)` so the durable WAL can log the byte-identical payload a
-    // `Submit` travels the wire as (replay then reuses `decode` unchanged).
+    // `Submit` travels the wire as (replay reads it back with
+    // `parse_submit`, the parser `decode` runs).
     pub(crate) fn payload(&self) -> Vec<u8> {
         let mut w = BitWriter::new();
         match self {
@@ -393,20 +395,12 @@ impl WireMessage {
                 })
             }
             KIND_SUBMIT => {
-                if payload.len() < SUBMIT_ENVELOPE_BYTES {
-                    return Err(malformed(format!(
-                        "submit envelope needs {SUBMIT_ENVELOPE_BYTES} bytes, got {}",
-                        payload.len()
-                    )));
-                }
-                let mut r = BitReader::new(payload);
-                let read =
-                    |r: &mut BitReader<'_>| r.read_bits(64).map_err(|e| bit_err("submit", e));
+                let (user, epoch, block, report) = parse_submit(payload)?;
                 Ok(WireMessage::Submit {
-                    user: read(&mut r)?,
-                    epoch: read(&mut r)?,
-                    block: read(&mut r)?,
-                    report: payload[SUBMIT_ENVELOPE_BYTES..].to_vec(),
+                    user,
+                    epoch,
+                    block,
+                    report: report.to_vec(),
                 })
             }
             KIND_FLUSH_EPOCH => {
@@ -454,6 +448,26 @@ impl WireMessage {
             ))),
         }
     }
+}
+
+/// Reads a `Submit` payload as `(user, epoch, block, report bytes)`, the
+/// report borrowed from `payload`. The one `Submit` parser:
+/// [`WireMessage::decode`] copies the report out of it, and WAL replay
+/// hands it to the service in place.
+///
+/// # Errors
+/// [`LdpError::MalformedFrame`] when the payload is shorter than the
+/// envelope.
+pub(crate) fn parse_submit(payload: &[u8]) -> Result<(u64, u64, u64, &[u8])> {
+    let Some((envelope, report)) = payload.split_first_chunk::<SUBMIT_ENVELOPE_BYTES>() else {
+        return Err(malformed(format!(
+            "submit envelope needs {SUBMIT_ENVELOPE_BYTES} bytes, got {}",
+            payload.len()
+        )));
+    };
+    let field =
+        |i: usize| u64::from_be_bytes(envelope[8 * i..8 * i + 8].try_into().expect("eight bytes"));
+    Ok((field(0), field(1), field(2), report))
 }
 
 /// Verdict a server attaches to one client message — the payload of
@@ -688,26 +702,69 @@ pub fn encode_report(report: &Report, specs: &[AttrSpec]) -> Vec<u8> {
     }
 }
 
-/// Decodes canonical report bytes for `protocol` over `specs` — the one
-/// report decoder, which the service runs on every `Submit`. Only the
-/// canonical length is accepted: trailing bytes would let a client smuggle
-/// stream junk.
+/// Decodes canonical report bytes for `protocol` over `specs` into a
+/// fresh report. The service's `Submit` path runs the same decoder into
+/// a per-thread recycled report. Only the canonical length is accepted: trailing
+/// bytes would let a client smuggle stream junk.
 ///
 /// # Errors
 /// [`LdpError::MalformedFrame`] on a non-canonical length, other typed
 /// [`LdpError`]s on truncated or out-of-domain payloads; never panics.
 pub fn decode_report(protocol: Protocol, specs: &[AttrSpec], bytes: &[u8]) -> Result<Report> {
-    // OUE/SUE payloads are unary bit vectors, GRR's direct values.
-    let (Protocol::Sampling { oracle, .. } | Protocol::BestEffort { oracle, .. }) = protocol;
-    let unary = oracle != OracleKind::Grr;
-    match protocol {
-        Protocol::Sampling { .. } => {
-            wire::decode_sampled(specs, bytes, unary).map(Report::Sampling)
+    let mut report = report_of(protocol, SparseReport::with_capacity(specs.len(), 0));
+    decode_report_into(protocol, specs, bytes, &mut report)?;
+    Ok(report)
+}
+
+/// [`decode_report`] into `report`, refilling its entry slots in place
+/// (see [`wire::decode_sampled_into`]).
+fn decode_report_into(
+    protocol: Protocol,
+    specs: &[AttrSpec],
+    bytes: &[u8],
+    report: &mut Report,
+) -> Result<()> {
+    let unary = is_unary(protocol);
+    match (protocol, &mut *report) {
+        (Protocol::Sampling { .. }, Report::Sampling(sparse)) => {
+            wire::decode_sampled_into(specs, bytes, unary, sparse)
         }
-        Protocol::BestEffort { .. } => {
-            wire::decode_full(specs, bytes, unary).map(Report::Composition)
+        (Protocol::BestEffort { .. }, Report::Composition(sparse)) => {
+            wire::decode_full_into(specs, bytes, unary, sparse)
+        }
+        (_, Report::Sampling(sparse) | Report::Composition(sparse)) => {
+            // The variant names the layout: move the slots over to it.
+            let slots = std::mem::replace(sparse, SparseReport::with_capacity(0, 0));
+            *report = report_of(protocol, slots);
+            decode_report_into(protocol, specs, bytes, report)
         }
     }
+}
+
+/// `sparse` as a report of `protocol`'s variant.
+fn report_of(protocol: Protocol, sparse: SparseReport) -> Report {
+    match protocol {
+        Protocol::Sampling { .. } => Report::Sampling(sparse),
+        Protocol::BestEffort { .. } => Report::Composition(sparse),
+    }
+}
+
+/// True when `protocol`'s categorical payloads are unary bit vectors
+/// (OUE/SUE) rather than direct values (GRR).
+fn is_unary(protocol: Protocol) -> bool {
+    let (Protocol::Sampling { oracle, .. } | Protocol::BestEffort { oracle, .. }) = protocol;
+    oracle != OracleKind::Grr
+}
+
+/// Largest `Submit` payload a session of `protocol` over `specs` admits:
+/// the envelope plus the largest canonical report.
+pub(crate) fn max_submit_payload(protocol: Protocol, specs: &[AttrSpec]) -> usize {
+    let unary = is_unary(protocol);
+    let report_bits = match protocol {
+        Protocol::Sampling { .. } => wire::max_sampled_report_bits(specs, unary),
+        Protocol::BestEffort { .. } => wire::full_report_bits(specs, unary),
+    };
+    SUBMIT_ENVELOPE_BYTES + report_bits.div_ceil(8)
 }
 
 /// Service construction parameters.
@@ -862,6 +919,16 @@ pub struct ReportService {
     rejected_malformed: u64,
 }
 
+thread_local! {
+    /// The report each thread's `Submit`s decode into, refilled in place.
+    /// Per thread rather than per service: connection threads take turns
+    /// on one service, so a scratch it owned would pass between cores and
+    /// allocator arenas with the lock. In interleaved `ingest_tcp` pairs,
+    /// a scratch per service lost 8 of 10 pairs to one per thread.
+    static SCRATCH: RefCell<Report> =
+        RefCell::new(Report::Sampling(SparseReport::with_capacity(0, 0)));
+}
+
 impl ReportService {
     /// A fresh, unconfigured service; the first `Hello` establishes the
     /// session.
@@ -965,7 +1032,15 @@ impl ReportService {
         Ok(())
     }
 
-    fn handle_submit(&mut self, user: u64, epoch: u64, block: u64, bytes: &[u8]) -> Result<()> {
+    /// The `Submit` path of [`ReportService::handle`], on the envelope's
+    /// fields and borrowed report bytes (WAL replay calls it directly).
+    pub(crate) fn handle_submit(
+        &mut self,
+        user: u64,
+        epoch: u64,
+        block: u64,
+        bytes: &[u8],
+    ) -> Result<()> {
         let sess = self
             .session
             .as_ref()
@@ -977,20 +1052,22 @@ impl ReportService {
             )));
         }
         // Gate 2: the report bytes decode once, at their exact canonical
-        // length, and the report validates once against the session's
-        // template (every epoch's aggregator is a clone of it) — before the
-        // ledger runs, so a malformed report does not burn its user's
-        // budget.
+        // length, into this thread's recycled report, and the report
+        // validates once against the session's template (every epoch's
+        // aggregator is a clone of it) — before the ledger runs, so a
+        // malformed report does not burn its user's budget.
         let template = &sess.template;
-        let report = decode_report(template.protocol(), template.specs(), bytes)?;
-        template.validate_report(&report)?;
-        // Gate 3: one report per user per epoch.
-        self.ledger.admit(user, epoch)?;
-        // All gates cleared: route into the block's partial.
-        let agg = self.epochs.entry(epoch).or_insert_with(|| template.clone());
-        agg.set_ordinal(block);
-        agg.absorb_validated(&report);
-        Ok(())
+        SCRATCH.with_borrow_mut(|report| {
+            decode_report_into(template.protocol(), template.specs(), bytes, report)?;
+            template.validate_report(report)?;
+            // Gate 3: one report per user per epoch.
+            self.ledger.admit(user, epoch)?;
+            // All gates cleared: route into the block's partial.
+            let agg = self.epochs.entry(epoch).or_insert_with(|| template.clone());
+            agg.set_ordinal(block);
+            agg.absorb_validated(report);
+            Ok(())
+        })
     }
 
     /// Snapshots one epoch: the ordinal-ordered fold of its partials plus

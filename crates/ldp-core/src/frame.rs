@@ -178,13 +178,48 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, payload: &mut Vec<u8>) -> Result<
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match read_full(r, &mut header)? {
         0 => return Ok(None),
-        n if n < FRAME_HEADER_BYTES => {
-            return Err(malformed(format!(
-                "truncated frame header: got {n} of {FRAME_HEADER_BYTES} bytes"
-            )));
-        }
+        n if n < FRAME_HEADER_BYTES => return Err(truncated_header(n)),
         _ => {}
     }
+    let (len, kind, declared) = parse_header(&header)?;
+    payload.clear();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_STEP), 0);
+        let got = start + read_full(r, &mut payload[start..])?;
+        if got < payload.len() {
+            return Err(truncated_payload(got, len));
+        }
+    }
+    Ok(Some(verify(kind, declared, payload)))
+}
+
+/// [`read_frame`] over an in-memory buffer, without copying: reads the
+/// frame at the front of `buf`, advances `buf` past it, and returns the
+/// payload borrowed from the buffer. Outcomes and errors are exactly
+/// [`read_frame`]'s on a reader over `buf`.
+///
+/// # Errors
+/// As [`read_frame`]: [`LdpError::MalformedFrame`] on a truncated frame or
+/// an oversized length; `buf` is left where it was.
+pub fn split_frame<'a>(buf: &mut &'a [u8]) -> Result<Option<(FrameRead, &'a [u8])>> {
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    let Some((header, rest)) = buf.split_first_chunk::<FRAME_HEADER_BYTES>() else {
+        return Err(truncated_header(buf.len()));
+    };
+    let (len, kind, declared) = parse_header(header)?;
+    if rest.len() < len {
+        return Err(truncated_payload(rest.len(), len));
+    }
+    let (payload, rest) = rest.split_at(len);
+    *buf = rest;
+    Ok(Some((verify(kind, declared, payload), payload)))
+}
+
+/// A frame header's `(payload length, kind, declared checksum)`.
+fn parse_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<(usize, u8, u64)> {
     let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
     let kind = header[4];
     let declared = u64::from_be_bytes(header[5..13].try_into().expect("8-byte slice"));
@@ -194,22 +229,27 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, payload: &mut Vec<u8>) -> Result<
              {MAX_FRAME_PAYLOAD}"
         )));
     }
-    payload.clear();
-    while payload.len() < len {
-        let start = payload.len();
-        payload.resize(len.min(start + READ_STEP), 0);
-        let got = start + read_full(r, &mut payload[start..])?;
-        if got < payload.len() {
-            return Err(malformed(format!(
-                "truncated frame payload: got {got} of {len} bytes"
-            )));
-        }
-    }
+    Ok((len, kind, declared))
+}
+
+/// Checks a received payload against its declared checksum.
+fn verify(kind: u8, declared: u64, payload: &[u8]) -> FrameRead {
     let computed = frame_checksum(kind, payload);
-    if computed != declared {
-        return Ok(Some(FrameRead::Corrupt { declared, computed }));
+    if computed == declared {
+        FrameRead::Valid { kind }
+    } else {
+        FrameRead::Corrupt { declared, computed }
     }
-    Ok(Some(FrameRead::Valid { kind }))
+}
+
+fn truncated_header(got: usize) -> LdpError {
+    malformed(format!(
+        "truncated frame header: got {got} of {FRAME_HEADER_BYTES} bytes"
+    ))
+}
+
+fn truncated_payload(got: usize, len: usize) -> LdpError {
+    malformed(format!("truncated frame payload: got {got} of {len} bytes"))
 }
 
 /// Fill `buf` from `r`, returning how many bytes were read before EOF.
@@ -550,5 +590,41 @@ mod tests {
             assert_eq!(scratch, vec![kind; kind as usize * 3]);
         }
         assert_eq!(read_frame(&mut reader, &mut scratch).unwrap(), None);
+    }
+
+    #[test]
+    fn split_frame_agrees_with_read_frame_on_every_prefix_and_flip() {
+        let mut stream = frame_to_vec(1, b"first payload").unwrap();
+        stream.extend_from_slice(&frame_to_vec(2, b"").unwrap());
+        stream.extend_from_slice(&frame_to_vec(3, b"third").unwrap());
+        let mut images: Vec<Vec<u8>> = (0..=stream.len())
+            .map(|cut| stream[..cut].to_vec())
+            .collect();
+        for bit in 0..stream.len() * 8 {
+            let mut flipped = stream.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            images.push(flipped);
+        }
+        for image in &images {
+            let (mut reader, mut rest, mut scratch) =
+                (image.as_slice(), image.as_slice(), Vec::new());
+            loop {
+                let read = read_frame(&mut reader, &mut scratch);
+                let split = split_frame(&mut rest);
+                match (read, split) {
+                    (Ok(Some(a)), Ok(Some((b, payload)))) => {
+                        assert_eq!(a, b);
+                        assert_eq!(scratch, payload);
+                        assert_eq!(reader, rest);
+                    }
+                    (Ok(None), Ok(None)) => break,
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b);
+                        break;
+                    }
+                    (a, b) => panic!("read_frame gave {a:?}, split_frame {b:?}"),
+                }
+            }
+        }
     }
 }

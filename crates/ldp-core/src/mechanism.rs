@@ -324,6 +324,19 @@ impl BitVec {
         &self.words
     }
 
+    /// Reshapes the vector to `len` bits and hands back its words for the
+    /// caller to overwrite, every one of them, with no bit set at or
+    /// beyond `len`. The allocation is kept whenever the word count
+    /// matches, so a decoder refilling one report allocates nothing.
+    pub(crate) fn refill(&mut self, len: u32) -> &mut [u64] {
+        let words = (len as usize).div_ceil(64);
+        if self.words.len() != words {
+            self.words = vec![0; words].into_boxed_slice();
+        }
+        self.len = len;
+        &mut self.words
+    }
+
     /// True when the backing storage satisfies the type's invariants:
     /// exactly `⌈len/64⌉` words, with no set bit at or beyond
     /// [`BitVec::len`]. Vectors built by this crate always are; aggregators

@@ -13,6 +13,12 @@
 //!   payload, then every categorical one. No count and no indices, so the
 //!   size is a schema constant.
 //!
+//! Each layout has one decoding body, [`decode_sampled_into`] /
+//! [`decode_full_into`], which refills a caller's report in place (entry
+//! slots and bit vectors included), so a server decoding report after
+//! report allocates nothing per report. [`decode_sampled`] /
+//! [`decode_full`] run it on a fresh report.
+//!
 //! Both layouts write one attribute's payload the same way:
 //!
 //! * numeric value — 64 bits;
@@ -117,38 +123,70 @@ pub fn encode_sampled(report: &SparseReport, specs: &[AttrSpec]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a report in the sampled layout, accepting only its canonical
-/// length.
+/// Largest sampled-layout report over `specs`, in bits: the header plus
+/// an index and a payload for every attribute, since a report samples
+/// each attribute at most once.
+pub fn max_sampled_report_bits(specs: &[AttrSpec], unary: bool) -> usize {
+    COUNT_BITS + specs.len() * index_bits(specs.len()) + full_report_bits(specs, unary)
+}
+
+/// Decodes a report in the sampled layout into a fresh [`SparseReport`]
+/// (see [`decode_sampled_into`]).
+///
+/// # Errors
+/// As [`decode_sampled_into`].
+pub fn decode_sampled(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<SparseReport> {
+    let mut report = SparseReport::with_capacity(specs.len(), 0);
+    decode_sampled_into(specs, bytes, unary, &mut report)?;
+    Ok(report)
+}
+
+/// Decodes a report in the sampled layout into `report`, accepting only
+/// its canonical length. The report's entry slots are refilled in place,
+/// and a unary payload reuses its slot's bit vector, so a caller that
+/// keeps one report allocates nothing once the slots have grown. On error
+/// the report is left empty.
 ///
 /// # Errors
 /// [`LdpError::InvalidParameter`] on truncated buffers, more entries than
 /// attributes, or out-of-range indices; [`LdpError::InvalidCategory`] on
 /// out-of-range direct values; [`LdpError::MalformedFrame`] on trailing
 /// bytes.
-pub fn decode_sampled(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<SparseReport> {
-    let mut r = BitReader::new(bytes);
+pub fn decode_sampled_into(
+    specs: &[AttrSpec],
+    bytes: &[u8],
+    unary: bool,
+    report: &mut SparseReport,
+) -> Result<()> {
     let d = specs.len();
-    let count = r.read_bits(COUNT_BITS)? as usize;
-    // Checked before reserving: the count is untrusted, and a report
-    // samples each attribute at most once.
-    if count > d {
-        return Err(LdpError::InvalidParameter {
-            name: "wire",
-            message: format!("report declares {count} entries for {d} attributes"),
-        });
-    }
-    let idx_bits = index_bits(d);
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let j = r.read_bits(idx_bits)? as usize;
-        let spec = specs.get(j).ok_or_else(|| LdpError::InvalidParameter {
-            name: "wire",
-            message: format!("attribute index {j} out of range {d}"),
-        })?;
-        entries.push((j as u32, read_payload(&mut r, spec, unary)?));
-    }
-    check_canonical(bytes.len(), r.bit.div_ceil(8))?;
-    Ok(SparseReport { d, entries })
+    refill(report, d, |entries| {
+        let mut r = BitReader::new(bytes);
+        let count = r.read_bits(COUNT_BITS)? as usize;
+        // Checked before growing the slots: the count is untrusted, and a
+        // report samples each attribute at most once.
+        if count > d {
+            return Err(LdpError::InvalidParameter {
+                name: "wire",
+                message: format!("report declares {count} entries for {d} attributes"),
+            });
+        }
+        entries.truncate(count);
+        let idx_bits = index_bits(d);
+        for i in 0..count {
+            let j = r.read_bits(idx_bits)? as usize;
+            let spec = specs.get(j).ok_or_else(|| LdpError::InvalidParameter {
+                name: "wire",
+                message: format!("attribute index {j} out of range {d}"),
+            })?;
+            if i == entries.len() {
+                entries.push((0, AttrReport::Numeric(0.0)));
+            }
+            let (index, slot) = &mut entries[i];
+            *index = j as u32;
+            read_payload_into(&mut r, spec, unary, slot)?;
+        }
+        check_canonical(bytes.len(), r.bit.div_ceil(8))
+    })
 }
 
 /// Encodes a report of all `d` attributes, in schema order, in the full
@@ -175,33 +213,66 @@ pub fn encode_full(report: &SparseReport, specs: &[AttrSpec]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a report in the full layout, accepting only its canonical
-/// length.
+/// Decodes a report in the full layout into a fresh [`SparseReport`] (see
+/// [`decode_full_into`]).
+///
+/// # Errors
+/// As [`decode_full_into`].
+pub fn decode_full(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<SparseReport> {
+    let mut report = SparseReport::with_capacity(specs.len(), specs.len());
+    decode_full_into(specs, bytes, unary, &mut report)?;
+    Ok(report)
+}
+
+/// Decodes a report in the full layout into `report`, accepting only its
+/// canonical length. Slots are refilled in place as in
+/// [`decode_sampled_into`]; on error the report is left empty.
 ///
 /// # Errors
 /// [`LdpError::MalformedFrame`] when the length is not the schema's;
 /// [`LdpError::InvalidCategory`] on out-of-range direct values.
-pub fn decode_full(specs: &[AttrSpec], bytes: &[u8], unary: bool) -> Result<SparseReport> {
-    check_canonical(bytes.len(), full_report_bits(specs, unary).div_ceil(8))?;
-    // The numeric block is whole 64-bit words, so the categorical payloads
-    // start on a byte boundary: one reader per block lets a single pass
-    // rebuild the entries in schema order.
-    let d_num = specs.iter().filter(|s| s.is_numeric()).count();
-    let (numeric, categorical) = bytes.split_at(d_num * F64_BITS / 8);
-    let (mut num, mut cat) = (BitReader::new(numeric), BitReader::new(categorical));
-    let mut entries = Vec::with_capacity(specs.len());
-    for (j, spec) in specs.iter().enumerate() {
-        let r = if spec.is_numeric() {
-            &mut num
-        } else {
-            &mut cat
-        };
-        entries.push((j as u32, read_payload(r, spec, unary)?));
-    }
-    Ok(SparseReport {
-        d: specs.len(),
-        entries,
+pub fn decode_full_into(
+    specs: &[AttrSpec],
+    bytes: &[u8],
+    unary: bool,
+    report: &mut SparseReport,
+) -> Result<()> {
+    refill(report, specs.len(), |entries| {
+        check_canonical(bytes.len(), full_report_bits(specs, unary).div_ceil(8))?;
+        // The numeric block is whole 64-bit words, so the categorical
+        // payloads start on a byte boundary: one reader per block lets a
+        // single pass refill the entries in schema order.
+        let d_num = specs.iter().filter(|s| s.is_numeric()).count();
+        let (numeric, categorical) = bytes.split_at(d_num * F64_BITS / 8);
+        let (mut num, mut cat) = (BitReader::new(numeric), BitReader::new(categorical));
+        entries.resize_with(specs.len(), || (0, AttrReport::Numeric(0.0)));
+        for (j, (spec, (index, slot))) in specs.iter().zip(entries.iter_mut()).enumerate() {
+            let r = if spec.is_numeric() {
+                &mut num
+            } else {
+                &mut cat
+            };
+            *index = j as u32;
+            read_payload_into(r, spec, unary, slot)?;
+        }
+        Ok(())
     })
+}
+
+/// Refills `report` as a `d`-attribute report through one layout's
+/// `fill`, and empties it if `fill` fails, so a half-read report is never
+/// handed on.
+fn refill(
+    report: &mut SparseReport,
+    d: usize,
+    fill: impl FnOnce(&mut Vec<(u32, AttrReport)>) -> Result<()>,
+) -> Result<()> {
+    report.d = d;
+    let filled = fill(&mut report.entries);
+    if filled.is_err() {
+        report.entries.clear();
+    }
+    filled
 }
 
 /// Rejects any length but the canonical one: trailing bytes would let a
@@ -242,39 +313,53 @@ fn write_payload(w: &mut BitWriter, report: &AttrReport, spec: &AttrSpec) {
     }
 }
 
-/// Reads one attribute's payload — the one payload reader both layouts
-/// share. Forced inline: out of line, returning each entry's
-/// `Result<AttrReport>` through memory ran full-layout GRR decoding at
-/// ~2.3× the inlined cost (interleaved pairs on 2 vCPUs).
+/// Reads one attribute's payload into `slot` — the one payload reader
+/// both layouts share. A unary payload overwrites the slot's bit vector
+/// in place when it has one. Forced inline: out of line, returning each
+/// entry's `Result<AttrReport>` through memory ran full-layout GRR
+/// decoding at ~2.3× the inlined cost (interleaved pairs on 2 vCPUs).
 #[inline(always)]
-fn read_payload(r: &mut BitReader<'_>, spec: &AttrSpec, unary: bool) -> Result<AttrReport> {
+fn read_payload_into(
+    r: &mut BitReader<'_>,
+    spec: &AttrSpec,
+    unary: bool,
+    slot: &mut AttrReport,
+) -> Result<()> {
     let k = match *spec {
         AttrSpec::Numeric => {
-            return Ok(AttrReport::Numeric(f64::from_bits(r.read_bits(F64_BITS)?)))
+            *slot = AttrReport::Numeric(f64::from_bits(r.read_bits(F64_BITS)?));
+            return Ok(());
         }
         AttrSpec::Categorical { k } => k,
     };
-    let report = if unary {
+    if unary {
+        let bits = match slot {
+            AttrReport::Categorical(CategoricalReport::Bits(bits)) => bits,
+            _ => {
+                *slot = AttrReport::Categorical(CategoricalReport::Bits(BitVec::zeros(k)));
+                let AttrReport::Categorical(CategoricalReport::Bits(bits)) = slot else {
+                    unreachable!("just assigned Bits");
+                };
+                bits
+            }
+        };
         // Word-at-a-time inverse of `write_payload`: read up to 64 stream
-        // bits and un-reverse them into a backing word.
-        let mut words = vec![0u64; (k as usize).div_ceil(64)];
+        // bits and un-reverse them into a backing word. Each read is
+        // masked to its width, so no bit lands at or beyond `k`.
         let mut remaining = k;
-        for word in &mut words {
+        for word in bits.refill(k) {
             let width = remaining.min(64);
             *word = r.read_bits(width as usize)?.reverse_bits() >> (64 - width);
             remaining -= width;
         }
-        CategoricalReport::Bits(
-            BitVec::from_words(k, words).expect("masked reads are well-formed by construction"),
-        )
     } else {
         let v = r.read_bits(index_bits(k as usize))? as u32;
         if v >= k {
             return Err(LdpError::InvalidCategory { value: v, k });
         }
-        CategoricalReport::Value(v)
-    };
-    Ok(AttrReport::Categorical(report))
+        *slot = AttrReport::Categorical(CategoricalReport::Value(v));
+    }
+    Ok(())
 }
 
 /// Append-only bit buffer (MSB-first within each byte).

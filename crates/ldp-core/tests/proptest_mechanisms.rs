@@ -243,6 +243,126 @@ proptest! {
         }
     }
 
+    /// Decoding into one recycled report gives exactly what a fresh report
+    /// gives: every `Ok` is the fresh decoder's report and every `Err` its
+    /// error, whatever the recycled report held before — the leftovers of
+    /// a failed decode included. Both layouts, every oracle, domains up to
+    /// three bit-vector words, and valid, truncated, overlong,
+    /// out-of-range, over-counted and random inputs in one sequence.
+    #[test]
+    fn recycled_decode_matches_fresh_decode(
+        eps in 0.3f64..8.0,
+        schema_bits in prop::collection::vec(prop::option::of(2u32..=130), 1..7),
+        oracle in 0usize..3,
+        inputs in prop::collection::vec((0u8..8, 0u64..1_000_000), 1..24),
+    ) {
+        use ldp_core::multidim::wire::{
+            decode_full, decode_full_into, decode_sampled, decode_sampled_into, encode_full,
+            encode_sampled, index_bits, BitWriter,
+        };
+        use rand::RngCore;
+        let specs: Vec<AttrSpec> = schema_bits
+            .iter()
+            .map(|c| match c {
+                None => AttrSpec::Numeric,
+                Some(k) => AttrSpec::Categorical { k: *k },
+            })
+            .collect();
+        let d = specs.len();
+        let oracle = OracleKind::ALL[oracle];
+        let unary = oracle != OracleKind::Grr;
+        let tuple: Vec<ldp_core::AttrValue> = specs
+            .iter()
+            .map(|s| match s {
+                AttrSpec::Numeric => ldp_core::AttrValue::Numeric(0.5),
+                AttrSpec::Categorical { k } => ldp_core::AttrValue::Categorical(k - 1),
+            })
+            .collect();
+        // A direct value one past its domain, in either layout; the first
+        // domain that is not a power of two can hold one.
+        let out_of_range = |full: bool| {
+            let bad = specs
+                .iter()
+                .position(|s| matches!(s, AttrSpec::Categorical { k } if !k.is_power_of_two()));
+            let mut w = BitWriter::new();
+            if full {
+                for _ in specs.iter().filter(|s| s.is_numeric()) {
+                    w.write_bits(0.5f64.to_bits(), 64);
+                }
+            } else {
+                w.write_bits(1, 16);
+                w.write_bits(bad.unwrap_or(0) as u64, index_bits(d));
+            }
+            for (j, spec) in specs.iter().enumerate() {
+                if let AttrSpec::Categorical { k } = spec {
+                    if full || Some(j) == bad {
+                        let v = if Some(j) == bad { *k } else { 0 };
+                        w.write_bits(u64::from(v), index_bits(*k as usize));
+                    }
+                }
+            }
+            w.finish()
+        };
+        for full in [false, true] {
+            let mut recycled = SparseReport::with_capacity(0, 0);
+            for &(shape, seed) in &inputs {
+                let mut rng = seeded_rng(seed);
+                let k = if full { d } else { 1 + seed as usize % d };
+                let p = SamplingPerturber::with_k(
+                    Epsilon::new(eps).unwrap(), specs.clone(), NumericKind::Hybrid, oracle, k,
+                ).unwrap();
+                let mut report = SparseReport::with_capacity(d, k);
+                p.perturb_into(&tuple, &mut rng, &mut report, &mut p.scratch()).unwrap();
+                let valid = if full {
+                    encode_full(&report, &specs)
+                } else {
+                    encode_sampled(&report, &specs)
+                };
+                let bytes = match shape {
+                    0..=2 => valid,
+                    3 => valid[..valid.len() - 1].to_vec(),
+                    4 => [valid.as_slice(), &[0xA5]].concat(),
+                    5 => out_of_range(full),
+                    6 => {
+                        // One entry more than the schema has attributes.
+                        let mut w = BitWriter::new();
+                        w.write_bits(d as u64 + 1, 16);
+                        [w.finish().as_slice(), valid.get(2..).unwrap_or_default()].concat()
+                    }
+                    _ => {
+                        let mut junk = vec![0u8; seed as usize % 40];
+                        rng.fill_bytes(&mut junk);
+                        junk
+                    }
+                };
+                let (fresh, refilled) = if full {
+                    (
+                        decode_full(&specs, &bytes, unary),
+                        decode_full_into(&specs, &bytes, unary, &mut recycled),
+                    )
+                } else {
+                    (
+                        decode_sampled(&specs, &bytes, unary),
+                        decode_sampled_into(&specs, &bytes, unary, &mut recycled),
+                    )
+                };
+                match fresh {
+                    Ok(fresh) => {
+                        prop_assert_eq!(refilled, Ok(()));
+                        prop_assert_eq!(&recycled, &fresh);
+                        if shape <= 2 {
+                            prop_assert_eq!(&fresh, &report);
+                        }
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(refilled, Err(e));
+                        prop_assert!(recycled.entries.is_empty(), "a failed decode left entries");
+                    }
+                }
+            }
+        }
+    }
+
     /// Frequency-oracle supports take exactly two values whose expectation
     /// telescope to the {0,1} indicator (the debiasing identity).
     #[test]
