@@ -300,12 +300,14 @@ impl DurableService {
     }
 
     /// Opens the log for appending unless it is open. A bound session
-    /// reopens its log, recreated from the binding if it is missing (a
-    /// crash after the checkpoint rename can leave it missing or rotated
-    /// away mid-swap, and a failed rotation leaves it closed). A session
-    /// with no binding yet gets a fresh log with its header; any log file
-    /// already there has none, so it is started over. Before any session
-    /// there is nothing to bind, and the log stays closed.
+    /// reopens its log, recreated from the binding if it is missing or
+    /// empty (a crash after the checkpoint rename can leave it missing or
+    /// rotated away mid-swap, a failed rotation leaves it closed, and a
+    /// crash while it is recreated leaves a torn header that recovery
+    /// truncates to nothing). A session with no binding yet gets a fresh
+    /// log with its header; any log file already there has none, so it is
+    /// started over. Before any session there is nothing to bind, and the
+    /// log stays closed.
     ///
     /// # Errors
     /// I/O failures creating or opening the log.
@@ -315,8 +317,9 @@ impl DurableService {
         }
         let path = self.dir.join(WAL_FILE);
         let fsync = self.config.fsync;
+        let has_header = std::fs::metadata(&path).is_ok_and(|m| m.len() > 0);
         let wal = match &self.header {
-            Some(_) if path.exists() => WalWriter::open_end(&path, fsync)?,
+            Some(_) if has_header => WalWriter::open_end(&path, fsync)?,
             Some(header) => WalWriter::create(&path, header, fsync)?,
             None => {
                 let Some((protocol, epsilon, specs, base_epoch)) = self.service.session_params()
@@ -723,6 +726,68 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_oversized_header_length_is_damage_not_a_torn_tail() {
+        let dir = temp_dir("header_length");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut durable, _) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        durable.handle(&hello()).unwrap();
+        for msg in submits(6) {
+            durable.handle(&msg).unwrap();
+        }
+        drop(durable);
+        // The top bit of the header record's length field: a length no
+        // writer declares, so six acknowledged submits must not be read
+        // as a torn create and truncated away.
+        let wal_path = dir.join(WAL_FILE);
+        let mut image = std::fs::read(&wal_path).unwrap();
+        image[0] ^= 0x80;
+        std::fs::write(&wal_path, &image).unwrap();
+        let err = Recovery::replay(&dir, &DurableConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, LdpError::WalCorrupt { offset: 0, .. }),
+            "{err:?}"
+        );
+        assert_eq!(std::fs::read(&wal_path).unwrap(), image, "log was modified");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_torn_inside_its_header_is_recreated_from_the_binding() {
+        let dir = temp_dir("torn_header");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut durable, _) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        durable.handle(&hello()).unwrap();
+        let all = submits(7);
+        for msg in &all[..4] {
+            durable.handle(msg).unwrap();
+        }
+        durable.checkpoint().unwrap();
+        drop(durable);
+        // A crash while the log is recreated leaves a prefix of its header.
+        let wal_path = dir.join(WAL_FILE);
+        std::fs::File::options()
+            .write(true)
+            .open(&wal_path)
+            .unwrap()
+            .set_len(5)
+            .unwrap();
+        let (mut durable, report) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        assert_eq!(report.truncated_bytes, 5);
+        for msg in &all[4..] {
+            durable.handle(msg).unwrap();
+        }
+        drop(durable);
+
+        let (recovered, report) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        assert_eq!(report.checkpointed, 4);
+        assert_eq!(report.wal_replayed, 3);
+        let admitted = recovered.snapshot_epoch(0).unwrap().admitted;
+        assert_eq!(admitted, report.recovered_admits());
+        assert_eq!(admitted, 7);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -272,9 +272,12 @@ pub struct WalScan<'a> {
 /// with an unreadable length field) must leave fewer bytes than that, and
 /// a checksum-corrupt record that runs exactly to end-of-file must be no
 /// longer. Anything else is mid-log damage: a longer damaged tail, a frame
-/// error right after a corrupt record, or intact records after one. A
-/// damaged header record has no schema to bound it and stays a torn tail,
-/// as a crash during log creation leaves it.
+/// error right after a corrupt record, or intact records after one. The
+/// header record has no schema to bound it, so a cut-off header stays a
+/// torn tail, as a crash during log creation leaves it; but no writer
+/// declares a length above [`frame::MAX_FRAME_PAYLOAD`], and a torn create
+/// leaves only a prefix of a valid header, so a header declaring one is
+/// damage.
 ///
 /// # Errors
 /// [`LdpError::WalCorrupt`] with the byte offset of the first damaged
@@ -324,6 +327,12 @@ pub fn scan(buf: &[u8]) -> Result<WalScan<'_>> {
                             "unreadable record with {} bytes left, more than one record: {message}",
                             rest.len()
                         ),
+                    });
+                }
+                if header.is_none() && declares_oversized_payload(rest) {
+                    return Err(LdpError::WalCorrupt {
+                        offset,
+                        message: format!("header record no writer could produce: {message}"),
                     });
                 }
                 break; // the torn tail itself: truncate here
@@ -381,4 +390,11 @@ pub fn scan(buf: &[u8]) -> Result<WalScan<'_>> {
         valid_bytes,
         truncated_bytes: buf.len() as u64 - valid_bytes,
     })
+}
+
+/// True when `buf` starts with a complete frame length field declaring a
+/// payload above [`frame::MAX_FRAME_PAYLOAD`].
+fn declares_oversized_payload(buf: &[u8]) -> bool {
+    buf.first_chunk::<4>()
+        .is_some_and(|len| u32::from_be_bytes(*len) as usize > frame::MAX_FRAME_PAYLOAD)
 }

@@ -4,36 +4,53 @@
 //! support is *affine* in the report's raw hit bit (see
 //! [`ldp_core::DebiasParams`]), so the accumulator never evaluates it per
 //! report: it counts raw hits per category and debiases once at estimation
-//! time with `(c − n·q)/(p − q)`. Unary reports are absorbed *by backing
-//! word* into a bit-sliced [`WordHistogram`] plane — O(words) carry-save
-//! adds per report, not O(popcount) scattered increments — with the
-//! per-category scatter deferred to (amortized-free) plane flushes; direct
-//! reports are a single increment. The estimator is `scale/n · Σ support`
-//! where `scale = 1` for dense protocols and `d/k` for Algorithm 4 (§IV-C:
-//! only a `k/d` fraction of users report any given attribute, and the
-//! scaling restores unbiasedness).
+//! time with `(c − n·q)/(p − q)`. [`FrequencyAccumulator::count_report`]
+//! is the one place a categorical report is counted — on the wire, in log
+//! replay and in simulation alike. A direct report is a single increment.
+//! A unary report takes one of two exact routes, chosen once per
+//! accumulator from the oracle's expected set bits: dense reports are
+//! absorbed *by backing word* into a bit-sliced [`WordHistogram`] plane —
+//! O(words) carry-save adds per report, with the per-category scatter
+//! deferred to plane flushes — and sparse ones by a scan of their set
+//! bits. The estimator is `scale/n · Σ support` where `scale = 1` for
+//! dense protocols and `d/k` for Algorithm 4 (§IV-C: only a `k/d` fraction
+//! of users report any given attribute, and the scaling restores
+//! unbiasedness).
 
-use crate::wordhist::WordHistogram;
+use crate::wordhist::{add_set_bits, WordHistogram};
 use ldp_core::multidim::wire::{BitReader, BitWriter};
 use ldp_core::{CategoricalReport, DebiasParams, LdpError, Result};
+
+/// Expected set bits per unary report at or above which an accumulator
+/// absorbs unary reports whole-word through the [`WordHistogram`] plane
+/// instead of scanning their set bits. Both routes count identically
+/// (exact integers), so this is purely a routing choice: the plane's
+/// per-report cost is flat in density, while a handful of set bits is
+/// cheaper to scan — the same trade [`WordHistogram`]'s own sparse-scatter
+/// shortcut makes per report.
+const WORD_LEVEL_MIN_HITS: f64 = 8.0;
 
 /// Streaming accumulator for the value frequencies of one categorical
 /// attribute.
 ///
 /// Internally count-based: direct hits are single integer increments, and
-/// unary reports land whole-word in a [`WordHistogram`] plane, so absorbing
-/// a report costs O(words) word operations instead of the O(k)
-/// virtual-dispatch support loop a naive aggregator pays — which is what
-/// makes large-domain OUE aggregation cheap. All counts are exact `u64`s,
-/// so the engine swap never moves an estimate by a bit.
+/// a unary report costs either O(words) word operations in a
+/// [`WordHistogram`] plane or O(set bits) increments, whichever the
+/// oracle's density favours, instead of the O(k) support loop a naive
+/// aggregator pays. All counts are exact `u64`s, so the route never moves
+/// an estimate by a bit.
 #[derive(Debug, Clone)]
 pub struct FrequencyAccumulator {
-    /// Raw direct hit counts per category (indicator hits of direct
-    /// reports, plus anything streamed through
-    /// [`FrequencyAccumulator::note_hit`]). Unary counts live in `hist`;
+    /// Raw hit counts per category: direct reports and scanned unary
+    /// reports. Plane-absorbed unary counts live in `hist`;
     /// [`FrequencyAccumulator::counts`] sums the two.
     counts: Vec<u64>,
-    /// Word-level plane for unary reports, created on first use.
+    /// Whether unary reports go through the word plane: true exactly when
+    /// the declared oracle expects at least [`WORD_LEVEL_MIN_HITS`] set
+    /// bits per report. Otherwise they are scanned into `counts`.
+    word_level: bool,
+    /// The word plane, created on a word-level accumulator's first unary
+    /// report (an accumulator that never sees one never pays for it).
     hist: Option<WordHistogram>,
     /// Number of reports absorbed (users who actually reported this
     /// attribute).
@@ -53,10 +70,14 @@ impl FrequencyAccumulator {
     /// protocol scale (`1.0` dense, `d/k` for Algorithm 4) and the `(p, q)`
     /// debiasing pair of the oracle whose reports it will absorb. No report
     /// carries the pair, so it is declared here, once; [`Self::merge`]
-    /// rejects an accumulator declared with any other pair.
+    /// rejects an accumulator declared with any other pair. The pair also
+    /// fixes the unary route: a report of this oracle sets `p + (k−1)·q`
+    /// bits on average, whatever the true value.
     pub fn new(k: u32, scale: f64, debias: DebiasParams) -> Self {
+        let expected_hits = debias.p + f64::from(k.saturating_sub(1)) * debias.q;
         FrequencyAccumulator {
             counts: vec![0; k as usize],
+            word_level: expected_hits >= WORD_LEVEL_MIN_HITS,
             hist: None,
             reports: 0,
             population: None,
@@ -65,57 +86,10 @@ impl FrequencyAccumulator {
         }
     }
 
-    /// Fused-engine path: records that one report arrived for this
-    /// attribute. The report's raw hits follow through
-    /// [`FrequencyAccumulator::note_hit`]; together the pair is exactly
-    /// [`FrequencyAccumulator::count_report`] minus the second walk over
-    /// the bit vector (the perturber streams each hit as it places it).
-    #[inline]
-    pub fn note_report(&mut self) {
-        self.reports += 1;
-    }
-
-    /// Fused-engine path: records one raw hit for category `v` of the
-    /// current report. See [`FrequencyAccumulator::note_report`].
-    ///
-    /// # Panics
-    /// Panics if `v` is outside the accumulator's domain.
-    #[inline]
-    pub fn note_hit(&mut self, v: u32) {
-        self.counts[v as usize] += 1;
-    }
-
-    /// Word-level fused-engine path: records one whole unary report by its
-    /// backing 64-bit words (exactly [`ldp_core::BitVec::words`] of a
-    /// well-formed report of this domain size). The hits are absorbed as a carry-save
-    /// column add into the [`WordHistogram`] plane — O(words) word
-    /// operations, no per-category scatter — and count exactly like one
-    /// [`FrequencyAccumulator::note_hit`] per set bit. Pair with
-    /// [`FrequencyAccumulator::note_report`], as with `note_hit`.
-    ///
-    /// # Panics
-    /// Panics (debug builds) on a word count not matching the domain.
-    #[inline]
-    pub fn note_words(&mut self, words: &[u64]) {
-        self.hist_mut().add_words(words);
-    }
-
-    /// The lazily-created word plane (most accumulators only ever see
-    /// direct reports and never pay for one).
-    #[inline]
-    fn hist_mut(&mut self) -> &mut WordHistogram {
-        let k = self.counts.len() as u32;
-        self.hist.get_or_insert_with(|| WordHistogram::new(k))
-    }
-
-    /// Absorbs one already-materialized report, to be debiased with the
-    /// pair declared at construction — the aggregator-side path of the
-    /// session API, where no oracle object travels with the wire report.
-    /// Counts exactly like [`FrequencyAccumulator::note_report`] plus one
-    /// [`FrequencyAccumulator::note_hit`] per set bit (unary) or reported
-    /// value (direct) — but unary reports are absorbed whole-word through
-    /// the [`WordHistogram`] plane ([`FrequencyAccumulator::note_words`])
-    /// rather than bit by bit, leaving identical counts either way.
+    /// Counts one report, to be debiased with the pair declared at
+    /// construction: a direct report's value, or every set bit of a unary
+    /// report (through the word plane or a set-bit scan, whichever route
+    /// [`FrequencyAccumulator::new`] chose).
     ///
     /// # Panics
     /// Panics if a unary report's length differs from the domain or a
@@ -125,7 +99,13 @@ impl FrequencyAccumulator {
         match report {
             CategoricalReport::Bits(bits) => {
                 assert_eq!(bits.len(), self.k(), "report/accumulator domain mismatch");
-                self.hist_mut().add_words(bits.words());
+                if self.word_level {
+                    let k = self.k();
+                    let hist = self.hist.get_or_insert_with(|| WordHistogram::new(k));
+                    hist.add_words(bits.words());
+                } else {
+                    add_set_bits(&mut self.counts, bits.words());
+                }
             }
             CategoricalReport::Value(x) => {
                 self.counts[*x as usize] += 1;
@@ -144,9 +124,9 @@ impl FrequencyAccumulator {
         self.reports
     }
 
-    /// Raw per-category hit counts absorbed so far: direct hits plus the
-    /// word plane's flushed and pending unary counts. Exact integers —
-    /// identical to what a per-set-bit walk would have counted.
+    /// Raw per-category hit counts absorbed so far: direct and scanned
+    /// hits plus the word plane's flushed and pending unary counts. Exact
+    /// integers — identical to what a per-set-bit walk would have counted.
     pub fn counts(&self) -> Vec<u64> {
         let mut out = self.counts.clone();
         if let Some(hist) = &self.hist {
@@ -195,8 +175,8 @@ impl FrequencyAccumulator {
     }
 
     /// Appends the accumulator's count state — `reports`, then each
-    /// category's folded hit count (direct hits plus the word plane, the
-    /// same exact integers [`FrequencyAccumulator::counts`] returns) — to
+    /// category's folded hit count (the same exact integers
+    /// [`FrequencyAccumulator::counts`] returns) — to
     /// `w`. All counts are exact `u64`s, so a decode on a same-schema
     /// accumulator reproduces every future estimate bit for bit.
     pub fn encode_state(&self, w: &mut BitWriter) {
@@ -208,10 +188,10 @@ impl FrequencyAccumulator {
 
     /// Overwrites this accumulator's count state with state read from `r`
     /// (inverse of [`FrequencyAccumulator::encode_state`]). The folded
-    /// counts land in the direct-count lane and the word plane resets —
-    /// exactly the count-preserving fold [`FrequencyAccumulator::merge`]
-    /// performs — while `k`, `scale` and the debias pair stay the ones this
-    /// accumulator was constructed with.
+    /// counts land in `counts` and the word plane resets — exactly the
+    /// count-preserving fold [`FrequencyAccumulator::merge`] performs —
+    /// while `k`, `scale`, the debias pair and the unary route stay the
+    /// ones this accumulator was constructed with.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] on a truncated buffer.
@@ -263,8 +243,8 @@ impl FrequencyAccumulator {
             });
         }
         // Exact integer folds, so merge order can never move an estimate:
-        // the other side's direct counts and word plane (flushed + pending)
-        // land in this side's direct counts.
+        // the other side's counts and word plane (flushed + pending) land
+        // in this side's counts.
         for (s, o) in self.counts.iter_mut().zip(&other.counts) {
             *s += o;
         }
@@ -526,38 +506,46 @@ mod tests {
     }
 
     #[test]
-    fn word_plane_counts_match_per_bit_walk_exactly() {
-        // Unary reports absorbed through the WordHistogram plane must count
-        // exactly like the old per-set-bit scatter, including with pending
-        // (un-flushed) planes at read and merge time.
-        let eps = Epsilon::new(1.0).unwrap();
-        let k = 70u32; // straddles a word boundary
-        let oracle = OracleKind::Oue.build(eps, k).unwrap();
-        let mut rng = seeded_rng(606);
-        let mut acc = accumulator(&oracle, 1.0);
-        let mut fused = accumulator(&oracle, 1.0);
-        let mut reference = vec![0u64; k as usize];
-        for i in 0..500 {
-            let rep = perturb(&oracle, i % k, &mut rng);
-            let CategoricalReport::Bits(bits) = &rep else {
-                unreachable!("OUE is unary");
-            };
-            for v in bits.iter_ones() {
-                reference[v as usize] += 1;
+    fn count_report_routes_by_density_and_counts_every_set_bit() {
+        // OUE and SUE on both sides of WORD_LEVEL_MIN_HITS, with the
+        // expected set bits per report: (oracle, ε, k, word plane?).
+        let cases = [
+            (OracleKind::Oue, 4.0, 16, false),  // 0.77
+            (OracleKind::Oue, 4.0, 256, false), // 5.09, over four words
+            (OracleKind::Oue, 1.0, 70, true),   // 19.06, straddles a word
+            (OracleKind::Oue, 1.0, 256, true),  // 69.08
+            (OracleKind::Sue, 4.0, 16, false),  // 2.67
+            (OracleKind::Sue, 4.0, 256, true),  // 31.28
+            (OracleKind::Sue, 1.0, 70, true),   // 26.67
+            (OracleKind::Sue, 1.0, 256, true),  // 96.9
+        ];
+        for (kind, eps, k, word_plane) in cases {
+            let label = format!("{kind:?} ε={eps} k={k}");
+            let oracle = kind.build(Epsilon::new(eps).unwrap(), k).unwrap();
+            let mut acc = accumulator(&oracle, 1.0);
+            assert_eq!(acc.word_level, word_plane, "{label}");
+            let mut rng = seeded_rng(606);
+            let mut reference = vec![0u64; k as usize];
+            for i in 0..500 {
+                let rep = perturb(&oracle, i % k, &mut rng);
+                let CategoricalReport::Bits(bits) = &rep else {
+                    unreachable!("unary oracle");
+                };
+                for v in 0..k {
+                    reference[v as usize] += u64::from(bits.get(v));
+                }
+                acc.count_report(&rep);
             }
-            acc.count_report(&rep);
-            fused.note_report();
-            fused.note_words(bits.words());
+            assert_eq!(acc.reports(), 500, "{label}");
+            assert_eq!(acc.counts(), reference, "{label}");
+            // The plane never flushes within 500 reports, so the merge
+            // folds its pending planes and its part-filled batch.
+            let mut merged = accumulator(&oracle, 1.0);
+            merged.merge(&acc).unwrap();
+            merged.merge(&acc).unwrap();
+            let doubled: Vec<u64> = reference.iter().map(|c| 2 * c).collect();
+            assert_eq!(merged.counts(), doubled, "{label}");
         }
-        assert_eq!(acc.counts(), reference);
-        assert_eq!(fused.counts(), reference);
-        assert_eq!(acc.estimate().unwrap(), fused.estimate().unwrap());
-        // Merging folds the other side's pending planes exactly.
-        let mut merged = accumulator(&oracle, 1.0);
-        merged.merge(&acc).unwrap();
-        merged.merge(&fused).unwrap();
-        let doubled: Vec<u64> = reference.iter().map(|c| 2 * c).collect();
-        assert_eq!(merged.counts(), doubled);
     }
 
     #[test]

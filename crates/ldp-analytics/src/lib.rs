@@ -2,8 +2,9 @@
 //!
 //! The aggregator half of the protocols in Wang et al. (ICDE 2019):
 //!
-//! * [`mean`] — unbiased mean estimation from dense or Algorithm 4 sparse
-//!   reports, with mergeable accumulators for sharded simulation.
+//! * [`mean`] — unbiased mean estimation from Algorithm 4 sparse reports
+//!   (a composition report samples every attribute), with mergeable
+//!   accumulators for sharded simulation.
 //! * [`frequency`] — debiased frequency estimation through any
 //!   [`ldp_core::FrequencyOracle`], including the `d/k` sampling correction.
 //! * [`wordhist`] — the word-level aggregation plane beneath the frequency

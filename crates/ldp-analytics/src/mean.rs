@@ -7,7 +7,7 @@
 
 use ldp_core::multidim::wire::{BitReader, BitWriter};
 use ldp_core::multidim::SparseReport;
-use ldp_core::{AttrReport, LdpError, Result};
+use ldp_core::{AttrReport, CategoricalReport, LdpError, Result};
 
 /// Streaming accumulator for per-attribute means of numeric reports.
 #[derive(Debug, Clone)]
@@ -35,28 +35,9 @@ impl MeanAccumulator {
         self.n
     }
 
-    /// Absorbs a dense report (one value per attribute).
-    ///
-    /// # Errors
-    /// [`LdpError::DimensionMismatch`] on wrong arity.
-    pub fn add_dense(&mut self, report: &[f64]) -> Result<()> {
-        if report.len() != self.sums.len() {
-            return Err(LdpError::DimensionMismatch {
-                expected: self.sums.len(),
-                actual: report.len(),
-            });
-        }
-        for (s, x) in self.sums.iter_mut().zip(report) {
-            *s += x;
-        }
-        self.n += 1;
-        Ok(())
-    }
-
     /// Absorbs the numeric entries of an Algorithm 4 sparse report.
-    /// Unsampled attributes contribute zero, exactly as in the dense view;
-    /// categorical entries are ignored (they flow to the frequency
-    /// accumulators).
+    /// Unsampled attributes contribute zero; categorical entries are
+    /// ignored (they flow to the frequency accumulators).
     ///
     /// # Errors
     /// * [`LdpError::DimensionMismatch`] if the report's `d` differs.
@@ -78,13 +59,27 @@ impl MeanAccumulator {
                 message: format!("attribute index {j} out of range {d}"),
             });
         }
+        self.add_checked(report, |_, _| {});
+        Ok(())
+    }
+
+    /// [`MeanAccumulator::add_sparse`] for a report whose indices are
+    /// already checked against this accumulator's `d`, in one pass over
+    /// its entries: each numeric entry lands in its sum, and each
+    /// categorical entry is handed to `categorical` with its attribute
+    /// index.
+    pub(crate) fn add_checked(
+        &mut self,
+        report: &SparseReport,
+        mut categorical: impl FnMut(u32, &CategoricalReport),
+    ) {
         for (j, rep) in &report.entries {
-            if let AttrReport::Numeric(x) = rep {
-                self.sums[*j as usize] += x;
+            match rep {
+                AttrReport::Numeric(x) => self.sums[*j as usize] += x,
+                AttrReport::Categorical(cat) => categorical(*j, cat),
             }
         }
         self.n += 1;
-        Ok(())
     }
 
     /// Merges another accumulator (for sharded aggregation).
@@ -172,14 +167,25 @@ mod tests {
     use ldp_core::testutil::fixture_rng;
     use ldp_core::{AttrSpec, Epsilon, NumericKind, OracleKind};
 
+    /// A report carrying one numeric entry per attribute.
+    fn row(values: &[f64]) -> SparseReport {
+        SparseReport {
+            d: values.len(),
+            entries: (0..)
+                .zip(values)
+                .map(|(j, &x)| (j, AttrReport::Numeric(x)))
+                .collect(),
+        }
+    }
+
     #[test]
     fn dense_average() {
         let mut acc = MeanAccumulator::new(2);
-        acc.add_dense(&[1.0, -1.0]).unwrap();
-        acc.add_dense(&[0.0, 1.0]).unwrap();
+        acc.add_sparse(&row(&[1.0, -1.0])).unwrap();
+        acc.add_sparse(&row(&[0.0, 1.0])).unwrap();
         assert_eq!(acc.estimate().unwrap(), vec![0.5, 0.0]);
         assert_eq!(acc.n(), 2);
-        assert!(acc.add_dense(&[0.0]).is_err());
+        assert!(acc.add_sparse(&row(&[0.0])).is_err());
     }
 
     #[test]
@@ -194,12 +200,12 @@ mod tests {
         let mut b = MeanAccumulator::new(2);
         let mut whole = MeanAccumulator::new(2);
         for i in 0..10 {
-            let row = [i as f64 / 10.0, -(i as f64) / 20.0];
-            whole.add_dense(&row).unwrap();
+            let values = [i as f64 / 10.0, -(i as f64) / 20.0];
+            whole.add_sparse(&row(&values)).unwrap();
             if i % 2 == 0 {
-                a.add_dense(&row).unwrap();
+                a.add_sparse(&row(&values)).unwrap();
             } else {
-                b.add_dense(&row).unwrap();
+                b.add_sparse(&row(&values)).unwrap();
             }
         }
         a.merge(&b).unwrap();
@@ -211,7 +217,7 @@ mod tests {
     #[test]
     fn clamped_estimate_stays_in_domain() {
         let mut acc = MeanAccumulator::new(1);
-        acc.add_dense(&[5.0]).unwrap();
+        acc.add_sparse(&row(&[5.0])).unwrap();
         assert_eq!(acc.estimate().unwrap(), vec![5.0]);
         assert_eq!(acc.estimate_clamped().unwrap(), vec![1.0]);
     }
@@ -275,7 +281,7 @@ mod tests {
             Err(LdpError::InvalidParameter { .. })
         ));
         assert_eq!(acc.n(), 0);
-        acc.add_dense(&[0.0, 0.0]).unwrap();
+        acc.add_sparse(&row(&[0.0, 0.0])).unwrap();
         assert_eq!(acc.estimate().unwrap(), vec![0.0, 0.0]);
     }
 }

@@ -29,16 +29,15 @@
 //! The per-user loop is the system's hot path and is allocation-free in
 //! steady state: each block wraps its seeded generator in an
 //! [`ldp_core::rng::RngBlock`] (one monomorphized batched refill instead of
-//! a virtual call per draw) and drives the session API's fused
-//! [`Aggregator::absorb_with`] engine with caller-owned scratch — fully
-//! monomorphized over the batched rng, with finished unary reports
-//! absorbed whole 64-bit words at a time into the count-based
-//! [`crate::FrequencyAccumulator`]'s bit-sliced [`crate::WordHistogram`]
-//! plane (O(words) carry-save adds per report, per-category scatter
-//! deferred to amortized flushes) and GRR direct reports going straight
-//! from the sampled ordinal to a counter increment — so a report never
-//! pays a per-set-bit scatter, a second walk over any bit vector, or an
-//! O(k) support loop.
+//! a virtual call per draw) and drives the session API's
+//! [`Aggregator::absorb_with`] with caller-owned scratch — fully
+//! monomorphized over the batched rng. Each user's report is encoded into
+//! one recycled buffer and counted by the absorb the report service runs
+//! on every wire report: dense unary reports whole 64-bit words at a time
+//! in the [`crate::FrequencyAccumulator`]'s bit-sliced
+//! [`crate::WordHistogram`] plane, sparse ones by their set bits, and GRR
+//! reports by one increment — so a report never pays an O(k) support
+//! loop.
 //!
 //! [`Collector::run`] itself is a thin driver over the public
 //! [`ClientEncoder`]/[`Aggregator`] session API: one encoder shared by all
@@ -211,11 +210,12 @@ impl Collector {
     /// A thin driver over the public session API: one [`ClientEncoder`]
     /// shared by every block, one [`Aggregator`] partial per block (the
     /// block index is its merge ordinal), all partials merged and
-    /// snapshotted at the end. Per block the fused
-    /// [`Aggregator::absorb_with`] engine runs — batched rng, streaming
-    /// perturb-and-count — so the redesigned surface sits on the same hot
-    /// path as before, and per-block aggregates merge in block-ordinal
-    /// order, bit-identical for any worker count or merge order.
+    /// snapshotted at the end. Per block, [`Aggregator::absorb_with`]
+    /// encodes each user's report from a batched rng and absorbs it
+    /// through the service's own absorb, so a simulation counts exactly
+    /// the reports a client would send; per-block aggregates merge in
+    /// block-ordinal order, bit-identical for any worker count or merge
+    /// order.
     ///
     /// # Errors
     /// Propagates schema/validation failures from the underlying mechanisms
@@ -227,10 +227,9 @@ impl Collector {
         let schema = dataset.schema();
         let encoder = ClientEncoder::new(self.protocol, self.epsilon, schema.attr_specs())?;
         let results = run_blocks(dataset.n(), self.shards, self.workers, |b, range| {
-            // Batched, monomorphized, fused hot path: every draw comes from
-            // the block's buffered generator with no dyn dispatch, and
-            // categorical hits stream straight into the count accumulators
-            // as they are placed (no second walk over any bit vector).
+            // Batched, monomorphized hot path: every draw comes from the
+            // block's buffered generator with no dyn dispatch, and each
+            // report is encoded into the scratch's recycled buffer.
             let mut rng: RngBlock<rand::rngs::StdRng> = RngBlock::new(block_rng(seed, b));
             let mut agg = encoder.aggregator()?.with_ordinal(b as u64);
             let mut scratch = encoder.scratch();

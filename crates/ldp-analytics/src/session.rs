@@ -32,25 +32,23 @@
 //! [`Collector`](crate::Collector) pipeline, the `determinism` CI job and
 //! the `proptest_session` suite all pin.
 //!
-//! ## Fused simulation path
+//! ## One absorb route
 //!
-//! A real deployment materializes every report. A simulation of millions of
-//! users should not: [`Aggregator::absorb_with`] runs the client encoder and
-//! the absorb in one fused pass — finished unary reports are absorbed whole
-//! 64-bit words at a time into the accumulators' bit-sliced
-//! [`crate::WordHistogram`] planes, and GRR direct reports go straight from
-//! the sampled ordinal to a counter increment with no report object in
-//! between — consuming the same rng draws and leaving the aggregator in the
-//! same state as [`ClientEncoder::encode_into`] followed by
-//! [`Aggregator::absorb`]. `Collector::run` is a thin block-parallel driver
-//! over exactly these calls.
+//! A report is counted one way, wherever it comes from. The service
+//! decodes a wire report and absorbs it with the same code a simulation
+//! uses: [`Aggregator::absorb_with`] is exactly [`ClientEncoder::encode_into`]
+//! into a report recycled through the [`EncoderScratch`], followed by that
+//! absorb — one pass over the report's entries, numeric draws into the
+//! mean sums and categorical reports into
+//! [`FrequencyAccumulator::count_report`]. `Collector::run` is a thin
+//! block-parallel driver over exactly these calls, so a simulation runs
+//! the route a socket-fed service runs.
 
 use crate::frequency::FrequencyAccumulator;
 use crate::mean::MeanAccumulator;
 use crate::pipeline::{BestEffortNumeric, CollectionResult, Protocol};
 use ldp_core::multidim::{
-    wire, CatObservation, CatReportView, DuchiMultidim, DuchiScratch, SamplingPerturber,
-    SparseReport, SparseScratch,
+    wire, DuchiMultidim, DuchiScratch, SamplingPerturber, SparseReport, SparseScratch,
 };
 use ldp_core::rng::DrawSource;
 use ldp_core::{
@@ -59,6 +57,7 @@ use ldp_core::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The perturbed message one user submits for one record — the only data
 /// that crosses the client→server trust boundary.
@@ -83,15 +82,6 @@ pub enum Report {
     Composition(SparseReport),
 }
 
-/// Expected set bits per unary report above which the fused engines absorb
-/// whole-word through the [`crate::WordHistogram`] plane instead of noting
-/// hits as they are placed. Both engines count identically (exact
-/// integers), so this is purely a routing choice: the word plane's
-/// per-report cost is flat in density, so a handful of expected hits is
-/// cheaper to stream one at a time — the same trade
-/// `ldp_analytics::wordhist`'s sparse-scatter shortcut makes per report.
-const WORD_LEVEL_MIN_HITS: f64 = 8.0;
-
 /// The aggregator's view of a session: the schema layout, scale and
 /// debias parameters it reads off a [`ClientEncoder`]'s per-attribute
 /// mechanisms.
@@ -107,11 +97,6 @@ struct Shape {
     scale: f64,
     /// Per categorical slot: domain size and the oracle's `(p, q)` pair.
     cats: Vec<(u32, DebiasParams)>,
-    /// Per categorical slot: absorb unary reports whole-word (dense
-    /// oracles) or hit-by-hit (sparse ones) — see [`WORD_LEVEL_MIN_HITS`].
-    word_level: Vec<bool>,
-    /// Any slot word-level ⇒ the sampling engine runs word-wise.
-    any_word_level: bool,
     /// Entries per sampling report (`k` of Equation 12); `d` for
     /// composition.
     sampled_k: usize,
@@ -147,37 +132,17 @@ impl Shape {
             ),
             Engine::Composition { oracles, .. } => (1.0, d, oracles.iter().collect()),
         };
-        let cats: Vec<(u32, DebiasParams)> =
-            oracles.iter().map(|o| (o.k(), o.debias_params())).collect();
-        // Direct (GRR) oracles always take the word-level engine — their
-        // fast path is the ordinal kernel, with no bit vector in sight, so
-        // the density cutoff is meaningless for them — while unary oracles
-        // take it only when dense enough.
-        let word_level: Vec<bool> = oracles
-            .iter()
-            .zip(&cats)
-            .map(|(o, &(k, debias))| {
-                o.as_grr().is_some() || expected_hits(k, debias) >= WORD_LEVEL_MIN_HITS
-            })
-            .collect();
+        let cats = oracles.iter().map(|o| (o.k(), o.debias_params())).collect();
         Shape {
             d,
             num_indices,
             cat_indices,
             slot_of,
             scale,
-            any_word_level: word_level.iter().any(|&b| b),
-            word_level,
             cats,
             sampled_k,
         }
     }
-}
-
-/// Expected set bits of one unary report from a `(k, (p, q))` oracle:
-/// `p + (k−1)·q`, independent of the true value.
-fn expected_hits(k: u32, debias: DebiasParams) -> f64 {
-    debias.p + f64::from(k - 1) * debias.q
 }
 
 /// How a [`ClientEncoder`] produces reports for its protocol family.
@@ -204,23 +169,18 @@ enum CompositionNumeric {
 /// ([`ClientEncoder::encode_into`] / [`Aggregator::absorb_with`]). Must stay
 /// paired with the encoder that built it.
 pub struct EncoderScratch {
+    /// The report [`Aggregator::absorb_with`] encodes into and absorbs,
+    /// refilled user after user.
+    report: Report,
     inner: ScratchInner,
 }
 
 enum ScratchInner {
-    Sampling {
-        scratch: SparseScratch,
-        /// Numeric-entry report buffer for the fused
-        /// [`Aggregator::absorb_with`] path.
-        fused: SparseReport,
-    },
+    Sampling(SparseScratch),
     Composition {
-        dense: Vec<f64>,
         numeric_block: Vec<f64>,
         noisy: Vec<f64>,
         duchi: Option<DuchiScratch>,
-        /// Recycled categorical payloads for the fused path.
-        cat_reports: Vec<CategoricalReport>,
     },
 }
 
@@ -255,7 +215,9 @@ enum ScratchInner {
 pub struct ClientEncoder {
     protocol: Protocol,
     epsilon: Epsilon,
-    specs: Vec<AttrSpec>,
+    /// Shared with every aggregator this encoder builds, so the per-call
+    /// session check in [`Aggregator::absorb_with`] is a pointer compare.
+    specs: Arc<[AttrSpec]>,
     /// The budget each per-attribute mechanism spends.
     per_attr: Epsilon,
     shape: Shape,
@@ -321,7 +283,7 @@ impl ClientEncoder {
         Ok(ClientEncoder {
             protocol,
             epsilon,
-            specs,
+            specs: specs.into(),
             per_attr,
             shape,
             engine,
@@ -419,27 +381,20 @@ impl ClientEncoder {
     /// [`Aggregator::absorb_with`] loops.
     pub fn scratch(&self) -> EncoderScratch {
         let inner = match &self.engine {
-            Engine::Sampling(p) => ScratchInner::Sampling {
-                scratch: p.scratch(),
-                fused: SparseReport::with_capacity(p.d(), p.k()),
-            },
+            Engine::Sampling(p) => ScratchInner::Sampling(p.scratch()),
             Engine::Composition { numeric, .. } => ScratchInner::Composition {
-                dense: vec![0.0; self.shape.d],
                 numeric_block: vec![0.0; self.shape.num_indices.len()],
                 noisy: Vec::with_capacity(self.shape.num_indices.len()),
                 duchi: match numeric {
                     CompositionNumeric::Duchi(md) => Some(md.scratch()),
                     _ => None,
                 },
-                cat_reports: self
-                    .shape
-                    .cats
-                    .iter()
-                    .map(|_| CategoricalReport::Value(0))
-                    .collect(),
             },
         };
-        EncoderScratch { inner }
+        EncoderScratch {
+            report: self.empty_report(),
+            inner,
+        }
     }
 
     /// An empty report shell of the right variant for this encoder, meant
@@ -476,10 +431,9 @@ impl ClientEncoder {
     /// `report` in place, recycling its buffers (and the categorical bit
     /// vectors shuttling through `scratch`) across calls.
     ///
-    /// Draw-for-draw identical to `encode` under the same rng state, and —
-    /// by the session equivalence the `proptest_session` suite pins —
-    /// `encode_into` + [`Aggregator::absorb`] leaves an aggregator in
-    /// exactly the state [`Aggregator::absorb_with`] produces.
+    /// Draw-for-draw identical to `encode` under the same rng state; this
+    /// followed by [`Aggregator::absorb`] is exactly what
+    /// [`Aggregator::absorb_with`] runs.
     ///
     /// # Errors
     /// As [`ClientEncoder::encode`].
@@ -490,90 +444,125 @@ impl ClientEncoder {
         report: &mut Report,
         scratch: &mut EncoderScratch,
     ) -> Result<()> {
+        self.encode_with(tuple, rng, report, &mut scratch.inner)
+    }
+
+    /// [`ClientEncoder::encode_into`] over the scratch's buffers alone, so
+    /// [`Aggregator::absorb_with`] can encode into the scratch's own report.
+    fn encode_with<R: DrawSource + ?Sized>(
+        &self,
+        tuple: &[AttrValue],
+        rng: &mut R,
+        report: &mut Report,
+        scratch: &mut ScratchInner,
+    ) -> Result<()> {
         match &self.engine {
             Engine::Sampling(p) => {
                 if !matches!(report, Report::Sampling(_)) {
                     *report = self.empty_report();
                 }
-                let (Report::Sampling(sparse), ScratchInner::Sampling { scratch, .. }) =
-                    (&mut *report, &mut scratch.inner)
+                let (Report::Sampling(sparse), ScratchInner::Sampling(scratch)) = (report, scratch)
                 else {
                     return Err(scratch_mismatch());
                 };
                 p.perturb_into(tuple, rng, sparse, scratch)
             }
             Engine::Composition { numeric, oracles } => {
-                if !matches!(report, Report::Composition(_)) {
-                    *report = self.empty_report();
-                }
-                let (
-                    Report::Composition(out),
-                    ScratchInner::Composition {
-                        numeric_block,
-                        noisy,
-                        duchi,
-                        ..
-                    },
-                ) = (&mut *report, &mut scratch.inner)
-                else {
-                    return Err(scratch_mismatch());
-                };
-                self.validate(tuple)?;
-                // Every attribute, in schema order. A report already of
-                // this shape keeps its categorical payload buffers.
-                let d = self.shape.d;
-                if out.entries.len() != d {
-                    out.entries.clear();
-                    out.entries
-                        .extend((0..d as u32).map(|j| (j, AttrReport::Numeric(0.0))));
-                }
-                out.d = d;
-                match numeric {
-                    CompositionNumeric::None => {}
-                    CompositionNumeric::PerAttr(mech) => {
-                        for &j in &self.shape.num_indices {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            let y = mech.perturb(x, &mut *rng)?;
-                            out.entries[j] = (j as u32, AttrReport::Numeric(y));
-                        }
-                    }
-                    CompositionNumeric::Duchi(md) => {
-                        for (slot, &j) in self.shape.num_indices.iter().enumerate() {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            numeric_block[slot] = x;
-                        }
-                        md.perturb_into(
-                            numeric_block,
-                            &mut *rng,
-                            noisy,
-                            duchi.as_mut().expect("built with Duchi state"),
-                        )?;
-                        for (&y, &j) in noisy.iter().zip(&self.shape.num_indices) {
-                            out.entries[j] = (j as u32, AttrReport::Numeric(y));
-                        }
-                    }
-                }
-                for (slot, &j) in self.shape.cat_indices.iter().enumerate() {
-                    let AttrValue::Categorical(v) = tuple[j] else {
-                        unreachable!("validated above");
-                    };
-                    let entry = &mut out.entries[j];
-                    entry.0 = j as u32;
-                    if !matches!(entry.1, AttrReport::Categorical(_)) {
-                        entry.1 = AttrReport::Categorical(CategoricalReport::Value(0));
-                    }
-                    let AttrReport::Categorical(cat) = &mut entry.1 else {
-                        unreachable!("made categorical above");
-                    };
-                    oracles[slot].perturb_into(v, &mut *rng, cat)?;
-                }
-                Ok(())
+                self.encode_composition(numeric, oracles, tuple, rng, report, scratch)
             }
         }
+    }
+
+    /// The composition arm of [`ClientEncoder::encode_into`]. Deliberately
+    /// `inline(never)`: compiled inline into its callers, the
+    /// per-attribute numeric loop below runs markedly slower on wide
+    /// all-numeric schemas such as LDP-SGD's gradients.
+    #[inline(never)]
+    fn encode_composition<R: DrawSource + ?Sized>(
+        &self,
+        numeric: &CompositionNumeric,
+        oracles: &[AnyOracle],
+        tuple: &[AttrValue],
+        rng: &mut R,
+        report: &mut Report,
+        scratch: &mut ScratchInner,
+    ) -> Result<()> {
+        if !matches!(report, Report::Composition(_)) {
+            *report = self.empty_report();
+        }
+        let (
+            Report::Composition(out),
+            ScratchInner::Composition {
+                numeric_block,
+                noisy,
+                duchi,
+            },
+        ) = (report, scratch)
+        else {
+            return Err(scratch_mismatch());
+        };
+        self.validate(tuple)?;
+        // Every attribute, in schema order. A report already of this shape
+        // keeps its categorical payload buffers.
+        let d = self.shape.d;
+        if out.entries.len() != d {
+            out.entries.clear();
+            out.entries
+                .extend((0..d as u32).map(|j| (j, AttrReport::Numeric(0.0))));
+        }
+        out.d = d;
+        match numeric {
+            CompositionNumeric::None => {}
+            CompositionNumeric::PerAttr(mech) => {
+                for &j in &self.shape.num_indices {
+                    let AttrValue::Numeric(x) = tuple[j] else {
+                        unreachable!("validated above");
+                    };
+                    set_numeric(&mut out.entries[j], j, mech.perturb(x, &mut *rng)?);
+                }
+            }
+            CompositionNumeric::Duchi(md) => {
+                for (slot, &j) in self.shape.num_indices.iter().enumerate() {
+                    let AttrValue::Numeric(x) = tuple[j] else {
+                        unreachable!("validated above");
+                    };
+                    numeric_block[slot] = x;
+                }
+                md.perturb_into(
+                    numeric_block,
+                    &mut *rng,
+                    noisy,
+                    duchi.as_mut().expect("built with Duchi state"),
+                )?;
+                for (&y, &j) in noisy.iter().zip(&self.shape.num_indices) {
+                    set_numeric(&mut out.entries[j], j, y);
+                }
+            }
+        }
+        for (slot, &j) in self.shape.cat_indices.iter().enumerate() {
+            let AttrValue::Categorical(v) = tuple[j] else {
+                unreachable!("validated above");
+            };
+            let entry = &mut out.entries[j];
+            entry.0 = j as u32;
+            if let Some(grr) = oracles[slot].as_grr() {
+                // A direct report is one ordinal, written in place.
+                let x = grr.sample(v, &mut *rng)?;
+                match &mut entry.1 {
+                    AttrReport::Categorical(CategoricalReport::Value(value)) => *value = x,
+                    other => *other = AttrReport::Categorical(CategoricalReport::Value(x)),
+                }
+                continue;
+            }
+            if !matches!(entry.1, AttrReport::Categorical(_)) {
+                entry.1 = AttrReport::Categorical(CategoricalReport::Value(0));
+            }
+            let AttrReport::Categorical(cat) = &mut entry.1 else {
+                unreachable!("made categorical above");
+            };
+            oracles[slot].perturb_into(v, &mut *rng, cat)?;
+        }
+        Ok(())
     }
 
     /// Validates one tuple against the schema.
@@ -584,7 +573,7 @@ impl ClientEncoder {
                 actual: tuple.len(),
             });
         }
-        for (i, (value, spec)) in tuple.iter().zip(&self.specs).enumerate() {
+        for (i, (value, spec)) in tuple.iter().zip(self.specs.iter()).enumerate() {
             value.validate(spec, i)?;
         }
         Ok(())
@@ -599,6 +588,23 @@ impl std::fmt::Debug for ClientEncoder {
             .field("d", &self.shape.d)
             .field("sampled_k", &self.shape.sampled_k)
             .finish()
+    }
+}
+
+/// Schema equality, by pointer first: an encoder and the aggregators it
+/// builds share one schema allocation.
+fn same_specs(a: &Arc<[AttrSpec]>, b: &Arc<[AttrSpec]>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// Sets report entry `j` to the numeric draw `y`, writing the draw in place
+/// when the entry already holds one (as it does from the previous user).
+#[inline]
+fn set_numeric(entry: &mut (u32, AttrReport), j: usize, y: f64) {
+    entry.0 = j as u32;
+    match &mut entry.1 {
+        AttrReport::Numeric(x) => *x = y,
+        other => *other = AttrReport::Numeric(y),
     }
 }
 
@@ -681,7 +687,7 @@ impl Partial {
 pub struct Aggregator {
     protocol: Protocol,
     epsilon: Epsilon,
-    specs: Vec<AttrSpec>,
+    specs: Arc<[AttrSpec]>,
     shape: Shape,
     ordinal: u64,
     parts: BTreeMap<u64, Partial>,
@@ -900,38 +906,30 @@ impl Aggregator {
 
     /// Counts a report that already passed [`Aggregator::validate_report`]
     /// on a same-session aggregator — the service validates against its
-    /// template once, before its ledger admits, and absorbs through here.
+    /// template once, before its ledger admits, and absorbs through here;
+    /// [`Aggregator::absorb`] and [`Aggregator::absorb_with`] do too. One
+    /// pass over the report's entries: numeric draws go into the mean sums,
+    /// categorical reports into their slot's
+    /// [`FrequencyAccumulator::count_report`].
     pub(crate) fn absorb_validated(&mut self, report: &Report) {
         let (Report::Sampling(sparse) | Report::Composition(sparse)) = report;
         let shape = &self.shape;
-        let part = self
+        let Partial { means, freqs } = self
             .parts
             .entry(self.ordinal)
             .or_insert_with(|| Partial::new(shape));
-        for (j, rep) in &sparse.entries {
-            if let AttrReport::Categorical(cat) = rep {
-                let slot = shape.slot_of[*j as usize].expect("validated categorical");
-                part.freqs[slot].count_report(cat);
-            }
-        }
-        part.means
-            .add_sparse(sparse)
-            .expect("validated reports match the schema");
+        means.add_checked(sparse, |j, cat| {
+            let slot = shape.slot_of[j as usize].expect("validated categorical");
+            freqs[slot].count_report(cat);
+        });
     }
 
-    /// Fused simulation path: encodes `tuple` with `encoder` and absorbs
-    /// the resulting report in one pass, without materializing categorical
-    /// payloads as report entries. Unary reports are absorbed *by backing
-    /// word* into the accumulators' bit-sliced
-    /// [`crate::WordHistogram`] planes, and GRR reports skip report
-    /// objects entirely — the sampled ordinal goes straight to a counter
-    /// increment (the word-level successor of the PR 3 per-hit engine).
-    ///
-    /// Consumes exactly the rng draws of [`ClientEncoder::encode_into`] and
-    /// leaves the aggregator in exactly the state
-    /// [`Aggregator::absorb`]-ing that report would (pinned by the
-    /// `proptest_session` suite), so simulations can use this path and real
-    /// collections the two-call path interchangeably.
+    /// The simulation form of the two-call path: encodes `tuple` with
+    /// `encoder` into the report `scratch` recycles, then absorbs it —
+    /// exactly [`ClientEncoder::encode_into`] followed by
+    /// [`Aggregator::absorb`], minus the report validation an encoder's own
+    /// output cannot fail. The same draws, the same counting code and so
+    /// the same aggregator state, bit for bit.
     ///
     /// # Errors
     /// Rejects invalid tuples, and encoders whose protocol, budget or
@@ -943,159 +941,24 @@ impl Aggregator {
         rng: &mut R,
         scratch: &mut EncoderScratch,
     ) -> Result<()> {
-        // Full session-identity check, in release builds too: a schema
-        // mismatch would index accumulators out of range or silently bias
-        // estimates. The specs comparison is a linear scan of small Copy
-        // enums — noise next to the per-user perturbation work.
+        // Full session-identity check, in release builds too: the absorb
+        // below trusts the report, and another session's report would
+        // index accumulators out of range or silently bias estimates. For
+        // the encoder's own aggregators the schema compare is one pointer
+        // compare.
         if encoder.protocol != self.protocol
             || encoder.epsilon != self.epsilon
-            || encoder.specs != self.specs
+            || !same_specs(&encoder.specs, &self.specs)
         {
             return Err(LdpError::InvalidParameter {
                 name: "encoder",
                 message: "encoder protocol/budget/schema differs from the aggregator's".into(),
             });
         }
-        match &encoder.engine {
-            Engine::Sampling(p) => {
-                let ScratchInner::Sampling { scratch, fused } = &mut scratch.inner else {
-                    return Err(scratch_mismatch());
-                };
-                let shape = &self.shape;
-                let part = self
-                    .parts
-                    .entry(self.ordinal)
-                    .or_insert_with(|| Partial::new(shape));
-                if shape.any_word_level {
-                    // Word-level fused engine: each sampled categorical
-                    // attribute arrives as one complete view — the
-                    // finished unary report's backing words (absorbed
-                    // whole-word into the accumulator's bit-sliced plane)
-                    // or GRR's bare ordinal (one counter increment, no
-                    // report object).
-                    p.perturb_wordwise(tuple, rng, fused, scratch, |view| match view {
-                        CatReportView::Unary { attr, words } => {
-                            let slot = shape.slot_of[attr as usize].expect("categorical index");
-                            let acc = &mut part.freqs[slot];
-                            acc.note_report();
-                            acc.note_words(words);
-                        }
-                        CatReportView::Direct { attr, category } => {
-                            let slot = shape.slot_of[attr as usize].expect("categorical index");
-                            let acc = &mut part.freqs[slot];
-                            acc.note_report();
-                            acc.note_hit(category);
-                        }
-                    })?;
-                } else {
-                    // Sparse-report regime (every oracle expects only a
-                    // handful of set bits): streaming each hit as it is
-                    // placed beats re-reading the finished vector. Same
-                    // draws, same counts — routing only.
-                    let mut slot = 0usize;
-                    p.perturb_counting(tuple, rng, fused, scratch, |obs| match obs {
-                        CatObservation::Report { attr } => {
-                            slot = shape.slot_of[attr as usize].expect("categorical index");
-                            part.freqs[slot].note_report();
-                        }
-                        CatObservation::Hit { category, .. } => {
-                            part.freqs[slot].note_hit(category);
-                        }
-                    })?;
-                }
-                part.means.add_sparse(fused)
-            }
-            Engine::Composition { numeric, oracles } => {
-                self.absorb_composition(encoder, numeric, oracles, tuple, rng, scratch)
-            }
-        }
-    }
-
-    /// The composition arm of [`Aggregator::absorb_with`]. Deliberately
-    /// `inline(never)`, like `ldp_core`'s `absorb_unary`: compiled inside
-    /// `absorb_with`'s body, the per-attribute numeric loop below runs
-    /// markedly slower on wide all-numeric schemas such as LDP-SGD's
-    /// gradients.
-    #[inline(never)]
-    fn absorb_composition<R: DrawSource + ?Sized>(
-        &mut self,
-        encoder: &ClientEncoder,
-        numeric: &CompositionNumeric,
-        oracles: &[AnyOracle],
-        tuple: &[AttrValue],
-        rng: &mut R,
-        scratch: &mut EncoderScratch,
-    ) -> Result<()> {
-        let ScratchInner::Composition {
-            dense,
-            numeric_block,
-            noisy,
-            duchi,
-            cat_reports,
-        } = &mut scratch.inner
-        else {
-            return Err(scratch_mismatch());
-        };
-        encoder.validate(tuple)?;
-        let shape = &self.shape;
-        let part = self
-            .parts
-            .entry(self.ordinal)
-            .or_insert_with(|| Partial::new(shape));
-        dense.iter_mut().for_each(|x| *x = 0.0);
-        match numeric {
-            CompositionNumeric::None => {}
-            CompositionNumeric::PerAttr(mech) => {
-                for &j in &shape.num_indices {
-                    let AttrValue::Numeric(x) = tuple[j] else {
-                        unreachable!("validated above");
-                    };
-                    dense[j] = mech.perturb(x, &mut *rng)?;
-                }
-            }
-            CompositionNumeric::Duchi(md) => {
-                for (slot, &j) in shape.num_indices.iter().enumerate() {
-                    let AttrValue::Numeric(x) = tuple[j] else {
-                        unreachable!("validated above");
-                    };
-                    numeric_block[slot] = x;
-                }
-                md.perturb_into(
-                    numeric_block,
-                    &mut *rng,
-                    noisy,
-                    duchi.as_mut().expect("built with Duchi state"),
-                )?;
-                for (slot, &j) in shape.num_indices.iter().enumerate() {
-                    dense[j] = noisy[slot];
-                }
-            }
-        }
-        for (slot, &j) in shape.cat_indices.iter().enumerate() {
-            let AttrValue::Categorical(v) = tuple[j] else {
-                unreachable!("validated above");
-            };
-            // Fused perturb-and-count: GRR reports go ordinal-direct (no
-            // report object at all); unary reports are absorbed by backing
-            // word when dense, or hit-by-hit as they are placed when sparse
-            // (identical counts either way — routing only).
-            let acc = &mut part.freqs[slot];
-            acc.note_report();
-            if let Some(grr) = oracles[slot].as_grr() {
-                acc.note_hit(grr.sample(v, &mut *rng)?);
-            } else if shape.word_level[slot] {
-                oracles[slot].perturb_into(v, &mut *rng, &mut cat_reports[slot])?;
-                let CategoricalReport::Bits(bits) = &cat_reports[slot] else {
-                    unreachable!("unary oracles produce bit reports");
-                };
-                acc.note_words(bits.words());
-            } else {
-                oracles[slot].perturb_into_noting(v, &mut *rng, &mut cat_reports[slot], |c| {
-                    acc.note_hit(c)
-                })?;
-            }
-        }
-        part.means.add_dense(dense)
+        let EncoderScratch { report, inner } = scratch;
+        encoder.encode_with(tuple, rng, report, inner)?;
+        self.absorb_validated(report);
+        Ok(())
     }
 
     /// Merges another aggregator's partials into this one. Order-invariant:
@@ -1110,7 +973,7 @@ impl Aggregator {
     pub fn merge(&mut self, other: Aggregator) -> Result<()> {
         if other.protocol != self.protocol
             || other.epsilon != self.epsilon
-            || other.specs != self.specs
+            || !same_specs(&other.specs, &self.specs)
         {
             return Err(LdpError::InvalidParameter {
                 name: "aggregator",
@@ -1251,7 +1114,7 @@ mod tests {
 
     /// The mixed schema with its first categorical attribute widened to
     /// k = 70: a report crosses a word boundary, and at ε = 2 every unary
-    /// oracle expects more than [`WORD_LEVEL_MIN_HITS`] set bits on it.
+    /// oracle is dense enough on it for the accumulators' word plane.
     fn wide_specs() -> Vec<AttrSpec> {
         let mut specs = mixed_specs();
         specs[1] = AttrSpec::Categorical { k: 70 };
@@ -1288,25 +1151,21 @@ mod tests {
     ];
 
     #[test]
-    fn encode_absorb_matches_fused_absorb_bit_for_bit() {
-        // The two public paths are the same computation: identical draws,
-        // identical aggregator state, for both protocol families and both
-        // fused routes. Unary oracles stream hit by hit on the mixed
-        // schema's small domains and absorb whole words on the wide one;
-        // GRR goes ordinal-direct on both.
+    fn absorb_with_matches_encode_into_then_validating_absorb_bit_for_bit() {
+        // `absorb_with` skips the report validation `absorb` runs; it must
+        // still be the same computation: identical draws, identical
+        // aggregator state, for both protocol families. Unary reports are
+        // scanned on the mixed schema's small domains and go through the
+        // word plane on the wide one; GRR reports are single values.
         for wide in [false, true] {
             let specs = if wide { wide_specs() } else { mixed_specs() };
             let tuple_of = if wide { wide_tuple } else { mixed_tuple };
             for protocol in PROTOCOLS {
                 let encoder = ClientEncoder::new(protocol, eps(2.0), specs.clone()).unwrap();
-                let (Protocol::Sampling { oracle, .. } | Protocol::BestEffort { oracle, .. }) =
-                    protocol;
-                let direct = oracle == OracleKind::Grr;
-                assert_eq!(encoder.shape.word_level[0], wide || direct, "{protocol:?}");
                 let mut rng_a = seeded_rng(71);
                 let mut rng_b = seeded_rng(71);
                 let mut two_call = encoder.aggregator().unwrap();
-                let mut fused = encoder.aggregator().unwrap();
+                let mut one_call = encoder.aggregator().unwrap();
                 let mut report = encoder.empty_report();
                 let mut scratch_a = encoder.scratch();
                 let mut scratch_b = encoder.scratch();
@@ -1316,12 +1175,12 @@ mod tests {
                         .encode_into(&tuple, &mut rng_a, &mut report, &mut scratch_a)
                         .unwrap();
                     two_call.absorb(&report).unwrap();
-                    fused
+                    one_call
                         .absorb_with(&encoder, &tuple, &mut rng_b, &mut scratch_b)
                         .unwrap();
                 }
                 let a = two_call.snapshot().unwrap();
-                let b = fused.snapshot().unwrap();
+                let b = one_call.snapshot().unwrap();
                 assert_eq!(a.n, b.n);
                 assert_eq!(a.mean_vector(), b.mean_vector(), "{protocol:?} wide={wide}");
                 assert_eq!(a.frequencies, b.frequencies, "{protocol:?} wide={wide}");
@@ -1510,9 +1369,9 @@ mod tests {
 
     #[test]
     fn absorb_with_rejects_cross_session_encoders() {
-        // Same protocol and ε but a different schema: the fused path must
-        // return an error (in release builds too), never index another
-        // session's accumulators.
+        // Same protocol and ε but a different schema: `absorb_with`, which
+        // trusts the report it encodes, must return an error (in release
+        // builds too), never index another session's accumulators.
         let encoder = ClientEncoder::new(PROTOCOLS[0], eps(2.0), mixed_specs()).unwrap();
         let bigger = vec![
             AttrSpec::Numeric,
@@ -1545,7 +1404,7 @@ mod tests {
         let mut rng_a = seeded_rng(9);
         let mut rng_b = seeded_rng(9);
         let mut two_call = encoder.aggregator().unwrap();
-        let mut fused = encoder.aggregator().unwrap();
+        let mut one_call = encoder.aggregator().unwrap();
         let mut scratch_a = encoder.scratch();
         let mut scratch_b = encoder.scratch();
         let mut report = encoder.empty_report();
@@ -1555,12 +1414,12 @@ mod tests {
                 .encode_into(&tuple, &mut rng_a, &mut report, &mut scratch_a)
                 .unwrap();
             two_call.absorb(&report).unwrap();
-            fused
+            one_call
                 .absorb_with(&encoder, &tuple, &mut rng_b, &mut scratch_b)
                 .unwrap();
         }
         let a = two_call.snapshot().unwrap();
-        let b = fused.snapshot().unwrap();
+        let b = one_call.snapshot().unwrap();
         assert_eq!(a.mean_vector(), b.mean_vector());
         assert_eq!(a.frequencies, b.frequencies);
     }

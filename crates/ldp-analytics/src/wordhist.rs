@@ -1,12 +1,12 @@
 //! Word-level histogram accumulation for unary (bit-vector) reports.
 //!
-//! The count-based [`crate::FrequencyAccumulator`] used to absorb a unary
-//! report by walking its set bits (`iter_ones`) and incrementing one
-//! per-category counter per bit — O(popcount) scattered adds per report,
-//! which is the aggregator's hot loop once perturbation is fused and
-//! batched. [`WordHistogram`] replaces that scatter with *bit-sliced*
-//! counters in the style of Harley–Seal / positional-popcount
-//! accumulation:
+//! Counting a unary report by its set bits costs one scattered increment
+//! per bit: cheap for sparse reports, and the aggregator's hot loop for
+//! dense ones (OUE at ε = 1 sets about a quarter of the bits). So
+//! [`crate::FrequencyAccumulator::count_report`] sends the reports of a
+//! dense oracle here, and scans only the sparse ones. [`WordHistogram`]
+//! replaces the scatter with *bit-sliced* counters in the style of
+//! Harley–Seal / positional-popcount accumulation:
 //!
 //! 1. incoming reports buffer whole, eight at a time, as raw 64-bit words
 //!    (one column per report word);
@@ -24,10 +24,10 @@
 //! independent of how dense the report is — instead of O(popcount)
 //! scattered increments. And the histogram is exact integer arithmetic end
 //! to end: its counts are **identical** — not approximately, but bit for
-//! bit — to the scattered walk's, which is what lets the accumulator swap
-//! engines without moving a single estimate. The proptest suite pins that
-//! equivalence across oracles, domain sizes, batch and flush boundaries,
-//! and merge orders.
+//! bit — to the scattered walk's, which is what lets the accumulator pick
+//! either route without moving a single estimate. The proptest suite pins
+//! that equivalence across oracles, domain sizes, batch and flush
+//! boundaries, and merge orders.
 
 use ldp_core::BitVec;
 
@@ -44,6 +44,37 @@ const BATCH: usize = 8;
 /// Purely a routing choice between two exact kernels — counts are
 /// identical either way.
 const SCATTER_CUTOFF: u32 = 8;
+
+/// Adds one to `counts[i]` for every set bit `i` of `words` (least
+/// significant bit of `words[0]` first): the per-set-bit scan behind
+/// [`WordHistogram`]'s sparse-report shortcut and the sparse route of
+/// [`crate::FrequencyAccumulator::count_report`].
+///
+/// The first two set bits of each word are counted without a branch (a
+/// word with fewer adds zero to its first counter), so a sparse report —
+/// rarely more than two bits in a word — skips the loop exit a
+/// bit-by-bit walk mispredicts once per word. On 4-word reports with
+/// about five set bits that took the scan from ~40 to ~15 ns (2-vCPU
+/// x86-64 VM).
+///
+/// # Panics
+/// Panics if a set bit lies beyond `counts`, or `counts` is shorter than
+/// `64 · (words.len() − 1) + 1`.
+#[inline]
+pub(crate) fn add_set_bits(counts: &mut [u64], words: &[u64]) {
+    for (wi, &word) in words.iter().enumerate() {
+        let base = wi * 64;
+        let mut m = word;
+        for _ in 0..2 {
+            counts[base + (m.trailing_zeros() as usize & 63)] += u64::from(m != 0);
+            m &= m.wrapping_sub(1);
+        }
+        while m != 0 {
+            counts[base + m.trailing_zeros() as usize] += 1;
+            m &= m - 1;
+        }
+    }
+}
 
 /// A bit-sliced per-category counter for fixed-length unary reports: the
 /// word-level aggregation plane beneath [`crate::FrequencyAccumulator`].
@@ -160,17 +191,9 @@ impl WordHistogram {
         assert_eq!(report.len(), self.words, "report/histogram width mismatch");
         let ones: u32 = report.iter().map(|w| w.count_ones()).sum();
         if ones <= SCATTER_CUTOFF {
-            // Nearly-empty report (sparse high-ε unary encodings): a few
-            // direct increments beat the batch machinery. Same exact
-            // counts, different route.
-            for (wi, &word) in report.iter().enumerate() {
-                let mut m = word;
-                while m != 0 {
-                    let tz = m.trailing_zeros() as usize;
-                    self.counts[wi * 64 + tz] += 1;
-                    m &= m - 1;
-                }
-            }
+            // Nearly-empty report: a few direct increments beat the batch
+            // machinery. Same exact counts, different route.
+            add_set_bits(&mut self.counts, report);
             return;
         }
         let r = self.buffered;

@@ -21,9 +21,9 @@ use ldp_analytics::session::{Aggregator, ClientEncoder};
 use ldp_analytics::{BudgetLedger, FrequencyAccumulator, MeanAccumulator};
 use ldp_core::frame::FRAME_HEADER_BYTES;
 use ldp_core::multidim::wire::{BitReader, BitWriter};
-use ldp_core::multidim::{AttrSpec, AttrValue};
+use ldp_core::multidim::{AttrSpec, AttrValue, SparseReport};
 use ldp_core::rng::seeded_rng;
-use ldp_core::DebiasParams;
+use ldp_core::{AttrReport, BitVec, CategoricalReport, DebiasParams};
 use ldp_core::{Epsilon, LdpError, NumericKind, OracleKind};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -140,7 +140,8 @@ proptest! {
     ) {
         let mut acc = MeanAccumulator::new(d);
         for row in vals.chunks_exact(d) {
-            acc.add_dense(row).unwrap();
+            let entries = (0..).zip(row).map(|(j, &x)| (j, AttrReport::Numeric(x)));
+            acc.add_sparse(&SparseReport { d, entries: entries.collect() }).unwrap();
         }
         let mut w = BitWriter::new();
         acc.encode_state(&mut w);
@@ -170,11 +171,14 @@ proptest! {
     ) {
         let debias = DebiasParams { p: 0.75, q: 0.25 };
         let mut acc = FrequencyAccumulator::new(k, 1.25, debias);
-        for _ in 0..reports {
-            acc.note_report();
-        }
+        // One direct report per hit, then unary reports setting every hit.
+        let mut unary = BitVec::zeros(k);
         for &h in &hits {
-            acc.note_hit(h % k);
+            acc.count_report(&CategoricalReport::Value(h % k));
+            unary.set(h % k, true);
+        }
+        for _ in 0..reports {
+            acc.count_report(&CategoricalReport::Bits(unary.clone()));
         }
         let mut w = BitWriter::new();
         acc.encode_state(&mut w);

@@ -7,13 +7,26 @@
 //! not an unlucky draw.
 
 use ldp_analytics::{FrequencyAccumulator, MeanAccumulator};
+use ldp_core::multidim::SparseReport;
 use ldp_core::numeric::Hybrid;
 use ldp_core::rng::seeded_rng;
 use ldp_core::{
-    assert_within_ci, AnyOracle, CategoricalReport, Epsilon, NumericMechanism, OracleKind,
+    assert_within_ci, AnyOracle, AttrReport, CategoricalReport, Epsilon, NumericMechanism,
+    OracleKind,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+
+/// A report carrying one numeric entry per attribute.
+fn row(values: &[f64]) -> SparseReport {
+    SparseReport {
+        d: values.len(),
+        entries: (0..)
+            .zip(values)
+            .map(|(j, &x)| (j, AttrReport::Numeric(x)))
+            .collect(),
+    }
+}
 
 /// Absorbs one report of `v` from the oracle's sampler into `acc`.
 fn absorb(acc: &mut FrequencyAccumulator, oracle: &AnyOracle, v: u32, rng: &mut StdRng) {
@@ -32,8 +45,8 @@ proptest! {
         rows in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 3), 1..50),
     ) {
         let mut acc = MeanAccumulator::new(3);
-        for row in &rows {
-            acc.add_dense(row).unwrap();
+        for values in &rows {
+            acc.add_sparse(&row(values)).unwrap();
         }
         let est = acc.estimate().unwrap();
         for j in 0..3 {
@@ -57,9 +70,9 @@ proptest! {
         let mut whole = MeanAccumulator::new(2);
         let mut left = MeanAccumulator::new(2);
         let mut right = MeanAccumulator::new(2);
-        for (i, row) in rows.iter().enumerate() {
-            whole.add_dense(row).unwrap();
-            if i < cut { &mut left } else { &mut right }.add_dense(row).unwrap();
+        for (i, values) in rows.iter().enumerate() {
+            whole.add_sparse(&row(values)).unwrap();
+            if i < cut { &mut left } else { &mut right }.add_sparse(&row(values)).unwrap();
         }
         left.merge(&right).unwrap();
         prop_assert_eq!(left.n(), whole.n());
@@ -131,7 +144,7 @@ proptest! {
         let n = 20_000usize;
         let mut acc = MeanAccumulator::new(1);
         for _ in 0..n {
-            acc.add_dense(&[hm.perturb(t, &mut rng).unwrap()]).unwrap();
+            acc.add_sparse(&row(&[hm.perturb(t, &mut rng).unwrap()])).unwrap();
         }
         let est = acc.estimate().unwrap();
         assert_within_ci!(est[0], t, hm.variance(t), n, "eps={eps} t={t}");

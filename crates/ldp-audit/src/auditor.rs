@@ -204,9 +204,9 @@ pub fn audit_encode_cell(encoder: &ClientEncoder, cfg: &AuditConfig) -> Result<T
     })
 }
 
-/// Audits the GRR direct-report fast path ([`Grr::sample`]) at full budget
-/// on a 1-D categorical cell — the no-report-object path the fused
-/// perturb-and-count engines use.
+/// Audits the GRR direct-report kernel ([`Grr::sample`]) at full budget on
+/// a 1-D categorical cell — the ordinal Algorithm 4's encoder writes
+/// straight into a report entry.
 ///
 /// The attacker's Neyman-Pearson rule specializes to "guess `v1` iff the
 /// reported category *is* `v1`'s category" (any other report has

@@ -1,7 +1,8 @@
 //! Throughput bench: users/sec of the client→aggregator hot path over a
 //! protocol × ε × d × k grid — the naive per-bit `reference` arm vs the
-//! shipping `production` arm (`ClientEncoder` + `Aggregator::absorb_with`)
-//! — plus wire-codec, range-query and `--workers` pipeline sections.
+//! shipping `production` arm (`ClientEncoder` + `Aggregator::absorb_with`:
+//! the client's encode, then the report service's absorb) — plus
+//! wire-codec, range-query and `--workers` pipeline sections.
 //!
 //! Prints a human-readable table and, with `--out FILE`, writes the JSON
 //! report (the `BENCH_throughput.json` trajectory artifact). The write is

@@ -12,9 +12,10 @@
 //!   and the O(k) per-report `support()` aggregation loop;
 //! * **production** — the code that ships: one [`ClientEncoder`] feeding
 //!   [`ldp_analytics::Aggregator::absorb_with`] from an [`RngBlock`] over
-//!   `seeded_rng(seed)`, then a snapshot. That is the per-block body of
-//!   [`Collector::run`], whose block 0 draws from `block_rng(seed, 0)` =
-//!   `seeded_rng(seed)`.
+//!   `seeded_rng(seed)`, then a snapshot. That is the client's encode
+//!   followed by the absorb the report service runs on every wire report,
+//!   and the per-block body of [`Collector::run`], whose block 0 draws
+//!   from `block_rng(seed, 0)` = `seeded_rng(seed)`.
 //!
 //! The two arms are timed interleaved, best of [`BEST_OF`] rounds, and the
 //! JSON report records both rates and their ratio.
@@ -71,7 +72,8 @@ pub struct ThroughputCell {
     /// Users/sec of the naive per-bit reference arm.
     pub reference_users_per_sec: f64,
     /// Users/sec of the production arm: the shipping `ClientEncoder` +
-    /// `Aggregator::absorb_with` loop.
+    /// `Aggregator::absorb_with` loop (client encode, then the service's
+    /// absorb).
     pub production_users_per_sec: f64,
     /// `production / reference`.
     pub speedup: f64,
@@ -807,8 +809,8 @@ fn run_with_sweep_users(args: &Args, sweep_users: usize) -> ThroughputReport {
         BenchProtocol::Sampling(NumericKind::Hybrid, OracleKind::Sue),
         BenchProtocol::Sampling(NumericKind::Hybrid, OracleKind::Grr),
         BenchProtocol::Composition(NumericKind::Laplace, OracleKind::Oue),
-        // The GRR composition rows exist for the direct-report fast path:
-        // every categorical attribute is a fused coin→ordinal→count kernel.
+        // The GRR composition rows time the direct-report path: every
+        // categorical attribute is one coin→ordinal draw and one increment.
         BenchProtocol::Composition(NumericKind::Laplace, OracleKind::Grr),
     ];
     let epsilons: &[f64] = if args.quick { &[1.0] } else { &[1.0, 4.0] };

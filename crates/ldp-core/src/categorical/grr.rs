@@ -66,9 +66,9 @@ impl Grr {
     /// The GRR kernel: perturbs `value` and returns the reported category
     /// *ordinal* without materializing a [`CategoricalReport`] at all —
     /// one Bernoulli coin, then (only on a lie) one range draw. Every GRR
-    /// perturbation runs it: the fused perturb-and-count engines hand the
-    /// ordinal straight to a counter, and [`Grr::perturb_into`] (behind
-    /// every report-materializing encode) wraps it in a report.
+    /// perturbation runs it: Algorithm 4's encoder writes the ordinal
+    /// straight into its report entry, and [`Grr::perturb_into`] wraps it
+    /// in a caller-owned report.
     ///
     /// Both draws use precomputed forms of the plain arithmetic — the
     /// baked-in integer coin threshold instead of a float compare
@@ -97,24 +97,19 @@ impl Grr {
     }
 
     /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report —
-    /// GRR's one report-materializing sampler: the [`Grr::sample`] kernel,
-    /// with its ordinal written into `out` as a direct report and handed to
-    /// `note`, the per-hit observer of the fused perturb-and-count engine
-    /// (a direct report's single "hit" is the reported category itself).
+    /// the [`Grr::sample`] kernel, with its ordinal written into `out` as a
+    /// direct report.
     ///
     /// # Errors
     /// As [`Grr::sample`].
     #[inline]
-    pub fn perturb_into<R: RngCore + ?Sized, F: FnMut(u32)>(
+    pub fn perturb_into<R: RngCore + ?Sized>(
         &self,
         value: u32,
         rng: &mut R,
         out: &mut CategoricalReport,
-        mut note: F,
     ) -> Result<()> {
-        let x = self.sample(value, rng)?;
-        *out = CategoricalReport::Value(x);
-        note(x);
+        *out = CategoricalReport::Value(self.sample(value, rng)?);
         Ok(())
     }
 }
@@ -174,7 +169,7 @@ mod tests {
     /// One report from the oracle's sampler.
     fn perturb(o: &Grr, value: u32, rng: &mut StdRng) -> CategoricalReport {
         let mut out = CategoricalReport::Value(0);
-        o.perturb_into(value, rng, &mut out, |_| {}).unwrap();
+        o.perturb_into(value, rng, &mut out).unwrap();
         out
     }
 
@@ -274,7 +269,7 @@ mod tests {
             for i in 0..5_000u32 {
                 let direct = o.sample(i % k, &mut rng_a).unwrap();
                 assert_eq!(direct, plain(&o, i % k, &mut rng_b), "k={k} round {i}");
-                o.perturb_into(i % k, &mut rng_a, &mut out, |_| {}).unwrap();
+                o.perturb_into(i % k, &mut rng_a, &mut out).unwrap();
                 assert_eq!(
                     out,
                     CategoricalReport::Value(plain(&o, i % k, &mut rng_b)),

@@ -25,9 +25,9 @@ use crate::rng::DrawSource;
 /// The one handle on a frequency oracle: enum dispatch over the concrete
 /// oracles, built by [`OracleKind::build`].
 ///
-/// [`AnyOracle::perturb_into_noting`] is one predictable match per report,
-/// then the concrete oracle's one sampler, generic over the rng so the
-/// whole sampling loop inlines when driven by an [`crate::rng::RngBlock`].
+/// [`AnyOracle::perturb_into`] is one predictable match per report, then
+/// the concrete oracle's one sampler, generic over the rng so the whole
+/// sampling loop inlines when driven by an [`crate::rng::RngBlock`].
 /// The object-safe [`FrequencyOracle`] description (debiasing pair,
 /// supports, likelihoods) is reached through [`AnyOracle::as_dyn`].
 #[derive(Debug, Clone)]
@@ -52,11 +52,10 @@ impl AnyOracle {
     }
 
     /// The GRR oracle when this is the direct-encoding variant,
-    /// `None` for the unary encodings. Fused perturb-and-count engines
-    /// branch on this once per report: a direct report needs no bit vector
-    /// (or report object) at all — [`Grr::sample`] hands back the category
-    /// ordinal straight into a counter increment — while unary reports go
-    /// through the bit-vector path and are absorbed word-at-a-time.
+    /// `None` for the unary encodings. A direct report needs no payload
+    /// buffer: [`Grr::sample`] hands back the reported category ordinal,
+    /// which Algorithm 4's encoder writes straight into the report entry
+    /// and the privacy auditor and the naive reference sampler read as is.
     #[inline]
     pub fn as_grr(&self) -> Option<&Grr> {
         match self {
@@ -89,8 +88,7 @@ impl AnyOracle {
 
     /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report,
     /// reusing its storage (the bit vector of a unary report) when it
-    /// already has the right shape: [`AnyOracle::perturb_into_noting`]
-    /// with no observer.
+    /// already has the right shape.
     ///
     /// # Errors
     /// [`LdpError::InvalidCategory`] if `v ≥ k`.
@@ -101,30 +99,10 @@ impl AnyOracle {
         rng: &mut R,
         out: &mut CategoricalReport,
     ) -> Result<()> {
-        self.perturb_into_noting(value, rng, out, |_| {})
-    }
-
-    /// [`AnyOracle::perturb_into`] with a per-raw-hit observer: `note(v)`
-    /// fires once for every set bit of a unary report (as it is placed) or
-    /// once with the reported category of a direct report. The observed
-    /// hits are exactly the hits [`FrequencyOracle::support`] would see,
-    /// which is what lets a count-based aggregator skip re-walking the
-    /// report.
-    ///
-    /// # Errors
-    /// As [`AnyOracle::perturb_into`].
-    #[inline]
-    pub fn perturb_into_noting<R: DrawSource + ?Sized, F: FnMut(u32)>(
-        &self,
-        value: u32,
-        rng: &mut R,
-        out: &mut CategoricalReport,
-        note: F,
-    ) -> Result<()> {
         match self {
-            AnyOracle::Oue(o) => o.perturb_into(value, rng, out, note),
-            AnyOracle::Grr(o) => o.perturb_into(value, rng, out, note),
-            AnyOracle::Sue(o) => o.perturb_into(value, rng, out, note),
+            AnyOracle::Oue(o) => o.perturb_into(value, rng, out),
+            AnyOracle::Grr(o) => o.perturb_into(value, rng, out),
+            AnyOracle::Sue(o) => o.perturb_into(value, rng, out),
         }
     }
 }
@@ -153,8 +131,8 @@ pub fn best_oracle(epsilon: Epsilon, k: u32) -> OracleKind {
 /// differ only in their `(p, q)` pair): the true bit is set with
 /// probability `p`, every other bit independently with probability `q`.
 ///
-/// [`UnaryEncoder::fill_sparse_noting`] draws reports in O(k·q) expected
-/// work instead of `k−1` Bernoulli draws:
+/// [`UnaryEncoder::fill_sparse`] draws reports in O(k·q) expected work
+/// instead of `k−1` Bernoulli draws:
 ///
 /// 1. the number of flipped non-true bits comes from Binomial(k−1, q) via
 ///    one uniform and a binary search over a CDF precomputed at
@@ -212,20 +190,18 @@ impl UnaryEncoder {
 
     /// Sparse-samples one unary report into a caller-owned
     /// [`crate::mechanism::CategoricalReport`], reusing its bit vector when
-    /// it already has length `k` and replacing it otherwise, with the
-    /// per-set-bit observer of [`UnaryEncoder::fill_sparse_noting`]. This is
-    /// the shared implementation behind OUE's and SUE's `perturb_into`.
+    /// it already has length `k` and replacing it otherwise. This is the
+    /// shared implementation behind OUE's and SUE's `perturb_into`.
     /// Generic over the rng so concrete generators (e.g.
     /// [`crate::rng::RngBlock`]) monomorphize the whole sampling loop and
     /// serve the placement draws as buffer slices.
     #[inline]
-    pub(crate) fn fill_report_noting<R: DrawSource + ?Sized, F: FnMut(u32)>(
+    pub(crate) fn fill_report<R: DrawSource + ?Sized>(
         &self,
         k: u32,
         value: u32,
         rng: &mut R,
         out: &mut crate::mechanism::CategoricalReport,
-        note: F,
     ) {
         use crate::mechanism::{BitVec, CategoricalReport};
         let bits = match out {
@@ -238,28 +214,21 @@ impl UnaryEncoder {
                 bits
             }
         };
-        self.fill_sparse_noting(bits, value, rng, note);
+        self.fill_sparse(bits, value, rng);
     }
 
-    /// O(k·q) sparse report sampling (see the type docs) with an observer:
-    /// `note` is called once for every bit that ends up set, as it is
-    /// placed. This is the hook the fused perturb-and-count engine uses —
-    /// the aggregator counts hits during placement instead of re-walking
-    /// the finished bit vector, so a report costs O(set bits) *total*, not
-    /// O(set bits) twice plus a word scan.
+    /// O(k·q) sparse report sampling into `bits` (see the type docs).
     #[inline]
-    pub(crate) fn fill_sparse_noting<R: DrawSource + ?Sized, F: FnMut(u32)>(
+    pub(crate) fn fill_sparse<R: DrawSource + ?Sized>(
         &self,
         bits: &mut crate::mechanism::BitVec,
         value: u32,
         rng: &mut R,
-        mut note: F,
     ) {
         use rand::Rng;
         bits.clear();
         if crate::rng::bernoulli(rng, self.p) {
             bits.set(value, true);
-            note(value);
         }
         let n = bits.len() - 1; // non-true positions
         if n == 0 || self.q <= 0.0 {
@@ -272,7 +241,6 @@ impl UnaryEncoder {
             // Underflow/extreme regime: geometric-gap walk.
             crate::rng::for_each_bernoulli_index(rng, n, self.q, |idx| {
                 bits.set(place(idx), true);
-                note(place(idx));
             });
             return;
         }
@@ -293,10 +261,8 @@ impl UnaryEncoder {
                 let t = place(crate::rng::index_from_raw(raw, j + 1));
                 if bits.get(t) {
                     bits.set(place(j), true);
-                    note(place(j));
                 } else {
                     bits.set(t, true);
-                    note(t);
                 }
                 j += 1;
             }
@@ -363,7 +329,7 @@ mod tests {
         let trials = 2_000;
         let mut total = 0.0f64;
         for _ in 0..trials {
-            enc.fill_sparse_noting(&mut bits, 7, &mut rng, |_| {});
+            enc.fill_sparse(&mut bits, 7, &mut rng);
             total += f64::from(bits.count_ones());
         }
         let mean = 0.5 + f64::from(n) * q;

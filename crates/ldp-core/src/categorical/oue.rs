@@ -58,25 +58,21 @@ impl Oue {
     /// Perturbs a category `v ∈ {0, …, k-1}` into a caller-owned report —
     /// OUE's one sampler. It reuses `out`'s bit vector when it has the
     /// right length and draws only the non-true bits that come up 1 —
-    /// O(k·q) expected work instead of k Bernoulli draws. `note` is called
-    /// once per set bit, as it is placed: the fused perturb-and-count hook
-    /// (the aggregator increments its raw hit counts here instead of
-    /// re-walking the finished bit vector). Generic over the rng, so hot
-    /// loops driven by a [`crate::rng::RngBlock`] pay no virtual call per
-    /// draw.
+    /// O(k·q) expected work instead of k Bernoulli draws. Generic over the
+    /// rng, so hot loops driven by a [`crate::rng::RngBlock`] pay no
+    /// virtual call per draw.
     ///
     /// # Errors
     /// [`crate::LdpError::InvalidCategory`] if `v ≥ k`.
     #[inline]
-    pub fn perturb_into<R: crate::rng::DrawSource + ?Sized, F: FnMut(u32)>(
+    pub fn perturb_into<R: crate::rng::DrawSource + ?Sized>(
         &self,
         value: u32,
         rng: &mut R,
         out: &mut CategoricalReport,
-        note: F,
     ) -> Result<()> {
         check_category(value, self.k)?;
-        self.enc.fill_report_noting(self.k, value, rng, out, note);
+        self.enc.fill_report(self.k, value, rng, out);
         Ok(())
     }
 }
@@ -115,7 +111,7 @@ mod tests {
     /// One freshly allocated report from the oracle's sampler.
     fn perturb(o: &Oue, value: u32, rng: &mut StdRng) -> Result<CategoricalReport> {
         let mut out = CategoricalReport::Value(0);
-        o.perturb_into(value, rng, &mut out, |_| {})?;
+        o.perturb_into(value, rng, &mut out)?;
         Ok(out)
     }
 

@@ -59,15 +59,14 @@ impl Sue {
     /// # Errors
     /// [`crate::LdpError::InvalidCategory`] if `v ≥ k`.
     #[inline]
-    pub fn perturb_into<R: crate::rng::DrawSource + ?Sized, F: FnMut(u32)>(
+    pub fn perturb_into<R: crate::rng::DrawSource + ?Sized>(
         &self,
         value: u32,
         rng: &mut R,
         out: &mut CategoricalReport,
-        note: F,
     ) -> Result<()> {
         check_category(value, self.k)?;
-        self.enc.fill_report_noting(self.k, value, rng, out, note);
+        self.enc.fill_report(self.k, value, rng, out);
         Ok(())
     }
 }
@@ -118,7 +117,7 @@ mod tests {
         let mut sum_other = 0.0;
         for _ in 0..n {
             let mut r = CategoricalReport::Value(0);
-            o.perturb_into(0, &mut rng, &mut r, |_| {}).unwrap();
+            o.perturb_into(0, &mut rng, &mut r).unwrap();
             sum_true += o.support(&r, 0);
             sum_other += o.support(&r, 3);
         }

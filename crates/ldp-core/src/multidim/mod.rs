@@ -18,7 +18,7 @@ mod sampling;
 pub mod wire;
 
 pub use duchi_md::{DuchiMultidim, DuchiScratch};
-pub use sampling::{optimal_k, CatObservation, SamplingPerturber, SparseReport, SparseScratch};
+pub use sampling::{optimal_k, SamplingPerturber, SparseReport, SparseScratch};
 
 use crate::error::{LdpError, Result};
 use crate::mechanism::CategoricalReport;
@@ -58,6 +58,7 @@ impl AttrValue {
     ///
     /// # Errors
     /// Out-of-domain values and type mismatches.
+    #[inline]
     pub fn validate(&self, spec: &AttrSpec, index: usize) -> Result<()> {
         match (self, spec) {
             (AttrValue::Numeric(x), AttrSpec::Numeric) => crate::mechanism::check_unit_interval(*x),
@@ -74,36 +75,6 @@ impl AttrValue {
             }),
         }
     }
-}
-
-/// One complete categorical sub-report as streamed by the word-level fused
-/// engine, [`SamplingPerturber::perturb_wordwise`].
-///
-/// Where [`CatObservation`] streams unary reports one *set bit* at a time
-/// (the PR 3 per-hit engine), this view hands the aggregator the finished
-/// report in its cheapest absorbable form: the backing words of a unary
-/// report (for word-histogram accumulation — O(words) carry-save adds
-/// instead of O(popcount) scattered increments), or the bare category
-/// ordinal of a direct report (no report object materialized at all).
-#[derive(Debug, Clone, Copy)]
-pub enum CatReportView<'a> {
-    /// A unary (OUE/SUE) report: the final bit vector's backing 64-bit
-    /// words, least-significant bit first, with no bit set at or beyond the
-    /// attribute's domain size.
-    Unary {
-        /// Attribute index in the schema.
-        attr: u32,
-        /// The report's backing words (`⌈k/64⌉` of them).
-        words: &'a [u64],
-    },
-    /// A direct (GRR) report: the reported category, with no
-    /// [`CategoricalReport`] materialized.
-    Direct {
-        /// Attribute index in the schema.
-        attr: u32,
-        /// The reported category ordinal.
-        category: u32,
-    },
 }
 
 /// The perturbed message for one sampled attribute.

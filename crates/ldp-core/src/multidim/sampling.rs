@@ -5,7 +5,7 @@ use crate::categorical::AnyOracle;
 use crate::error::{LdpError, Result};
 use crate::kinds::{NumericKind, OracleKind};
 use crate::mechanism::CategoricalReport;
-use crate::multidim::{AttrReport, AttrSpec, AttrValue, CatReportView};
+use crate::multidim::{AttrReport, AttrSpec, AttrValue};
 use crate::numeric::AnyNumeric;
 use crate::rng::sample_distinct_into;
 
@@ -42,26 +42,6 @@ impl SparseReport {
             entries: Vec::with_capacity(k),
         }
     }
-}
-
-/// One categorical observation streamed by
-/// [`SamplingPerturber::perturb_counting`], the fused perturb-and-count
-/// engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CatObservation {
-    /// A categorical attribute was sampled; its hits follow.
-    Report {
-        /// Attribute index in the schema.
-        attr: u32,
-    },
-    /// One raw hit for the attribute — a set bit of a unary report, or the
-    /// reported value of a direct report.
-    Hit {
-        /// Attribute index in the schema.
-        attr: u32,
-        /// The hit category.
-        category: u32,
-    },
 }
 
 /// Algorithm 4 with the §IV-C extension: perturbs tuples over an arbitrary
@@ -274,177 +254,21 @@ impl SamplingPerturber {
                     let oracle = self.oracles[j as usize]
                         .as_ref()
                         .expect("schema marks this attribute categorical");
-                    let mut cat = scratch.pool[j as usize]
-                        .take()
-                        .unwrap_or(CategoricalReport::Value(0));
-                    oracle.perturb_into(v, &mut *rng, &mut cat)?;
+                    let cat = if let Some(grr) = oracle.as_grr() {
+                        // A direct report is one ordinal: no payload
+                        // buffer to recycle.
+                        CategoricalReport::Value(grr.sample(v, &mut *rng)?)
+                    } else {
+                        let mut cat = scratch.pool[j as usize]
+                            .take()
+                            .unwrap_or(CategoricalReport::Value(0));
+                        oracle.perturb_into(v, &mut *rng, &mut cat)?;
+                        cat
+                    };
                     AttrReport::Categorical(cat)
                 }
             };
             report.entries.push((j, entry));
-        }
-        report.d = d;
-        Ok(())
-    }
-
-    /// Fused perturb-and-count form of [`SamplingPerturber::perturb_into`]:
-    /// the single-pass engine the streaming pipelines run.
-    ///
-    /// Numeric sub-reports land in `report` exactly as `perturb_into`
-    /// leaves them (so `MeanAccumulator::add_sparse` works unchanged), but
-    /// categorical sub-reports never materialize as report entries: each is
-    /// sampled into a scratch-owned payload and *observed* through
-    /// `on_cat` — one [`CatObservation::Report`] when a categorical
-    /// attribute is sampled, then one [`CatObservation::Hit`] per raw hit
-    /// (set bit of a unary report, reported value of a direct one), emitted
-    /// as the hit is placed. A count-based aggregator applies them
-    /// directly, so aggregation costs nothing beyond the placement loop —
-    /// no per-entry oracle lookup, no second walk over the bit vector, no
-    /// entry push/drain traffic.
-    ///
-    /// Draw-for-draw identical to [`SamplingPerturber::perturb_into`]: the
-    /// streamed hits are exactly the set bits of the report that call would
-    /// have produced, so the two engines yield bit-identical estimates
-    /// under the same seed (pinned by tests).
-    ///
-    /// # Errors
-    /// As [`SamplingPerturber::perturb_into`].
-    pub fn perturb_counting<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatObservation)>(
-        &self,
-        tuple: &[AttrValue],
-        rng: &mut R,
-        report: &mut SparseReport,
-        scratch: &mut SparseScratch,
-        mut on_cat: F,
-    ) -> Result<()> {
-        let d = self.specs.len();
-        if tuple.len() != d {
-            return Err(LdpError::DimensionMismatch {
-                expected: d,
-                actual: tuple.len(),
-            });
-        }
-        debug_assert_eq!(scratch.pool.len(), d, "scratch built for another schema");
-        for (i, (value, spec)) in tuple.iter().zip(&self.specs).enumerate() {
-            value.validate(spec, i)?;
-        }
-        // Categorical payloads stay in the pool across calls; only numeric
-        // entries cycle through the report, so the drain below is cheap (it
-        // still recycles payloads left over from a `perturb_into` call on
-        // the same pair).
-        for (j, rep) in report.entries.drain(..) {
-            if let AttrReport::Categorical(cat) = rep {
-                scratch.pool[j as usize] = Some(cat);
-            }
-        }
-        sample_distinct_into(&mut *rng, d, self.k, &mut scratch.sampled);
-        for &j in &scratch.sampled {
-            match tuple[j as usize] {
-                AttrValue::Numeric(x) => {
-                    let mech = self
-                        .numeric
-                        .as_ref()
-                        .expect("schema has numeric attributes");
-                    let noisy = self.scale * mech.perturb(x, &mut *rng)?;
-                    report.entries.push((j, AttrReport::Numeric(noisy)));
-                }
-                AttrValue::Categorical(v) => {
-                    let oracle = self.oracles[j as usize]
-                        .as_ref()
-                        .expect("schema marks this attribute categorical");
-                    let mut cat = scratch.pool[j as usize]
-                        .take()
-                        .unwrap_or(CategoricalReport::Value(0));
-                    on_cat(CatObservation::Report { attr: j });
-                    oracle.perturb_into_noting(v, &mut *rng, &mut cat, |category| {
-                        on_cat(CatObservation::Hit { attr: j, category })
-                    })?;
-                    scratch.pool[j as usize] = Some(cat);
-                }
-            }
-        }
-        report.d = d;
-        Ok(())
-    }
-
-    /// Word-level fused engine: like
-    /// [`SamplingPerturber::perturb_counting`], but instead of streaming
-    /// unary hits one set bit at a time, each sampled categorical attribute
-    /// is observed exactly once as a [`crate::multidim::CatReportView`] —
-    /// the finished bit vector's backing words for OUE/SUE (absorbed
-    /// word-at-a-time into a
-    /// bit-sliced histogram by the aggregator), or the bare category
-    /// ordinal for GRR (sampled by [`crate::categorical::Grr::sample`],
-    /// with no report object materialized at all).
-    ///
-    /// Numeric sub-reports land in `report` exactly as `perturb_into`
-    /// leaves them; categorical payloads stay in `scratch` and never cycle
-    /// through the report. Draw-for-draw identical to
-    /// [`SamplingPerturber::perturb_into`] (observation carries no
-    /// randomness), so all three engines produce bit-identical aggregates
-    /// under the same seed — pinned by tests here and in `ldp-analytics`'s
-    /// session suite.
-    ///
-    /// # Errors
-    /// As [`SamplingPerturber::perturb_into`].
-    #[inline]
-    pub fn perturb_wordwise<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatReportView)>(
-        &self,
-        tuple: &[AttrValue],
-        rng: &mut R,
-        report: &mut SparseReport,
-        scratch: &mut SparseScratch,
-        mut on_cat: F,
-    ) -> Result<()> {
-        let d = self.specs.len();
-        if tuple.len() != d {
-            return Err(LdpError::DimensionMismatch {
-                expected: d,
-                actual: tuple.len(),
-            });
-        }
-        debug_assert_eq!(scratch.pool.len(), d, "scratch built for another schema");
-        for (i, (value, spec)) in tuple.iter().zip(&self.specs).enumerate() {
-            value.validate(spec, i)?;
-        }
-        for (j, rep) in report.entries.drain(..) {
-            if let AttrReport::Categorical(cat) = rep {
-                scratch.pool[j as usize] = Some(cat);
-            }
-        }
-        sample_distinct_into(&mut *rng, d, self.k, &mut scratch.sampled);
-        for &j in &scratch.sampled {
-            match tuple[j as usize] {
-                AttrValue::Numeric(x) => {
-                    let mech = self
-                        .numeric
-                        .as_ref()
-                        .expect("schema has numeric attributes");
-                    let noisy = self.scale * mech.perturb(x, &mut *rng)?;
-                    report.entries.push((j, AttrReport::Numeric(noisy)));
-                }
-                AttrValue::Categorical(v) => {
-                    let oracle = self.oracles[j as usize]
-                        .as_ref()
-                        .expect("schema marks this attribute categorical");
-                    if let Some(grr) = oracle.as_grr() {
-                        // Direct-report fast path: ordinal straight to the
-                        // observer, nothing materialized.
-                        let category = grr.sample(v, &mut *rng)?;
-                        on_cat(CatReportView::Direct { attr: j, category });
-                    } else {
-                        // Out of line: see `absorb_unary`.
-                        absorb_unary(
-                            oracle,
-                            v,
-                            &mut *rng,
-                            &mut scratch.pool[j as usize],
-                            j,
-                            &mut on_cat,
-                        )?;
-                    }
-                }
-            }
         }
         report.d = d;
         Ok(())
@@ -459,33 +283,6 @@ impl SamplingPerturber {
     pub fn any_numeric(&self) -> Option<&AnyNumeric> {
         self.numeric.as_ref()
     }
-}
-
-/// The unary half of [`SamplingPerturber::perturb_wordwise`]: fill the
-/// pooled bit vector and hand its backing words to the observer.
-/// Deliberately `inline(never)` — the fill machinery is an order of
-/// magnitude bigger than the direct fast path, and keeping it out of line
-/// keeps the GRR loop's registers clean without measurably taxing the
-/// (already fill-dominated) unary protocols.
-#[inline(never)]
-fn absorb_unary<R: crate::rng::DrawSource + ?Sized, F: FnMut(CatReportView)>(
-    oracle: &AnyOracle,
-    value: u32,
-    rng: &mut R,
-    slot: &mut Option<CategoricalReport>,
-    attr: u32,
-    on_cat: &mut F,
-) -> Result<()> {
-    let cat = slot.get_or_insert(CategoricalReport::Value(0));
-    oracle.perturb_into(value, rng, cat)?;
-    let CategoricalReport::Bits(bits) = &*cat else {
-        unreachable!("unary oracles produce bit reports");
-    };
-    on_cat(CatReportView::Unary {
-        attr,
-        words: bits.words(),
-    });
-    Ok(())
 }
 
 /// Caller-owned scratch space for [`SamplingPerturber::perturb_into`]:
@@ -671,194 +468,6 @@ mod tests {
                 &mut p.scratch()
             )
             .is_err());
-    }
-
-    #[test]
-    fn perturb_counting_streams_exactly_the_report_hits() {
-        // The fused engine must be the same computation as perturb_into:
-        // identical draw stream, numeric entries identical, and the streamed
-        // (attr, category) hits exactly the set bits / reported values of
-        // the reports perturb_into would have produced.
-        use crate::mechanism::CategoricalReport;
-        let specs = vec![
-            AttrSpec::Numeric,
-            AttrSpec::Categorical { k: 24 },
-            AttrSpec::Categorical { k: 5 },
-            AttrSpec::Numeric,
-        ];
-        let tuple = vec![
-            AttrValue::Numeric(0.2),
-            AttrValue::Categorical(20),
-            AttrValue::Categorical(1),
-            AttrValue::Numeric(-0.7),
-        ];
-        for oracle in [OracleKind::Oue, OracleKind::Sue, OracleKind::Grr] {
-            let p = SamplingPerturber::with_k(
-                Epsilon::new(2.5).unwrap(),
-                specs.clone(),
-                NumericKind::Hybrid,
-                oracle,
-                3,
-            )
-            .unwrap();
-            let mut rng_a = seeded_rng(909);
-            let mut rng_b = seeded_rng(909);
-            let mut report_a = SparseReport::with_capacity(p.d(), p.k());
-            let mut report_b = SparseReport::with_capacity(p.d(), p.k());
-            let mut scratch_a = p.scratch();
-            let mut scratch_b = p.scratch();
-            for round in 0..300 {
-                p.perturb_into(&tuple, &mut rng_a, &mut report_a, &mut scratch_a)
-                    .unwrap();
-                let mut observed: Vec<CatObservation> = Vec::new();
-                p.perturb_counting(&tuple, &mut rng_b, &mut report_b, &mut scratch_b, |obs| {
-                    observed.push(obs)
-                })
-                .unwrap();
-                // Reference events from the unfused report, in entry order.
-                let mut expected: Vec<CatObservation> = Vec::new();
-                let mut numeric_a: Vec<(u32, f64)> = Vec::new();
-                for (j, rep) in &report_a.entries {
-                    match rep {
-                        AttrReport::Numeric(x) => numeric_a.push((*j, *x)),
-                        AttrReport::Categorical(cat) => {
-                            expected.push(CatObservation::Report { attr: *j });
-                            match cat {
-                                CategoricalReport::Bits(bits) => {
-                                    for v in bits.iter_ones() {
-                                        expected.push(CatObservation::Hit {
-                                            attr: *j,
-                                            category: v,
-                                        });
-                                    }
-                                }
-                                CategoricalReport::Value(x) => {
-                                    expected.push(CatObservation::Hit {
-                                        attr: *j,
-                                        category: *x,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                // Hits are streamed in placement order, not index order;
-                // compare per-report sets via sorting within each report.
-                let normalize = |events: &[CatObservation]| {
-                    let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
-                    for e in events {
-                        match e {
-                            CatObservation::Report { attr } => out.push((*attr, Vec::new())),
-                            CatObservation::Hit { attr, category } => {
-                                let last = out.last_mut().expect("hit before report");
-                                assert_eq!(last.0, *attr, "hit for a different attribute");
-                                last.1.push(*category);
-                            }
-                        }
-                    }
-                    for (_, hits) in &mut out {
-                        hits.sort_unstable();
-                    }
-                    out
-                };
-                assert_eq!(
-                    normalize(&observed),
-                    normalize(&expected),
-                    "{oracle:?} round {round}"
-                );
-                // Numeric entries agree, and the fused report carries ONLY
-                // numeric entries.
-                let numeric_b: Vec<(u32, f64)> = report_b
-                    .entries
-                    .iter()
-                    .map(|(j, rep)| match rep {
-                        AttrReport::Numeric(x) => (*j, *x),
-                        AttrReport::Categorical(_) => {
-                            panic!("fused report must not carry categorical entries")
-                        }
-                    })
-                    .collect();
-                assert_eq!(numeric_a, numeric_b, "{oracle:?} round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn perturb_wordwise_views_exactly_the_report_payloads() {
-        // The word-level engine must be the same computation as
-        // perturb_into: identical draw stream, numeric entries identical,
-        // and each observed view exactly the report payload perturb_into
-        // would have produced — backing words for unary oracles, the
-        // reported ordinal for GRR.
-        use crate::mechanism::CategoricalReport;
-        let specs = vec![
-            AttrSpec::Numeric,
-            AttrSpec::Categorical { k: 70 },
-            AttrSpec::Categorical { k: 5 },
-            AttrSpec::Numeric,
-        ];
-        let tuple = vec![
-            AttrValue::Numeric(0.2),
-            AttrValue::Categorical(64),
-            AttrValue::Categorical(1),
-            AttrValue::Numeric(-0.7),
-        ];
-        for oracle in [OracleKind::Oue, OracleKind::Sue, OracleKind::Grr] {
-            let p = SamplingPerturber::with_k(
-                Epsilon::new(2.5).unwrap(),
-                specs.clone(),
-                NumericKind::Hybrid,
-                oracle,
-                3,
-            )
-            .unwrap();
-            let mut rng_a = seeded_rng(910);
-            let mut rng_b = seeded_rng(910);
-            let mut report_a = SparseReport::with_capacity(p.d(), p.k());
-            let mut report_b = SparseReport::with_capacity(p.d(), p.k());
-            let mut scratch_a = p.scratch();
-            let mut scratch_b = p.scratch();
-            for round in 0..300 {
-                p.perturb_into(&tuple, &mut rng_a, &mut report_a, &mut scratch_a)
-                    .unwrap();
-                // (attr, payload words | ordinal) observed by the engine.
-                let mut observed: Vec<(u32, Vec<u64>)> = Vec::new();
-                p.perturb_wordwise(&tuple, &mut rng_b, &mut report_b, &mut scratch_b, |view| {
-                    observed.push(match view {
-                        CatReportView::Unary { attr, words } => (attr, words.to_vec()),
-                        CatReportView::Direct { attr, category } => {
-                            (attr, vec![u64::from(category)])
-                        }
-                    })
-                })
-                .unwrap();
-                let mut expected: Vec<(u32, Vec<u64>)> = Vec::new();
-                let mut numeric_a: Vec<(u32, f64)> = Vec::new();
-                for (j, rep) in &report_a.entries {
-                    match rep {
-                        AttrReport::Numeric(x) => numeric_a.push((*j, *x)),
-                        AttrReport::Categorical(CategoricalReport::Bits(bits)) => {
-                            expected.push((*j, bits.words().to_vec()));
-                        }
-                        AttrReport::Categorical(CategoricalReport::Value(x)) => {
-                            expected.push((*j, vec![u64::from(*x)]));
-                        }
-                    }
-                }
-                assert_eq!(observed, expected, "{oracle:?} round {round}");
-                let numeric_b: Vec<(u32, f64)> = report_b
-                    .entries
-                    .iter()
-                    .map(|(j, rep)| match rep {
-                        AttrReport::Numeric(x) => (*j, *x),
-                        AttrReport::Categorical(_) => {
-                            panic!("word-level report must not carry categorical entries")
-                        }
-                    })
-                    .collect();
-                assert_eq!(numeric_a, numeric_b, "{oracle:?} round {round}");
-            }
-        }
     }
 
     #[test]
