@@ -146,6 +146,7 @@ impl Shape {
 }
 
 /// How a [`ClientEncoder`] produces reports for its protocol family.
+#[derive(Clone)]
 enum Engine {
     /// Algorithm 4: sample `k` attributes, spend ε/k on each.
     Sampling(SamplingPerturber),
@@ -157,6 +158,7 @@ enum Engine {
     },
 }
 
+#[derive(Clone)]
 enum CompositionNumeric {
     None,
     /// Each numeric attribute independently at ε/d.
@@ -212,6 +214,7 @@ enum ScratchInner {
 /// assert_eq!(sparse.entries.len(), encoder.sampled_k());
 /// # Ok::<(), ldp_core::LdpError>(())
 /// ```
+#[derive(Clone)]
 pub struct ClientEncoder {
     protocol: Protocol,
     epsilon: Epsilon,
@@ -1110,6 +1113,25 @@ mod tests {
             AttrValue::Numeric(0.25),
             AttrValue::Categorical((i % 3) as u32),
         ]
+    }
+
+    #[test]
+    fn encoder_is_clone_send_sync_and_clones_encode_alike() {
+        fn assert_impl<T: Clone + Send + Sync>() {}
+        assert_impl::<ClientEncoder>();
+        let protocol = Protocol::Sampling {
+            numeric: NumericKind::Hybrid,
+            oracle: OracleKind::Oue,
+        };
+        let encoder = ClientEncoder::new(protocol, eps(2.0), mixed_specs()).unwrap();
+        let clone = encoder.clone();
+        for i in 0..32 {
+            let tuple = mixed_tuple(i);
+            assert_eq!(
+                encoder.encode(&tuple, &mut seeded_rng(i as u64)).unwrap(),
+                clone.encode(&tuple, &mut seeded_rng(i as u64)).unwrap()
+            );
+        }
     }
 
     /// The mixed schema with its first categorical attribute widened to

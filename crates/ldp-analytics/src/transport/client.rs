@@ -15,7 +15,7 @@
 //! else — `Hello` is idempotent server-side, so the replay either
 //! re-asserts the session or fails loudly against a different one.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::thread;
 use std::time::Duration;
 
@@ -119,7 +119,9 @@ pub struct ReportClient<C: Connect> {
     hello: WireMessage,
     config: ClientConfig,
     backoff: Backoff,
-    conn: Option<C::Stream>,
+    /// Responses are read through a buffer that lives as long as the
+    /// connection; requests are written to the stream itself.
+    conn: Option<BufReader<C::Stream>>,
     scratch: Vec<u8>,
     stats: ClientStats,
     sleeper: Box<dyn FnMut(Duration) + Send>,
@@ -313,8 +315,7 @@ impl<C: Connect> ReportClient<C> {
     /// treats EOF identically.
     pub fn close(&mut self) {
         if let Some(mut conn) = self.conn.take() {
-            let _ = WireMessage::Shutdown.write_to(&mut conn);
-            let _ = conn.flush();
+            let _ = send(conn.get_mut(), &WireMessage::Shutdown);
         }
     }
 
@@ -338,7 +339,7 @@ impl<C: Connect> ReportClient<C> {
         if self.conn.is_some() {
             return Ok(());
         }
-        let mut stream = self.connector.connect()?;
+        let mut stream = BufReader::new(self.connector.connect()?);
         self.stats.connects += 1;
         let hello = self.hello.clone();
         match exchange(
@@ -386,16 +387,16 @@ impl<C: Connect> ReportClient<C> {
 
 /// Writes `msg` and reads its response, absorbing up to `max_resends`
 /// [`ResponseMessage::Resend`] bounces (outbound frame corrupted in
-/// flight but the server kept sync).
+/// flight but the server kept sync). A response that arrives whole is
+/// one `read`.
 fn exchange<S: Read + Write>(
-    stream: &mut S,
+    stream: &mut BufReader<S>,
     msg: &WireMessage,
     scratch: &mut Vec<u8>,
     stats: &mut ClientStats,
     max_resends: u32,
 ) -> Result<ResponseMessage> {
-    msg.write_to(stream)?;
-    stream.flush().map_err(|e| frame_io("flush", &e))?;
+    send(stream.get_mut(), msg)?;
     let mut resends = 0;
     loop {
         match ResponseMessage::read_from(stream, scratch)? {
@@ -410,8 +411,7 @@ fn exchange<S: Read + Write>(
                         ),
                     });
                 }
-                msg.write_to(stream)?;
-                stream.flush().map_err(|e| frame_io("flush", &e))?;
+                send(stream.get_mut(), msg)?;
             }
             Some(response) => return Ok(response),
             // EOF where a response was owed: the exchange is in an
@@ -429,8 +429,12 @@ fn exchange<S: Read + Write>(
     }
 }
 
-fn frame_io(op: &'static str, e: &std::io::Error) -> LdpError {
-    ldp_core::frame::io_error(op, e)
+/// Writes `msg` as one frame and flushes it.
+fn send<W: Write>(stream: &mut W, msg: &WireMessage) -> Result<()> {
+    msg.write_to(stream)?;
+    stream
+        .flush()
+        .map_err(|e| ldp_core::frame::io_error("flush", &e))
 }
 
 /// Faults worth a reconnect-and-retry; everything else is permanent.

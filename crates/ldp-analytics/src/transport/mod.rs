@@ -151,7 +151,7 @@ pub use server::{ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportS
 
 #[cfg(test)]
 mod tests {
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -482,5 +482,73 @@ mod tests {
         assert!(summary.fault.is_none());
         assert_eq!(server.stats().corrupt_frames(), 1);
         server.finish();
+    }
+
+    /// A stream that counts the `read` calls made on it.
+    struct CountReads {
+        inner: super::chaos::PipeStream,
+        reads: Arc<AtomicU64>,
+    }
+
+    impl Read for CountReads {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for CountReads {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    struct OneConnection(Option<CountReads>);
+
+    impl Connect for OneConnection {
+        type Stream = CountReads;
+        fn connect(&mut self) -> ldp_core::Result<CountReads> {
+            Ok(self.0.take().expect("the test connects once"))
+        }
+    }
+
+    #[test]
+    fn a_frame_written_whole_costs_its_reader_one_read() {
+        // A pipe read returns at most one write, as a socket's `recv`
+        // returns at most what has arrived: the header and the payload of
+        // a frame must come out of one read, on both ends.
+        let server = ReportServer::start(ServerConfig::default());
+        let (client_half, server_half) = duplex();
+        let server_reads = Arc::new(AtomicU64::new(0));
+        let client_reads = Arc::new(AtomicU64::new(0));
+        let mut server_stream = CountReads {
+            inner: server_half,
+            reads: Arc::clone(&server_reads),
+        };
+        let handle = server.handle();
+        let conn_thread = std::thread::spawn(move || handle.serve_stream(&mut server_stream));
+        let connector = OneConnection(Some(CountReads {
+            inner: client_half,
+            reads: Arc::clone(&client_reads),
+        }));
+        let mut client = ReportClient::new(connector, hello(), no_sleep_config()).unwrap();
+        for user in 0..20u64 {
+            let outcome = client.submit(user, 0, 0, report_bytes(user)).unwrap();
+            assert_eq!(outcome, SubmitOutcome::Admitted);
+        }
+        assert_eq!(client.flush_epoch(0).unwrap().admitted, 20);
+        client.close();
+        let summary = conn_thread.join().unwrap();
+        server.finish();
+
+        // In: Hello, 20 submits, the flush and Shutdown. Out: HelloAck,
+        // 20 acks and the snapshot ack.
+        assert!(summary.shutdown && summary.fault.is_none());
+        assert_eq!(summary.frames, 23);
+        assert_eq!(server_reads.load(Ordering::Relaxed), 23);
+        assert_eq!(client_reads.load(Ordering::Relaxed), 22);
     }
 }

@@ -2,7 +2,8 @@
 //! [`ReportClient`](crate::transport::ReportClient).
 //!
 //! Everything here is a thin shell: the accept loop spawns one
-//! [`ConnHandle::serve_stream`] thread per connection, and connectors
+//! [`ConnHandle::serve_stream`] thread per connection (joining, at each
+//! accept, every one whose connection has ended), and connectors
 //! implement [`Connect`] with timeouts classified through
 //! [`ldp_core::frame::io_error`], so all retry/backoff/idempotency logic
 //! lives in the socket-agnostic layers this module wraps.
@@ -18,9 +19,7 @@ use ldp_core::Result;
 
 use crate::service::ReportService;
 use crate::transport::client::Connect;
-use crate::transport::server::{
-    ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportStats,
-};
+use crate::transport::server::{ConnHandle, ReportServer, ServerConfig, TransportStats};
 
 /// Socket-level knobs for [`TcpReportServer`].
 #[derive(Debug, Clone)]
@@ -46,7 +45,7 @@ impl Default for NetConfig {
 pub struct TcpReportServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: JoinHandle<Vec<ConnSummary>>,
+    accept_thread: JoinHandle<()>,
     server: ReportServer,
 }
 
@@ -81,38 +80,42 @@ impl TcpReportServer {
     }
 
     /// Stops accepting, joins every connection thread, and returns the
-    /// service with every answered message applied, plus all
-    /// per-connection summaries.
+    /// service with every answered message applied, plus the transport
+    /// counters every connection fed (connections served, faulted and
+    /// refused).
     ///
     /// In-flight connections are served to completion (EOF, `Shutdown`,
     /// or the [`NetConfig::io_timeout`] drain bound), never cut off.
-    pub fn finish(self) -> (ReportService, Vec<ConnSummary>) {
+    pub fn finish(self) -> (ReportService, Arc<TransportStats>) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept() call with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
-        let summaries = self
-            .accept_thread
+        self.accept_thread
             .join()
             .expect("tcp accept thread panicked");
-        (self.server.finish(), summaries)
+        let stats = self.server.stats();
+        (self.server.finish(), stats)
     }
 }
 
-/// Accept loop: one `serve_stream` thread per connection, all joined
-/// before the loop returns its summaries.
+/// Accept loop: one `serve_stream` thread per connection. Threads whose
+/// connection has ended are joined as the loop goes, so it holds one
+/// thread per live connection, not one per connection ever accepted; the
+/// rest are joined before the loop returns.
 fn spawn_accept_loop(
     listener: TcpListener,
     handle: ConnHandle,
     stop: Arc<AtomicBool>,
     net: NetConfig,
-) -> JoinHandle<Vec<ConnSummary>> {
+) -> JoinHandle<()> {
     thread::spawn(move || {
-        let mut workers: Vec<JoinHandle<ConnSummary>> = Vec::new();
+        let mut workers: Vec<JoinHandle<()>> = Vec::new();
         loop {
             let accepted = listener.accept();
             if stop.load(Ordering::SeqCst) {
                 break;
             }
+            reap(&mut workers);
             let Ok((mut stream, _)) = accepted else {
                 // Transient accept errors (per-connection resets) do not
                 // stop the server.
@@ -122,16 +125,38 @@ fn spawn_accept_loop(
             let _ = stream.set_read_timeout(net.io_timeout);
             let _ = stream.set_write_timeout(net.io_timeout);
             let conn = handle.clone();
-            workers.push(thread::spawn(move || conn.serve_stream(&mut stream)));
+            let spawned = thread::Builder::new().spawn(move || {
+                conn.serve_stream(&mut stream);
+            });
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                // The closure, and with it the stream, is dropped: the
+                // connection is closed unserved, and the server runs on.
+                Err(_) => handle.note_refused(),
+            }
         }
         // Drop our handle before joining so only live connections hold
         // the server's backend.
         drop(handle);
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("connection thread panicked"))
-            .collect()
+        for worker in workers {
+            worker.join().expect("connection thread panicked");
+        }
     })
+}
+
+/// Joins every connection thread that has already returned.
+fn reap(workers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < workers.len() {
+        if workers[i].is_finished() {
+            workers
+                .swap_remove(i)
+                .join()
+                .expect("connection thread panicked");
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// A [`Connect`] implementation dialing one TCP address.

@@ -31,7 +31,7 @@
 //! Join connection threads (or drop their handles) first, or `finish`
 //! blocks until they end.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -79,6 +79,7 @@ pub struct TransportStats {
     submits: AtomicU64,
     storage_sheds: AtomicU64,
     injected_crashes: AtomicU64,
+    refused_connections: AtomicU64,
 }
 
 impl TransportStats {
@@ -127,6 +128,12 @@ impl TransportStats {
     /// [`crate::transport::FaultCounts::crashes`]).
     pub fn injected_crashes(&self) -> u64 {
         self.injected_crashes.load(Ordering::Relaxed)
+    }
+
+    /// Connections closed unserved because no thread could be spawned to
+    /// serve them (see [`crate::transport::TcpReportServer`]).
+    pub fn refused_connections(&self) -> u64 {
+        self.refused_connections.load(Ordering::Relaxed)
     }
 }
 
@@ -180,14 +187,19 @@ impl ConnHandle {
     /// Every exit path is accounted: clean EOF, client `Shutdown`, or a
     /// transport fault (recorded in the summary, counted in the stats).
     /// Never panics on hostile input.
+    ///
+    /// Frames are read through an 8 KiB [`BufReader`], so a frame that
+    /// arrives whole costs one `read` rather than one for its header and
+    /// one for its payload; each response is still one `write`.
     pub fn serve_stream<S: Read + Write + ?Sized>(&self, stream: &mut S) -> ConnSummary {
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         let mut summary = ConnSummary::default();
         let mut payload = Vec::new();
         let mut offset = 0u64;
+        let mut stream = BufReader::new(stream);
         loop {
             let frame_start = offset;
-            let read = match frame::read_frame(stream, &mut payload) {
+            let read = match frame::read_frame(&mut stream, &mut payload) {
                 Ok(read) => read,
                 Err(error) => {
                     summary.fault = Some(StreamFault {
@@ -206,7 +218,7 @@ impl ConnHandle {
                     self.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                     // Reader is still synchronized: ask for the frame
                     // again instead of dropping the connection.
-                    if let Err(error) = ResponseMessage::Resend.write_to(stream) {
+                    if let Err(error) = ResponseMessage::Resend.write_to(stream.get_mut()) {
                         summary.fault = Some(StreamFault {
                             offset: frame_start,
                             error,
@@ -236,7 +248,7 @@ impl ConnHandle {
                 }
             };
             let response = self.apply(msg.as_ref());
-            if let Err(error) = response.write_to(stream) {
+            if let Err(error) = response.write_to(stream.get_mut()) {
                 // The verdict may already be applied server-side; the
                 // client will resend on reconnect and the ledger will
                 // answer `Duplicate` — at-most-once either way.
@@ -300,6 +312,14 @@ impl ConnHandle {
     /// The in-flight bound this handle sheds against.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
+    }
+
+    /// Counts a connection closed unserved because no thread could be
+    /// spawned to serve it.
+    pub(crate) fn note_refused(&self) {
+        self.stats
+            .refused_connections
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -11,7 +11,8 @@
 //!   chosen so the one-hot encodings of §VI-B reach the paper's
 //!   dimensionalities (BR → 90, MX → 94);
 //! * skewed numeric marginals (log-normal income, truncated-normal age) and
-//!   Zipf-like categorical marginals;
+//!   Zipf-like categorical marginals (each attribute's weight table is
+//!   built once per [`generate_br`] / [`generate_mx`] call, not per draw);
 //! * a latent socio-economic factor that makes `total_income` a learnable
 //!   function of the remaining attributes, so the §VI-B regression and
 //!   classification tasks behave like the paper's (non-private baseline well
@@ -28,7 +29,7 @@ use crate::schema::{Attribute, Schema};
 use ldp_core::rng::seeded_rng;
 use ldp_core::Result;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Maximum income in the BR domain (raw scale).
 const BR_INCOME_CAP: f64 = 50_000.0;
@@ -140,19 +141,35 @@ fn trunc_normal(rng: &mut StdRng, mean: f64, std: f64, lo: f64, hi: f64) -> f64 
     mean.clamp(lo, hi)
 }
 
-/// Zipf-like draw over `{0, …, k-1}` with weight `1/(rank+1)^s`, optionally
-/// rotated by a latent shift so the modal category depends on the person.
-fn zipf(rng: &mut dyn RngCore, k: u32, s: f64, shift: u32) -> u32 {
-    let weights: Vec<f64> = (0..k).map(|r| 1.0 / ((r + 1) as f64).powf(s)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut u = rng.random::<f64>() * total;
-    for (r, w) in weights.iter().enumerate() {
-        u -= w;
-        if u <= 0.0 {
-            return (r as u32 + shift) % k;
-        }
+/// Zipf-like distribution over `{0, …, k-1}` with weight `1/(rank+1)^s`.
+///
+/// The weight table and its total are built once per generator call;
+/// each [`Zipf::draw`] is then one uniform and a scan of the table.
+struct Zipf {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Zipf {
+    fn new(k: u32, s: f64) -> Zipf {
+        let weights: Vec<f64> = (0..k).map(|r| 1.0 / ((r + 1) as f64).powf(s)).collect();
+        let total = weights.iter().sum();
+        Zipf { weights, total }
     }
-    (k - 1 + shift) % k
+
+    /// One draw, rotated by a latent shift so the modal category depends
+    /// on the person.
+    fn draw(&self, rng: &mut StdRng, shift: u32) -> u32 {
+        let k = self.weights.len() as u32;
+        let mut u = rng.random::<f64>() * self.total;
+        for (r, w) in self.weights.iter().enumerate() {
+            u -= w;
+            if u <= 0.0 {
+                return (r as u32 + shift) % k;
+            }
+        }
+        (k - 1 + shift) % k
+    }
 }
 
 /// Buckets a `[0, 1]` factor into `{0, …, k-1}` with additive noise, so the
@@ -186,11 +203,15 @@ pub fn generate_br(n: usize, seed: u64) -> Result<Dataset> {
     let mut language = Vec::with_capacity(n);
     let mut occupation = Vec::with_capacity(n);
     let mut region = Vec::with_capacity(n);
+    let sector_zipf = Zipf::new(12, 1.1);
+    let language_zipf = Zipf::new(13, 2.2);
+    let religion_zipf = Zipf::new(6, 1.6);
+    let region_zipf = Zipf::new(27, 0.8);
 
     for _ in 0..n {
         let p = Latent::sample(&mut rng);
         let employed = rng.random::<f64>() < 0.92 - 0.1 * (1.0 - p.edu);
-        let sector = zipf(&mut rng, 12, 1.1, (p.edu * 5.0) as u32);
+        let sector = sector_zipf.draw(&mut rng, (p.edu * 5.0) as u32);
 
         age.push(p.age);
         gender.push(u32::from(p.female));
@@ -199,9 +220,9 @@ pub fn generate_br(n: usize, seed: u64) -> Result<Dataset> {
         school.push((p.edu * 20.0 + 2.0 * (rng.random::<f64>() - 0.5)).clamp(0.0, 20.0));
         occupation.push(noisy_bucket(&mut rng, 1.0 - p.edu, 15, 0.45));
         industry.push(sector);
-        language.push(zipf(&mut rng, 13, 2.2, 0));
-        religion.push(zipf(&mut rng, 6, 1.6, 0));
-        region.push(zipf(&mut rng, 27, 0.8, 0));
+        language.push(language_zipf.draw(&mut rng, 0));
+        religion.push(religion_zipf.draw(&mut rng, 0));
+        region.push(region_zipf.draw(&mut rng, 0));
         marital.push(marital_status(&mut rng, p.age, 5));
         ownership.push(if p.urban && rng.random::<f64>() < 0.4 + 0.3 * p.edu {
             0 // owned
@@ -284,11 +305,18 @@ pub fn generate_mx(n: usize, seed: u64) -> Result<Dataset> {
     let mut state_group = Vec::with_capacity(n);
     let mut occupation = Vec::with_capacity(n);
     let mut region = Vec::with_capacity(n);
+    let sector_zipf = Zipf::new(12, 1.0);
+    let language_zipf = Zipf::new(10, 2.0);
+    let religion_zipf = Zipf::new(6, 1.8);
+    let state_group_zipf = Zipf::new(13, 0.7);
+    let region_zipf = Zipf::new(18, 0.9);
+    let dwelling_zipf = Zipf::new(5, 1.2);
+    let ownership_zipf = Zipf::new(3, 1.0);
 
     for _ in 0..n {
         let p = Latent::sample(&mut rng);
         let employed = rng.random::<f64>() < 0.9 - 0.12 * (1.0 - p.edu);
-        let sector = zipf(&mut rng, 12, 1.0, (p.edu * 4.0) as u32);
+        let sector = sector_zipf.draw(&mut rng, (p.edu * 4.0) as u32);
 
         age.push(p.age);
         gender.push(u32::from(p.female));
@@ -298,13 +326,13 @@ pub fn generate_mx(n: usize, seed: u64) -> Result<Dataset> {
         school.push((p.edu * 20.0 + 2.0 * (rng.random::<f64>() - 0.5)).clamp(0.0, 20.0));
         occupation.push(noisy_bucket(&mut rng, 1.0 - p.edu, 16, 0.45));
         industry.push(sector);
-        language.push(zipf(&mut rng, 10, 2.0, 0));
-        religion.push(zipf(&mut rng, 6, 1.8, 0));
-        state_group.push(zipf(&mut rng, 13, 0.7, 0));
-        region.push(zipf(&mut rng, 18, 0.9, 0));
+        language.push(language_zipf.draw(&mut rng, 0));
+        religion.push(religion_zipf.draw(&mut rng, 0));
+        state_group.push(state_group_zipf.draw(&mut rng, 0));
+        region.push(region_zipf.draw(&mut rng, 0));
         marital.push(marital_status(&mut rng, p.age, 4));
-        dwelling.push(zipf(&mut rng, 5, 1.2, u32::from(p.urban)));
-        ownership.push(zipf(&mut rng, 3, 1.0, u32::from(!p.urban)));
+        dwelling.push(dwelling_zipf.draw(&mut rng, u32::from(p.urban)));
+        ownership.push(ownership_zipf.draw(&mut rng, u32::from(!p.urban)));
         employment.push(if !employed {
             2
         } else {
@@ -385,6 +413,55 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+
+    /// The per-draw Zipf sampler the tables replaced: rebuilds the weights
+    /// on every call. Kept as the reference [`Zipf::draw`] must match.
+    fn zipf(rng: &mut dyn RngCore, k: u32, s: f64, shift: u32) -> u32 {
+        let weights: Vec<f64> = (0..k).map(|r| 1.0 / ((r + 1) as f64).powf(s)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut u = rng.random::<f64>() * total;
+        for (r, w) in weights.iter().enumerate() {
+            u -= w;
+            if u <= 0.0 {
+                return (r as u32 + shift) % k;
+            }
+        }
+        (k - 1 + shift) % k
+    }
+
+    #[test]
+    fn zipf_table_draws_match_the_per_draw_reference() {
+        // Every (k, s) pair `generate_br` and `generate_mx` use.
+        let pairs = [
+            (12, 1.1),
+            (13, 2.2),
+            (6, 1.6),
+            (27, 0.8),
+            (12, 1.0),
+            (10, 2.0),
+            (6, 1.8),
+            (13, 0.7),
+            (18, 0.9),
+            (5, 1.2),
+            (3, 1.0),
+        ];
+        for (k, s) in pairs {
+            let table = Zipf::new(k, s);
+            for shift in 0..k {
+                let seed = u64::from(k) << 32 | u64::from(shift);
+                let (mut a, mut b) = (seeded_rng(seed), seeded_rng(seed));
+                for i in 0..10_000 {
+                    assert_eq!(
+                        table.draw(&mut a, shift),
+                        zipf(&mut b, k, s, shift),
+                        "k {k} s {s} shift {shift} draw {i}"
+                    );
+                }
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "rng state, k {k} s {s}");
+            }
+        }
+    }
 
     #[test]
     fn schemas_match_paper_shape() {

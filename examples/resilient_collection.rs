@@ -182,11 +182,11 @@ fn main() -> Result<(), LdpError> {
         landed_twice += resent;
     }
 
-    let (service, summaries) = server.finish();
-    let faulted = summaries.iter().filter(|s| s.fault.is_some()).count();
+    let (service, stats) = server.finish();
     println!(
-        "server: {} connections ({faulted} ended in a counted fault), all isolated\n",
-        summaries.len()
+        "server: {} connections ({} ended in a counted fault), all isolated\n",
+        stats.connections(),
+        stats.faulted_connections()
     );
     assert!(connects > CLIENTS, "the storm must force reconnects");
     assert!(faults > 0, "the storm must inject faults");
