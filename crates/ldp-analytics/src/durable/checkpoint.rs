@@ -1,7 +1,7 @@
 //! Epoch checkpoints: the full service state — ordinal-keyed aggregator
-//! partials, the budget ledger (keyed hashes, never raw ids), and the
-//! malformed-rejection counter — as a sequence of checksummed frames
-//! behind one atomic tmp+rename.
+//! partials, the budget ledger (keyed hashes, which the ledger key
+//! inverts back to the ids), and the malformed-rejection counter — as a
+//! sequence of checksummed frames behind one atomic tmp+rename.
 //!
 //! A checkpoint file can never be torn (the rename is atomic and the
 //! [`ldp_core::fsio`] sequence makes it durable), so *any* integrity

@@ -33,7 +33,10 @@
 //!   checkpoint has made the old records redundant.
 //! - `recovery`: checkpoint install + ordered replay, deduplicating
 //!   through the ledger so a crash between checkpoint-commit and rotation
-//!   cannot double-spend anyone's budget.
+//!   cannot double-spend anyone's budget. The install keeps each epoch's
+//!   checkpointed ledger hashes as the sorted run they were stored as,
+//!   searched rather than rehashed, and replay sizes each epoch's live
+//!   ledger set once, at its first admit, for the records it has left.
 //! - [`CrashSchedule`]: a seeded kill switch consulted between every
 //!   append / fsync / checkpoint-stage / checkpoint-commit / rotate step,
 //!   so the integration suite can drop the process at a reproducible
@@ -788,6 +791,44 @@ mod tests {
         let admitted = recovered.snapshot_epoch(0).unwrap().admitted;
         assert_eq!(admitted, report.recovered_admits());
         assert_eq!(admitted, 7);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_that_fails_to_apply_opens_no_ledger_epoch() {
+        let dir = temp_dir("garbage_record");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut durable, _) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        durable.handle(&hello()).unwrap();
+        for msg in submits(5) {
+            durable.handle(&msg).unwrap();
+        }
+        durable.checkpoint().unwrap();
+        let clean = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        drop(durable);
+        // The log's only record for epoch 3: checksum-valid, but its
+        // report does not decode.
+        let garbage = WireMessage::Submit {
+            user: 9,
+            epoch: 3,
+            block: 0,
+            report: vec![0xFF; 3],
+        };
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        ldp_core::frame::write_frame(&mut log, KIND_WAL_SUBMIT, &garbage.payload()).unwrap();
+        drop(log);
+
+        let (mut recovered, report) = DurableService::open(&dir, DurableConfig::default()).unwrap();
+        assert_eq!(report.wal_records, 1);
+        assert_eq!(report.wal_rejected, 1);
+        assert_eq!(report.wal_replayed + report.wal_skipped, 0);
+        let ledger = recovered.service().ledger();
+        assert_eq!(ledger.epochs().collect::<Vec<_>>(), [0]);
+        recovered.checkpoint().unwrap();
+        assert_eq!(std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap(), clean);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

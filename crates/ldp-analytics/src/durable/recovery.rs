@@ -1,12 +1,19 @@
 //! Crash recovery: checkpoint install + ordered log replay, with the torn
 //! tail truncated and every already-checkpointed record deduplicated
 //! through the budget ledger.
+//!
+//! Recovery redoes no ledger work: the checkpoint's hash runs are kept
+//! sorted and searched (see [`crate::BudgetLedger::decode_state`]), and
+//! at an epoch's first replayed admit the ledger reserves room for the
+//! epoch's records still to come, so its live set never rehashes. An
+//! epoch whose records all fail to apply gets no set.
 
 use super::checkpoint::{Checkpoint, CHECKPOINT_FILE};
 use super::wal::{self, WalHeader, WAL_FILE};
 use super::{disk_err, DurableConfig};
 use crate::service::ReportService;
 use ldp_core::{LdpError, Result};
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::path::Path;
 
@@ -119,7 +126,17 @@ impl Recovery {
                     }
                 }
                 report.wal_records = scan.submits.len() as u64;
+                // Each epoch's records still to replay, until its first
+                // admit sizes the epoch's ledger set for them.
+                let mut left: BTreeMap<u64, usize> = BTreeMap::new();
                 for record in &scan.submits {
+                    *left.entry(record.epoch).or_default() += 1;
+                }
+                for record in &scan.submits {
+                    let rest = left.get_mut(&record.epoch).map(|n| {
+                        *n -= 1;
+                        *n
+                    });
                     if service.ledger().contains(record.user, record.epoch) {
                         report.wal_skipped += 1;
                         continue;
@@ -131,7 +148,13 @@ impl Recovery {
                         record.report,
                     );
                     match applied {
-                        Ok(()) => report.wal_replayed += 1,
+                        Ok(()) => {
+                            report.wal_replayed += 1;
+                            if let Some(rest) = rest {
+                                service.ledger_mut().reserve(record.epoch, rest);
+                                left.remove(&record.epoch);
+                            }
+                        }
                         Err(_) => report.wal_rejected += 1,
                     }
                 }

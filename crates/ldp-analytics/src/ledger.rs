@@ -9,11 +9,22 @@
 //! the `ldp-audit` exemplar guards it with a hash-keyed seen-set, which is
 //! the design reproduced here.
 //!
-//! The ledger never stores raw user ids. Each id is folded through a keyed
-//! xxhash-style finalizer first, so a ledger dump reveals membership only
-//! to someone who already holds both the key and the id — and two shards
-//! given the same key admit/reject identically, which is what makes the
-//! ledger [`merge`](BudgetLedger::merge) well-defined.
+//! The ledger stores each user id as a keyed xxhash-style finalizer of it,
+//! so two shards given the same key admit/reject identically, which is
+//! what makes the ledger [`merge`](BudgetLedger::merge) well-defined. The
+//! finalizer is *not* one-way: for a fixed key it is a bijection on
+//! `u64` (every step is an invertible xor-shift or odd multiply), so
+//! anyone holding the key recovers every stored id from a ledger dump or
+//! a checkpoint, and the default `ServiceConfig` key is public. Treat
+//! ledger state as holding the raw ids. A keyed one-way hash would change
+//! every checkpoint's bytes, so it waits for a versioned format.
+//!
+//! An epoch restored from a checkpoint keeps the checkpoint's strictly
+//! ascending hash run as it is, rather than hashing every entry into a
+//! set: membership is a binary search of the run or a lookup in the live
+//! set, which takes every admit after the restore. At an epoch's first
+//! replayed admit, WAL replay reserves its live set for the records the
+//! epoch has left, so recovery never rehashes a growing set.
 
 use ldp_core::multidim::wire::{BitReader, BitWriter};
 use ldp_core::{LdpError, Result};
@@ -21,9 +32,9 @@ use std::collections::{BTreeMap, HashSet};
 
 /// Keyed finalizer over a user id: xxhash-style avalanche multiply-shifts.
 ///
-/// Not a cryptographic MAC — it is a collision-resistant-in-practice mixer
-/// that keeps raw ids out of ledger state and makes set membership
-/// key-dependent. The constants are the XXH64 primes.
+/// Not a cryptographic MAC, and not one-way: for a fixed key it is a
+/// bijection, so it makes set membership key-dependent but hides an id
+/// from no one who holds the key. The constants are the XXH64 primes.
 fn keyed_user_hash(key: u64, user: u64) -> u64 {
     let mut x = user ^ key.rotate_left(32) ^ 0x9E37_79B1_85EB_CA87;
     x ^= x >> 33;
@@ -37,11 +48,28 @@ fn keyed_user_hash(key: u64, user: u64) -> u64 {
 /// Admission record for one epoch.
 #[derive(Debug, Clone, Default)]
 struct EpochLedger {
-    /// Keyed hashes of every user admitted this epoch.
+    /// Keyed hashes restored from a checkpoint, strictly ascending.
+    restored: Vec<u64>,
+    /// Keyed hashes admitted since then; disjoint from `restored`.
     seen: HashSet<u64>,
     /// Reports rejected because their user had already spent this epoch's
     /// budget.
     rejected: u64,
+}
+
+impl EpochLedger {
+    fn contains(&self, hashed: u64) -> bool {
+        self.seen.contains(&hashed) || self.restored.binary_search(&hashed).is_ok()
+    }
+
+    /// Records `hashed` as admitted; false if it already was.
+    fn insert(&mut self, hashed: u64) -> bool {
+        self.restored.binary_search(&hashed).is_err() && self.seen.insert(hashed)
+    }
+
+    fn admitted(&self) -> u64 {
+        (self.restored.len() + self.seen.len()) as u64
+    }
 }
 
 /// Tracks which users have spent their per-epoch privacy budget.
@@ -91,7 +119,7 @@ impl BudgetLedger {
     pub fn admit(&mut self, user: u64, epoch: u64) -> Result<()> {
         let hashed = keyed_user_hash(self.key, user);
         let entry = self.epochs.entry(epoch).or_default();
-        if entry.seen.insert(hashed) {
+        if entry.insert(hashed) {
             Ok(())
         } else {
             entry.rejected += 1;
@@ -102,6 +130,15 @@ impl BudgetLedger {
         }
     }
 
+    /// Makes room in `epoch`'s live set for `additional` more admits, so
+    /// it does not rehash while they arrive; a no-op for an epoch with no
+    /// admits, which it does not create.
+    pub(crate) fn reserve(&mut self, epoch: u64, additional: usize) {
+        if let Some(entry) = self.epochs.get_mut(&epoch) {
+            entry.seen.reserve(additional);
+        }
+    }
+
     /// Whether `user`'s budget for `epoch` is already spent, *without*
     /// counting a rejection. WAL replay uses this to skip records the
     /// checkpoint already covers: those skips are recovery bookkeeping, not
@@ -109,14 +146,12 @@ impl BudgetLedger {
     /// therefore every recovered snapshot — bit-identical to the clean run.
     pub fn contains(&self, user: u64, epoch: u64) -> bool {
         let hashed = keyed_user_hash(self.key, user);
-        self.epochs
-            .get(&epoch)
-            .is_some_and(|e| e.seen.contains(&hashed))
+        self.epochs.get(&epoch).is_some_and(|e| e.contains(hashed))
     }
 
     /// Number of distinct users admitted in `epoch`.
     pub fn admitted(&self, epoch: u64) -> u64 {
-        self.epochs.get(&epoch).map_or(0, |e| e.seen.len() as u64)
+        self.epochs.get(&epoch).map_or(0, EpochLedger::admitted)
     }
 
     /// Number of duplicate reports rejected in `epoch`.
@@ -136,9 +171,10 @@ impl BudgetLedger {
 
     /// Serializes the ledger for an epoch checkpoint: the key, then per
     /// epoch its rejection counter and the *keyed hashes* of every admitted
-    /// user, sorted ascending so the encoding is deterministic. Raw user
-    /// ids were never stored, so none can leak here — a checkpoint file
-    /// reveals membership only to a holder of both the key and an id.
+    /// user, sorted ascending so the encoding is deterministic: a restored
+    /// run and the sorted live set, merged. The key travels with the
+    /// hashes and inverts them (see the module docs), so the bytes reveal
+    /// every admitted id; guard checkpoint files as you would the ids.
     ///
     /// The payload is exact-length: [`BudgetLedger::decode_state`] rejects
     /// any buffer that does not end exactly where the declared counts say
@@ -150,25 +186,38 @@ impl BudgetLedger {
         for (epoch, entry) in &self.epochs {
             w.write_bits(*epoch, 64);
             w.write_bits(entry.rejected, 64);
-            w.write_bits(entry.seen.len() as u64, 64);
-            let mut hashes: Vec<u64> = entry.seen.iter().copied().collect();
-            hashes.sort_unstable();
-            for h in hashes {
+            w.write_bits(entry.admitted(), 64);
+            let mut live: Vec<u64> = entry.seen.iter().copied().collect();
+            live.sort_unstable();
+            // Two disjoint ascending runs: merge them into one.
+            let (mut restored, mut live) = (entry.restored.as_slice(), live.as_slice());
+            while let (Some(&r), Some(&l)) = (restored.first(), live.first()) {
+                if r < l {
+                    w.write_bits(r, 64);
+                    restored = &restored[1..];
+                } else {
+                    w.write_bits(l, 64);
+                    live = &live[1..];
+                }
+            }
+            for &h in restored.iter().chain(live) {
                 w.write_bits(h, 64);
             }
         }
         w.finish()
     }
 
-    /// Reconstructs a ledger from [`BudgetLedger::encode_state`] bytes. The
-    /// stored hashes are installed directly (they were hashed under the
-    /// encoded key, so admission checks against replayed raw ids keep
-    /// matching), and every at-most-once guarantee resumes exactly where
-    /// the checkpoint left off.
+    /// Reconstructs a ledger from [`BudgetLedger::encode_state`] bytes. Each
+    /// epoch keeps its stored hash run as it is, searched rather than
+    /// rehashed (the hashes were taken under the encoded key, so admission
+    /// checks against replayed raw ids keep matching), and every
+    /// at-most-once guarantee resumes exactly where the checkpoint left
+    /// off.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] on a truncated buffer, a declared
-    /// count the buffer cannot hold, or trailing junk bytes.
+    /// count the buffer cannot hold, a hash run that is not strictly
+    /// ascending, or trailing junk bytes.
     pub fn decode_state(bytes: &[u8]) -> Result<BudgetLedger> {
         let mut r = BitReader::new(bytes);
         let key = r.read_bits(64)?;
@@ -193,18 +242,23 @@ impl BudgetLedger {
                 });
             }
             let seen_len = seen_len as usize;
-            let mut entry = EpochLedger {
-                seen: HashSet::with_capacity(seen_len),
-                rejected,
-            };
+            let mut restored = Vec::with_capacity(seen_len);
             for _ in 0..seen_len {
-                if !entry.seen.insert(r.read_bits(64)?) {
+                let hashed = r.read_bits(64)?;
+                // Ascending order is what membership searches rely on.
+                if restored.last().is_some_and(|&prev| prev >= hashed) {
                     return Err(LdpError::InvalidParameter {
                         name: "ledger_state",
-                        message: format!("duplicate seen-hash in epoch {epoch}"),
+                        message: format!("seen-hashes of epoch {epoch} are not strictly ascending"),
                     });
                 }
+                restored.push(hashed);
             }
+            let entry = EpochLedger {
+                restored,
+                seen: HashSet::new(),
+                rejected,
+            };
             if ledger.epochs.insert(epoch, entry).is_some() {
                 return Err(LdpError::InvalidParameter {
                     name: "ledger_state",
@@ -247,8 +301,8 @@ impl BudgetLedger {
         for (epoch, theirs) in other.epochs {
             let ours = self.epochs.entry(epoch).or_default();
             ours.rejected += theirs.rejected;
-            for hashed in theirs.seen {
-                if !ours.seen.insert(hashed) {
+            for hashed in theirs.restored.into_iter().chain(theirs.seen) {
+                if !ours.insert(hashed) {
                     ours.rejected += 1;
                 }
             }
@@ -260,6 +314,7 @@ impl BudgetLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ServiceConfig;
 
     #[test]
     fn first_report_admitted_second_rejected_and_counted() {
@@ -383,6 +438,62 @@ mod tests {
                 ),
                 "seen_len {seen_len}"
             );
+        }
+    }
+
+    #[test]
+    fn decode_refuses_a_hash_run_that_is_not_strictly_ascending() {
+        let state = |hashes: &[u64]| {
+            let mut w = BitWriter::new();
+            for (value, width) in [(7, 64), (1, 32), (0, 64), (0, 64)] {
+                w.write_bits(value, width);
+            }
+            w.write_bits(hashes.len() as u64, 64);
+            for &h in hashes {
+                w.write_bits(h, 64);
+            }
+            w.finish()
+        };
+        let ledger = BudgetLedger::decode_state(&state(&[3, 5, 9])).unwrap();
+        assert_eq!(ledger.admitted(0), 3);
+        for hashes in [[5, 3, 9], [3, 5, 5], [3, 3, 5], [9, 5, 3]] {
+            assert!(
+                matches!(
+                    BudgetLedger::decode_state(&state(&hashes)),
+                    Err(LdpError::InvalidParameter {
+                        name: "ledger_state",
+                        ..
+                    })
+                ),
+                "{hashes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_key_alone_inverts_the_user_hash() {
+        // Undo each step of `keyed_user_hash` in reverse order: an
+        // xor-shift by s >= 32 is its own inverse, and an odd multiplier
+        // has an inverse mod 2^64 (Newton's iteration doubles its bits).
+        let inverse = |m: u64| {
+            (0..5).fold(m, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)))
+            })
+        };
+        let unshift = |x: u64, s: u32| {
+            let mut y = x;
+            for _ in 0..64 / s {
+                y = x ^ (y >> s);
+            }
+            y
+        };
+        let key = ServiceConfig::default().ledger_key;
+        for user in [0, 1, 42, 1 << 40, u64::MAX] {
+            let mut x = keyed_user_hash(key, user);
+            x = unshift(x, 32);
+            x = unshift(x.wrapping_mul(inverse(0x1656_67B1_9E37_79F9)), 29);
+            x = unshift(x.wrapping_mul(inverse(0xC2B2_AE3D_27D4_EB4F)), 33);
+            assert_eq!(x ^ key.rotate_left(32) ^ 0x9E37_79B1_85EB_CA87, user);
         }
     }
 

@@ -163,6 +163,14 @@ pub const KIND_RESEND: u8 = 8;
 /// user id, epoch, block ordinal — three 64-bit fields.
 const SUBMIT_ENVELOPE_BYTES: usize = 24;
 
+/// Bits of a `Hello` before its attribute specs: the three protocol
+/// codes, ε, the base epoch and the attribute count.
+const HELLO_HEADER_BITS: usize = 8 + 8 + 8 + 64 + 64 + 16;
+
+/// Largest `Hello` payload: `u16::MAX` attributes, each categorical (a
+/// flag bit and a 32-bit `k`).
+const MAX_HELLO_PAYLOAD: usize = (HELLO_HEADER_BITS + 33 * u16::MAX as usize).div_ceil(8);
+
 fn malformed(message: String) -> LdpError {
     LdpError::MalformedFrame { message }
 }
@@ -248,8 +256,8 @@ pub enum WireMessage {
     },
     /// One user's perturbed report for one epoch.
     Submit {
-        /// The submitting user's id. Only a keyed hash of it ever enters
-        /// ledger state.
+        /// The submitting user's id. Ledger state stores a keyed hash of
+        /// it, which the ledger key inverts (see [`crate::ledger`]).
         user: u64,
         /// Epoch the report spends its budget in.
         epoch: u64,
@@ -366,7 +374,7 @@ impl WireMessage {
                     Epsilon::new(f64::from_bits(eps_bits)).map_err(|e| bit_err("hello", e))?;
                 let epoch = read(&mut r, 64)?;
                 let d = read(&mut r, 16)? as usize;
-                let mut bits: usize = 8 + 8 + 8 + 64 + 64 + 16;
+                let mut bits = HELLO_HEADER_BITS;
                 // `d` is untrusted: reserve no more specs than the payload
                 // can hold at one bit each.
                 let mut specs = Vec::with_capacity(d.min((payload.len() * 8).saturating_sub(bits)));
@@ -767,6 +775,23 @@ pub(crate) fn max_submit_payload(protocol: Protocol, specs: &[AttrSpec]) -> usiz
     SUBMIT_ENVELOPE_BYTES + report_bits.div_ceil(8)
 }
 
+/// Payload bytes worth keeping from a client frame of `kind`: one more
+/// than the longest such message that can be accepted, where `submit` is
+/// the largest `Submit` the connection's session admits
+/// ([`max_submit_payload`]). Every decoder accepts only exact lengths, so
+/// a kept prefix of a longer payload is refused just as the whole payload
+/// would be.
+pub(crate) fn max_request_payload(kind: u8, submit: usize) -> usize {
+    let longest = match kind {
+        KIND_HELLO => MAX_HELLO_PAYLOAD,
+        KIND_SUBMIT => submit,
+        KIND_FLUSH_EPOCH => 8,
+        // `Shutdown` carries nothing, and an unknown kind never decodes.
+        _ => 0,
+    };
+    longest + 1
+}
+
 /// Service construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -951,6 +976,12 @@ impl ReportService {
     /// The privacy-budget ledger (admission counts per epoch).
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
+    }
+
+    /// The ledger, for WAL replay to presize (see
+    /// [`BudgetLedger::reserve`]).
+    pub(crate) fn ledger_mut(&mut self) -> &mut BudgetLedger {
+        &mut self.ledger
     }
 
     /// Lifetime count of frames/messages rejected as malformed.

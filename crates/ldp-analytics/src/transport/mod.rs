@@ -484,6 +484,74 @@ mod tests {
         server.finish();
     }
 
+    #[test]
+    fn oversized_payloads_earn_the_verdict_of_a_full_read() {
+        use crate::service::{KIND_FLUSH_EPOCH, KIND_HELLO, KIND_SHUTDOWN, KIND_SUBMIT};
+        use ldp_core::frame::write_frame;
+
+        let submit = |user: u64, report: Vec<u8>| WireMessage::Submit {
+            user,
+            epoch: 0,
+            block: 0,
+            report,
+        };
+        let long_submit = submit(7, vec![0xA5; 100_000]).to_frame().unwrap();
+        let mut stream = Vec::new();
+        // Before a `HelloAck` a `Submit` keeps the frame cap.
+        stream.extend_from_slice(&long_submit);
+        hello().write_to(&mut stream).unwrap();
+        stream.extend_from_slice(&long_submit);
+        let mut corrupt = long_submit.clone();
+        corrupt[60_000] ^= 1;
+        stream.extend_from_slice(&corrupt);
+        write_frame(&mut stream, KIND_FLUSH_EPOCH, &[0; 9]).unwrap();
+        write_frame(&mut stream, 200, &[1; 1000]).unwrap();
+        write_frame(&mut stream, KIND_HELLO, &vec![0xFF; 300_000]).unwrap();
+        write_frame(&mut stream, KIND_SUBMIT, &[0; 20]).unwrap();
+        submit(8, report_bytes(8)).write_to(&mut stream).unwrap();
+        write_frame(&mut stream, KIND_SHUTDOWN, &[0; 5]).unwrap();
+        let frames_end = stream.len() as u64;
+        stream.extend_from_slice(&[0; 5]);
+
+        let server = ReportServer::start(ServerConfig::default());
+        let mut conn = crate::transport::ScriptedStream::new(&stream);
+        let summary = server.handle().serve_stream(&mut conn);
+        let (mut rest, mut scratch, mut responses) = (conn.responses(), Vec::new(), Vec::new());
+        while let Some(r) = ResponseMessage::read_from(&mut rest, &mut scratch).unwrap() {
+            responses.push(r);
+        }
+        let ack = |user, outcome| ResponseMessage::Ack {
+            user,
+            epoch: 0,
+            outcome,
+        };
+        let rejected = ack(0, AckOutcome::Rejected);
+        assert_eq!(
+            responses,
+            [
+                ack(7, AckOutcome::Rejected),
+                ResponseMessage::HelloAck,
+                ack(7, AckOutcome::Rejected),
+                ResponseMessage::Resend,
+                rejected.clone(),
+                rejected.clone(),
+                rejected.clone(),
+                rejected.clone(),
+                ack(8, AckOutcome::Admitted),
+                rejected,
+            ]
+        );
+        assert_eq!((summary.frames, summary.corrupt_frames), (10, 1));
+        assert!(!summary.shutdown);
+        let fault = summary.fault.expect("the torn header");
+        assert_eq!(fault.offset, frames_end, "offsets count every payload byte");
+        let stats = server.stats();
+        assert_eq!((stats.submits(), stats.malformed_messages()), (3, 5));
+        let service = server.finish();
+        assert_eq!(service.rejected_malformed(), 7);
+        assert_eq!(service.snapshot_epoch(0).unwrap().admitted, 1);
+    }
+
     /// A stream that counts the `read` calls made on it.
     struct CountReads {
         inner: super::chaos::PipeStream,

@@ -36,13 +36,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES};
+use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
 use ldp_core::Result;
 
 use crate::durable::{self, DurableConfig, DurableService, RecoveryReport};
 use crate::service::{
-    AckOutcome, EpochSnapshot, ReportService, ResponseMessage, ServiceConfig, StreamFault,
-    WireMessage,
+    max_request_payload, max_submit_payload, AckOutcome, EpochSnapshot, ReportService,
+    ResponseMessage, ServiceConfig, StreamFault, WireMessage,
 };
 
 /// Construction parameters for a [`ReportServer`].
@@ -191,15 +191,27 @@ impl ConnHandle {
     /// Frames are read through an 8 KiB [`BufReader`], so a frame that
     /// arrives whole costs one `read` rather than one for its header and
     /// one for its payload; each response is still one `write`.
+    ///
+    /// A frame keeps one byte more of its payload than its kind's longest
+    /// decodable message (see [`ldp_core::frame::read_frame_capped`]); a
+    /// `Submit`'s longest is the session's largest report, once this
+    /// connection's `Hello` has been answered `HelloAck`, and the frame
+    /// cap before that. The rest of a longer payload is checksummed as it
+    /// streams past and dropped. Every decoder accepts only its exact
+    /// lengths, so the kept prefix fails to decode just as the whole
+    /// payload would: the frame earns the full read's verdict, echoed
+    /// envelope and counters.
     pub fn serve_stream<S: Read + Write + ?Sized>(&self, stream: &mut S) -> ConnSummary {
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         let mut summary = ConnSummary::default();
         let mut payload = Vec::new();
         let mut offset = 0u64;
+        let mut submit_cap = MAX_FRAME_PAYLOAD;
         let mut stream = BufReader::new(stream);
         loop {
             let frame_start = offset;
-            let read = match frame::read_frame(&mut stream, &mut payload) {
+            let cap = |kind| max_request_payload(kind, submit_cap);
+            let read = match frame::read_frame_capped(&mut stream, &mut payload, cap) {
                 Ok(read) => read,
                 Err(error) => {
                     summary.fault = Some(StreamFault {
@@ -209,10 +221,10 @@ impl ConnHandle {
                     break;
                 }
             };
-            let kind = match read {
+            let (kind, len) = match read {
                 None => break,
-                Some(FrameRead::Corrupt { .. }) => {
-                    offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
+                Some((FrameRead::Corrupt { .. }, len)) => {
+                    offset += (FRAME_HEADER_BYTES + len) as u64;
                     summary.frames += 1;
                     summary.corrupt_frames += 1;
                     self.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
@@ -228,9 +240,9 @@ impl ConnHandle {
                     summary.responded += 1;
                     continue;
                 }
-                Some(FrameRead::Valid { kind }) => kind,
+                Some((FrameRead::Valid { kind }, len)) => (kind, len),
             };
-            offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
+            offset += (FRAME_HEADER_BYTES + len) as u64;
             summary.frames += 1;
             let msg = match WireMessage::decode(kind, &payload) {
                 Ok(WireMessage::Shutdown) => {
@@ -248,6 +260,15 @@ impl ConnHandle {
                 }
             };
             let response = self.apply(msg.as_ref());
+            if let (
+                Some(WireMessage::Hello {
+                    protocol, specs, ..
+                }),
+                ResponseMessage::HelloAck,
+            ) = (&msg, &response)
+            {
+                submit_cap = max_submit_payload(*protocol, specs);
+            }
             if let Err(error) = response.write_to(stream.get_mut()) {
                 // The verdict may already be applied server-side; the
                 // client will resend on reconnect and the ledger will

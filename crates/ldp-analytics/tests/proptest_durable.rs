@@ -229,6 +229,43 @@ proptest! {
         }
     }
 
+    /// A ledger restored from its own bytes keeps each epoch's hashes as
+    /// a sorted run beside a live set. Fed more admits — new users and
+    /// repeats of restored ones, in restored epochs and fresh ones — it
+    /// answers every query exactly as the ledger that was never encoded,
+    /// and so does a fresh ledger that merges it.
+    #[test]
+    fn a_restored_ledger_keeps_admitting_like_the_original(
+        key in 0u64..u64::MAX,
+        before in prop::collection::vec((0u64..40, 0u64..4), 0..64),
+        after in prop::collection::vec((0u64..60, 0u64..6), 0..64),
+    ) {
+        let mut original = BudgetLedger::with_key(key);
+        for &(user, epoch) in &before {
+            let _ = original.admit(user, epoch);
+        }
+        let mut restored = BudgetLedger::decode_state(&original.encode_state()).unwrap();
+        for &(user, epoch) in &after {
+            prop_assert_eq!(restored.admit(user, epoch), original.admit(user, epoch));
+        }
+        let mut merged = BudgetLedger::with_key(key);
+        merged.merge(restored.clone()).unwrap();
+        for ledger in [&restored, &merged] {
+            prop_assert_eq!(
+                ledger.epochs().collect::<Vec<_>>(),
+                original.epochs().collect::<Vec<_>>()
+            );
+            for epoch in 0..6 {
+                prop_assert_eq!(ledger.admitted(epoch), original.admitted(epoch));
+                prop_assert_eq!(ledger.rejected(epoch), original.rejected(epoch));
+                for user in 0..60 {
+                    prop_assert_eq!(ledger.contains(user, epoch), original.contains(user, epoch));
+                }
+            }
+            prop_assert_eq!(ledger.encode_state(), original.encode_state());
+        }
+    }
+
     /// Whole-aggregator partials roundtrip: a fresh same-session
     /// aggregator fed the encoded partials snapshots bit-identically.
     #[test]

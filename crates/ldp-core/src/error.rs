@@ -107,7 +107,8 @@ pub enum LdpError {
     /// user within one epoch. Admitting it would double-spend the user's
     /// per-epoch budget, so the report is dropped and counted instead.
     DuplicateReport {
-        /// Keyed hash of the offending user id (the raw id is not kept).
+        /// Keyed hash of the offending user id (not the raw id, though
+        /// the ledger key inverts it).
         user: u64,
         /// Epoch in which the duplicate arrived.
         epoch: u64,

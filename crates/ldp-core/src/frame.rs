@@ -51,6 +51,10 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 8;
 /// bytes, not the reader the memory.
 const READ_STEP: usize = 64 * 1024;
 
+/// Bytes [`read_frame_capped`] streams at once through its fixed buffer
+/// when a payload runs past its cap.
+const SKIP_STEP: usize = 8 * 1024;
+
 /// FNV-1a checksum over the kind byte followed by the payload.
 ///
 /// The same 64-bit FNV-1a the bench harness uses for estimate checksums:
@@ -58,10 +62,13 @@ const READ_STEP: usize = 64 * 1024;
 /// integrity check against accidents and fuzzing, not an authenticator).
 pub fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(fnv1a(OFFSET, &[kind]), payload)
+}
+
+/// Folds `bytes` into the running FNV-1a state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET ^ u64::from(kind);
-    h = h.wrapping_mul(PRIME);
-    for &b in payload {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(PRIME);
     }
@@ -175,6 +182,25 @@ pub enum FrameRead {
 /// the declared length up front, so a payload below one step takes a
 /// single read.
 pub fn read_frame<R: Read + ?Sized>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<FrameRead>> {
+    read_frame_capped(r, payload, |_| MAX_FRAME_PAYLOAD).map(|read| read.map(|(read, _)| read))
+}
+
+/// [`read_frame`], keeping at most `cap(kind)` payload bytes. A longer
+/// payload is still consumed and checksummed in full, streamed through a
+/// fixed buffer, so the outcome and the reader's position are exactly
+/// [`read_frame`]'s; but `payload` holds only the first `cap(kind)` bytes
+/// and never grows past them. Returns the outcome with the payload length
+/// the frame declared: a `payload` shorter than that is only a prefix. A
+/// cap one byte past a kind's longest valid payload keeps every prefix
+/// too long to pass for a whole one.
+///
+/// # Errors
+/// As [`read_frame`].
+pub fn read_frame_capped<R: Read + ?Sized>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+    cap: impl FnOnce(u8) -> usize,
+) -> Result<Option<(FrameRead, usize)>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match read_full(r, &mut header)? {
         0 => return Ok(None),
@@ -182,16 +208,41 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, payload: &mut Vec<u8>) -> Result<
         _ => {}
     }
     let (len, kind, declared) = parse_header(&header)?;
+    let keep = len.min(cap(kind));
     payload.clear();
-    while payload.len() < len {
+    while payload.len() < keep {
         let start = payload.len();
-        payload.resize(len.min(start + READ_STEP), 0);
+        payload.resize(keep.min(start + READ_STEP), 0);
         let got = start + read_full(r, &mut payload[start..])?;
         if got < payload.len() {
             return Err(truncated_payload(got, len));
         }
     }
-    Ok(Some(verify(kind, declared, payload)))
+    let mut computed = frame_checksum(kind, payload);
+    if keep < len {
+        computed = checksum_rest(r, computed, keep, len)?;
+    }
+    Ok(Some((outcome(kind, declared, computed), len)))
+}
+
+/// Reads payload bytes `done..len` through a fixed buffer, folding them
+/// into the running FNV-1a checksum `h` (see [`frame_checksum`]). Never
+/// inlined: its 8 KiB buffer would put a stack probe on every frame read.
+#[cold]
+#[inline(never)]
+fn checksum_rest<R: Read + ?Sized>(r: &mut R, mut h: u64, done: usize, len: usize) -> Result<u64> {
+    let mut buf = [0u8; SKIP_STEP];
+    let mut done = done;
+    while done < len {
+        let step = &mut buf[..SKIP_STEP.min(len - done)];
+        let got = read_full(r, step)?;
+        h = fnv1a(h, &step[..got]);
+        done += got;
+        if got < step.len() {
+            return Err(truncated_payload(done, len));
+        }
+    }
+    Ok(h)
 }
 
 /// [`read_frame`] over an in-memory buffer, without copying: reads the
@@ -215,7 +266,8 @@ pub fn split_frame<'a>(buf: &mut &'a [u8]) -> Result<Option<(FrameRead, &'a [u8]
     }
     let (payload, rest) = rest.split_at(len);
     *buf = rest;
-    Ok(Some((verify(kind, declared, payload), payload)))
+    let computed = frame_checksum(kind, payload);
+    Ok(Some((outcome(kind, declared, computed), payload)))
 }
 
 /// A frame header's `(payload length, kind, declared checksum)`.
@@ -232,9 +284,8 @@ fn parse_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<(usize, u8, u64)> {
     Ok((len, kind, declared))
 }
 
-/// Checks a received payload against its declared checksum.
-fn verify(kind: u8, declared: u64, payload: &[u8]) -> FrameRead {
-    let computed = frame_checksum(kind, payload);
+/// A frame's outcome from its declared and computed checksums.
+fn outcome(kind: u8, declared: u64, computed: u64) -> FrameRead {
     if computed == declared {
         FrameRead::Valid { kind }
     } else {
@@ -431,6 +482,44 @@ mod tests {
         assert!(
             msg.contains(&format!("got {} of {} bytes", READ_STEP + 3, 2 * READ_STEP)),
             "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_capped_read_keeps_the_cap_and_the_full_read_outcome() {
+        let cap = 40;
+        let mut payload: Vec<u8> = (0..MAX_FRAME_PAYLOAD).map(|i| (i % 253) as u8).collect();
+        let mut frames = vec![frame_to_vec(6, &payload).unwrap()];
+        // The same frame with one byte past the cap flipped.
+        payload[MAX_FRAME_PAYLOAD / 2] ^= 0x10;
+        let mut corrupt = frame_to_vec(6, &payload).unwrap();
+        corrupt[5..FRAME_HEADER_BYTES].copy_from_slice(&frames[0][5..FRAME_HEADER_BYTES]);
+        frames.push(corrupt);
+        drop(payload);
+        for bytes in &frames {
+            let mut reader = &bytes[..];
+            let mut kept = Vec::new();
+            let (read, len) = read_frame_capped(&mut reader, &mut kept, |kind| {
+                assert_eq!(kind, 6);
+                cap
+            })
+            .unwrap()
+            .unwrap();
+            assert!(reader.is_empty(), "the whole frame is consumed");
+            assert_eq!(len, MAX_FRAME_PAYLOAD);
+            assert_eq!(kept, bytes[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + cap]);
+            assert_eq!(kept.capacity(), cap, "the buffer grew past its cap");
+            let mut full = Vec::new();
+            assert_eq!(Some(read), read_frame(&mut &bytes[..], &mut full).unwrap());
+            assert_eq!(full.len(), MAX_FRAME_PAYLOAD);
+        }
+        // A stream that ends past the cap is the truncation a full read
+        // reports, counting every byte received.
+        let torn = &frames[0][..FRAME_HEADER_BYTES + SKIP_STEP + cap + 3];
+        let err = read_frame_capped(&mut &torn[..], &mut Vec::new(), |_| cap).unwrap_err();
+        assert_eq!(
+            err,
+            read_frame(&mut &torn[..], &mut Vec::new()).unwrap_err()
         );
     }
 
