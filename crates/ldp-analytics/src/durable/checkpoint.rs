@@ -1,14 +1,16 @@
 //! Epoch checkpoints: the full service state — ordinal-keyed aggregator
 //! partials, the budget ledger (keyed hashes, which the ledger key
 //! inverts back to the ids), and the malformed-rejection counter — as a
-//! sequence of checksummed frames behind one atomic tmp+rename.
+//! sequence of checksummed frames behind one atomic tmp+rename. The
+//! first frame is the log's header record, so a checkpoint carries the
+//! format version its `Hello` payload opens with.
 //!
 //! A checkpoint file can never be torn (the rename is atomic and the
 //! [`ldp_core::fsio`] sequence makes it durable), so *any* integrity
 //! failure while decoding one is [`LdpError::WalCorrupt`] — there is no
 //! torn-tail tolerance here, unlike the log.
 
-use super::wal::{WalHeader, KIND_WAL_HEADER};
+use super::wal::{header_error, refuse_v1, WalHeader, KIND_WAL_HEADER};
 use crate::ledger::BudgetLedger;
 use crate::service::{ReportService, ServiceConfig};
 use ldp_core::frame::{self, FrameRead};
@@ -57,7 +59,8 @@ impl Checkpoint {
 
     /// Serializes the checkpoint as framed records: header, meta, one
     /// record per epoch, ledger. Every record carries the frame layer's
-    /// FNV-1a checksum, which is the file's integrity check.
+    /// word-at-a-time checksum ([`frame::frame_checksum`]), which is the
+    /// file's integrity check.
     ///
     /// # Errors
     /// Only if a record exceeds the frame payload cap, which bounded
@@ -84,6 +87,9 @@ impl Checkpoint {
     /// declared record sequence.
     ///
     /// # Errors
+    /// [`LdpError::UnsupportedVersion`] for a checkpoint of another format
+    /// version: one whose first record passes only the version 1
+    /// checksum, or whose header declares another version.
     /// [`LdpError::WalCorrupt`] with the offending record's byte offset on
     /// checksum mismatch, truncation, out-of-order records, or trailing
     /// data.
@@ -101,6 +107,9 @@ impl Checkpoint {
                 Ok(None) => break,
                 Ok(Some(FrameRead::Valid { kind })) => kind,
                 Ok(Some(FrameRead::Corrupt { declared, computed })) => {
+                    if offset == 0 {
+                        refuse_v1(buf[4], declared, &payload)?;
+                    }
                     return Err(corrupt(
                         offset,
                         format!(
@@ -115,9 +124,7 @@ impl Checkpoint {
             }
             match kind {
                 KIND_WAL_HEADER if header.is_none() && offset == 0 => {
-                    header = Some(WalHeader::decode(&payload).map_err(|e| {
-                        corrupt(offset, format!("header record failed to decode: {e}"))
-                    })?);
+                    header = Some(WalHeader::decode(&payload).map_err(header_error)?);
                 }
                 KIND_CHECKPOINT_META if header.is_some() && meta.is_none() => {
                     let mut r = BitReader::new(&payload);

@@ -19,24 +19,28 @@
 //!
 //! ## The pieces
 //!
-//! - `wal`: the log — a binding header record (protocol, ε, schema,
-//!   base epoch, ledger key, run seed) followed by one frame per admitted
-//!   `Submit`, byte-identical to its wire payload. A torn tail — damage
-//!   that fits in the one record a crash can tear, bounded by the largest
-//!   record the schema admits — truncates silently; damage reaching
-//!   further is a typed [`ldp_core::LdpError::WalCorrupt`] with the byte
-//!   offset, mirroring [`crate::service::StreamFault`] semantics.
+//! - `wal`: the log — a binding header record (format version,
+//!   protocol, ε, schema, base epoch, ledger key, run seed) followed by
+//!   one frame per admitted `Submit`, byte-identical to its wire payload.
+//!   A log or checkpoint of another format version is refused with
+//!   [`ldp_core::LdpError::UnsupportedVersion`] and left untouched. A
+//!   torn tail — damage that fits in the one record a crash can tear,
+//!   bounded by the largest record the schema admits — truncates
+//!   silently; damage reaching further is a typed
+//!   [`ldp_core::LdpError::WalCorrupt`] with the byte offset, mirroring
+//!   [`crate::service::StreamFault`] semantics.
 //! - `checkpoint`: full-state snapshots (aggregator partials keyed by
 //!   ordinal, the budget ledger as keyed hashes, the stream counters)
 //!   written with [`ldp_core::fsio`]'s fsync-hardened tmp+rename. After a
 //!   checkpoint commits, the log rotates down to its header — the
 //!   checkpoint has made the old records redundant.
 //! - `recovery`: checkpoint install + ordered replay, deduplicating
-//!   through the ledger so a crash between checkpoint-commit and rotation
-//!   cannot double-spend anyone's budget. The install keeps each epoch's
-//!   checkpointed ledger hashes as the sorted run they were stored as,
-//!   searched rather than rehashed, and replay sizes each epoch's live
-//!   ledger set once, at its first admit, for the records it has left.
+//!   through the ledger, one probe per record, so a crash between
+//!   checkpoint-commit and rotation cannot double-spend anyone's budget.
+//!   The install keeps each epoch's checkpointed ledger hashes as the
+//!   sorted run they were stored as, searched rather than rehashed, and
+//!   replay sizes each epoch's live ledger set once, at its first admit,
+//!   for the records it has left.
 //! - [`CrashSchedule`]: a seeded kill switch consulted between every
 //!   append / fsync / checkpoint-stage / checkpoint-commit / rotate step,
 //!   so the integration suite can drop the process at a reproducible

@@ -3,7 +3,8 @@
 //! through the budget ledger.
 //!
 //! Recovery redoes no ledger work: the checkpoint's hash runs are kept
-//! sorted and searched (see [`crate::BudgetLedger::decode_state`]), and
+//! sorted and searched (see [`crate::BudgetLedger::decode_state`]), each
+//! record probes the ledger once, on the service's one `Submit` path, and
 //! at an epoch's first replayed admit the ledger reserves room for the
 //! epoch's records still to come, so its live set never rehashes. An
 //! epoch whose records all fail to apply gets no set.
@@ -11,7 +12,7 @@
 use super::checkpoint::{Checkpoint, CHECKPOINT_FILE};
 use super::wal::{self, WalHeader, WAL_FILE};
 use super::{disk_err, DurableConfig};
-use crate::service::ReportService;
+use crate::service::{Admission, ReportService};
 use ldp_core::{LdpError, Result};
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -35,9 +36,10 @@ pub struct RecoveryReport {
     pub wal_replayed: u64,
     /// Log records skipped because the checkpoint already covered them
     /// (a crash landed between the checkpoint commit and the log
-    /// rotation). Skipping goes through [`crate::BudgetLedger::contains`],
-    /// not `admit`, so no rejection is counted and recovered snapshots
-    /// stay bit-identical to the clean run's.
+    /// rotation): their user's budget for the epoch was already spent.
+    /// Skipping counts no rejection, so recovered snapshots stay
+    /// bit-identical to the clean run's. A covered record that fails to
+    /// apply is skipped too, not rejected.
     pub wal_skipped: u64,
     /// Log records that failed to apply (admitted-only logging makes this
     /// zero in any uncorrupted log; nonzero is an integrity alarm).
@@ -67,7 +69,8 @@ impl Recovery {
     /// scanned before any record applies, so damage anywhere fails the
     /// replay before it changes the service. Each record's report is
     /// borrowed from the log image and goes through the service's
-    /// production `Submit` path, decoded into one recycled report. The
+    /// production `Submit` path, decoded into one recycled report, whose
+    /// one ledger probe admits it or finds its user's budget spent. The
     /// log's header must match the checkpoint's binding; records the
     /// checkpoint already covers are skipped without counting. A torn tail
     /// — no longer than one record, see [`wal::scan`] — is truncated off
@@ -79,6 +82,8 @@ impl Recovery {
     /// replay accounting.
     ///
     /// # Errors
+    /// [`LdpError::UnsupportedVersion`] when either file was written in
+    /// another format version, before anything is truncated;
     /// [`LdpError::WalCorrupt`] for mid-log or checkpoint corruption and
     /// for a log/checkpoint binding mismatch; [`LdpError::InvalidParameter`]
     /// when the on-disk ledger key differs from the configured one; I/O
@@ -126,36 +131,43 @@ impl Recovery {
                     }
                 }
                 report.wal_records = scan.submits.len() as u64;
-                // Each epoch's records still to replay, until its first
-                // admit sizes the epoch's ledger set for them.
-                let mut left: BTreeMap<u64, usize> = BTreeMap::new();
-                for record in &scan.submits {
-                    *left.entry(record.epoch).or_default() += 1;
+                // Each epoch's records still to replay, and whether its
+                // first admit has sized its ledger set for them. Records
+                // come in runs of one epoch, so the map is read once per
+                // run, not once per record.
+                let runs = || scan.submits.chunk_by(|a, b| a.epoch == b.epoch);
+                let mut left: BTreeMap<u64, (usize, bool)> = BTreeMap::new();
+                for run in runs() {
+                    left.entry(run[0].epoch).or_default().0 += run.len();
                 }
-                for record in &scan.submits {
-                    let rest = left.get_mut(&record.epoch).map(|n| {
-                        *n -= 1;
-                        *n
-                    });
-                    if service.ledger().contains(record.user, record.epoch) {
-                        report.wal_skipped += 1;
-                        continue;
-                    }
-                    let applied = service.handle_submit(
-                        record.user,
-                        record.epoch,
-                        record.block,
-                        record.report,
-                    );
-                    match applied {
-                        Ok(()) => {
-                            report.wal_replayed += 1;
-                            if let Some(rest) = rest {
-                                service.ledger_mut().reserve(record.epoch, rest);
-                                left.remove(&record.epoch);
+                for run in runs() {
+                    let epoch = run[0].epoch;
+                    let (rest, reserved) = left.get_mut(&epoch).expect("counted above");
+                    for record in run {
+                        *rest -= 1;
+                        let applied = service.handle_submit(
+                            record.user,
+                            epoch,
+                            record.block,
+                            record.report,
+                            Admission::Skip,
+                        );
+                        match applied {
+                            Ok(true) => {
+                                report.wal_replayed += 1;
+                                if !*reserved {
+                                    service.ledger_mut().reserve(epoch, *rest);
+                                    *reserved = true;
+                                }
                             }
+                            Ok(false) => report.wal_skipped += 1,
+                            // A record that fails to apply is an integrity
+                            // alarm unless its user's budget is spent.
+                            Err(_) if service.ledger().contains(record.user, epoch) => {
+                                report.wal_skipped += 1;
+                            }
+                            Err(_) => report.wal_rejected += 1,
                         }
-                        Err(_) => report.wal_rejected += 1,
                     }
                 }
             }

@@ -62,8 +62,9 @@ impl WalHeader {
         }
     }
 
-    /// Record payload: the canonical `Hello` payload followed by a 16-byte
-    /// trailer of ledger key and run seed (big-endian).
+    /// Record payload: the canonical `Hello` payload, format version
+    /// first, followed by a 16-byte trailer of ledger key and run seed
+    /// (big-endian).
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = self.hello().payload();
         payload.extend_from_slice(&self.ledger_key.to_be_bytes());
@@ -74,8 +75,10 @@ impl WalHeader {
     /// Inverse of [`WalHeader::encode`].
     ///
     /// # Errors
-    /// [`LdpError::MalformedFrame`] when the payload is shorter than its
-    /// trailer or the `Hello` prefix fails its exact-length codec.
+    /// [`LdpError::UnsupportedVersion`] when the `Hello` prefix declares
+    /// another format version; [`LdpError::MalformedFrame`] when the
+    /// payload is shorter than its trailer or the `Hello` prefix fails its
+    /// exact-length codec.
     pub fn decode(payload: &[u8]) -> Result<WalHeader> {
         if payload.len() < 16 {
             return Err(LdpError::MalformedFrame {
@@ -279,7 +282,12 @@ pub struct WalScan<'a> {
 /// leaves only a prefix of a valid header, so a header declaring one is
 /// damage.
 ///
+/// A log that format version 1 wrote, or whose header declares another
+/// version, is refused before any of this: its first record fails the
+/// checksum but passes version 1's, or its `Hello` names the version.
+///
 /// # Errors
+/// [`LdpError::UnsupportedVersion`] for a log of another format version;
 /// [`LdpError::WalCorrupt`] with the byte offset of the first damaged
 /// record for mid-log damage, when a checksum-valid record fails to
 /// decode, or when a record kind is out of place.
@@ -298,7 +306,10 @@ pub fn scan(buf: &[u8]) -> Result<WalScan<'_>> {
         let (kind, payload) = match frame::split_frame(&mut rest) {
             Ok(None) => break, // clean EOF
             Ok(Some((FrameRead::Valid { kind }, payload))) => (kind, payload),
-            Ok(Some((FrameRead::Corrupt { declared, computed }, _))) => {
+            Ok(Some((FrameRead::Corrupt { declared, computed }, payload))) => {
+                if offset == 0 {
+                    refuse_v1(buf[4], declared, payload)?;
+                }
                 if let Some((off, message)) = pending_corrupt.take() {
                     return Err(LdpError::WalCorrupt {
                         offset: off,
@@ -347,10 +358,7 @@ pub fn scan(buf: &[u8]) -> Result<WalScan<'_>> {
         }
         match (kind, &header) {
             (KIND_WAL_HEADER, None) if offset == 0 => {
-                let h = WalHeader::decode(payload).map_err(|e| LdpError::WalCorrupt {
-                    offset,
-                    message: format!("header record failed to decode: {e}"),
-                })?;
+                let h = WalHeader::decode(payload).map_err(header_error)?;
                 max_record = frame::FRAME_HEADER_BYTES + max_submit_payload(h.protocol, &h.specs);
                 header = Some(h);
             }
@@ -390,6 +398,36 @@ pub fn scan(buf: &[u8]) -> Result<WalScan<'_>> {
         valid_bytes,
         truncated_bytes: buf.len() as u64 - valid_bytes,
     })
+}
+
+/// Refuses a file whose first record, of `kind` and `payload`, failed its
+/// checksum but matches the `declared` one under
+/// [`frame::v1_checksum`]: format version 1 wrote the file, so it is
+/// neither damage nor a torn tail, and recovery leaves it as it is.
+///
+/// # Errors
+/// [`LdpError::UnsupportedVersion`] for a version 1 record.
+pub(crate) fn refuse_v1(kind: u8, declared: u64, payload: &[u8]) -> Result<()> {
+    if frame::v1_checksum(kind, payload) == declared {
+        return Err(LdpError::UnsupportedVersion {
+            found: 1,
+            supported: frame::FORMAT_VERSION,
+        });
+    }
+    Ok(())
+}
+
+/// The error of a checksum-valid header record (the first record of a log
+/// or a checkpoint) that failed to decode: a version it does not read
+/// stays [`LdpError::UnsupportedVersion`], anything else is damage.
+pub(crate) fn header_error(e: LdpError) -> LdpError {
+    match e {
+        LdpError::UnsupportedVersion { .. } => e,
+        e => LdpError::WalCorrupt {
+            offset: 0,
+            message: format!("header record failed to decode: {e}"),
+        },
+    }
 }
 
 /// True when `buf` starts with a complete frame length field declaring a

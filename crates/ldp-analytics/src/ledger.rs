@@ -17,14 +17,16 @@
 //! anyone holding the key recovers every stored id from a ledger dump or
 //! a checkpoint, and the default `ServiceConfig` key is public. Treat
 //! ledger state as holding the raw ids. A keyed one-way hash would change
-//! every checkpoint's bytes, so it waits for a versioned format.
+//! every checkpoint's bytes, so it needs a format version of its own (see
+//! [`ldp_core::frame::FORMAT_VERSION`]).
 //!
 //! An epoch restored from a checkpoint keeps the checkpoint's strictly
 //! ascending hash run as it is, rather than hashing every entry into a
 //! set: membership is a binary search of the run or a lookup in the live
-//! set, which takes every admit after the restore. At an epoch's first
-//! replayed admit, WAL replay reserves its live set for the records the
-//! epoch has left, so recovery never rehashes a growing set.
+//! set, which takes every admit after the restore. WAL replay admits each
+//! record with one membership probe, and at an epoch's first replayed
+//! admit it reserves the live set for the records the epoch has left, so
+//! recovery never rehashes a growing set.
 
 use ldp_core::multidim::wire::{BitReader, BitWriter};
 use ldp_core::{LdpError, Result};
@@ -130,6 +132,16 @@ impl BudgetLedger {
         }
     }
 
+    /// Spends `user`'s budget for `epoch` if it is unspent, with the one
+    /// membership probe [`BudgetLedger::admit`] makes; false, counting no
+    /// rejection, if it was already spent. WAL replay admits through it,
+    /// so a record the checkpoint already covers is skipped as
+    /// [`BudgetLedger::contains`] would skip it, without a second probe.
+    pub(crate) fn try_admit(&mut self, user: u64, epoch: u64) -> bool {
+        let hashed = keyed_user_hash(self.key, user);
+        self.epochs.entry(epoch).or_default().insert(hashed)
+    }
+
     /// Makes room in `epoch`'s live set for `additional` more admits, so
     /// it does not rehash while they arrive; a no-op for an epoch with no
     /// admits, which it does not create.
@@ -140,9 +152,10 @@ impl BudgetLedger {
     }
 
     /// Whether `user`'s budget for `epoch` is already spent, *without*
-    /// counting a rejection. WAL replay uses this to skip records the
-    /// checkpoint already covers: those skips are recovery bookkeeping, not
-    /// client misbehaviour, so they must leave the rejection counters — and
+    /// counting a rejection. WAL replay uses this to tell a record the
+    /// checkpoint already covers from a damaged one when a record fails
+    /// to apply: those skips are recovery bookkeeping, not client
+    /// misbehaviour, so they must leave the rejection counters — and
     /// therefore every recovered snapshot — bit-identical to the clean run.
     pub fn contains(&self, user: u64, epoch: u64) -> bool {
         let hashed = keyed_user_hash(self.key, user);

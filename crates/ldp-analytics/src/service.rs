@@ -14,12 +14,12 @@
 //! ## Wire protocol
 //!
 //! Every message travels in one [`ldp_core::frame`] frame (length, kind
-//! byte, FNV-1a checksum, payload). Payloads are bit-packed with the same
-//! [`BitWriter`]/[`BitReader`] primitives as the report codecs:
+//! byte, word-at-a-time checksum, payload). Payloads are bit-packed with
+//! the same [`BitWriter`]/[`BitReader`] primitives as the report codecs:
 //!
 //! | kind | message | payload |
 //! |---|---|---|
-//! | 1 | [`WireMessage::Hello`] | protocol/ε/schema/epoch — the session parameters |
+//! | 1 | [`WireMessage::Hello`] | format version, then protocol/ε/schema/epoch — the session parameters |
 //! | 2 | [`WireMessage::Submit`] | user id, epoch, block ordinal, report bytes |
 //! | 3 | [`WireMessage::FlushEpoch`] | epoch to snapshot |
 //! | 4 | [`WireMessage::Shutdown`] | empty |
@@ -28,6 +28,13 @@
 //! for the session's protocol ([`wire::encode_sampled`] for Algorithm 4
 //! reports, [`wire::encode_full`] for the best-effort baselines), and
 //! [`decode_report`] accepts nothing else.
+//!
+//! A `Hello` opens with the 16-bit [`frame::FORMAT_VERSION`] (2). The
+//! durable log and checkpoint headers embed the `Hello` payload, so they
+//! carry the version too, and every decoder refuses another one with
+//! [`LdpError::UnsupportedVersion`]. Version 1 had no version field and
+//! checksummed frames with FNV-1a; a version 1 client's frames fail the
+//! checksum and earn a `Resend`.
 //!
 //! ## Validation discipline
 //!
@@ -163,9 +170,9 @@ pub const KIND_RESEND: u8 = 8;
 /// user id, epoch, block ordinal — three 64-bit fields.
 const SUBMIT_ENVELOPE_BYTES: usize = 24;
 
-/// Bits of a `Hello` before its attribute specs: the three protocol
-/// codes, ε, the base epoch and the attribute count.
-const HELLO_HEADER_BITS: usize = 8 + 8 + 8 + 64 + 64 + 16;
+/// Bits of a `Hello` before its attribute specs: the format version,
+/// the three protocol codes, ε, the base epoch and the attribute count.
+const HELLO_HEADER_BITS: usize = 16 + 8 + 8 + 8 + 64 + 64 + 16;
 
 /// Largest `Hello` payload: `u16::MAX` attributes, each categorical (a
 /// flag bit and a 32-bit `k`).
@@ -303,6 +310,7 @@ impl WireMessage {
                 epoch,
             } => {
                 let (family, numeric, oracle) = protocol_codes(*protocol);
+                w.write_bits(u64::from(frame::FORMAT_VERSION), 16);
                 w.write_bits(family, 8);
                 w.write_bits(numeric, 8);
                 w.write_bits(oracle, 8);
@@ -354,6 +362,8 @@ impl WireMessage {
     /// Decodes a verified frame payload back into a message.
     ///
     /// # Errors
+    /// [`LdpError::UnsupportedVersion`] for a `Hello` of another format
+    /// version than [`frame::FORMAT_VERSION`];
     /// [`LdpError::MalformedFrame`] on unknown kinds, truncated payloads,
     /// out-of-range codes, an invalid ε, or trailing bytes. Decoding never
     /// panics, whatever the payload.
@@ -365,6 +375,13 @@ impl WireMessage {
                 let read = |r: &mut BitReader<'_>, width| {
                     r.read_bits(width).map_err(|e| bit_err("hello", e))
                 };
+                let version = read(&mut r, 16)? as u16;
+                if version != frame::FORMAT_VERSION {
+                    return Err(LdpError::UnsupportedVersion {
+                        found: version,
+                        supported: frame::FORMAT_VERSION,
+                    });
+                }
                 let family = read(&mut r, 8)?;
                 let numeric = read(&mut r, 8)?;
                 let oracle = read(&mut r, 8)?;
@@ -792,6 +809,19 @@ pub(crate) fn max_request_payload(kind: u8, submit: usize) -> usize {
     longest + 1
 }
 
+/// How the `Submit` path treats a user who already spent the epoch's
+/// budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// A client's report: the repeat is a [`LdpError::DuplicateReport`],
+    /// counted in the epoch's rejections.
+    Count,
+    /// A logged record in WAL replay: the repeat is one a checkpoint
+    /// already covers, skipped without counting a rejection, so recovered
+    /// snapshots stay bit-identical to the clean run's.
+    Skip,
+}
+
 /// Service construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -1028,7 +1058,7 @@ impl ReportService {
                 block,
                 report,
             } => {
-                self.handle_submit(*user, *epoch, *block, report)?;
+                self.handle_submit(*user, *epoch, *block, report, Admission::Count)?;
                 Ok(None)
             }
             WireMessage::FlushEpoch { epoch } => self.snapshot_epoch(*epoch).map(Some),
@@ -1065,13 +1095,17 @@ impl ReportService {
 
     /// The `Submit` path of [`ReportService::handle`], on the envelope's
     /// fields and borrowed report bytes (WAL replay calls it directly).
+    /// Returns whether the report was absorbed: always, unless
+    /// `admission` is [`Admission::Skip`] and the user's budget for the
+    /// epoch was already spent.
     pub(crate) fn handle_submit(
         &mut self,
         user: u64,
         epoch: u64,
         block: u64,
         bytes: &[u8],
-    ) -> Result<()> {
+        admission: Admission,
+    ) -> Result<bool> {
         let sess = self
             .session
             .as_ref()
@@ -1091,13 +1125,17 @@ impl ReportService {
         SCRATCH.with_borrow_mut(|report| {
             decode_report_into(template.protocol(), template.specs(), bytes, report)?;
             template.validate_report(report)?;
-            // Gate 3: one report per user per epoch.
-            self.ledger.admit(user, epoch)?;
+            // Gate 3: one report per user per epoch, one ledger probe.
+            match admission {
+                Admission::Count => self.ledger.admit(user, epoch)?,
+                Admission::Skip if !self.ledger.try_admit(user, epoch) => return Ok(false),
+                Admission::Skip => {}
+            }
             // All gates cleared: route into the block's partial.
             let agg = self.epochs.entry(epoch).or_insert_with(|| template.clone());
             agg.set_ordinal(block);
             agg.absorb_validated(report);
-            Ok(())
+            Ok(true)
         })
     }
 
@@ -1610,6 +1648,33 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, LdpError::MalformedFrame { .. }));
+    }
+
+    #[test]
+    fn a_hello_of_another_format_version_is_refused() {
+        let payload = hello().payload();
+        assert_eq!(&payload[..2], &frame::FORMAT_VERSION.to_be_bytes());
+        assert_eq!(WireMessage::decode(KIND_HELLO, &payload).unwrap(), hello());
+        for version in [0u16, 1, 3, u16::MAX] {
+            let mut other = payload.clone();
+            other[..2].copy_from_slice(&version.to_be_bytes());
+            assert_eq!(
+                WireMessage::decode(KIND_HELLO, &other).unwrap_err(),
+                LdpError::UnsupportedVersion {
+                    found: version,
+                    supported: frame::FORMAT_VERSION,
+                }
+            );
+        }
+        // Over the wire it earns a rejection, counted as malformed.
+        let mut stream = Vec::new();
+        let mut other = payload.clone();
+        other[1] ^= 1;
+        frame::write_frame(&mut stream, KIND_HELLO, &other).unwrap();
+        let served = serve_bytes(&stream);
+        assert_eq!(acks(&served.responses, AckOutcome::Rejected), 1);
+        assert!(!served.service.is_configured());
+        assert_eq!(served.service.rejected_malformed(), 1);
     }
 
     #[test]

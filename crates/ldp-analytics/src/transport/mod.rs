@@ -514,12 +514,12 @@ mod tests {
         stream.extend_from_slice(&[0; 5]);
 
         let server = ReportServer::start(ServerConfig::default());
-        let mut conn = crate::transport::ScriptedStream::new(&stream);
+        let mut conn = LargestRead::new(&stream);
         let summary = server.handle().serve_stream(&mut conn);
-        let (mut rest, mut scratch, mut responses) = (conn.responses(), Vec::new(), Vec::new());
-        while let Some(r) = ResponseMessage::read_from(&mut rest, &mut scratch).unwrap() {
-            responses.push(r);
-        }
+        // With no session yet, the first `Submit` kept the frame cap and
+        // was read whole, in one step past the buffered header.
+        assert!(conn.largest > 32 * 1024, "read {} at most", conn.largest);
+        let responses = conn.responses();
         let ack = |user, outcome| ResponseMessage::Ack {
             user,
             epoch: 0,
@@ -545,11 +545,108 @@ mod tests {
         assert!(!summary.shutdown);
         let fault = summary.fault.expect("the torn header");
         assert_eq!(fault.offset, frames_end, "offsets count every payload byte");
+
+        // Once a session exists, a second connection's `Submit` before its
+        // own `Hello` keeps only the session's cap: the rest streams
+        // through the 8 KiB buffer, and the verdicts are a full read's.
+        let mut second = long_submit.clone();
+        submit(9, report_bytes(9)).write_to(&mut second).unwrap();
+        let mut conn = LargestRead::new(&second);
+        let summary = server.handle().serve_stream(&mut conn);
+        assert!(conn.largest <= 8 * 1024, "read {} at once", conn.largest);
+        assert_eq!(
+            conn.responses(),
+            [ack(7, AckOutcome::Rejected), ack(9, AckOutcome::Admitted)]
+        );
+        assert!(summary.fault.is_none());
+
         let stats = server.stats();
-        assert_eq!((stats.submits(), stats.malformed_messages()), (3, 5));
+        assert_eq!((stats.submits(), stats.malformed_messages()), (5, 5));
         let service = server.finish();
-        assert_eq!(service.rejected_malformed(), 7);
-        assert_eq!(service.snapshot_epoch(0).unwrap().admitted, 1);
+        assert_eq!(service.rejected_malformed(), 8);
+        assert_eq!(service.snapshot_epoch(0).unwrap().admitted, 2);
+    }
+
+    #[test]
+    fn a_recovered_session_caps_submits_before_any_hello() {
+        use crate::durable::DurableConfig;
+
+        let dir = std::env::temp_dir().join(format!("ldp-recovered-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = || {
+            ReportServer::start_durable(ServerConfig::default(), &dir, DurableConfig::default())
+                .unwrap()
+                .0
+        };
+        let server = start();
+        let mut stream = Vec::new();
+        hello().write_to(&mut stream).unwrap();
+        let summary = server
+            .handle()
+            .serve_stream(&mut crate::transport::ScriptedStream::new(&stream));
+        assert_eq!(summary.responded, 1);
+        drop(server.finish());
+
+        // The restarted server has the session before any `Hello`.
+        let server = start();
+        let long_submit = WireMessage::Submit {
+            user: 7,
+            epoch: 0,
+            block: 0,
+            report: vec![0xA5; 100_000],
+        }
+        .to_frame()
+        .unwrap();
+        let mut conn = LargestRead::new(&long_submit);
+        server.handle().serve_stream(&mut conn);
+        assert!(conn.largest <= 8 * 1024, "read {} at once", conn.largest);
+        let rejected = ResponseMessage::Ack {
+            user: 7,
+            epoch: 0,
+            outcome: AckOutcome::Rejected,
+        };
+        assert_eq!(conn.responses(), [rejected]);
+        drop(server.finish());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A recorded connection that notes the largest read asked of it.
+    struct LargestRead<'a> {
+        inner: crate::transport::ScriptedStream<'a>,
+        largest: usize,
+    }
+
+    impl<'a> LargestRead<'a> {
+        fn new(requests: &'a [u8]) -> Self {
+            LargestRead {
+                inner: crate::transport::ScriptedStream::new(requests),
+                largest: 0,
+            }
+        }
+
+        fn responses(&self) -> Vec<ResponseMessage> {
+            let (mut rest, mut scratch, mut out) = (self.inner.responses(), Vec::new(), Vec::new());
+            while let Some(r) = ResponseMessage::read_from(&mut rest, &mut scratch).unwrap() {
+                out.push(r);
+            }
+            out
+        }
+    }
+
+    impl Read for LargestRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for LargestRead<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
     }
 
     /// A stream that counts the `read` calls made on it.

@@ -34,7 +34,7 @@
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
 use ldp_core::Result;
@@ -161,6 +161,11 @@ struct Shared {
     backend: Mutex<Backend>,
     /// Messages waiting for or holding the `backend` lock.
     in_flight: AtomicUsize,
+    /// The session's [`max_submit_payload`], published once a session is
+    /// set: at start when recovery restored one, else at the first
+    /// `HelloAck`. A session never changes once set, so neither does this,
+    /// and connections read it without the lock.
+    submit_cap: OnceLock<usize>,
 }
 
 const POISONED: &str = "backend lock poisoned: a connection panicked mid-message";
@@ -194,23 +199,25 @@ impl ConnHandle {
     ///
     /// A frame keeps one byte more of its payload than its kind's longest
     /// decodable message (see [`ldp_core::frame::read_frame_capped`]); a
-    /// `Submit`'s longest is the session's largest report, once this
-    /// connection's `Hello` has been answered `HelloAck`, and the frame
-    /// cap before that. The rest of a longer payload is checksummed as it
-    /// streams past and dropped. Every decoder accepts only its exact
-    /// lengths, so the kept prefix fails to decode just as the whole
-    /// payload would: the frame earns the full read's verdict, echoed
-    /// envelope and counters.
+    /// `Submit`'s longest is the session's largest report once the server
+    /// has a session — one recovered at start, or set by any connection's
+    /// `Hello` answered `HelloAck` — even on a connection that has sent no
+    /// `Hello` of its own. A server with no session yet keeps the frame
+    /// cap ([`MAX_FRAME_PAYLOAD`], 16 MiB) for a `Submit`. The rest of a
+    /// longer payload is checksummed as it streams past and dropped. Every
+    /// decoder accepts only its exact lengths, so the kept prefix fails to
+    /// decode just as the whole payload would: the frame earns the full
+    /// read's verdict, echoed envelope and counters.
     pub fn serve_stream<S: Read + Write + ?Sized>(&self, stream: &mut S) -> ConnSummary {
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         let mut summary = ConnSummary::default();
         let mut payload = Vec::new();
         let mut offset = 0u64;
-        let mut submit_cap = MAX_FRAME_PAYLOAD;
         let mut stream = BufReader::new(stream);
         loop {
             let frame_start = offset;
-            let cap = |kind| max_request_payload(kind, submit_cap);
+            let submit_cap = self.shared.submit_cap.get().copied();
+            let cap = |kind| max_request_payload(kind, submit_cap.unwrap_or(MAX_FRAME_PAYLOAD));
             let read = match frame::read_frame_capped(&mut stream, &mut payload, cap) {
                 Ok(read) => read,
                 Err(error) => {
@@ -267,7 +274,11 @@ impl ConnHandle {
                 ResponseMessage::HelloAck,
             ) = (&msg, &response)
             {
-                submit_cap = max_submit_payload(*protocol, specs);
+                // The session's own parameters: a `Hello` that disagrees
+                // with an established session is not answered `HelloAck`.
+                self.shared
+                    .submit_cap
+                    .get_or_init(|| max_submit_payload(*protocol, specs));
             }
             if let Err(error) = response.write_to(stream.get_mut()) {
                 // The verdict may already be applied server-side; the
@@ -367,6 +378,13 @@ impl Backend {
         }
     }
 
+    fn service(&self) -> &ReportService {
+        match self {
+            Backend::Plain(service) => service,
+            Backend::Durable(durable) => durable.service(),
+        }
+    }
+
     /// Checkpoints durable state after a flushed epoch; a no-op for the
     /// plain backend.
     fn checkpoint(&mut self) -> Result<()> {
@@ -429,11 +447,16 @@ impl ReportServer {
 
     fn start_backend(config: &ServerConfig, backend: Backend) -> Self {
         let (alive, drained) = mpsc::channel();
+        let submit_cap = match backend.service().session_params() {
+            Some((protocol, _, specs, _)) => OnceLock::from(max_submit_payload(protocol, specs)),
+            None => OnceLock::new(),
+        };
         ReportServer {
             handle: ConnHandle {
                 shared: Arc::new(Shared {
                     backend: Mutex::new(backend),
                     in_flight: AtomicUsize::new(0),
+                    submit_cap,
                 }),
                 stats: Arc::new(TransportStats::default()),
                 queue_capacity: config.queue_capacity.max(1),

@@ -1,9 +1,10 @@
 //! Pins the durable on-disk format byte for byte.
 //!
-//! Neither the log nor the checkpoint carries a format version, so a
-//! change to how either is encoded would only surface as a checksum or
-//! `WalCorrupt` error when an old directory is reopened. One seeded
-//! scenario runs through every durable write path:
+//! Both files open with a header record whose `Hello` payload carries the
+//! format version, and a reader refuses any other version, so a change to
+//! how either file is encoded must come with a new version; these pins
+//! catch one that does not. One seeded scenario runs through every
+//! durable write path:
 //!
 //! - a `Hello`, three epochs of submits, and a flush plus checkpoint
 //!   after each of the first two, leaving the third as the log's tail;
@@ -135,13 +136,15 @@ struct Pins {
     recovered: [u64; 2],
 }
 
+/// Format version 2's bytes. The snapshot hashes are version 1's too:
+/// the format change moved no recovered estimate or counter.
 const GOLDEN: Pins = Pins {
     checkpoints: [
-        0x9985_1580_52f1_0d97,
-        0xb7ff_b8cc_0c83_65e6,
-        0xffe5_f8c2_a23a_1a24,
+        0x8f72_ee04_34a5_ddb3,
+        0x79c8_629d_9dbb_1432,
+        0x3b0c_4e8f_eb3d_5578,
     ],
-    logs: [0xc0a9_80d8_3f7f_ddc3, 0x4d16_94d2_799d_9930],
+    logs: [0x2ac8_e673_934a_9297, 0x538a_eafb_0952_a8dd],
     recovered: [0x6235_f307_526a_b20d, 0x36fc_bc6e_46ef_ae95],
 };
 

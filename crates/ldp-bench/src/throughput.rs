@@ -138,7 +138,7 @@ pub struct WireCell {
     /// in the service is not timed here.
     pub decode_reports_per_sec: f64,
     /// Reports/sec through the full transport path one `Submit` takes:
-    /// frame the message (length header + kind + FNV checksum), read it
+    /// frame the message (length header + kind + checksum), read it
     /// back through `WireMessage::read_from` (checksum verify + decode),
     /// then `decode_report` on the carried bytes — the per-report codec
     /// cost of the socket transport with the socket itself factored out.

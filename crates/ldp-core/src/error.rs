@@ -160,6 +160,18 @@ pub enum LdpError {
         /// Human-readable description of the integrity violation.
         message: String,
     },
+    /// A `Hello`, log or checkpoint was written in a format version this
+    /// build does not read (see [`crate::frame::FORMAT_VERSION`]). Nothing
+    /// was interpreted past the version, and a durable file that raises
+    /// it is left exactly as it was: it is not damage, and no torn tail is
+    /// cut off it.
+    UnsupportedVersion {
+        /// The version the bytes declare (`1` for a file written before
+        /// versions were recorded, recognised by its checksum).
+        found: u16,
+        /// The one version this build reads and writes.
+        supported: u16,
+    },
 }
 
 impl fmt::Display for LdpError {
@@ -226,6 +238,12 @@ impl fmt::Display for LdpError {
                 write!(
                     f,
                     "write-ahead log corrupt at byte offset {offset}: {message}"
+                )
+            }
+            LdpError::UnsupportedVersion { found, supported } => {
+                write!(
+                    f,
+                    "format version {found} is not supported (this build reads version {supported})"
                 )
             }
         }
@@ -311,6 +329,16 @@ mod tests {
             "{msg}"
         );
         assert!(std::error::Error::source(&e).is_none());
+
+        let e = LdpError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        };
+        let msg = e.to_string();
+        assert!(
+            msg.contains("version 1") && msg.contains("version 2"),
+            "{msg}"
+        );
     }
 
     #[test]

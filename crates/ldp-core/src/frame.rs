@@ -8,10 +8,15 @@
 //! ```text
 //! ┌──────────────┬──────────┬──────────────────┬─────────────┐
 //! │ len: u32 BE  │ kind: u8 │ checksum: u64 BE │ payload     │
-//! │ (payload     │          │ FNV-1a over      │ len bytes   │
-//! │  bytes)      │          │ kind ‖ payload   │             │
+//! │ (payload     │          │ frame_checksum   │ len bytes   │
+//! │  bytes)      │          │ (kind, payload)  │             │
 //! └──────────────┴──────────┴──────────────────┴─────────────┘
 //! ```
+//!
+//! This is format version [`FORMAT_VERSION`]. Version 1 had the same
+//! layout with a byte-serial FNV-1a checksum; [`frame_checksum`] says what
+//! replaced it, and [`v1_checksum`] is kept only so a file that version
+//! wrote can be recognised and refused rather than read as damage.
 //!
 //! Three properties the service layer relies on:
 //!
@@ -55,22 +60,79 @@ const READ_STEP: usize = 64 * 1024;
 /// when a payload runs past its cap.
 const SKIP_STEP: usize = 8 * 1024;
 
-/// FNV-1a checksum over the kind byte followed by the payload.
+/// Version of the frame format and of every record layout framed in it.
+/// The session `Hello` carries it, and with it every log and checkpoint
+/// header; a reader refuses any other version with
+/// [`LdpError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u16 = 2;
+
+/// Multiplier of one checksum step: odd, so the multiply is a bijection.
+const STEP_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The checksum over the kind byte and the payload, read as little-endian
+/// `u64` words.
 ///
-/// The same 64-bit FNV-1a the bench harness uses for estimate checksums:
-/// cheap, dependency-free, and plenty to detect corruption (this is an
-/// integrity check against accidents and fuzzing, not an authenticator).
+/// The kind byte seeds the state, and each word `w` steps it as
+/// `h = rotl((h ^ w)·K, 31)` with `K` odd. The last partial word is
+/// zero-padded. The payload length is folded in before a final avalanche.
+/// Each step is a bijection of the state for a fixed word and of the word
+/// for a fixed state, so two payloads of one length and kind that differ
+/// in a single word, and any single bit flip, always check differently.
+/// One dependent multiply per eight bytes, where the version 1 FNV-1a
+/// paid one per byte. Cheap, dependency-free, and plenty to detect
+/// corruption: this is an integrity check against accidents and fuzzing,
+/// not an authenticator.
 pub fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv1a(fnv1a(OFFSET, &[kind]), payload)
+    let (words, tail) = payload.split_at(payload.len() - payload.len() % 8);
+    finish(fold_words(seed(kind), words), tail, payload.len())
 }
 
-/// Folds `bytes` into the running FNV-1a state `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x1000_0000_01b3;
-    for &b in bytes {
+/// The checksum state before any payload word.
+fn seed(kind: u8) -> u64 {
+    0x243F_6A88_85A3_08D3 ^ u64::from(kind)
+}
+
+/// One checksum step.
+#[inline(always)]
+fn step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(STEP_MUL).rotate_left(31)
+}
+
+/// Folds `words` (a whole number of little-endian `u64`s) into `h`.
+fn fold_words(mut h: u64, words: &[u8]) -> u64 {
+    debug_assert_eq!(words.len() % 8, 0);
+    for word in words.chunks_exact(8) {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    h
+}
+
+/// Folds the zero-padded `tail` (under eight bytes) and the payload
+/// length `len` into `h`, then avalanches it.
+fn finish(mut h: u64, tail: &[u8], len: usize) -> u64 {
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(word));
+    }
+    h ^= len as u64;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// The version 1 checksum: 64-bit FNV-1a over the kind byte followed by
+/// the payload, with the multiplier version 1 used (`0x1000_0000_01b3`,
+/// not FNV's 64-bit prime `0x100_0000_01b3`). Nothing writes it; the
+/// durable layer checks a file's first record against it to tell a
+/// version 1 file from a damaged one.
+pub fn v1_checksum(kind: u8, payload: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in std::iter::once(&kind).chain(payload) {
         h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
 }
@@ -218,31 +280,39 @@ pub fn read_frame_capped<R: Read + ?Sized>(
             return Err(truncated_payload(got, len));
         }
     }
-    let mut computed = frame_checksum(kind, payload);
-    if keep < len {
-        computed = checksum_rest(r, computed, keep, len)?;
-    }
+    let computed = if keep < len {
+        checksum_rest(r, kind, payload, len)?
+    } else {
+        frame_checksum(kind, payload)
+    };
     Ok(Some((outcome(kind, declared, computed), len)))
 }
 
-/// Reads payload bytes `done..len` through a fixed buffer, folding them
-/// into the running FNV-1a checksum `h` (see [`frame_checksum`]). Never
-/// inlined: its 8 KiB buffer would put a stack probe on every frame read.
+/// [`frame_checksum`] of a `len`-byte payload of which `kept` has been
+/// read: reads the rest through a fixed buffer, carrying each partial
+/// word into the next read. Never inlined: its 8 KiB buffer would put a
+/// stack probe on every frame read.
 #[cold]
 #[inline(never)]
-fn checksum_rest<R: Read + ?Sized>(r: &mut R, mut h: u64, done: usize, len: usize) -> Result<u64> {
+fn checksum_rest<R: Read + ?Sized>(r: &mut R, kind: u8, kept: &[u8], len: usize) -> Result<u64> {
+    let (words, tail) = kept.split_at(kept.len() - kept.len() % 8);
+    let mut h = fold_words(seed(kind), words);
     let mut buf = [0u8; SKIP_STEP];
-    let mut done = done;
+    buf[..tail.len()].copy_from_slice(tail);
+    let (mut carried, mut done) = (tail.len(), kept.len());
     while done < len {
-        let step = &mut buf[..SKIP_STEP.min(len - done)];
-        let got = read_full(r, step)?;
-        h = fnv1a(h, &step[..got]);
+        let chunk = &mut buf[carried..SKIP_STEP.min(carried + len - done)];
+        let got = read_full(r, chunk)?;
         done += got;
-        if got < step.len() {
+        if got < chunk.len() {
             return Err(truncated_payload(done, len));
         }
+        let filled = carried + got;
+        carried = filled % 8;
+        h = fold_words(h, &buf[..filled - carried]);
+        buf.copy_within(filled - carried..filled, 0);
     }
-    Ok(h)
+    Ok(finish(h, &buf[..carried], len))
 }
 
 /// [`read_frame`] over an in-memory buffer, without copying: reads the
@@ -537,6 +607,86 @@ mod tests {
         let a = frame_checksum(1, b"same payload");
         let b = frame_checksum(2, b"same payload");
         assert_ne!(a, b);
+    }
+
+    /// `len` bytes of a fixed pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // Format version 2: any change to these values is a format change.
+        let golden: [(u8, usize, u64); 18] = [
+            (2, 0, 0x79f5_8170_1035_c5fd),
+            (2, 1, 0x465c_e51f_02cb_d969),
+            (2, 7, 0x0211_9122_e128_68b1),
+            (2, 8, 0x18eb_b85a_d852_ee56),
+            (2, 9, 0x0578_bd6c_7604_3c80),
+            (2, 31, 0x082b_d010_7e22_cec7),
+            (2, 32, 0x53f7_d89e_cfdc_a074),
+            (2, 33, 0x920d_3de7_dc48_50a1),
+            (2, 4096, 0xec8d_4e95_15f6_2ea1),
+            (10, 0, 0x798a_5ce0_b8d6_18ad),
+            (10, 1, 0x3e8a_9de3_3f74_4828),
+            (10, 7, 0x2e24_3330_ffeb_b229),
+            (10, 8, 0xa076_b56f_f9a0_10df),
+            (10, 9, 0x73d9_0dd7_6e70_d844),
+            (10, 31, 0x50c8_d457_3110_057d),
+            (10, 32, 0xc366_141d_3a7b_6ef2),
+            (10, 33, 0xeacc_54f3_3a76_9732),
+            (10, 4096, 0x2f18_a282_9b09_1f49),
+        ];
+        let got: Vec<(u8, usize, u64)> = golden
+            .iter()
+            .map(|&(kind, len, _)| (kind, len, frame_checksum(kind, &pattern(len))))
+            .collect();
+        assert_eq!(got, golden);
+    }
+
+    #[test]
+    fn a_zero_padded_tail_still_counts_its_length() {
+        for len in 0..17 {
+            let payload = vec![0u8; len];
+            assert_ne!(
+                frame_checksum(4, &payload),
+                frame_checksum(4, &[payload.as_slice(), &[0]].concat()),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_version_1_checksum_is_pinned() {
+        // Values version 1's `frame_checksum` gave.
+        assert_eq!(v1_checksum(b'a', b""), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(v1_checksum(2, &pattern(33)), 0xa776_83f7_6be9_fe4a);
+    }
+
+    #[test]
+    fn every_cap_streams_the_tail_to_the_one_shot_checksum() {
+        for len in [100, 2 * SKIP_STEP + 13] {
+            let payload = pattern(len);
+            let mut corrupt = frame_to_vec(3, &payload).unwrap();
+            corrupt[FRAME_HEADER_BYTES + len - 1] ^= 0x08;
+            let frames = [frame_to_vec(3, &payload).unwrap(), corrupt];
+            let caps: Vec<usize> = if len == 100 {
+                (0..len).collect()
+            } else {
+                (0..20).chain([SKIP_STEP - 3, SKIP_STEP + 5]).collect()
+            };
+            for bytes in &frames {
+                let full = read_frame(&mut &bytes[..], &mut Vec::new()).unwrap();
+                for &cap in &caps {
+                    let mut kept = Vec::new();
+                    let (read, declared) = read_frame_capped(&mut &bytes[..], &mut kept, |_| cap)
+                        .unwrap()
+                        .unwrap();
+                    assert_eq!((Some(read), declared), (full, len), "len {len} cap {cap}");
+                    assert_eq!(kept, bytes[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + cap]);
+                }
+            }
+        }
     }
 
     /// A reader scripted to fail with one io::ErrorKind per call (after

@@ -445,19 +445,25 @@ impl BitWriter {
     }
 }
 
-/// Reader matching [`BitWriter`]'s layout: one eight-byte load per read
-/// while eight bytes remain from the read position, byte-at-a-time near
-/// the end of the buffer.
+/// Reader matching [`BitWriter`]'s layout. A buffer of at most 16 bytes
+/// is loaded once, zero-padded, into one 128-bit word that every read
+/// shifts out of. A longer one takes one eight-byte load per read while
+/// eight bytes remain from the read position and the bits fit in them,
+/// and a zero-padded 16-byte load otherwise.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
     bit: usize,
+    /// `buf` as one zero-padded most-significant-first word, when it
+    /// holds at most 16 bytes (every report of a BR-sized schema).
+    small: Option<u128>,
 }
 
 impl<'a> BitReader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, bit: 0 }
+        let small = (buf.len() <= 16).then(|| padded_word(buf));
+        BitReader { buf, bit: 0, small }
     }
 
     /// Reads the next `width` bits, most-significant first.
@@ -465,34 +471,59 @@ impl<'a> BitReader<'a> {
     /// # Errors
     /// [`LdpError::InvalidParameter`] when fewer than `width` bits
     /// remain.
+    #[inline]
     pub fn read_bits(&mut self, width: usize) -> Result<u64> {
         debug_assert!(width <= 64);
-        if self.bit + width > self.buf.len() * 8 {
-            return Err(LdpError::InvalidParameter {
-                name: "wire",
-                message: "truncated report buffer".into(),
-            });
+        let end = self.bit + width;
+        if end > self.buf.len() * 8 {
+            return Err(truncated_buffer());
         }
+        let value = if width == 0 {
+            0
+        } else if let Some(word) = self.small {
+            // `end <= 128` and `width > 0`, so both shifts are below 128.
+            ((word << self.bit) >> (128 - width)) as u64
+        } else {
+            self.read_long(width)
+        };
+        self.bit = end;
+        Ok(value)
+    }
+
+    /// [`BitReader::read_bits`] from a buffer of more than 16 bytes, for
+    /// a `width` in `1..=64` that is in bounds.
+    #[inline]
+    fn read_long(&self, width: usize) -> u64 {
         let (byte, skip) = (self.bit / 8, self.bit % 8);
         if let Some(chunk) = self.buf.get(byte..byte + 8) {
-            if width > 0 && skip + width <= 64 {
+            if skip + width <= 64 {
                 let word = u64::from_be_bytes(chunk.try_into().expect("eight bytes"));
-                self.bit += width;
-                return Ok((word << skip) >> (64 - width));
+                return (word << skip) >> (64 - width);
             }
         }
-        let mut out = 0u64;
-        let mut need = width;
-        while need > 0 {
-            let byte = self.buf[self.bit / 8];
-            let avail = 8 - (self.bit % 8);
-            let take = avail.min(need);
-            let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            out = (out << take) | u64::from(chunk);
-            self.bit += take;
-            need -= take;
-        }
-        Ok(out)
+        // `skip + width <= 71` bits, all inside the next 16 bytes.
+        let word = padded_word(&self.buf[byte..self.buf.len().min(byte + 16)]);
+        ((word << skip) >> (128 - width)) as u64
+    }
+}
+
+/// `bytes` (at most 16) as the high bytes of a most-significant-first
+/// word, zero-padded.
+fn padded_word(bytes: &[u8]) -> u128 {
+    let mut word = [0u8; 16];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u128::from_be_bytes(word)
+}
+
+/// The error of a read past the end of a [`BitReader`]'s buffer, built
+/// out of line so that [`BitReader::read_bits`] stays small enough to
+/// inline.
+#[cold]
+#[inline(never)]
+fn truncated_buffer() -> LdpError {
+    LdpError::InvalidParameter {
+        name: "wire",
+        message: "truncated report buffer".into(),
     }
 }
 
@@ -645,6 +676,45 @@ mod tests {
                 for (&value, &width) in values.iter().zip(&widths) {
                     let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
                     prop_assert_eq!(r.read_bits(width).unwrap(), value & mask);
+                }
+            }
+        }
+
+        /// `width` bits of `buf` from bit `at`, one bit at a time; `None`
+        /// past the end.
+        fn naive_read(buf: &[u8], at: usize, width: usize) -> Option<u64> {
+            (at + width <= buf.len() * 8).then(|| {
+                (at..at + width).fold(0, |acc, i| {
+                    (acc << 1) | u64::from((buf[i / 8] >> (7 - i % 8)) & 1)
+                })
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Every read, at every position of a buffer on either side of
+            /// the 16-byte word, equals a bit-at-a-time read, and a read
+            /// past the end is the typed truncation error that leaves the
+            /// position where it was.
+            #[test]
+            fn read_bits_matches_a_naive_bit_reader(
+                bytes in prop::collection::vec(0u8..=255, 0..=40),
+            ) {
+                for at in 0..=bytes.len() * 8 {
+                    for width in 0..=64 {
+                        let mut r = BitReader { bit: at, ..BitReader::new(&bytes) };
+                        let got = r.read_bits(width);
+                        prop_assert_eq!(got.clone().ok(), naive_read(&bytes, at, width), "at {} width {}", at, width);
+                        match got {
+                            Ok(_) => prop_assert_eq!(r.bit, at + width),
+                            Err(e) => {
+                                let wire = matches!(e, LdpError::InvalidParameter { name: "wire", .. });
+                                prop_assert!(wire, "{:?}", e);
+                                prop_assert_eq!(r.bit, at);
+                            }
+                        }
+                    }
                 }
             }
         }
