@@ -1,55 +1,63 @@
 #!/usr/bin/env python3
 """Gate a fresh bench run against its committed BENCH_*.json artifact.
 
-The script dispatches on the top-level ``bench`` field of the two JSONs:
+The gate is one table, ``TABLES``, and one comparator, ``compare``, that
+walks it. The table has one entry per bench kind (the top-level ``bench``
+field of both JSONs: ``"throughput"`` against ``BENCH_throughput.json``,
+``"audit"`` against ``BENCH_audit.json``) and, for each kind, one row per
+section of the JSON. A row names:
 
-* ``"throughput"`` — the perf/accuracy gate described below, against
-  ``BENCH_throughput.json``.
-* ``"audit"`` — the privacy gate, against ``BENCH_audit.json``: every
-  audited (cell, arm) in BOTH files must satisfy
-  ``<arm>_eps_emp_upper <= eps_theory`` (plus ``--eps-slop``, default 1e-9,
-  for float formatting only). The certified bound only *shrinks* with fewer
-  trials, so a quick CI re-audit applies the exact same inequality as the
-  committed million-trial artifact — there is no "tolerant" variant of this
-  gate. Every committed cell (keyed on protocol/eps/d/k/sampled_k) and
-  every committed arm must be present in the measured JSON; a candidate
-  that silently stops auditing a cell must not pass by omission. Tally
-  sanity (wins <= trials, lower <= upper) is checked on both sides too.
+* its match key: the cell fields that pair a measured cell with a
+  committed one;
+* its exact fields, which must match EXACTLY;
+* its ratio-gated speed fields, ``<arm>_<suffix>`` for every arm the
+  committed section declares except the deliberately slow ``reference``
+  arm, which fail only below ``--min-ratio`` of the committed number;
+* its per-side checks, run on every cell of BOTH files.
 
-For the throughput gate there are two kinds of fields, two kinds of gates:
+Exact fields (estimate and answer checksums, query grid layouts, wire
+byte totals, replayed WAL record counts) are deterministic: fixed seeds,
+fixed populations, a bit-exact batched-RNG layer, an exact-length wire
+codec. Any drift means an estimate or a wire byte changed, and fails the
+job. The checksum, wire, query and sweep runs have the same size in every
+mode, so a quick CI run is exactly comparable with the committed
+default-mode artifact.
 
-* accuracy fields (``estimate_checksum`` per grid cell and per worker-sweep
-  entry, ``total_bytes`` and ``wal_replayed`` per wire cell) are
-  deterministic — fixed seeds, fixed populations, a bit-exact batched-RNG
-  layer, an exact-length wire codec — so they must match EXACTLY. Any drift
-  means an estimate or a wire byte changed and fails the job.
-* speed fields (``<arm>_users_per_sec`` per grid cell,
-  ``<arm>_reports_per_sec`` per wire cell) are measured on shared CI
-  runners, so the gate is deliberately generous: the job only fails when a
-  matched cell drops below ``--min-ratio`` (default 0.2, i.e. a 5x
-  regression) of the committed number. The committed JSON — regenerated on
-  a quiet machine whenever the hot path changes — remains the authoritative
-  trajectory; this gate just catches catastrophic regressions before they
-  merge.
+Speed fields are measured on shared CI runners, so the gate is
+deliberately generous: it fails only when a matched cell drops below
+``--min-ratio`` (default 0.2, i.e. a 5x regression) of the committed
+number. The committed JSON, regenerated on a quiet machine whenever the
+hot path changes, remains the authoritative trajectory; this gate just
+catches catastrophic regressions before they merge. The gated arms come
+from the committed JSON's own ``arms`` list, so adding an arm to the bench
+needs no change here, and measured-side extra arms are fine.
 
-Which speed fields are gated is driven by the ``arms`` lists each JSON
-declares (top-level for the grid — ``reference`` and ``production`` —
-and ``wire.arms`` for the wire section): every arm the committed JSON
-declares — except the deliberately slow ``reference`` arm — MUST be
-present in the measured JSON, and is compared. A committed arm (or a
-whole committed section, like ``wire``) that the measured JSON lacks is a
-hard failure with its own message — a candidate that silently stops
-reporting an arm must not pass the gate by omission, and a committed JSON
-that declares no arms fails too. Measured-side extras are fine: adding an
-arm to the bench needs no change here.
+The audit's per-side check is the privacy gate: every audited (cell, arm)
+must satisfy ``<arm>_eps_emp_upper <= eps_theory`` (plus ``--eps-slop``,
+default 1e-9, for float formatting only). The certified bound only
+*shrinks* with fewer trials, so a quick CI re-audit applies the exact same
+inequality as the committed million-trial artifact; there is no
+"tolerant" variant of this gate. Tally sanity (wins <= trials,
+lower <= upper) is checked too.
+
+Nothing passes by omission. A committed section, cell, arm or field that
+the measured JSON lacks is a hard failure with its own message, and so is
+a committed JSON that declares no arms. Only the throughput grid may be
+matched partially, since a quick-mode run covers a subset of the committed
+default-mode grid; every other section reports the same cells in every
+mode. Zero matched cells fails (the grids no longer line up). A committed
+section with a ``cells`` list that no row names fails too, so a section
+added to a BENCH_*.json later cannot go ungated. The per-side checks run
+on the committed artifact as well: a bad artifact must not become the
+baseline everything else is compared to.
 
 On failure the full per-cell delta table (every matched cell x every gated
-arm, measured/committed ratio) is printed so a regression can be localized
-from the CI log alone.
+field, measured/committed ratio) is printed, so a regression can be
+localized from the CI log alone.
 
-``--self-test`` runs the gate's own unit checks against synthetic reports
-(missing arms fail, byte drift fails, healthy pairs pass) and exits
-non-zero on any violation; CI runs it before trusting the real comparison.
+``--self-test`` runs the gate's own cases on synthetic reports (missing
+arms fail, byte drift fails, healthy pairs pass) and exits non-zero on any
+violation; CI runs it before trusting the real comparison.
 
 Platform caveat for the exact gate: the draw streams are platform-fixed,
 but a few oracle/mechanism parameters pass through libm transcendentals
@@ -58,664 +66,431 @@ the committed BENCH_throughput.json on the CI platform family
 (x86_64 linux) so its checksums are the ones CI reproduces; a one-bit
 checksum drift on a perf-only refresh made from another platform means
 exactly this, not a real estimate change.
-
-Cells are matched on (protocol, eps, d, k, sampled_k) — (protocol, eps, d,
-k) for wire cells; a quick-mode run covers a subset of the committed
-default-mode grid, and unmatched committed cells are fine. Zero matched
-cells fails (the grids no longer line up).
 """
 
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 # Deliberately-slow reference arms that are recorded but not speed-gated.
 UNGATED_ARMS = {"reference"}
 
-
-def cell_key(cell):
-    return (
-        cell["protocol"],
-        float(cell["eps"]),
-        int(cell["d"]),
-        int(cell["k"]),
-        int(cell["sampled_k"]),
-    )
+# The per-arm tallies of one audit cell, as ``<arm>_<field>``.
+AUDIT_FIELDS = ("trials", "wins_v1", "wins_v2", "eps_emp_lower", "eps_emp_upper")
 
 
-def wire_cell_key(cell):
-    return (cell["protocol"], float(cell["eps"]), int(cell["d"]), int(cell["k"]))
-
-
-def gated_fields(committed, measured, suffix, failures, section=""):
-    """``<arm>_<suffix>`` for the committed arms, hard-failing on any
-    committed arm the measured JSON no longer declares."""
-    where = f"{section} " if section else ""
-    committed_arms = committed.get("arms")
-    if not committed_arms:
-        failures.append(f"committed JSON declares no {where}arms — nothing to gate")
+def hdg_beats_naive(label, cell, **_):
+    """The accuracy claim the range-query subsystem exists for: the
+    repaired HDG error is below the naive full-domain baseline's."""
+    hdg, naive = cell["hdg_mean_rel_err"], cell["naive_mean_rel_err"]
+    if hdg < naive:
         return []
-    measured_arms = measured.get("arms", [])
-    missing = [
-        arm
-        for arm in committed_arms
-        if arm not in UNGATED_ARMS and arm not in measured_arms
+    return [
+        f"{label}: hdg_mean_rel_err {hdg} is not below naive_mean_rel_err "
+        f"{naive} — the repaired grids no longer beat the naive baseline"
     ]
-    if missing:
-        failures.append(
-            f"measured JSON dropped committed {where}arm(s): {', '.join(missing)} "
-            f"— every committed arm must be present in the candidate"
-        )
-    shared = [
-        arm
-        for arm in committed_arms
-        if arm in measured_arms and arm not in UNGATED_ARMS
-    ]
-    return [f"{arm}_{suffix}" for arm in shared]
 
 
-def gate_speed(label, field, cell, ref, min_ratio, failures, delta_rows):
-    """One tolerant speed comparison; a declared-but-absent field fails."""
-    for side, report in (("measured", cell), ("committed", ref)):
-        if field not in report:
-            failures.append(
-                f"{label}: {side} cell is missing declared speed field {field}"
+def certified(label, cell, arms, slop, deltas):
+    """The privacy gate proper: the certified empirical epsilon never
+    exceeds the theoretical budget, and the tallies are consistent."""
+    problems = []
+    for arm in arms:
+        fields = [f"{arm}_{f}" for f in AUDIT_FIELDS]
+        missing = [f for f in fields if f not in cell]
+        if len(missing) == len(fields):
+            # The ``direct`` arm exists on 1-D GRR cells alone; a cell with
+            # no trace of an arm simply doesn't run it.
+            continue
+        if missing:
+            problems.append(f"{label}: missing audit field(s) {missing}")
+            continue
+        trials, w1, w2, lower, upper = (cell[f] for f in fields)
+        theory = cell["eps_theory"]
+        if w1 + w2 > trials:
+            problems.append(
+                f"{label}: {arm} wins exceed trials ({w1}+{w2} > {trials}) "
+                f"— tally conservation broken"
             )
-            return
-    ratio = cell[field] / ref[field]
-    delta_rows.append((label, field, cell[field], ref[field], ratio))
-    if ratio < min_ratio:
-        failures.append(f"{label}: {field} regressed to x{ratio:.2f} of committed")
+        if lower > upper + slop:
+            problems.append(f"{label}: {arm} eps_emp_lower {lower} > eps_emp_upper {upper}")
+        ok = upper <= theory + slop
+        deltas.append((label, f"{arm}_eps_emp_upper", upper, theory, ok))
+        if not ok:
+            problems.append(
+                f"{label}: {arm} certified eps_emp_upper {upper} exceeds "
+                f"theoretical eps {theory} — the implementation leaks more "
+                f"privacy than it claims"
+            )
+    return problems
 
 
-def compare(committed, measured, min_ratio):
-    """Full gate. Returns (failures, delta_rows, matched_cell_count)."""
-    failures = []
-    delta_rows = []
+@dataclass(frozen=True)
+class Section:
+    """One gated section of a bench JSON: a ``cells`` list, either at the
+    top level (``path`` None) or in the object under ``path``.
 
-    fields = gated_fields(committed, measured, "users_per_sec", failures)
-    committed_cells = {cell_key(c): c for c in committed["cells"]}
+    Cells of one file that share a key must also agree on every exact
+    field, so a section whose value does not depend on the cell (the
+    worker sweep) is keyed on no field at all."""
+
+    name: str
+    path: str | None
+    key: tuple
+    exact: tuple = ()
+    # The section declares ``arms``; every committed arm must be measured.
+    arms: bool = False
+    # Suffix of the ratio-gated ``<arm>_<speed>`` fields.
+    speed: str | None = None
+    # Per-side checks: ``check(label, cell, arms=, slop=, deltas=)`` returns
+    # failure messages.
+    checks: tuple = ()
+    # A measured run may cover a subset of the committed cells.
+    partial: bool = False
+
+
+GRID_KEY = ("protocol", "eps", "d", "k", "sampled_k")
+
+TABLES = {
+    "throughput": (
+        Section(
+            "grid",
+            None,
+            GRID_KEY,
+            exact=("estimate_checksum",),
+            arms=True,
+            speed="users_per_sec",
+            partial=True,
+        ),
+        Section(
+            "wire",
+            "wire",
+            ("protocol", "eps", "d", "k"),
+            exact=("reports", "total_bytes", "wal_replayed"),
+        ),
+        Section(
+            "queries",
+            "queries",
+            ("eps",),
+            exact=("queries", "g1", "g2", "grids", "answer_checksum"),
+            checks=(hdg_beats_naive,),
+        ),
+        # Every worker count must produce the same estimates.
+        Section("worker_sweep", "worker_sweep", (), exact=("estimate_checksum",)),
+    ),
+    "audit": (
+        # Quick mode reduces trials, not cells.
+        Section("audit", None, GRID_KEY, exact=("eps_theory",), arms=True, checks=(certified,)),
+    ),
+}
+
+
+def cell_label(row, cell):
+    parts = [str(cell.get(f)) if f == "protocol" else f"{f}={cell.get(f)}" for f in row.key]
+    return " ".join([row.name, *parts])
+
+
+def gate(row, committed, measured, min_ratio, slop, failures, deltas):
+    """Gates one section; returns its matched cell count."""
+    sides = {}
+    for side, report in (("committed", committed), ("measured", measured)):
+        section = report if row.path is None else report.get(row.path)
+        if isinstance(section, dict) and isinstance(section.get("cells"), list):
+            sides[side] = section
+        else:
+            failures.append(f"{side} JSON has no {row.name} section")
+    if len(sides) < 2:
+        return 0
+
+    arms = {side: section.get("arms", []) for side, section in sides.items()}
+    if row.arms:
+        if not arms["committed"]:
+            failures.append(f"{row.name}: committed JSON declares no arms — nothing to gate")
+        dropped = [a for a in arms["committed"] if a not in arms["measured"]]
+        if dropped:
+            failures.append(
+                f"{row.name}: measured JSON dropped committed arm(s): {', '.join(dropped)}"
+            )
+
+    speed = []
+    if row.speed:
+        speed = [
+            f"{arm}_{row.speed}"
+            for arm in arms["committed"]
+            if arm not in UNGATED_ARMS and arm in arms["measured"]
+        ]
+
+    # Per-side checks on every cell, and each side's cells by key.
+    by_key = {}
+    for side, section in sides.items():
+        by_key[side] = {}
+        for cell in section["cells"]:
+            label = cell_label(row, cell)
+            try:
+                key = tuple(cell[f] for f in row.key)
+                for check in row.checks:
+                    failures.extend(
+                        check(f"{side} {label}", cell, arms=arms[side], slop=slop, deltas=deltas)
+                    )
+            except KeyError as missing:
+                failures.append(f"{label}: {side} cell has no {missing.args[0]}")
+                continue
+            first = by_key[side].setdefault(key, cell)
+            for field in row.exact + tuple(speed):
+                if field not in cell:
+                    failures.append(f"{label}: {side} cell has no {field}")
+                elif field in row.exact and field in first and first[field] != cell[field]:
+                    failures.append(
+                        f"{side} {label}: cells of one key disagree on {field} "
+                        f"({first[field]} vs {cell[field]})"
+                    )
+
     matched = 0
-
-    for cell in measured["cells"]:
-        key = cell_key(cell)
-        ref = committed_cells.get(key)
-        if ref is None:
+    for key, ref in by_key["committed"].items():
+        label = cell_label(row, ref)
+        cell = by_key["measured"].get(key)
+        if cell is None:
+            if not row.partial:
+                failures.append(f"{label}: committed cell is missing from the measured JSON")
             continue
         matched += 1
-        label = "{} eps={} d={} k={}".format(*key[:4])
-
-        # Accuracy: exact. The checksum population and seed are fixed across
-        # modes, so any difference is a real estimate change.
-        if cell["estimate_checksum"] != ref["estimate_checksum"]:
-            failures.append(
-                f"{label}: estimate_checksum drifted "
-                f"({ref['estimate_checksum']} -> {cell['estimate_checksum']})"
-            )
-
-        # Speed: generous. Shared runners wobble; only a collapse fails.
-        for field in fields:
-            gate_speed(label, field, cell, ref, min_ratio, failures, delta_rows)
-
+        # A field either side lacks has failed by name above.
+        for field in (f for f in row.exact if f in ref and f in cell):
+            if cell[field] != ref[field]:
+                failures.append(f"{label}: {field} drifted ({ref[field]} -> {cell[field]})")
+        for field in (f for f in speed if f in ref and f in cell):
+            ratio = cell[field] / ref[field]
+            deltas.append((label, field, cell[field], ref[field], ratio >= min_ratio))
+            if ratio < min_ratio:
+                failures.append(f"{label}: {field} regressed to x{ratio:.2f} of committed")
     if matched == 0:
-        failures.append("no measured cell matched any committed cell — grid keys drifted")
-
-    # Wire codec section: canonical Submit-report bytes. total_bytes is
-    # deterministic (fixed seed, fixed report count, exact-length codec), so
-    # it gates exactly; the encode/decode rates gate tolerantly like any arm.
-    wire_ref = committed.get("wire")
-    wire_got = measured.get("wire")
-    if wire_ref is not None:
-        if wire_got is None:
-            failures.append(
-                "committed JSON declares a wire section but the measured JSON "
-                "has none — the candidate must keep reporting it"
-            )
-        else:
-            wire_fields = gated_fields(
-                wire_ref, wire_got, "reports_per_sec", failures, section="wire"
-            )
-            ref_cells = {wire_cell_key(c): c for c in wire_ref["cells"]}
-            wire_matched = 0
-            for cell in wire_got["cells"]:
-                ref = ref_cells.get(wire_cell_key(cell))
-                if ref is None:
-                    continue
-                wire_matched += 1
-                label = "wire {} eps={} d={} k={}".format(*wire_cell_key(cell))
-                # ``wal_replayed`` (records recovered by replaying the WAL
-                # the wal arm writes) is deterministic like the byte counts,
-                # so it gates exactly too. A cell on either side that lacks
-                # one of these fields fails the same way a drift does —
-                # ``get`` yields None, which never equals a count.
-                for exact in ("reports", "total_bytes", "wal_replayed"):
-                    if cell.get(exact) != ref.get(exact):
-                        failures.append(
-                            f"{label}: {exact} drifted "
-                            f"({ref.get(exact)} -> {cell.get(exact)}) — the wire codec "
-                            f"changed the canonical byte image"
-                        )
-                for field in wire_fields:
-                    gate_speed(
-                        label, field, cell, ref, min_ratio, failures, delta_rows
-                    )
-            if wire_matched == 0:
-                failures.append(
-                    "no measured wire cell matched any committed wire cell"
-                )
-
-    # Range-query section: HDG answers over the fixed census workload. The
-    # answer checksum and grid layout are deterministic (fixed seed, fixed
-    # population, pure answer-time post-processing), so they gate exactly;
-    # answers_per_sec gates tolerantly like any arm; and on BOTH sides the
-    # repaired HDG error must beat the naive full-domain baseline — the
-    # accuracy claim the query subsystem exists for, re-checked here so a
-    # bad committed artifact cannot become the baseline either.
-    q_ref = committed.get("queries")
-    q_got = measured.get("queries")
-    if q_ref is not None:
-        if q_got is None:
-            failures.append(
-                "committed JSON declares a queries section but the measured "
-                "JSON has none — the candidate must keep reporting it"
-            )
-        else:
-            ref_cells = {float(c["eps"]): c for c in q_ref["cells"]}
-            q_matched = 0
-            for cell in q_got["cells"]:
-                ref = ref_cells.get(float(cell["eps"]))
-                if ref is None:
-                    continue
-                q_matched += 1
-                label = "queries eps={}".format(cell["eps"])
-                for exact in ("queries", "g1", "g2", "grids", "answer_checksum"):
-                    if cell[exact] != ref[exact]:
-                        failures.append(
-                            f"{label}: {exact} drifted "
-                            f"({ref[exact]} -> {cell[exact]}) — the range-query "
-                            f"pipeline changed its deterministic output"
-                        )
-                gate_speed(
-                    label, "answers_per_sec", cell, ref, min_ratio, failures, delta_rows
-                )
-            if q_matched == 0:
-                failures.append(
-                    "no measured query cell matched any committed query cell"
-                )
-        for name, section in (("committed", q_ref), ("measured", q_got)):
-            for cell in (section or {}).get("cells", []):
-                hdg = float(cell["hdg_mean_rel_err"])
-                naive = float(cell["naive_mean_rel_err"])
-                if not hdg < naive:
-                    failures.append(
-                        f"{name} queries eps={cell['eps']}: hdg_mean_rel_err {hdg} "
-                        f"is not below naive_mean_rel_err {naive} — the repaired "
-                        f"grids no longer beat the naive baseline"
-                    )
-
-    # Worker sweep: same fixed users/seed in every mode, so checksums are
-    # exact too, and all entries within one file must agree with each other.
-    for name, report in (("committed", committed), ("measured", measured)):
-        sweep = report.get("worker_sweep")
-        if sweep:
-            sums = {c["estimate_checksum"] for c in sweep["cells"]}
-            if len(sums) > 1:
-                failures.append(f"{name} worker_sweep checksums disagree internally: {sums}")
-    if "worker_sweep" in committed and "worker_sweep" in measured:
-        a = committed["worker_sweep"]["cells"][0]["estimate_checksum"]
-        b = measured["worker_sweep"]["cells"][0]["estimate_checksum"]
-        if a != b:
-            failures.append(f"worker_sweep estimate_checksum drifted ({a} -> {b})")
-
-    return failures, delta_rows, matched
-
-
-def audit_cell_key(cell):
-    return (
-        cell["protocol"],
-        float(cell["eps"]),
-        int(cell["d"]),
-        int(cell["k"]),
-        int(cell["sampled_k"]),
-    )
-
-
-def audit_check_side(name, report, slop, failures, rows):
-    """The privacy gate proper, applied to one JSON: certified empirical
-    epsilon must never exceed the theoretical budget, and the tallies must
-    be internally consistent. Runs on the committed artifact too — a bad
-    artifact must not become the baseline everything else is compared to."""
-    arms = report.get("arms", [])
-    if not arms:
-        failures.append(f"{name} audit JSON declares no arms")
-    for cell in report.get("cells", []):
-        label = "{} {} eps={} d={} k={}".format(
-            name, cell["protocol"], cell["eps"], cell["d"], cell["k"]
-        )
-        theory = float(cell["eps_theory"])
-        for arm in arms:
-            fields = [f"{arm}_{f}" for f in (
-                "trials", "wins_v1", "wins_v2", "eps_emp_lower", "eps_emp_upper"
-            )]
-            missing = [f for f in fields if f not in cell]
-            if missing:
-                # Only flag arms this cell is expected to carry: the
-                # ``direct`` arm exists on 1-D GRR cells alone, and a cell
-                # with no trace of the arm simply doesn't run it.
-                if any(f in cell for f in fields):
-                    failures.append(f"{label}: missing audit field(s) {missing}")
-                continue
-            trials, w1, w2 = (int(cell[f"{arm}_{f}"]) for f in ("trials", "wins_v1", "wins_v2"))
-            lower, upper = (float(cell[f"{arm}_eps_emp_{b}"]) for b in ("lower", "upper"))
-            if w1 + w2 > trials:
-                failures.append(
-                    f"{label}: {arm} wins exceed trials ({w1}+{w2} > {trials}) "
-                    f"— tally conservation broken"
-                )
-            if lower > upper + slop:
-                failures.append(
-                    f"{label}: {arm} eps_emp_lower {lower} > eps_emp_upper {upper}"
-                )
-            rows.append((label, arm, upper, theory))
-            if upper > theory + slop:
-                failures.append(
-                    f"{label}: {arm} certified eps_emp_upper {upper} exceeds "
-                    f"theoretical eps {theory} — the implementation leaks more "
-                    f"privacy than it claims"
-                )
-
-
-def compare_audit(committed, measured, slop):
-    """The audit gate. Returns (failures, rows, matched_cell_count) where
-    rows are (label, arm, eps_emp_upper, eps_theory) for the log."""
-    failures = []
-    rows = []
-
-    audit_check_side("committed", committed, slop, failures, rows)
-    audit_check_side("measured", measured, slop, failures, rows)
-
-    committed_arms = committed.get("arms", [])
-    measured_arms = measured.get("arms", [])
-    dropped = [a for a in committed_arms if a not in measured_arms]
-    if dropped:
         failures.append(
-            f"measured audit JSON dropped committed arm(s): {', '.join(dropped)}"
+            f"no measured {row.name} cell matched any committed {row.name} cell "
+            f"— the keys drifted"
         )
+    return matched
 
-    # The audit grid is mode-independent (quick mode reduces trials, not
-    # cells), so every committed cell must reappear in the candidate.
-    measured_cells = {audit_cell_key(c) for c in measured.get("cells", [])}
-    matched = 0
-    for cell in committed.get("cells", []):
-        key = audit_cell_key(cell)
-        if key in measured_cells:
-            matched += 1
-        else:
-            failures.append(
-                "committed audit cell {} eps={} d={} k={} missing from the "
-                "measured grid".format(*key[:4])
-            )
-    if matched == 0:
-        failures.append("no measured audit cell matched any committed cell")
 
-    return failures, rows, matched
+def compare(committed, measured, min_ratio=0.2, slop=1e-9):
+    """The whole gate for the committed JSON's bench kind. Returns
+    (failures, deltas, matched): deltas are (label, field, measured,
+    committed or bound, ok) rows for the log, and matched counts the cells
+    of the kind's first row (the grid, or the audit cells)."""
+    kind = committed.get("bench", "throughput")
+    if measured.get("bench", "throughput") != kind:
+        return [f"bench kinds disagree: committed={kind} measured={measured.get('bench')}"], [], 0
+    if kind not in TABLES:
+        return [f"no gate for bench kind {kind!r}"], [], 0
+    rows = TABLES[kind]
+    failures, deltas = [], []
+    gated = {row.path for row in rows}
+    for name, section in committed.items():
+        if isinstance(section, dict) and isinstance(section.get("cells"), list):
+            if name not in gated:
+                failures.append(
+                    f"committed section {name} has cells that no {kind} row gates "
+                    f"— add a row for it to TABLES"
+                )
+    matched = [gate(row, committed, measured, min_ratio, slop, failures, deltas) for row in rows]
+    return failures, deltas, matched[0]
+
+
+# --- self-test: the gate's own cases, on synthetic reports.
+
+GRID_CELL = {
+    "protocol": "Sampling(HM+OUE)",
+    "eps": 1.0,
+    "d": 8,
+    "k": 16,
+    "sampled_k": 3,
+    "estimate_checksum": "0xabc",
+    "reference_users_per_sec": 10.0,
+    "production_users_per_sec": 100.0,
+}
+WIRE_CELL = {
+    "protocol": "Sampling(HM+OUE)",
+    "eps": 1.0,
+    "d": 8,
+    "k": 16,
+    "reports": 20000,
+    "total_bytes": 123456,
+    "wal_replayed": 20000,
+}
+QUERY_CELL = {
+    "eps": 1.0,
+    "queries": 16,
+    "g1": 21,
+    "g2": 7,
+    "grids": 10,
+    "hdg_mean_rel_err": 0.12,
+    "naive_mean_rel_err": 0.45,
+    "answer_checksum": "0x123",
+}
+AUDIT_CELL = {
+    "protocol": "Oracle(GRR)",
+    "eps": 1.0,
+    "d": 1,
+    "k": 2,
+    "sampled_k": 1,
+    "eps_theory": 1.0,
+    "encode_trials": 1000000,
+    "encode_wins_v1": 365000,
+    "encode_wins_v2": 365000,
+    "encode_advantage": 0.46,
+    "encode_eps_emp_lower": 0.98,
+    "encode_eps_emp_upper": 0.99,
+}
+
+
+def edit(base, *drop, **over):
+    """``base`` without the fields in ``drop``, with ``over`` applied."""
+    out = {k: v for k, v in base.items() if k not in drop}
+    out.update(over)
+    return out
+
+
+def report(*drop, **over):
+    rep = {
+        "bench": "throughput",
+        "arms": ["reference", "production"],
+        "cells": [GRID_CELL],
+        "wire": {"cells": [WIRE_CELL]},
+        "queries": {"users": 30000, "cells": [QUERY_CELL]},
+        "worker_sweep": {
+            "cells": [{"workers": w, "estimate_checksum": "0xfff"} for w in (1, 2)]
+        },
+    }
+    return edit(rep, *drop, **over)
+
+
+def grid(*drop, **over):
+    return report(cells=[edit(GRID_CELL, *drop, **over)])
+
+
+def wire(*drop, **over):
+    return report(wire={"cells": [edit(WIRE_CELL, *drop, **over)]})
+
+
+def queries(*drop, **over):
+    return report(queries={"users": 30000, "cells": [edit(QUERY_CELL, *drop, **over)]})
+
+
+def sweep(*checksums):
+    cells = [{"workers": w, "estimate_checksum": c} for w, c in enumerate(checksums, 1)]
+    return report(worker_sweep={"cells": cells})
+
+
+def audit(cells=(AUDIT_CELL,), **over):
+    rep = {"bench": "audit", "mode": "default", "arms": ["encode"], "cells": list(cells)}
+    return edit(rep, **over)
+
+
+def audit_cell(**over):
+    return audit([edit(AUDIT_CELL, **over)])
+
+
+QUICK_AUDIT = edit(
+    AUDIT_CELL,
+    encode_trials=50000,
+    encode_wins_v1=18000,
+    encode_wins_v2=18000,
+    encode_eps_emp_lower=0.90,
+    encode_eps_emp_upper=0.93,
+)
+
+# (name, expected failure or None for a passing pair, committed, measured)
+CASES = [
+    ("identical reports pass", None, report(), report()),
+    ("dropped grid arm fails", "dropped committed arm(s): production",
+     report(), report(arms=["reference"])),
+    ("committed JSON without arms fails", "declares no arms", report("arms"), report()),
+    ("missing wire section fails", "measured JSON has no wire section", report(), report("wire")),
+    ("wire byte drift fails", "total_bytes drifted", wire(), wire(total_bytes=123457)),
+    ("wal replayed-count drift fails", "wal_replayed drifted", wire(), wire(wal_replayed=19999)),
+    ("dropped wal_replayed field fails", "measured cell has no wal_replayed",
+     wire(), wire("wal_replayed")),
+    ("committed wire cell without wal_replayed fails", "committed cell has no wal_replayed",
+     wire("wal_replayed"), wire()),
+    ("missing committed wire cell fails", "k=64: committed cell is missing",
+     report(wire={"cells": [WIRE_CELL, edit(WIRE_CELL, k=64)]}), report()),
+    ("checksum drift fails", "estimate_checksum drifted",
+     report(), grid(estimate_checksum="0xdef")),
+    ("grid cell without estimate_checksum fails", "measured cell has no estimate_checksum",
+     report(), grid("estimate_checksum")),
+    ("speed collapse fails", "regressed to", report(), grid(production_users_per_sec=1.0)),
+    ("reference arm stays ungated", None, report(), grid(reference_users_per_sec=0.0001)),
+    ("declared-but-absent speed field fails", "measured cell has no production_users_per_sec",
+     report(), grid("production_users_per_sec")),
+    ("measured-side extra arm is fine", None,
+     report(), report(arms=["reference", "production", "turbo"])),
+    ("grid mismatch fails", "no measured grid cell matched", report(), grid(d=99)),
+    ("missing queries section fails", "measured JSON has no queries section",
+     report(), report("queries")),
+    ("query answer checksum drift fails", "answer_checksum drifted",
+     report(), queries(answer_checksum="0x124")),
+    ("query cell without answer_checksum fails", "measured cell has no answer_checksum",
+     report(), queries("answer_checksum")),
+    ("query grid layout drift fails", "g1 drifted", report(), queries(g1=24)),
+    ("measured hdg worse than naive fails", "no longer beat the naive baseline",
+     report(), queries(hdg_mean_rel_err=0.5)),
+    ("committed hdg worse than naive fails", "no longer beat the naive baseline",
+     queries(hdg_mean_rel_err=0.5), report()),
+    ("query eps mismatch fails", "no measured queries cell matched", report(), queries(eps=9.0)),
+    ("missing worker_sweep section fails", "measured JSON has no worker_sweep section",
+     report(), report("worker_sweep")),
+    ("worker_sweep checksum drift fails", "estimate_checksum drifted (0xfff -> 0xeee)",
+     report(), sweep("0xeee", "0xeee")),
+    ("worker_sweep checksums disagreeing within one file fail",
+     "measured worker_sweep: cells of one key disagree on estimate_checksum",
+     report(), sweep("0xfff", "0xeee")),
+    ("ungated committed section fails", "committed section kernels has cells that no throughput",
+     report(kernels={"cells": [GRID_CELL]}), report(kernels={"cells": [GRID_CELL]})),
+    # --- audit cases ---
+    ("healthy audit pair passes", None, audit(), audit()),
+    # The deliberately-broken cell: a certificate above the theoretical
+    # budget must fail no matter which side carries it.
+    ("measured eps violation fails", "exceeds theoretical eps",
+     audit(), audit_cell(encode_eps_emp_upper=1.07)),
+    ("committed eps violation fails", "exceeds theoretical eps",
+     audit_cell(encode_eps_emp_upper=1.07), audit()),
+    ("missing committed audit cell fails", "committed cell is missing from the measured JSON",
+     audit([AUDIT_CELL, edit(AUDIT_CELL, k=16)]), audit()),
+    ("dropped audit arm fails", "dropped committed arm(s): encode", audit(), audit(arms=[])),
+    ("tally conservation violation fails", "wins exceed trials",
+     audit(), audit_cell(encode_wins_v1=700000, encode_wins_v2=700000)),
+    ("inverted bounds fail", "eps_emp_lower",
+     audit(), audit_cell(encode_eps_emp_lower=0.99, encode_eps_emp_upper=0.5)),
+    ("quick re-audit with smaller certificates passes", None,
+     audit(), audit([QUICK_AUDIT], mode="quick")),
+]
 
 
 def self_test():
-    """Unit checks for the gate itself, on synthetic reports. Returns the
-    number of violated expectations (0 = pass)."""
-
-    def grid_cell(**over):
-        cell = {
-            "protocol": "Sampling(HM+OUE)",
-            "eps": 1.0,
-            "d": 8,
-            "k": 16,
-            "sampled_k": 3,
-            "estimate_checksum": "0xabc",
-            "reference_users_per_sec": 10.0,
-            "production_users_per_sec": 100.0,
-        }
-        cell.update(over)
-        return cell
-
-    def wire_cell(**over):
-        cell = {
-            "protocol": "Sampling(HM+OUE)",
-            "eps": 1.0,
-            "d": 8,
-            "k": 16,
-            "reports": 20000,
-            "total_bytes": 123456,
-            "wal_replayed": 20000,
-            "encode_reports_per_sec": 1000.0,
-            "decode_reports_per_sec": 2000.0,
-            "wal_reports_per_sec": 500.0,
-        }
-        cell.update(over)
-        return cell
-
-    def query_cell(**over):
-        cell = {
-            "eps": 1.0,
-            "queries": 16,
-            "g1": 21,
-            "g2": 7,
-            "grids": 10,
-            "hdg_mean_rel_err": 0.12,
-            "naive_mean_rel_err": 0.45,
-            "answers_per_sec": 50000.0,
-            "answer_checksum": "0x123",
-        }
-        cell.update(over)
-        return cell
-
-    def report(**over):
-        rep = {
-            "arms": ["reference", "production"],
-            "cells": [grid_cell()],
-            "wire": {"arms": ["encode", "decode", "wal"], "cells": [wire_cell()]},
-            "queries": {"users": 30000, "cells": [query_cell()]},
-            "worker_sweep": {"cells": [{"estimate_checksum": "0xfff"}]},
-        }
-        rep.update(over)
-        return rep
-
-    cases = []
-
-    def expect(name, want_failure_containing, committed, measured):
-        failures, _, _ = compare(committed, measured, min_ratio=0.2)
-        if want_failure_containing is None:
-            ok = not failures
-            detail = f"unexpected failures: {failures}" if not ok else ""
-        else:
-            ok = any(want_failure_containing in f for f in failures)
-            detail = (
-                f"no failure containing {want_failure_containing!r} in {failures}"
-                if not ok
-                else ""
-            )
-        cases.append((name, ok, detail))
-
-    expect("identical reports pass", None, report(), report())
-    expect(
-        "dropped grid arm fails",
-        "dropped committed arm(s): production",
-        report(),
-        report(arms=["reference"]),
-    )
-    expect(
-        "committed JSON without arms fails",
-        "declares no arms",
-        {k: v for k, v in report().items() if k != "arms"},
-        report(),
-    )
-    expect(
-        "dropped wire arm fails",
-        "dropped committed wire arm(s): decode",
-        report(),
-        report(wire={"arms": ["encode"], "cells": [wire_cell()]}),
-    )
-    expect(
-        "missing wire section fails",
-        "measured JSON has none",
-        report(),
-        {k: v for k, v in report().items() if k != "wire"},
-    )
-    expect(
-        "wire byte drift fails",
-        "total_bytes drifted",
-        report(),
-        report(wire={"arms": ["encode", "decode"], "cells": [wire_cell(total_bytes=123457)]}),
-    )
-    expect(
-        "wal replayed-count drift fails",
-        "wal_replayed drifted",
-        report(),
-        report(
-            wire={
-                "arms": ["encode", "decode", "wal"],
-                "cells": [wire_cell(wal_replayed=19999)],
-            }
-        ),
-    )
-    expect(
-        "dropped wal_replayed field fails",
-        "wal_replayed drifted",
-        report(),
-        report(
-            wire={
-                "arms": ["encode", "decode", "wal"],
-                "cells": [{k: v for k, v in wire_cell().items() if k != "wal_replayed"}],
-            }
-        ),
-    )
-    expect(
-        "wal rate collapse fails",
-        "wal_reports_per_sec regressed",
-        report(),
-        report(
-            wire={
-                "arms": ["encode", "decode", "wal"],
-                "cells": [wire_cell(wal_reports_per_sec=1.0)],
-            }
-        ),
-    )
-    expect(
-        "committed wire cell without wal_replayed fails",
-        "wal_replayed drifted",
-        report(
-            wire={
-                "arms": ["encode", "decode", "wal"],
-                "cells": [{k: v for k, v in wire_cell().items() if k != "wal_replayed"}],
-            }
-        ),
-        report(),
-    )
-    expect(
-        "checksum drift fails",
-        "estimate_checksum drifted",
-        report(),
-        report(cells=[grid_cell(estimate_checksum="0xdef")]),
-    )
-    expect(
-        "speed collapse fails",
-        "regressed to",
-        report(),
-        report(cells=[grid_cell(production_users_per_sec=1.0)]),
-    )
-    expect(
-        "reference arm stays ungated",
-        None,
-        report(),
-        report(cells=[grid_cell(reference_users_per_sec=0.0001)]),
-    )
-    expect(
-        "declared-but-absent speed field fails",
-        "missing declared speed field",
-        report(),
-        report(
-            cells=[
-                {k: v for k, v in grid_cell().items() if k != "production_users_per_sec"}
-            ]
-        ),
-    )
-    expect(
-        "measured-side extra arm is fine",
-        None,
-        report(),
-        report(arms=["reference", "production", "turbo"]),
-    )
-    expect(
-        "grid mismatch fails",
-        "no measured cell matched",
-        report(),
-        report(cells=[grid_cell(d=99)]),
-    )
-    expect(
-        "missing queries section fails",
-        "declares a queries section but the measured JSON has none",
-        report(),
-        {k: v for k, v in report().items() if k != "queries"},
-    )
-    expect(
-        "query answer checksum drift fails",
-        "answer_checksum drifted",
-        report(),
-        report(queries={"users": 30000, "cells": [query_cell(answer_checksum="0x124")]}),
-    )
-    expect(
-        "query grid layout drift fails",
-        "g1 drifted",
-        report(),
-        report(queries={"users": 30000, "cells": [query_cell(g1=24)]}),
-    )
-    expect(
-        "measured hdg worse than naive fails",
-        "no longer beat the naive baseline",
-        report(),
-        report(queries={"users": 30000, "cells": [query_cell(hdg_mean_rel_err=0.5)]}),
-    )
-    expect(
-        "committed hdg worse than naive fails",
-        "no longer beat the naive baseline",
-        report(queries={"users": 30000, "cells": [query_cell(hdg_mean_rel_err=0.5)]}),
-        report(),
-    )
-    expect(
-        "query answer rate collapse fails",
-        "answers_per_sec regressed",
-        report(),
-        report(queries={"users": 30000, "cells": [query_cell(answers_per_sec=100.0)]}),
-    )
-    expect(
-        "query eps mismatch fails",
-        "no measured query cell matched",
-        report(),
-        report(queries={"users": 30000, "cells": [query_cell(eps=9.0)]}),
-    )
-
-    # --- audit-gate cases ---
-
-    def audit_cell(**over):
-        cell = {
-            "protocol": "Oracle(GRR)",
-            "eps": 1.0,
-            "d": 1,
-            "k": 2,
-            "sampled_k": 1,
-            "eps_theory": 1.0,
-            "encode_trials": 1000000,
-            "encode_wins_v1": 365000,
-            "encode_wins_v2": 365000,
-            "encode_advantage": 0.46,
-            "encode_eps_emp_lower": 0.98,
-            "encode_eps_emp_upper": 0.99,
-        }
-        cell.update(over)
-        return cell
-
-    def audit_report(**over):
-        rep = {
-            "bench": "audit",
-            "mode": "default",
-            "arms": ["encode"],
-            "cells": [audit_cell()],
-        }
-        rep.update(over)
-        return rep
-
-    def expect_audit(name, want_failure_containing, committed, measured):
-        failures, _, _ = compare_audit(committed, measured, slop=1e-9)
-        if want_failure_containing is None:
-            ok = not failures
-            detail = f"unexpected failures: {failures}" if not ok else ""
-        else:
-            ok = any(want_failure_containing in f for f in failures)
-            detail = (
-                f"no failure containing {want_failure_containing!r} in {failures}"
-                if not ok
-                else ""
-            )
-        cases.append((name, ok, detail))
-
-    expect_audit("healthy audit pair passes", None, audit_report(), audit_report())
-    # The deliberately-broken cell: a certificate above the theoretical
-    # budget must fail no matter which side carries it.
-    expect_audit(
-        "measured eps violation fails",
-        "exceeds theoretical eps",
-        audit_report(),
-        audit_report(cells=[audit_cell(encode_eps_emp_upper=1.07)]),
-    )
-    expect_audit(
-        "committed eps violation fails",
-        "exceeds theoretical eps",
-        audit_report(cells=[audit_cell(encode_eps_emp_upper=1.07)]),
-        audit_report(),
-    )
-    expect_audit(
-        "missing committed audit cell fails",
-        "missing from the measured grid",
-        audit_report(cells=[audit_cell(), audit_cell(k=16)]),
-        audit_report(),
-    )
-    expect_audit(
-        "dropped audit arm fails",
-        "dropped committed arm(s): encode",
-        audit_report(),
-        audit_report(arms=[], cells=[audit_cell()]),
-    )
-    expect_audit(
-        "tally conservation violation fails",
-        "wins exceed trials",
-        audit_report(),
-        audit_report(cells=[audit_cell(encode_wins_v1=700000, encode_wins_v2=700000)]),
-    )
-    expect_audit(
-        "inverted bounds fail",
-        "eps_emp_lower",
-        audit_report(),
-        audit_report(
-            cells=[audit_cell(encode_eps_emp_lower=0.99, encode_eps_emp_upper=0.5)]
-        ),
-    )
-    expect_audit(
-        "quick re-audit with smaller certificates passes",
-        None,
-        audit_report(),
-        audit_report(
-            mode="quick",
-            cells=[
-                audit_cell(
-                    encode_trials=50000,
-                    encode_wins_v1=18000,
-                    encode_wins_v2=18000,
-                    encode_eps_emp_lower=0.90,
-                    encode_eps_emp_upper=0.93,
-                )
-            ],
-        ),
-    )
-
+    """Runs every case; returns the number that went wrong (0 = pass)."""
     bad = 0
-    for name, ok, detail in cases:
-        print(f"{'ok' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
-        if not ok:
-            bad += 1
-    print(f"\nself-test: {len(cases) - bad}/{len(cases)} checks passed")
+    for name, want, committed, measured in CASES:
+        failures, _, _ = compare(committed, measured)
+        if want is None:
+            ok, detail = not failures, f"unexpected failures: {failures}"
+        else:
+            ok = any(want in f for f in failures)
+            detail = f"no failure containing {want!r} in {failures}"
+        print(f"ok {name}" if ok else f"FAIL {name}: {detail}")
+        bad += not ok
+    print(f"\nself-test: {len(CASES) - bad}/{len(CASES)} checks passed")
     return bad
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--committed", help="committed BENCH_throughput.json")
+    parser.add_argument("--committed", help="committed BENCH_*.json")
     parser.add_argument("--measured", help="freshly measured JSON")
     parser.add_argument(
         "--min-ratio",
         type=float,
         default=0.2,
-        help="fail when measured/committed users-per-sec drops below this",
+        help="fail when a gated speed field's measured/committed ratio drops below this",
     )
     parser.add_argument(
         "--eps-slop",
@@ -726,7 +501,7 @@ def main():
     parser.add_argument(
         "--self-test",
         action="store_true",
-        help="run the gate's own unit checks on synthetic reports and exit",
+        help="run the gate's own cases on synthetic reports and exit",
     )
     args = parser.parse_args()
 
@@ -740,45 +515,25 @@ def main():
     with open(args.measured) as f:
         measured = json.load(f)
 
-    kinds = (committed.get("bench", "throughput"), measured.get("bench", "throughput"))
-    if kinds[0] != kinds[1]:
-        print(f"bench kinds disagree: committed={kinds[0]} measured={kinds[1]}")
-        sys.exit(1)
-
-    if kinds[0] == "audit":
-        failures, rows, matched = compare_audit(committed, measured, args.eps_slop)
-        for label, arm, upper, theory in rows:
-            marker = "OK" if upper <= theory + args.eps_slop else "FAIL"
-            print(f"{marker} {label} {arm}: eps_emp_upper {upper} vs eps {theory}")
-        print(f"\n{matched} audit cells matched against the committed grid")
-        if failures:
-            print("\nFAILURES:")
-            for f in failures:
-                print(f"  - {f}")
-            sys.exit(1)
-        print("privacy audit gate passed")
-        return
-
-    failures, delta_rows, matched = compare(committed, measured, args.min_ratio)
-
-    gated = sorted({field for _, field, _, _, _ in delta_rows})
-    print(f"gated speed fields seen: {', '.join(gated) if gated else '(none)'}")
-    for label, field, got, ref, ratio in delta_rows:
-        marker = "OK" if ratio >= args.min_ratio else "FAIL"
-        print(f"{marker} {label} {field}: {got:.0f} vs {ref:.0f} (x{ratio:.2f})")
-
-    print(f"\n{matched} cells matched against the committed grid")
+    failures, deltas, matched = compare(committed, measured, args.min_ratio, args.eps_slop)
+    fields = sorted({field for _, field, _, _, _ in deltas})
+    print(f"gated fields seen: {', '.join(fields) if fields else '(none)'}")
+    for label, field, got, ref, ok in deltas:
+        mark = "OK" if ok else "FAIL"
+        print(f"{mark} {label} {field}: {got:.12g} vs {ref:.12g} (x{got / ref:.2f})")
+    kind = committed.get("bench", "throughput")
+    print(f"\n{matched} {kind} cells matched against the committed grid")
     if failures:
         print("\nper-cell delta table (measured vs committed):")
-        width = max((len(r[0]) for r in delta_rows), default=0)
-        for label, field, got, ref, ratio in delta_rows:
-            arm = field.removesuffix("_users_per_sec").removesuffix("_reports_per_sec")
-            print(f"  {label:<{width}}  {arm:>9}: {got:>12.0f} / {ref:>12.0f}  x{ratio:.3f}")
+        width = max((len(row[0]) for row in deltas), default=0)
+        for label, field, got, ref, _ in deltas:
+            ratio = got / ref
+            print(f"  {label:<{width}}  {field:>24}: {got:>16.12g} / {ref:>16.12g}  x{ratio:.3f}")
         print("\nFAILURES:")
         for f in failures:
             print(f"  - {f}")
         sys.exit(1)
-    print("bench regression gate passed")
+    print(f"{kind} gate passed")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@
 //!   reports by 64-bit words, with the per-category scatter deferred to
 //!   amortized plane flushes.
 //! * [`session`] — the two-sided collection API: [`ClientEncoder`] turns
-//!   one user record into a serde-able [`Report`]; [`Aggregator`] consumes
+//!   one user record into a [`Report`]; [`Aggregator`] consumes
 //!   reports incrementally, merges partial aggregates from other shards,
 //!   and yields [`CollectionResult`] snapshots at any point.
 //! * [`service`] — the wire boundary: the length-framed

@@ -51,7 +51,6 @@ use crate::session::{Aggregator, ClientEncoder};
 use ldp_core::rng::{seeded_rng, RngBlock};
 use ldp_core::{AttrValue, Epsilon, LdpError, NumericKind, OracleKind, Result};
 use ldp_data::Dataset;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default number of simulation shards.
@@ -75,7 +74,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub const BLOCK_USERS: usize = 16_384;
 
 /// How the best-effort baseline spends the numeric block's budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BestEffortNumeric {
     /// Each numeric attribute independently at `ε/d` (Laplace, SCDF,
     /// Staircase, or any other 1-D mechanism).
@@ -86,7 +85,7 @@ pub enum BestEffortNumeric {
 }
 
 /// A complete collection protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// The paper's Algorithm 4 (+ §IV-C mixed-type extension).
     Sampling {

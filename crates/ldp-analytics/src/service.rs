@@ -866,11 +866,15 @@ pub struct EpochSnapshot {
     /// Distinct users whose reports were admitted this epoch.
     pub admitted: u64,
     /// Reports rejected this epoch because their user's budget was already
-    /// spent.
+    /// spent. A restarted durable service recovers this count only as of
+    /// its last checkpoint: the write-ahead log records admitted `Submit`s
+    /// alone, so rejections since that checkpoint are not replayed.
     pub rejected_duplicates: u64,
     /// Stream-level malformed-frame/message rejections up to the moment of
     /// this snapshot (malformed input often names no parseable epoch, so
-    /// the count is per service, not per epoch).
+    /// the count is per service, not per epoch). Like
+    /// `rejected_duplicates`, a restarted durable service recovers it only
+    /// as of its last checkpoint.
     pub rejected_malformed: u64,
     /// The epoch's estimates, absent before the first admitted report.
     pub result: Option<CollectionResult>,

@@ -7,13 +7,13 @@
 //! that split, as API:
 //!
 //! * [`ClientEncoder`] — built from a [`Protocol`], an [`Epsilon`] and the
-//!   public schema; turns one user tuple into a serde-able [`Report`]
-//!   (Algorithm 4 sparse sampling, or the best-effort ε/d composition).
+//!   public schema; turns one user tuple into a [`Report`] (Algorithm 4
+//!   sparse sampling, or the best-effort ε/d composition).
 //! * [`Report`] — the only thing that crosses the trust boundary: one
 //!   [`SparseReport`] of `(attribute index, numeric draw or categorical
 //!   bits)` entries — Algorithm 4's `k` sampled attributes, or all `d`
-//!   under composition. Encoded and sized by [`ldp_core::multidim::wire`],
-//!   serialized by serde.
+//!   under composition. Encoded to and decoded from its canonical wire
+//!   bytes by [`ldp_core::multidim::wire`].
 //! * [`Aggregator`] — consumes reports incrementally ([`Aggregator::absorb`]),
 //!   merges partial aggregates from other shards or processes
 //!   ([`Aggregator::merge`]), and yields a [`CollectionResult`] snapshot at
@@ -55,7 +55,6 @@ use ldp_core::{
     AnyNumeric, AnyOracle, AttrReport, AttrSpec, AttrValue, CategoricalReport, DebiasParams,
     Epsilon, LdpError, Result,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -67,7 +66,7 @@ use std::sync::Arc;
 /// `⌈log₂ k⌉`-bit value for GRR, a `k`-bit vector for OUE/SUE). The
 /// variant names the protocol family and, with it, the wire layout
 /// [`crate::service::encode_report`] writes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Report {
     /// An Algorithm 4 report: `k` sampled attributes, each carrying an
     /// ε/k-LDP sub-report (numeric entries pre-scaled by `d/k`). Travels

@@ -491,7 +491,7 @@ impl AuditReport {
     /// Renders the report as the `BENCH_audit.json` artifact — same shape
     /// conventions as `BENCH_throughput.json`: top-level run metadata, an
     /// `arms` list, and flat per-cell objects with `<arm>_<field>` keys.
-    /// Hand-rolled (the serde shim has no serializer) and fully
+    /// Hand-rolled (the workspace has no JSON serializer) and fully
     /// deterministic.
     pub fn to_json(&self) -> String {
         let mut arms_seen: Vec<&str> = Vec::new();

@@ -1,6 +1,6 @@
-//! Ablations beyond the paper's figures, probing the design choices
-//! DESIGN.md calls out: the `k` of Equation 12, HM's mixing weight `α`
-//! (Equation 7), and the choice of frequency oracle inside Algorithm 4.
+//! Ablations beyond the paper's figures, probing three design choices: the
+//! `k` of Equation 12, HM's mixing weight `α` (Equation 7), and the choice
+//! of frequency oracle inside Algorithm 4.
 
 use crate::cli::Args;
 use crate::figures::EPSILONS;

@@ -51,7 +51,8 @@ pub fn run(_args: &Args) -> String {
     }
     out.push_str(&table.render());
 
-    // Dense verification sweep, as promised in DESIGN.md.
+    // Dense verification sweep: every (d, ε) point, not only the printed
+    // rows, must order the variances as Table I does.
     let mut violations = 0usize;
     let mut checked = 0usize;
     for d in [1usize, 2, 5, 10, 16, 40, 94] {

@@ -7,7 +7,6 @@
 //! Algorithm 4) is expressed as methods, which keeps the accounting auditable.
 
 use crate::error::{LdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A validated privacy budget `ε > 0`.
 ///
@@ -21,8 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(Epsilon::new(0.0).is_err());
 /// assert!(Epsilon::new(f64::NAN).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(try_from = "f64", into = "f64")]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {
@@ -154,16 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_rejects_invalid() {
+    fn f64_conversions_round_trip_and_reject_invalid() {
         let eps = Epsilon::new(1.5).unwrap();
-        let json = serde_json_like(eps.value());
-        assert_eq!(json, 1.5);
+        assert_eq!(f64::from(eps), 1.5);
+        assert_eq!(Epsilon::try_from(1.5).unwrap(), eps);
         assert!(Epsilon::try_from(-3.0).is_err());
-    }
-
-    // Minimal stand-in: we avoid pulling serde_json; the Into<f64> path is
-    // what serde would use.
-    fn serde_json_like(v: f64) -> f64 {
-        f64::from(Epsilon::new(v).unwrap())
     }
 }

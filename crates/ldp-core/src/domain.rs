@@ -9,10 +9,9 @@
 //! `E[denormalize(t*)] = denormalize(t)`.
 
 use crate::error::{LdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A public, bounded numeric attribute domain `[lo, hi]` with `lo < hi`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NumericDomain {
     lo: f64,
     hi: f64,

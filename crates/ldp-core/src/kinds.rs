@@ -9,10 +9,9 @@ use crate::budget::Epsilon;
 use crate::categorical::{AnyOracle, Grr, Oue, Sue};
 use crate::error::Result;
 use crate::numeric::{AnyNumeric, Duchi1d, Hybrid, Laplace, Piecewise, Scdf, Staircase};
-use serde::{Deserialize, Serialize};
 
 /// The one-dimensional numeric mechanisms of §III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumericKind {
     /// Laplace mechanism with scale 2/ε.
     Laplace,
@@ -65,7 +64,7 @@ impl NumericKind {
 }
 
 /// The categorical frequency oracles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OracleKind {
     /// Optimized unary encoding (the paper's choice).
     Oue,

@@ -2,7 +2,6 @@
 
 use crate::budget::Epsilon;
 use crate::error::{LdpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// The object-safe description of a one-dimensional ε-LDP mechanism for
 /// numeric values in `[-1, 1]`: its name, budget, variances and output
@@ -185,7 +184,7 @@ pub trait FrequencyOracle: Send + Sync {
 }
 
 /// The perturbed message a user sends for one categorical attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CategoricalReport {
     /// A single perturbed category (direct encoding, e.g. GRR).
     Value(u32),
@@ -194,7 +193,7 @@ pub enum CategoricalReport {
 }
 
 /// A compact fixed-length bit vector used by unary-encoding oracles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitVec {
     len: u32,
     words: Box<[u64]>,

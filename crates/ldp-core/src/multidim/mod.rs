@@ -22,11 +22,10 @@ pub use sampling::{optimal_k, SamplingPerturber, SparseReport, SparseScratch};
 
 use crate::error::{LdpError, Result};
 use crate::mechanism::CategoricalReport;
-use serde::{Deserialize, Serialize};
 
 /// The type (and domain) of one attribute in a tuple, as known publicly by
 /// both users and the aggregator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttrSpec {
     /// A numeric attribute, pre-normalized to `[-1, 1]`.
     Numeric,
@@ -78,7 +77,7 @@ impl AttrValue {
 }
 
 /// The perturbed message for one sampled attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrReport {
     /// A perturbed numeric value, already scaled by `d/k` as in line 6 of
     /// Algorithm 4.

@@ -24,7 +24,7 @@ pub fn optimal_k(epsilon: Epsilon, d: usize) -> usize {
 /// Exactly `k` of the `d` attributes carry a report; numeric entries are
 /// already scaled by `d/k` (line 6 of Algorithm 4), so the aggregator's mean
 /// estimator is a plain average with zeros for missing entries.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseReport {
     /// Total number of attributes in the schema.
     pub d: usize,

@@ -3,10 +3,9 @@
 
 use crate::math::{epsilon_sharp, epsilon_star};
 use crate::variance;
-use serde::{Deserialize, Serialize};
 
 /// The strict ordering regimes of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
     /// `d > 1, ε > 0` — `HM < PM < Duchi`.
     MultiDim,
@@ -34,7 +33,7 @@ impl Regime {
 
 /// One evaluated row of Table I: the three worst-case variances at `(d, ε)`
 /// and the regime they fall into.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Dimensionality.
     pub d: usize,
@@ -136,8 +135,7 @@ mod tests {
 
     #[test]
     fn every_regime_row_is_internally_consistent() {
-        // Dense ε grid over (0, 8]; this is the numeric verification of
-        // Table I promised in DESIGN.md.
+        // Dense ε grid over (0, 8]: the numeric verification of Table I.
         for i in 1..=160 {
             let eps = i as f64 * 0.05;
             let row = table1_row(1, eps);

@@ -1,4 +1,4 @@
-//! Property-based tests of the core mechanism invariants (DESIGN.md §7).
+//! Property-based tests of the core mechanism invariants.
 //!
 //! The deterministic properties — privacy ratio bounds, output support,
 //! closed-form identities — are checked over randomized inputs; the

@@ -20,7 +20,7 @@
 //!
 //! The estimation-error comparisons of §VI-A depend only on moment structure
 //! (bounded, skewed attributes), not on the true census values, so method
-//! orderings and crossovers are preserved. See DESIGN.md §5.
+//! orderings and crossovers are preserved.
 //!
 //! IPUMS: <https://www.ipums.org>
 

@@ -8,7 +8,7 @@
 //!   and the `(x+2)^{-10}` power law.
 //! * [`census`] — synthetic BR/MX census microdata replacing the paper's
 //!   registration-gated IPUMS extracts (same attribute counts, domain sizes,
-//!   one-hot dimensionalities, and income learnability; see DESIGN.md §5).
+//!   one-hot dimensionalities, and income learnability).
 //! * [`encoding`] — §VI-B one-hot design matrices with `total_income` as the
 //!   dependent variable.
 //! * [`queries`] — conjunctive range-query workloads (OLAP-style filters)

@@ -7,10 +7,9 @@
 //! `{0, …, k-1}` categories).
 
 use ldp_core::{AttrSpec, LdpError, NumericDomain, Result};
-use serde::{Deserialize, Serialize};
 
 /// The declared type of one attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttributeKind {
     /// Numeric with a public bounded domain.
     Numeric {
@@ -25,7 +24,7 @@ pub enum AttributeKind {
 }
 
 /// One named attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     /// Human-readable name ("age", "total_income", …).
     pub name: String,
@@ -71,7 +70,7 @@ impl Attribute {
 }
 
 /// An ordered list of attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     attributes: Vec<Attribute>,
 }

@@ -5,10 +5,9 @@
 //! regularized objective is `1/n Σ ℓ(β; x_i, y_i) + λ/2‖β‖²`.
 
 use ldp_core::math::sigmoid;
-use serde::{Deserialize, Serialize};
 
 /// Which loss function drives the SGD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// `ℓ = (x^Tβ − y)²` — linear regression.
     LinearRegression,

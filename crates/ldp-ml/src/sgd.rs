@@ -26,10 +26,9 @@ use ldp_core::rng::seeded_rng;
 use ldp_core::{AttrSpec, AttrValue, Epsilon, LdpError, NumericKind, OracleKind, Result};
 use ldp_data::DesignMatrix;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters shared by both trainers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SgdConfig {
     /// The loss to minimize.
     pub loss: LossKind,
@@ -67,7 +66,7 @@ impl SgdConfig {
 }
 
 /// How LDP-SGD perturbs each user's clipped gradient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GradientMechanism {
     /// The paper's proposal: Algorithm 4 with the given 1-D mechanism
     /// (PM or HM).

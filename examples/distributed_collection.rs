@@ -9,7 +9,7 @@
 //! The pieces:
 //!
 //! * every *client* holds a [`ClientEncoder`] built from public knowledge
-//!   (protocol, ε, schema) and submits one serde-able [`Report`];
+//!   (protocol, ε, schema) and submits one [`Report`];
 //! * each *shard* owns an [`Aggregator`] per block of the public
 //!   [`block_partition`], keyed by the block index as its merge ordinal;
 //! * shards merge in an arbitrary order — the ordinal-keyed fold makes the
