@@ -63,8 +63,13 @@ impl Checkpoint {
     /// file's integrity check.
     ///
     /// # Errors
-    /// Only if a record exceeds the frame payload cap, which bounded
-    /// epochs rule out.
+    /// [`LdpError::MalformedFrame`] when a record exceeds the frame payload
+    /// cap ([`frame::MAX_FRAME_PAYLOAD`], 16 MiB). The whole ledger is one
+    /// record of 12 bytes plus 24 + 8·n per epoch of n admitted users, so
+    /// one epoch overflows it at 2,097,148 users, and more epochs overflow
+    /// it sooner. From then on no checkpoint can be written and the log
+    /// never rotates; splitting the ledger record into chunks is a format
+    /// change.
     pub fn encode(&self) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         frame::write_frame(&mut out, KIND_WAL_HEADER, &self.header.encode())?;

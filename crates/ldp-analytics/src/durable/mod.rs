@@ -45,6 +45,14 @@
 //!   append / fsync / checkpoint-stage / checkpoint-commit / rotate step,
 //!   so the integration suite can drop the process at a reproducible
 //!   instant and prove recovery from whatever the disk held.
+//!
+//! ## Failures
+//!
+//! Every failure to read or write the durable files, and the kill a
+//! tripped [`CrashSchedule`] injects, is [`LdpError::Storage`] naming the
+//! operation. It says nothing against the message being handled, so the
+//! transport answers it `Overloaded` for every message kind, and the
+//! ledger keeps the client's retry at-most-once.
 
 mod checkpoint;
 mod recovery;
@@ -113,9 +121,9 @@ impl CrashPoint {
 }
 
 /// A deterministic kill: trips the `occurrence`-th time execution passes
-/// `point`, and every durable operation from then on fails with the
-/// injected-crash error — the process is to be treated as dead and
-/// reopened via [`Recovery::replay`].
+/// `point`, and every durable operation from then on fails with
+/// [`LdpError::Storage`] whose `op` is `"injected_crash"` — the process is
+/// to be treated as dead and reopened via [`Recovery::replay`].
 #[derive(Debug, Clone)]
 pub struct CrashSchedule {
     point: CrashPoint,
@@ -163,8 +171,8 @@ impl CrashSchedule {
     /// Consulted by the durable write paths at each [`CrashPoint`].
     ///
     /// # Errors
-    /// The injected-crash error (see [`is_injected_crash`]) when this
-    /// pass trips the schedule, and on every call after.
+    /// [`LdpError::Storage`] with `op` `"injected_crash"` when this pass
+    /// trips the schedule, and on every call after.
     pub fn note(&mut self, point: CrashPoint) -> Result<()> {
         if self.tripped {
             return Err(injected_crash());
@@ -181,39 +189,13 @@ impl CrashSchedule {
 }
 
 fn injected_crash() -> LdpError {
-    LdpError::InvalidParameter {
-        name: "injected_crash",
-        message: "simulated process kill from the crash schedule".into(),
+    LdpError::Storage {
+        op: "injected_crash",
+        cause: IoFault {
+            kind: std::io::ErrorKind::Other,
+            message: "simulated process kill from the crash schedule".into(),
+        },
     }
-}
-
-/// True for the error a tripped [`CrashSchedule`] injects — the harness's
-/// cue to drop the instance and recover, as distinguishable from a real
-/// I/O failure as a kill signal is.
-pub fn is_injected_crash(e: &LdpError) -> bool {
-    matches!(
-        e,
-        LdpError::InvalidParameter {
-            name: "injected_crash",
-            ..
-        }
-    )
-}
-
-/// True for errors raised by the durability layer itself — disk failures
-/// on the log or checkpoint paths, or an injected crash — rather than by
-/// request validation. The transport maps these to a retryable
-/// `Overloaded` shed: nothing about the *message* was wrong, the server
-/// just could not make it durable right now.
-pub fn is_storage_error(e: &LdpError) -> bool {
-    matches!(
-        e,
-        LdpError::InvalidParameter { name, .. }
-            if *name == "injected_crash"
-                || name.starts_with("wal")
-                || name.starts_with("checkpoint")
-                || name.starts_with("durable")
-    )
 }
 
 fn note(crash: &mut Option<CrashSchedule>, point: CrashPoint) -> Result<()> {
@@ -224,9 +206,9 @@ fn note(crash: &mut Option<CrashSchedule>, point: CrashPoint) -> Result<()> {
 }
 
 fn disk_err(op: &'static str, e: &std::io::Error) -> LdpError {
-    LdpError::InvalidParameter {
-        name: op,
-        message: format!("durable i/o failed: {}", IoFault::from_io(e)),
+    LdpError::Storage {
+        op,
+        cause: IoFault::from_io(e),
     }
 }
 
@@ -396,13 +378,14 @@ impl DurableService {
     ///
     /// # Errors
     /// Service rejections pass through unchanged (a duplicate is still
-    /// [`LdpError::DuplicateReport`] and is *not* logged). A log that
-    /// cannot reopen fails the `Submit` before the service sees it, so no
-    /// budget is spent. A WAL append
+    /// [`LdpError::DuplicateReport`] and is *not* logged). Log failures are
+    /// [`LdpError::Storage`]. A log that cannot reopen fails the `Submit`
+    /// before the service sees it, so no budget is spent. A WAL append
     /// failure after an in-memory admit is surfaced as-is: the transport
     /// maps it to a retryable `Overloaded`, and since the admit kept the
     /// in-memory ledger entry, the client's idempotent retry resolves to
-    /// a duplicate ack rather than a double-count.
+    /// a duplicate ack rather than a double-count. A `FlushEpoch` whose
+    /// fsync fails is refused the same way, before any snapshot.
     pub fn handle(&mut self, msg: &WireMessage) -> Result<Option<EpochSnapshot>> {
         match msg {
             WireMessage::Hello { .. } => {
@@ -452,7 +435,7 @@ impl DurableService {
     /// Forces every appended record onto stable storage.
     ///
     /// # Errors
-    /// I/O failures or the injected crash.
+    /// [`LdpError::Storage`]: an I/O failure or the injected crash.
     pub fn flush(&mut self) -> Result<()> {
         match self.wal.as_mut() {
             Some(wal) => wal.sync(&mut self.crash),
@@ -473,8 +456,11 @@ impl DurableService {
     /// already holds; recovery deduplicates them through the ledger.
     ///
     /// # Errors
-    /// [`LdpError::InvalidParameter`] before any session exists; I/O
-    /// failures; the injected crash at any armed point.
+    /// [`LdpError::InvalidParameter`] before any session exists;
+    /// [`LdpError::MalformedFrame`] when a record of the image exceeds the
+    /// frame payload cap (see [`Checkpoint::encode`]);
+    /// [`LdpError::Storage`] for I/O failures and the injected crash at any
+    /// armed point.
     pub fn checkpoint(&mut self) -> Result<()> {
         let header = self
             .header
@@ -649,12 +635,10 @@ mod tests {
         let mut s = CrashSchedule::new(CrashPoint::AfterAppend, 2);
         assert!(s.note(CrashPoint::AfterFsync).is_ok());
         assert!(s.note(CrashPoint::AfterAppend).is_ok());
-        let err = s.note(CrashPoint::AfterAppend).unwrap_err();
-        assert!(is_injected_crash(&err));
+        assert_eq!(s.note(CrashPoint::AfterAppend), Err(injected_crash()));
         assert!(s.tripped());
         // Dead stays dead, whatever the point.
-        let err = s.note(CrashPoint::AfterRotate).unwrap_err();
-        assert!(is_injected_crash(&err));
+        assert_eq!(s.note(CrashPoint::AfterRotate), Err(injected_crash()));
     }
 
     #[test]
@@ -671,14 +655,20 @@ mod tests {
         // commits, then the rotation fails and leaves the log closed.
         let wal_path = dir.join(WAL_FILE);
         std::fs::create_dir(dir.join(format!("{WAL_FILE}.tmp"))).unwrap();
-        assert!(is_storage_error(&durable.checkpoint().unwrap_err()));
+        assert!(matches!(
+            durable.checkpoint(),
+            Err(LdpError::Storage { .. })
+        ));
 
         // A log that cannot reopen refuses the submit before the ledger
         // spends anything.
         let moved = dir.join("wal.log.moved");
         std::fs::rename(&wal_path, &moved).unwrap();
         std::fs::create_dir(&wal_path).unwrap();
-        assert!(is_storage_error(&durable.handle(&all[4]).unwrap_err()));
+        assert!(matches!(
+            durable.handle(&all[4]),
+            Err(LdpError::Storage { .. })
+        ));
         assert_eq!(durable.service().ledger().admitted(0), 4);
         std::fs::remove_dir(&wal_path).unwrap();
         std::fs::rename(&moved, &wal_path).unwrap();

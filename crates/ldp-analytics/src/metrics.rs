@@ -46,27 +46,6 @@ pub fn max_abs_error(estimate: &[f64], truth: &[f64]) -> Result<f64> {
         .fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// Sample mean of a slice.
-///
-/// # Errors
-/// [`LdpError::EmptyInput`] on an empty slice.
-pub fn sample_mean(values: &[f64]) -> Result<f64> {
-    if values.is_empty() {
-        return Err(LdpError::EmptyInput("values"));
-    }
-    Ok(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// Population-style sample variance (divides by `n`, matching the variance
-/// formulas the mechanisms are tested against).
-///
-/// # Errors
-/// [`LdpError::EmptyInput`] on an empty slice.
-pub fn sample_variance(values: &[f64]) -> Result<f64> {
-    let m = sample_mean(values)?;
-    Ok(values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / values.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,14 +62,5 @@ mod tests {
     fn max_abs_basic() {
         assert_eq!(max_abs_error(&[1.0, -2.0], &[0.5, 1.0]).unwrap(), 3.0);
         assert!(max_abs_error(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn mean_and_variance() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(sample_mean(&v).unwrap(), 2.5);
-        assert_eq!(sample_variance(&v).unwrap(), 1.25);
-        assert!(sample_mean(&[]).is_err());
-        assert!(sample_variance(&[]).is_err());
     }
 }

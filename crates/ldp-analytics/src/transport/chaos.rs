@@ -13,10 +13,9 @@
 //! stream served on the calling thread, responses collected in memory.
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
-use ldp_core::rng::{sample_weighted, seeded_rng, uniform, uniform_index};
+use ldp_core::rng::{sample_weighted, seeded_rng, uniform};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -79,87 +78,12 @@ pub struct FaultCounts {
     pub short_ops: u64,
     /// Timed-out operations injected.
     pub stalls: u64,
-    /// Process-level kills injected by a shared [`CrashSwitch`] (at most
-    /// one per stream — a killed process's streams all die together).
-    pub crashes: u64,
 }
 
 impl FaultCounts {
     /// Total faults injected.
     pub fn total(&self) -> u64 {
-        self.disconnects + self.bit_flips + self.short_ops + self.stalls + self.crashes
-    }
-}
-
-/// A process-level kill switch shared by every stream of one simulated
-/// process.
-///
-/// Unlike the per-stream fault schedule, a crash is *correlated*: when a
-/// process dies, all of its connections die at the same instant. Each
-/// sharing [`ChaosStream`] counts one switch op per I/O call; at the
-/// seeded kill op the switch trips, and from then on every sharing stream
-/// fails exactly like one whose process was `kill -9`ed — reads
-/// `ConnectionReset`, writes `BrokenPipe`, no further bytes in either
-/// direction.
-///
-/// Cloning shares the switch (it is the identity of the simulated
-/// process); the seeded constructor makes kill placement a pure function
-/// of the seed, so a crash run replays bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct CrashSwitch {
-    inner: Arc<CrashSwitchInner>,
-}
-
-#[derive(Debug)]
-struct CrashSwitchInner {
-    kill_at: u64,
-    ops: AtomicU64,
-    tripped: AtomicBool,
-}
-
-impl CrashSwitch {
-    /// Kill at exactly the `kill_at`-th (1-based) I/O op across all
-    /// sharing streams.
-    pub fn at_op(kill_at: u64) -> Self {
-        CrashSwitch {
-            inner: Arc::new(CrashSwitchInner {
-                kill_at: kill_at.max(1),
-                ops: AtomicU64::new(0),
-                tripped: AtomicBool::new(false),
-            }),
-        }
-    }
-
-    /// A seed-derived switch killing within the first `max_ops` ops —
-    /// same seed, same kill op.
-    pub fn seeded(seed: u64, max_ops: u64) -> Self {
-        let mut rng = seeded_rng(seed ^ 0x0c4a_5f1e_dead_5107);
-        let bound = max_ops.clamp(1, u64::from(u32::MAX)) as u32;
-        Self::at_op(u64::from(uniform_index(&mut rng, bound)) + 1)
-    }
-
-    /// The 1-based op index this switch kills at.
-    pub fn kill_at(&self) -> u64 {
-        self.inner.kill_at
-    }
-
-    /// Counts one I/O op; true once the kill point is reached (this op
-    /// and every later one must fail).
-    pub fn note_op(&self) -> bool {
-        if self.inner.tripped.load(Ordering::Relaxed) {
-            return true;
-        }
-        let op = self.inner.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if op >= self.inner.kill_at {
-            self.inner.tripped.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    /// True once the kill has fired.
-    pub fn tripped(&self) -> bool {
-        self.inner.tripped.load(Ordering::Relaxed)
+        self.disconnects + self.bit_flips + self.short_ops + self.stalls
     }
 }
 
@@ -175,7 +99,6 @@ pub struct ChaosStream<S> {
     rng: StdRng,
     dead: bool,
     counts: FaultCounts,
-    crash: Option<CrashSwitch>,
 }
 
 impl<S> ChaosStream<S> {
@@ -187,16 +110,7 @@ impl<S> ChaosStream<S> {
             rng: seeded_rng(seed),
             dead: false,
             counts: FaultCounts::default(),
-            crash: None,
         }
-    }
-
-    /// Attaches a shared process-level [`CrashSwitch`]: every I/O call on
-    /// this stream counts one switch op, and once the switch trips this
-    /// stream (and every other sharing it) dies permanently.
-    pub fn with_crash_switch(mut self, switch: CrashSwitch) -> Self {
-        self.crash = Some(switch);
-        self
     }
 
     /// Faults injected so far.
@@ -207,21 +121,6 @@ impl<S> ChaosStream<S> {
     /// True once an injected disconnect has killed the stream.
     pub fn is_dead(&self) -> bool {
         self.dead
-    }
-
-    /// Checks the shared crash switch (if any); kills this stream at the
-    /// switch's op and counts the injected crash exactly once per stream.
-    fn crash_due(&mut self) -> bool {
-        match &self.crash {
-            Some(switch) if switch.note_op() => {
-                if !self.dead {
-                    self.dead = true;
-                    self.counts.crashes += 1;
-                }
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Draws whether this operation faults, and which kind if so.
@@ -256,9 +155,6 @@ impl<S: Read> Read for ChaosStream<S> {
         }
         if buf.is_empty() {
             return self.inner.read(buf);
-        }
-        if self.crash_due() {
-            return Err(Self::dead_read_error());
         }
         match self.draw_fault() {
             Some(0) => {
@@ -304,9 +200,6 @@ impl<S: Write> Write for ChaosStream<S> {
         }
         if buf.is_empty() {
             return self.inner.write(buf);
-        }
-        if self.crash_due() {
-            return Err(Self::dead_write_error());
         }
         match self.draw_fault() {
             Some(0) => {
@@ -585,45 +478,6 @@ mod tests {
         let mut out = Vec::new();
         b.read_to_end(&mut out).unwrap();
         assert_eq!(out, b"untouched");
-    }
-
-    #[test]
-    fn crash_switch_kills_all_sharing_streams_at_the_seeded_op() {
-        let switch = CrashSwitch::at_op(3);
-        let data_a = [0u8; 64];
-        let data_b = [0u8; 64];
-        let mut a = ChaosStream::new(&data_a[..], ChaosConfig::balanced(0.0), 1)
-            .with_crash_switch(switch.clone());
-        let mut b = ChaosStream::new(&data_b[..], ChaosConfig::balanced(0.0), 2)
-            .with_crash_switch(switch.clone());
-        let mut buf = [0u8; 8];
-        assert!(a.read(&mut buf).is_ok()); // op 1
-        assert!(b.read(&mut buf).is_ok()); // op 2
-        assert!(!switch.tripped());
-        // Op 3 trips the switch: both streams die, like one killed process.
-        assert_eq!(
-            a.read(&mut buf).unwrap_err().kind(),
-            io::ErrorKind::ConnectionReset
-        );
-        assert!(switch.tripped());
-        assert_eq!(
-            b.read(&mut buf).unwrap_err().kind(),
-            io::ErrorKind::ConnectionReset
-        );
-        assert!(a.is_dead() && b.is_dead());
-        assert_eq!(a.counts().crashes, 1);
-        assert_eq!(b.counts().crashes, 1);
-        assert_eq!(a.counts().total(), 1, "crashes count as faults");
-
-        // Seeded placement is deterministic.
-        assert_eq!(
-            CrashSwitch::seeded(11, 100).kill_at(),
-            CrashSwitch::seeded(11, 100).kill_at()
-        );
-        assert_ne!(
-            CrashSwitch::seeded(11, 1 << 20).kill_at(),
-            CrashSwitch::seeded(12, 1 << 20).kill_at()
-        );
     }
 
     #[test]

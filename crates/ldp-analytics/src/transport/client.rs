@@ -174,11 +174,6 @@ impl<C: Connect> ReportClient<C> {
         self.stats
     }
 
-    /// True while a stream is established.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     /// Submits one report, retrying through faults until a verdict.
     ///
     /// Returns [`SubmitOutcome::Admitted`] on first admission and

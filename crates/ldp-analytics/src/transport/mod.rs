@@ -31,10 +31,12 @@
 //! wire, and each prescribes exactly one client reaction:
 //!
 //! * [`AckOutcome::Overloaded`](crate::service::AckOutcome::Overloaded)
-//!   — the server's in-flight bound shed the submit **before** any
-//!   validation or ledger state was touched. Nothing was spent; the
-//!   client pauses on its [`Backoff`] schedule and resends on the *same*
-//!   connection.
+//!   — the server's in-flight bound shed the message **before** any
+//!   validation or ledger state was touched, or a durable server could
+//!   not make it durable ([`LdpError::Storage`](ldp_core::LdpError::Storage),
+//!   for any message kind). The client pauses on its [`Backoff`] schedule
+//!   and resends on the *same* connection; a submit the ledger already
+//!   admitted before its log write failed comes back `Duplicate`.
 //! * [`ResponseMessage::Resend`](crate::service::ResponseMessage::Resend)
 //!   — a frame arrived checksum-corrupt but well-delimited. The stream
 //!   is still in sync, so the client rewrites the same frame in place;
@@ -142,9 +144,7 @@ pub mod net;
 pub mod server;
 
 pub use backoff::Backoff;
-pub use chaos::{
-    duplex, ChaosConfig, ChaosStream, CrashSwitch, FaultCounts, PipeStream, ScriptedStream,
-};
+pub use chaos::{duplex, ChaosConfig, ChaosStream, FaultCounts, PipeStream, ScriptedStream};
 pub use client::{ClientConfig, ClientStats, Connect, FlushReceipt, ReportClient, SubmitOutcome};
 pub use net::{NetConfig, TcpConnector, TcpReportServer};
 pub use server::{ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportStats};
@@ -608,6 +608,114 @@ mod tests {
         assert_eq!(conn.responses(), [rejected]);
         drop(server.finish());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refusals_follow_one_rule_for_every_message_kind() {
+        use crate::durable::CrashPoint::{AfterAppend, AfterFsync};
+        use crate::durable::{CrashPoint, CrashSchedule, DurableConfig, FsyncPolicy, WAL_FILE};
+        use AckOutcome::{Admitted, Duplicate, Overloaded, Rejected};
+        use Fault::{Clean, Crash, DirAt};
+
+        /// How a cell's durable directory fails once its server is up.
+        #[derive(Clone, Copy, Debug)]
+        enum Fault {
+            Clean,
+            /// A directory where the server writes this file.
+            DirAt(&'static str),
+            /// A crash schedule tripping at the point's first pass.
+            Crash(CrashPoint),
+        }
+        const STAGED_CHECKPOINT: &str = "checkpoint.bin.tmp";
+        let e = 2; // the epoch every submit and flush names
+        let submit = |report| WireMessage::Submit {
+            user: 3,
+            epoch: e,
+            block: 0,
+            report,
+        };
+        let ok = || submit(report_bytes(3));
+        let flush = || WireMessage::FlushEpoch { epoch: e };
+        let flushed = || vec![hello(), ok(), flush()];
+        let ack = |user, epoch, outcome| ResponseMessage::Ack {
+            user,
+            epoch,
+            outcome,
+        };
+        let snap = |n| ResponseMessage::SnapshotAck {
+            epoch: e,
+            admitted: n,
+            rejected_duplicates: 0,
+            rejected_malformed: 0,
+            users: n,
+        };
+        let other = WireMessage::Hello {
+            protocol: protocol(),
+            epsilon: Epsilon::new(2.0).unwrap(),
+            specs: specs(),
+            epoch: 0,
+        };
+        let h = hello;
+        // Message kind × {ok, duplicate, storage failure, refused}, less the
+        // cells that cannot occur: a `Hello` or `FlushEpoch` is never a
+        // duplicate, and a decoded `FlushEpoch` is never refused. A cell is
+        // one connection's messages, the last one's verdict, the storage
+        // sheds and the malformed rejections.
+        #[rustfmt::skip]
+        let cells = [
+            ("hello ok", Clean, vec![h()], ResponseMessage::HelloAck, 0, 0),
+            ("hello storage", DirAt(WAL_FILE), vec![h()], ack(0, 0, Overloaded), 1, 0),
+            ("hello refused", Clean, vec![h(), other], ack(0, 0, Rejected), 0, 1),
+            ("submit ok", Clean, vec![h(), ok()], ack(3, e, Admitted), 0, 0),
+            ("submit duplicate", Clean, vec![h(), ok(), ok()], ack(3, e, Duplicate), 0, 0),
+            ("submit storage", Crash(AfterAppend), vec![h(), ok()], ack(3, e, Overloaded), 1, 0),
+            ("submit refused", Clean, vec![h(), submit(vec![0xFF; 3])], ack(3, e, Rejected), 0, 1),
+            ("flush ok", Clean, flushed(), snap(1), 0, 0),
+            // No session yet: nothing to checkpoint, and nothing failed.
+            ("flush before hello", Clean, vec![flush()], snap(0), 0, 0),
+            // The flush's own fsync fails: refused like any other message.
+            ("flush storage", Crash(AfterFsync), flushed(), ack(0, e, Overloaded), 1, 0),
+            // The checkpoint after the flush fails: counted, the ack stands.
+            ("checkpoint fails", DirAt(STAGED_CHECKPOINT), flushed(), snap(1), 1, 0),
+        ];
+        let mut failures = Vec::new();
+        for (i, (name, fault, messages, verdict, sheds, malformed)) in cells.into_iter().enumerate()
+        {
+            let dir = std::env::temp_dir().join(format!("ldp-verdicts-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let crash = match fault {
+                Crash(point) => Some(CrashSchedule::new(point, 1)),
+                _ => None,
+            };
+            let durable = DurableConfig {
+                fsync: FsyncPolicy::OnFlush,
+                ..DurableConfig::default()
+            };
+            let server = super::server::testutil::durable_server(&dir, durable, crash);
+            if let DirAt(file) = fault {
+                std::fs::create_dir(dir.join(file)).unwrap();
+            }
+            let mut stream = Vec::new();
+            for msg in &messages {
+                msg.write_to(&mut stream).unwrap();
+            }
+            let mut conn = LargestRead::new(&stream);
+            server.handle().serve_stream(&mut conn);
+            let responses = conn.responses();
+            let storage_sheds = server.stats().storage_sheds();
+            let got = (
+                responses.len(),
+                responses.last().cloned(),
+                storage_sheds,
+                server.finish().rejected_malformed(),
+            );
+            let want = (messages.len(), Some(verdict), sheds, malformed);
+            if got != want {
+                failures.push(format!("{name} ({fault:?}): got {got:?}, want {want:?}"));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(failures.is_empty(), "\n{}", failures.join("\n"));
     }
 
     /// A recorded connection that notes the largest read asked of it.

@@ -23,6 +23,21 @@
 //! (see [`ldp_core::frame::read_frame`]), so they earn a
 //! [`ResponseMessage::Resend`] rather than a disconnect.
 //!
+//! ## Refusals
+//!
+//! A message the service refuses is answered by one rule, whatever its
+//! kind (`Hello`, `Submit` or `FlushEpoch`):
+//!
+//! - a second report from a user in one epoch is answered
+//!   [`AckOutcome::Duplicate`];
+//! - a storage failure ([`LdpError::Storage`]) is answered
+//!   [`AckOutcome::Overloaded`] and counted in
+//!   [`TransportStats::storage_sheds`]: the message could not be made
+//!   durable, so the client backs off and retries, and the ledger keeps the
+//!   retry at-most-once;
+//! - anything else is answered [`AckOutcome::Rejected`] and counted in the
+//!   service's `rejected_malformed`.
+//!
 //! ## Shutdown
 //!
 //! [`ReportServer::finish`] drops the server's own handle and waits until
@@ -37,9 +52,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
-use ldp_core::Result;
+use ldp_core::{LdpError, Result};
 
-use crate::durable::{self, DurableConfig, DurableService, RecoveryReport};
+use crate::durable::{DurableConfig, DurableService, RecoveryReport};
 use crate::service::{
     max_request_payload, max_submit_payload, AckOutcome, EpochSnapshot, ReportService,
     ResponseMessage, ServiceConfig, StreamFault, WireMessage,
@@ -78,7 +93,6 @@ pub struct TransportStats {
     shed: AtomicU64,
     submits: AtomicU64,
     storage_sheds: AtomicU64,
-    injected_crashes: AtomicU64,
     refused_connections: AtomicU64,
 }
 
@@ -115,19 +129,15 @@ impl TransportStats {
         self.submits.load(Ordering::Relaxed)
     }
 
-    /// Messages answered `Overloaded` because the durability layer could
-    /// not make them durable (WAL/checkpoint I/O failure or injected
-    /// crash) — the ack-after-durable contract refusing to lie rather
-    /// than acking volatile state.
+    /// Storage failures ([`LdpError::Storage`]): every message of any
+    /// kind answered `Overloaded` because the durability layer could not
+    /// make it durable (a log or checkpoint I/O failure, or an injected
+    /// crash) — the ack-after-durable contract refusing to lie rather than
+    /// acking volatile state — plus every checkpoint after a flushed epoch
+    /// that failed for any reason (its snapshot ack stands: the log still
+    /// covers everything).
     pub fn storage_sheds(&self) -> u64 {
         self.storage_sheds.load(Ordering::Relaxed)
-    }
-
-    /// Crashes injected by a [`crate::durable::CrashSchedule`] that the
-    /// server observed (the transport-side mirror of
-    /// [`crate::transport::FaultCounts::crashes`]).
-    pub fn injected_crashes(&self) -> u64 {
-        self.injected_crashes.load(Ordering::Relaxed)
     }
 
     /// Connections closed unserved because no thread could be spawned to
@@ -386,11 +396,14 @@ impl Backend {
     }
 
     /// Checkpoints durable state after a flushed epoch; a no-op for the
-    /// plain backend.
+    /// plain backend, and before any session, which leaves nothing to
+    /// checkpoint.
     fn checkpoint(&mut self) -> Result<()> {
         match self {
-            Backend::Plain(_) => Ok(()),
-            Backend::Durable(durable) => durable.checkpoint(),
+            Backend::Durable(durable) if durable.service().session_params().is_some() => {
+                durable.checkpoint()
+            }
+            _ => Ok(()),
         }
     }
 
@@ -424,7 +437,8 @@ impl ReportServer {
     /// runs first (the returned [`RecoveryReport`] says what it rebuilt),
     /// and from then on every `Admitted` ack is sent only after the
     /// submit's WAL record is as durable as `durable.fsync` promises. A
-    /// report the durability layer cannot log is answered `Overloaded` —
+    /// message the durability layer cannot make durable — a `Hello`,
+    /// `Submit` or `FlushEpoch` alike — is answered `Overloaded`:
     /// retryable, and the ledger keeps the eventual retry at-most-once.
     ///
     /// `durable.service` is overridden by `config.service` so the two
@@ -498,93 +512,62 @@ impl ReportServer {
     }
 }
 
-/// Counts a storage-layer failure and renders the retryable verdict. The
-/// durability layer refused (or failed) to make the message durable, so
-/// the honest answer is `Overloaded`: the client backs off and retries,
-/// and the ledger keeps the eventual retry at-most-once.
-fn storage_shed(stats: &TransportStats, error: &ldp_core::LdpError) {
-    stats.storage_sheds.fetch_add(1, Ordering::Relaxed);
-    if durable::is_injected_crash(error) {
-        stats.injected_crashes.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Applies one message to the backend and renders the wire verdict.
+/// Applies one message to the backend and renders the wire verdict. A
+/// refusal follows the one rule of the module docs for every message
+/// kind; its ack echoes the message's `(user, epoch)` (a `FlushEpoch`'s
+/// epoch, zeros for a `Hello`).
 fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> ResponseMessage {
-    match msg {
-        WireMessage::Hello { .. } => match backend.handle(msg) {
-            Ok(_) => ResponseMessage::HelloAck,
-            Err(ref e) if durable::is_storage_error(e) => {
-                storage_shed(stats, e);
-                ResponseMessage::Ack {
-                    user: 0,
-                    epoch: 0,
-                    outcome: AckOutcome::Overloaded,
-                }
-            }
-            Err(_) => {
-                backend.note_malformed();
-                ResponseMessage::Ack {
-                    user: 0,
-                    epoch: 0,
-                    outcome: AckOutcome::Rejected,
-                }
-            }
-        },
+    let (user, epoch) = match msg {
+        WireMessage::Hello { .. } => (0, 0),
         WireMessage::Submit { user, epoch, .. } => {
             stats.submits.fetch_add(1, Ordering::Relaxed);
-            // In durable mode `Ok` means the WAL record reached the disk
-            // under the configured fsync policy: ack-after-durable.
-            let outcome = match backend.handle(msg) {
-                Ok(_) => AckOutcome::Admitted,
-                Err(ldp_core::LdpError::DuplicateReport { .. }) => AckOutcome::Duplicate,
-                Err(ref e) if durable::is_storage_error(e) => {
-                    storage_shed(stats, e);
-                    AckOutcome::Overloaded
-                }
-                Err(_) => {
-                    backend.note_malformed();
-                    AckOutcome::Rejected
-                }
-            };
-            ResponseMessage::Ack {
-                user: *user,
-                epoch: *epoch,
-                outcome,
+            (*user, *epoch)
+        }
+        WireMessage::FlushEpoch { epoch } => (0, *epoch),
+        // Shutdown is handled connection-side and never applied.
+        WireMessage::Shutdown => {
+            return ResponseMessage::Ack {
+                user: 0,
+                epoch: 0,
+                outcome: AckOutcome::Rejected,
             }
         }
-        WireMessage::FlushEpoch { epoch } => match backend.handle(msg) {
-            Ok(Some(snap)) => {
-                // An epoch boundary is the compaction point: checkpoint
-                // the durable state and rotate the log. A failure here
-                // loses no data — the log still covers everything — so it
-                // only counts as a storage shed, the snapshot ack stands.
-                if let Err(ref e) = backend.checkpoint() {
-                    storage_shed(stats, e);
-                }
-                ResponseMessage::SnapshotAck {
-                    epoch: snap.epoch,
-                    admitted: snap.admitted,
-                    rejected_duplicates: snap.rejected_duplicates,
-                    rejected_malformed: snap.rejected_malformed,
-                    users: snap.result.map_or(0, |r| r.n as u64),
-                }
+    };
+    let outcome = match (msg, backend.handle(msg)) {
+        (WireMessage::Hello { .. }, Ok(_)) => return ResponseMessage::HelloAck,
+        // In durable mode `Ok` means the WAL record reached the disk
+        // under the configured fsync policy: ack-after-durable.
+        (WireMessage::Submit { .. }, Ok(_)) => AckOutcome::Admitted,
+        (WireMessage::FlushEpoch { .. }, Ok(Some(snap))) => {
+            // An epoch boundary is the compaction point: checkpoint the
+            // durable state and rotate the log. A failure here loses no
+            // data — the log still covers everything — so it only counts
+            // as a storage shed, and the snapshot ack stands.
+            if backend.checkpoint().is_err() {
+                stats.storage_sheds.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(None) | Err(_) => {
-                backend.note_malformed();
-                ResponseMessage::Ack {
-                    user: 0,
-                    epoch: *epoch,
-                    outcome: AckOutcome::Rejected,
-                }
-            }
-        },
-        // Shutdown is handled connection-side and never applied.
-        WireMessage::Shutdown => ResponseMessage::Ack {
-            user: 0,
-            epoch: 0,
-            outcome: AckOutcome::Rejected,
-        },
+            return ResponseMessage::SnapshotAck {
+                epoch: snap.epoch,
+                admitted: snap.admitted,
+                rejected_duplicates: snap.rejected_duplicates,
+                rejected_malformed: snap.rejected_malformed,
+                users: snap.result.map_or(0, |r| r.n as u64),
+            };
+        }
+        (_, Err(LdpError::DuplicateReport { .. })) => AckOutcome::Duplicate,
+        (_, Err(LdpError::Storage { .. })) => {
+            stats.storage_sheds.fetch_add(1, Ordering::Relaxed);
+            AckOutcome::Overloaded
+        }
+        _ => {
+            backend.note_malformed();
+            AckOutcome::Rejected
+        }
+    };
+    ResponseMessage::Ack {
+        user,
+        epoch,
+        outcome,
     }
 }
 
@@ -602,6 +585,21 @@ pub(crate) mod testutil {
             queue_capacity: capacity,
         })
         .handle()
+    }
+
+    /// A server over a [`DurableService`] on `dir` opened with `crash`
+    /// armed, which [`ReportServer::start_durable`] cannot do.
+    pub(crate) fn durable_server(
+        dir: &Path,
+        durable: DurableConfig,
+        crash: Option<crate::durable::CrashSchedule>,
+    ) -> ReportServer {
+        let (service, _) = DurableService::open_with_crash(dir, durable, crash)
+            .expect("the durable directory opens");
+        ReportServer::start_backend(
+            &ServerConfig::default(),
+            Backend::Durable(Box::new(service)),
+        )
     }
 
     /// Occupies one in-flight slot with a message nobody will answer.

@@ -136,9 +136,7 @@ fn evaluate(
             let upper = (train_n / 8).max(10);
             let lower = (train_n / 50).clamp(10, upper);
             let group = suggested.clamp(lower, upper);
-            let trainer = LdpSgd::new(config, epsilon, mech, group)
-                .expect("valid config")
-                .with_tail_averaging(true);
+            let trainer = LdpSgd::new(config, epsilon, mech, group).expect("valid config");
             cross_validate(
                 data,
                 args.folds,

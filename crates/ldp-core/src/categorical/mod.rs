@@ -163,10 +163,11 @@ impl UnaryEncoder {
         let mut flip_cdf = Vec::new();
         if n > 0 && q > 0.0 && q < 1.0 {
             let ln_1q = (-q).ln_1p();
-            // Same representability rule as `sample_binomial_inversion`:
-            // beyond −700, exp() lands in (or near) the subnormal range,
-            // where p0's large relative error would scale the whole CDF and
-            // bias the flip counts — use the geometric walk instead.
+            // p0 = (1−q)^n must be representable: once n·ln(1−q) falls
+            // to −700 (≈ ln f64::MIN_POSITIVE), exp() lands in (or near)
+            // the subnormal range, where p0's large relative error would
+            // scale the whole CDF and bias the flip counts — use the
+            // geometric walk instead.
             if f64::from(n) * ln_1q > -700.0 {
                 let p0 = (f64::from(n) * ln_1q).exp();
                 let mean = f64::from(n) * q;

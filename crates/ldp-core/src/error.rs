@@ -2,13 +2,13 @@
 
 use std::fmt;
 
-/// The I/O condition behind a transport-layer [`LdpError`].
+/// The I/O condition behind a transport or storage [`LdpError`].
 ///
 /// `std::io::Error` is neither `Clone` nor `PartialEq`, which every
-/// consumer of [`LdpError`] relies on, so the frame layer captures the
-/// parts that matter — the [`std::io::ErrorKind`] and the rendered message
-/// — into this owned, comparable cause. It implements
-/// [`std::error::Error`], and the transport variants expose it through
+/// consumer of [`LdpError`] relies on, so the frame and durability layers
+/// capture the parts that matter — the [`std::io::ErrorKind`] and the
+/// rendered message — into this owned, comparable cause. It implements
+/// [`std::error::Error`], and the I/O-backed variants expose it through
 /// [`std::error::Error::source`], so error-reporting crates walk the chain
 /// exactly as they would with the original `io::Error`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,6 +172,20 @@ pub enum LdpError {
         /// The one version this build reads and writes.
         supported: u16,
     },
+    /// The durability layer could not read or write its files (a log or
+    /// checkpoint I/O failure, or a simulated process kill). Nothing about
+    /// the message being handled was wrong: the server answers it
+    /// `Overloaded`, and the budget ledger keeps the client's retry
+    /// at-most-once.
+    Storage {
+        /// The durable operation that failed (`"wal_append"`,
+        /// `"wal_fsync"`, `"checkpoint_commit"`, …; `"injected_crash"` for
+        /// a tripped crash schedule).
+        op: &'static str,
+        /// The captured I/O condition (also the
+        /// [`source`](std::error::Error::source)).
+        cause: IoFault,
+    },
 }
 
 impl fmt::Display for LdpError {
@@ -246,6 +260,9 @@ impl fmt::Display for LdpError {
                     "format version {found} is not supported (this build reads version {supported})"
                 )
             }
+            LdpError::Storage { op, cause } => {
+                write!(f, "durable storage failed during {op} ({cause})")
+            }
         }
     }
 }
@@ -253,7 +270,9 @@ impl fmt::Display for LdpError {
 impl std::error::Error for LdpError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LdpError::Timeout { cause, .. } | LdpError::ConnectionLost { cause, .. } => Some(cause),
+            LdpError::Timeout { cause, .. }
+            | LdpError::ConnectionLost { cause, .. }
+            | LdpError::Storage { cause, .. } => Some(cause),
             _ => None,
         }
     }
@@ -366,13 +385,25 @@ mod tests {
         assert!(e.to_string().contains("write"), "{e}");
         assert!(std::error::Error::source(&e).is_some());
 
+        let e = LdpError::Storage {
+            op: "wal_fsync",
+            cause: IoFault {
+                kind: std::io::ErrorKind::StorageFull,
+                message: "no space left on device".into(),
+            },
+        };
+        assert!(e.to_string().contains("wal_fsync"), "{e}");
+        assert!(e.to_string().contains("no space left"), "{e}");
+        let src = std::error::Error::source(&e).expect("storage variant has a source");
+        assert!(src.to_string().contains("StorageFull"), "{src}");
+
         let e = LdpError::Overloaded { capacity: 128 };
         assert!(e.to_string().contains("128"), "{e}");
         assert!(std::error::Error::source(&e).is_none());
         let e = LdpError::Overloaded { capacity: 0 };
         assert!(e.to_string().contains("retry after backoff"), "{e}");
 
-        // Non-transport variants still have no source.
+        // Variants without an I/O cause have no source.
         assert!(std::error::Error::source(&LdpError::EmptyInput("x")).is_none());
     }
 

@@ -343,41 +343,6 @@ pub fn for_each_bernoulli_index<R: RngCore + ?Sized, F: FnMut(u32)>(
     }
 }
 
-/// Draws from Binomial(`n`, `q`) by CDF inversion: a single uniform walked
-/// down the probability masses `P(m) = C(n,m) q^m (1−q)^{n−m}` via the
-/// two-multiplication recurrence `P(m) = P(m−1) · (q/(1−q)) · (n−m+1)/m`.
-/// O(n·q) expected iterations with no transcendental calls in the loop —
-/// cheaper than a geometric-gap walk when only the *count* of successes is
-/// needed (the sparse unary sampler then places that many flips with
-/// Floyd's algorithm).
-///
-/// Requires `(1−q)^n` representable: callers must check
-/// `n·ln(1−q) > −700` (≈ `f64::MIN_POSITIVE.ln()`) and fall back to
-/// [`for_each_bernoulli_index`] otherwise — debug-asserted here.
-pub fn sample_binomial_inversion<R: RngCore + ?Sized>(rng: &mut R, n: u32, q: f64) -> u32 {
-    if n == 0 || q <= 0.0 {
-        return 0;
-    }
-    if q >= 1.0 {
-        return n;
-    }
-    let ln_1q = (-q).ln_1p();
-    debug_assert!(
-        f64::from(n) * ln_1q > -700.0,
-        "(1-q)^n underflows: n={n}, q={q}"
-    );
-    let mut c = (f64::from(n) * ln_1q).exp(); // P(0) = (1-q)^n
-    let r = q / (1.0 - q);
-    let mut u = rng.random::<f64>();
-    let mut m = 0u32;
-    while u > c && m < n {
-        u -= c;
-        m += 1;
-        c *= r * f64::from(n - m + 1) / f64::from(m);
-    }
-    m
-}
-
 /// Samples an index from an unnormalized weight slice.
 ///
 /// Used by the exact (non-rejection) sampler for Duchi et al.'s
@@ -548,40 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_inversion_matches_moments() {
-        let mut rng = seeded_rng(22);
-        for (n, q) in [(63u32, 0.27f64), (255, 0.02), (10, 0.9), (1, 0.5)] {
-            let trials = 60_000;
-            let mut sum = 0.0f64;
-            let mut sq = 0.0f64;
-            for _ in 0..trials {
-                let m = f64::from(sample_binomial_inversion(&mut rng, n, q));
-                assert!(m <= f64::from(n));
-                sum += m;
-                sq += m * m;
-            }
-            let mean = sum / trials as f64;
-            let var = sq / trials as f64 - mean * mean;
-            let (e_mean, e_var) = (f64::from(n) * q, f64::from(n) * q * (1.0 - q));
-            crate::assert_within_ci!(mean, e_mean, e_var, trials, "n={n} q={q}");
-            // Sample variance of a binomial concentrates with sd ≈
-            // √((m4-ish)/trials); a generous 10% band suffices here.
-            assert!(
-                (var - e_var).abs() / e_var < 0.1,
-                "n={n} q={q}: var {var} vs {e_var}"
-            );
-        }
-    }
-
-    #[test]
-    fn binomial_inversion_edge_cases() {
-        let mut rng = seeded_rng(23);
-        assert_eq!(sample_binomial_inversion(&mut rng, 0, 0.5), 0);
-        assert_eq!(sample_binomial_inversion(&mut rng, 10, 0.0), 0);
-        assert_eq!(sample_binomial_inversion(&mut rng, 10, 1.0), 10);
-    }
-
-    #[test]
     fn rng_block_is_a_bit_exact_prefix_of_the_inner_stream() {
         // Draw i from the block equals draw i from the bare generator, for
         // any buffer length — the property that lets pipelines swap the
@@ -618,7 +549,7 @@ mod tests {
     #[test]
     fn rng_block_serves_generic_helpers_identically() {
         // The generic helpers must draw the same values through a block as
-        // through the bare rng: uniform_index, bernoulli, binomial, distinct.
+        // through the bare rng: uniform_index, bernoulli, distinct.
         let mut bare = seeded_rng(1234);
         let mut block = RngBlock::<_, 17>::new(seeded_rng(1234));
         let mut buf_a = Vec::new();
@@ -630,10 +561,6 @@ mod tests {
                 "round {round}"
             );
             assert_eq!(bernoulli(&mut bare, 0.37), bernoulli(&mut block, 0.37));
-            assert_eq!(
-                sample_binomial_inversion(&mut bare, 63, 0.27),
-                sample_binomial_inversion(&mut block, 63, 0.27)
-            );
             sample_distinct_into(&mut bare, 50, 6, &mut buf_a);
             sample_distinct_into(&mut block, 50, 6, &mut buf_b);
             assert_eq!(buf_a, buf_b);

@@ -179,16 +179,6 @@ impl Dataset {
         }
     }
 
-    /// A dataset restricted to the first `d` attributes (Figure 8 sweep).
-    ///
-    /// # Errors
-    /// Propagates schema prefix validation.
-    pub fn prefix_attributes(&self, d: usize) -> Result<Dataset> {
-        let schema = self.schema.prefix(d)?;
-        let columns = self.columns[..d].to_vec();
-        Dataset::new(schema, columns)
-    }
-
     /// A dataset restricted to the given attribute indices, in the given
     /// order (used by the Figure 8 sweep to build mixed-type prefixes).
     ///
@@ -320,17 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn head_and_prefix() {
+    fn head_keeps_leading_rows() {
         let ds = small_dataset();
         let h = ds.head(2).unwrap();
         assert_eq!(h.n(), 2);
         assert!((h.true_mean(0).unwrap() + 0.5).abs() < 1e-12);
         assert!(ds.head(0).is_err());
         assert!(ds.head(5).is_err());
-
-        let p = ds.prefix_attributes(1).unwrap();
-        assert_eq!(p.schema().d(), 1);
-        assert_eq!(p.n(), 4);
     }
 
     #[test]

@@ -145,23 +145,6 @@ impl Schema {
             })
             .collect()
     }
-
-    /// A schema containing only the first `d` attributes (the Figure 8
-    /// dimensionality sweep uses schema prefixes).
-    ///
-    /// # Errors
-    /// Rejects `d = 0` or `d > self.d()`.
-    pub fn prefix(&self, d: usize) -> Result<Schema> {
-        if d == 0 || d > self.d() {
-            return Err(LdpError::InvalidParameter {
-                name: "d",
-                message: format!("prefix length must be in 1..={}, got {d}", self.d()),
-            });
-        }
-        Ok(Schema {
-            attributes: self.attributes[..d].to_vec(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -209,15 +192,5 @@ mod tests {
         assert_eq!(specs[0], AttrSpec::Numeric);
         assert_eq!(specs[1], AttrSpec::Categorical { k: 2 });
         assert_eq!(specs[3], AttrSpec::Categorical { k: 27 });
-    }
-
-    #[test]
-    fn prefix_truncates() {
-        let s = schema();
-        let p = s.prefix(2).unwrap();
-        assert_eq!(p.d(), 2);
-        assert_eq!(p.attribute(1).name, "gender");
-        assert!(s.prefix(0).is_err());
-        assert!(s.prefix(5).is_err());
     }
 }

@@ -13,24 +13,6 @@ pub fn clip_unit(grad: &mut [f64]) {
     }
 }
 
-/// Returns the fraction of coordinates that the clip actually changed
-/// (useful diagnostics: persistent clipping means the learning rate or
-/// regularization is off).
-pub fn clip_unit_counting(grad: &mut [f64]) -> f64 {
-    if grad.is_empty() {
-        return 0.0;
-    }
-    let mut clipped = 0usize;
-    for g in grad.iter_mut() {
-        let before = *g;
-        *g = g.clamp(-1.0, 1.0);
-        if *g != before {
-            clipped += 1;
-        }
-    }
-    clipped as f64 / grad.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,15 +22,6 @@ mod tests {
         let mut g = vec![-3.0, -1.0, 0.5, 1.0, 7.0];
         clip_unit(&mut g);
         assert_eq!(g, vec![-1.0, -1.0, 0.5, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn counting_variant_reports_fraction() {
-        let mut g = vec![-3.0, 0.0, 3.0, 0.9];
-        let frac = clip_unit_counting(&mut g);
-        assert_eq!(frac, 0.5);
-        assert_eq!(g, vec![-1.0, 0.0, 1.0, 0.9]);
-        assert_eq!(clip_unit_counting(&mut []), 0.0);
     }
 
     #[test]

@@ -205,7 +205,6 @@ pub struct LdpSgd {
     epsilon: Epsilon,
     mechanism: GradientMechanism,
     group_size: usize,
-    tail_averaging: bool,
 }
 
 impl LdpSgd {
@@ -235,21 +234,7 @@ impl LdpSgd {
             epsilon,
             mechanism,
             group_size,
-            tail_averaging: false,
         })
-    }
-
-    /// Enables Polyak-style tail averaging: the returned model is the
-    /// average of the iterates from the second half of training rather than
-    /// the last iterate.
-    ///
-    /// With `γ_t = c/√t` schedules, averaging suppresses the random walk the
-    /// perturbation noise induces; it is a post-processing of already-private
-    /// gradients, so the privacy guarantee is unchanged. Most useful at
-    /// reduced scale, where groups are small and per-iteration noise high.
-    pub fn with_tail_averaging(mut self, enabled: bool) -> Self {
-        self.tail_averaging = enabled;
-        self
     }
 
     /// The paper's group-size guidance `|G| = c·d·log d/ε²`, with `c = 1`
@@ -265,7 +250,14 @@ impl LdpSgd {
         self.mechanism
     }
 
-    /// Trains on `rows`, consuming each user at most once.
+    /// Trains on `rows`, consuming each user at most once, and returns the
+    /// Polyak tail average: the mean of the iterates from the second half
+    /// of training rather than the last iterate.
+    ///
+    /// With `γ_t = c/√t` schedules, averaging suppresses the random walk the
+    /// perturbation noise induces; it is a post-processing of already-private
+    /// gradients, so the privacy guarantee is unchanged. It matters most at
+    /// reduced scale, where groups are small and per-iteration noise high.
     ///
     /// # Errors
     /// Rejects row sets smaller than one group.
@@ -322,18 +314,16 @@ impl LdpSgd {
             for (b, (_, g)) in beta.iter_mut().zip(aggregator.snapshot()?.means) {
                 *b -= gamma * g;
             }
-            if self.tail_averaging && t >= tail_start {
+            if t >= tail_start {
                 for (a, b) in tail_sum.iter_mut().zip(&beta) {
                     *a += b;
                 }
                 tail_count += 1;
             }
         }
-        if self.tail_averaging && tail_count > 0 {
-            let inv = 1.0 / tail_count as f64;
-            return Ok(tail_sum.into_iter().map(|x| x * inv).collect());
-        }
-        Ok(beta)
+        // At least one group ran, so the tail holds at least one iterate.
+        let inv = 1.0 / tail_count as f64;
+        Ok(tail_sum.into_iter().map(|x| x * inv).collect())
     }
 }
 
@@ -487,44 +477,6 @@ mod tests {
         let g_large = LdpSgd::suggested_group_size(90, e1);
         assert!(g_large > g_small);
         assert!(LdpSgd::suggested_group_size(2, e4) >= 10);
-    }
-
-    #[test]
-    fn tail_averaging_reduces_variance_across_seeds() {
-        // The averaged model should scatter less across seeds than the last
-        // iterate: compare the spread of one coordinate over retrainings.
-        let data = small_design(6_000);
-        let rows: Vec<usize> = (0..6_000).collect();
-        let make = |avg: bool| {
-            LdpSgd::new(
-                SgdConfig::paper_defaults(LossKind::Logistic),
-                Epsilon::new(1.0).unwrap(),
-                GradientMechanism::Sampling(NumericKind::Hybrid),
-                300,
-            )
-            .unwrap()
-            .with_tail_averaging(avg)
-        };
-        // Spread over seeds, summed across all coordinates so a single
-        // noisy coordinate cannot dominate the comparison.
-        let spread = |avg: bool| -> f64 {
-            let betas: Vec<Vec<f64>> = (0..12)
-                .map(|s| make(avg).train(&data, &rows, s).unwrap())
-                .collect();
-            let d = betas[0].len();
-            let n = betas.len() as f64;
-            (0..d)
-                .map(|j| {
-                    let mean = betas.iter().map(|b| b[j]).sum::<f64>() / n;
-                    betas.iter().map(|b| (b[j] - mean).powi(2)).sum::<f64>() / n
-                })
-                .sum()
-        };
-        let (averaged, raw) = (spread(true), spread(false));
-        assert!(
-            averaged < raw,
-            "averaged spread {averaged} vs raw spread {raw}"
-        );
     }
 
     #[test]

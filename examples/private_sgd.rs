@@ -42,7 +42,7 @@ fn main() -> Result<(), LdpError> {
             GradientMechanism::Sampling(NumericKind::Hybrid),
             GradientMechanism::DuchiMultidim,
         ] {
-            let trainer = LdpSgd::new(config, eps, mech, group)?.with_tail_averaging(true);
+            let trainer = LdpSgd::new(config, eps, mech, group)?;
             let beta = trainer.train(&data, &split.train, 5)?;
             let err = misclassification_rate(&beta, &data, &split.test)?;
             println!(

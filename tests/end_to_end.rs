@@ -201,8 +201,7 @@ fn ldp_linear_regression_beats_zero_model() {
         GradientMechanism::Sampling(NumericKind::Piecewise),
         200,
     )
-    .unwrap()
-    .with_tail_averaging(true);
+    .unwrap();
     let beta = trainer.train(&data, &split.train, 12).unwrap();
     let model_mse = regression_mse(&beta, &data, &split.test).unwrap();
     let zero_mse = regression_mse(&vec![0.0; data.dim()], &data, &split.test).unwrap();
