@@ -9,6 +9,8 @@ PARENT and CHANGE are two checkouts, each with perfbench built
 Pair ``i`` runs both sides at seed ``N + i`` (default N = 1000) for SECONDS,
 ``--trace 0``, parent first when ``i`` is even, each from its own checkout.
 Every run's last line must say ``"correct": true`` and ``"failed": 0``.
+Each run prints one line to stderr as it finishes: its pair, side, seed and
+every end-to-end metric.
 
 For each end-to-end metric in CHANGE's ``BENCHMARK.json`` it prints each
 side's median [quartiles], the median per-pair ratio change/parent with its
@@ -35,8 +37,10 @@ import subprocess
 import sys
 
 
-def run_pairs(parent, change, workload, pairs, seconds, seed0):
-    """Runs the interleaved pairs; returns {side: [{metric: value}, ...]}."""
+def run_pairs(parent, change, workload, pairs, seconds, seed0, names):
+    """Runs the interleaved pairs; returns {side: [{metric: value}, ...]}.
+    Prints one stderr line per finished run: its pair, side, seed and each
+    metric in ``names``."""
     sides = {"parent": parent, "change": change}
     runs = {"parent": [], "change": []}
     for i in range(pairs):
@@ -47,7 +51,11 @@ def run_pairs(parent, change, workload, pairs, seconds, seed0):
                 cwd=sides[side], capture_output=True, text=True, check=True).stdout
             r = json.loads(out.strip().splitlines()[-1])
             assert r["correct"] is True and r["failed"] == 0, (side, i, r)
-            runs[side].append({k: v["value"] for k, v in r["metrics"].items()})
+            run = {k: v["value"] for k, v in r["metrics"].items()}
+            runs[side].append(run)
+            print(f"pair {i} {side} seed {seed0 + i}: "
+                  + " ".join(f"{name} {run[name]:.4g}" for name in names),
+                  file=sys.stderr, flush=True)
     return runs
 
 
@@ -156,8 +164,8 @@ def main():
         bounds = {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
     if a.claim not in (None, *bounds):
         ap.error(f"unknown metric {a.claim}")
-    rows, failed = judge(run_pairs(a.parent, a.change, a.workload, a.pairs, a.seconds, a.seed0),
-                         bounds, a.claim)
+    runs = run_pairs(a.parent, a.change, a.workload, a.pairs, a.seconds, a.seed0, list(bounds))
+    rows, failed = judge(runs, bounds, a.claim)
     report(rows)
     sys.exit(1 if failed else 0)
 

@@ -67,7 +67,7 @@ pub use wal::{
     scan, SubmitRecord, WalHeader, WalScan, WalWriter, KIND_WAL_HEADER, KIND_WAL_SUBMIT, WAL_FILE,
 };
 
-use crate::service::{EpochSnapshot, ReportService, ServiceConfig, WireMessage};
+use crate::service::{EpochSnapshot, FlushReceipt, ReportService, ServiceConfig, WireMessage};
 use ldp_core::rng::{seeded_rng, uniform_index};
 use ldp_core::{fsio, IoFault, LdpError, Result};
 use std::path::{Path, PathBuf};
@@ -373,7 +373,8 @@ impl DurableService {
     ///   appended; the `Ok` — and any ack built from it — happens strictly
     ///   after the append returns per the fsync policy;
     /// - `FlushEpoch`: flushes the log (the `OnFlush` durability
-    ///   boundary), then snapshots;
+    ///   boundary), then returns the epoch's [`FlushReceipt`] counters
+    ///   (estimates are read with [`DurableService::snapshot_epoch`]);
     /// - `Shutdown`: flushes the log.
     ///
     /// # Errors
@@ -385,8 +386,8 @@ impl DurableService {
     /// maps it to a retryable `Overloaded`, and since the admit kept the
     /// in-memory ledger entry, the client's idempotent retry resolves to
     /// a duplicate ack rather than a double-count. A `FlushEpoch` whose
-    /// fsync fails is refused the same way, before any snapshot.
-    pub fn handle(&mut self, msg: &WireMessage) -> Result<Option<EpochSnapshot>> {
+    /// fsync fails is refused the same way, before any counter is read.
+    pub fn handle(&mut self, msg: &WireMessage) -> Result<Option<FlushReceipt>> {
         match msg {
             WireMessage::Hello { .. } => {
                 self.service.handle(msg)?;

@@ -153,18 +153,6 @@ impl FrequencyAccumulator {
         self.population
     }
 
-    /// Debiased per-category *support counts* — the estimate numerators
-    /// `scale · (c_v − reports·q) / (p − q)` before division by the
-    /// population. Unlike [`FrequencyAccumulator::estimate`] this never
-    /// fails on an undeclared population or an empty accumulator (every
-    /// count is then zero).
-    pub fn debiased_counts(&self) -> Vec<f64> {
-        self.counts()
-            .into_iter()
-            .map(|c| self.scale * self.debias.debias_count(c, self.reports))
-            .collect()
-    }
-
     /// Exact serialized size of [`FrequencyAccumulator::encode_state`] in
     /// bits: the report count plus one exact 64-bit hit count per category.
     /// `k`, `scale` and the debias pair are *not* on the wire — both sides
@@ -358,9 +346,9 @@ mod tests {
         let oracle = OracleKind::Oue.build(eps, 4).unwrap();
         let mut acc = accumulator(&oracle, 2.0);
 
-        // Empty accumulator: the declared pair, and all-zero debiased counts.
+        // Empty accumulator: the declared pair, and all-zero counts.
         assert_eq!(acc.debias_params(), oracle.debias_params());
-        assert_eq!(acc.debiased_counts(), vec![0.0; 4]);
+        assert_eq!(acc.counts(), vec![0; 4]);
         assert_eq!(acc.scale(), 2.0);
         assert_eq!(acc.population(), None);
 
@@ -371,29 +359,6 @@ mod tests {
         assert_eq!(acc.debias_params(), oracle.debias_params());
         acc.set_population(250);
         assert_eq!(acc.population(), Some(250));
-    }
-
-    #[test]
-    fn debiased_counts_are_estimate_numerators() {
-        let eps = Epsilon::new(2.0).unwrap();
-        let oracle = OracleKind::Oue.build(eps, 5).unwrap();
-        let scale = 3.0;
-        let mut acc = accumulator(&oracle, scale);
-        let mut rng = fixture_rng("frequency::debiased_counts_numerators");
-        for i in 0..1_000u32 {
-            acc.count_report(&perturb(&oracle, i % 5, &mut rng));
-        }
-        let n = 4_000;
-        acc.set_population(n);
-        let est = acc.estimate().unwrap();
-        let counts = acc.debiased_counts();
-        assert_eq!(counts.len(), est.len());
-        for (c, e) in counts.iter().zip(&est) {
-            // estimate = debiased_count / population, exactly.
-            assert!((c / n as f64 - e).abs() < 1e-12);
-        }
-        // The raw integer counts stay exact and untouched by the accessors.
-        assert!(acc.counts().iter().copied().max().unwrap() <= 1_000);
     }
 
     #[test]

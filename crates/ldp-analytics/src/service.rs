@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | 1 | [`WireMessage::Hello`] | format version, then protocol/ε/schema/epoch — the session parameters |
 //! | 2 | [`WireMessage::Submit`] | user id, epoch, block ordinal, report bytes |
-//! | 3 | [`WireMessage::FlushEpoch`] | epoch to snapshot |
+//! | 3 | [`WireMessage::FlushEpoch`] | epoch to flush |
 //! | 4 | [`WireMessage::Shutdown`] | empty |
 //!
 //! Report bytes inside `Submit` are [`encode_report`]'s canonical layout
@@ -274,9 +274,12 @@ pub enum WireMessage {
         /// The report, encoded with [`encode_report`].
         report: Vec<u8>,
     },
-    /// Requests an [`EpochSnapshot`] of one epoch.
+    /// The durability boundary of one epoch: a durable server forces its
+    /// log to disk and checkpoints, and every server answers with the
+    /// epoch's [`FlushReceipt`] counters. Estimates are read with
+    /// [`ReportService::snapshot_epoch`].
     FlushEpoch {
-        /// Epoch to snapshot.
+        /// Epoch to flush.
         epoch: u64,
     },
     /// Ends the connection: [`ConnHandle::serve_stream`] returns after
@@ -557,19 +560,20 @@ pub enum ResponseMessage {
     },
     /// The session `Hello` was accepted (first or idempotent replay).
     HelloAck,
-    /// Answer to `FlushEpoch`: the snapshot's admission counters. The
-    /// estimates themselves stay server-side; `users` is the snapshot's
-    /// report count (`0` for an epoch no report has reached).
+    /// Answer to `FlushEpoch`: the epoch's [`FlushReceipt`] counters, read
+    /// without folding or debiasing anything. The estimates stay
+    /// server-side, read with [`ReportService::snapshot_epoch`].
     SnapshotAck {
-        /// Epoch snapshotted.
+        /// Epoch flushed.
         epoch: u64,
         /// Distinct users admitted in that epoch.
         admitted: u64,
         /// Duplicate reports rejected in that epoch.
         rejected_duplicates: u64,
-        /// Service-lifetime malformed rejections at snapshot time.
+        /// Service-lifetime malformed rejections at flush time.
         rejected_malformed: u64,
-        /// Reports folded into the snapshot's estimates.
+        /// Reports absorbed into the epoch's aggregate (`0` for an epoch no
+        /// report has reached).
         users: u64,
     },
     /// The inbound frame failed its checksum. The reader is still
@@ -855,6 +859,29 @@ impl Session {
     }
 }
 
+/// The counters a `FlushEpoch` returns: those of an [`EpochSnapshot`],
+/// with the estimates' report count in place of the estimates.
+/// [`ReportService::handle`] reads them from the ledger and the epoch's
+/// aggregate without folding its partials; [`ResponseMessage::SnapshotAck`]
+/// carries them over the wire, and
+/// [`ReportClient::flush_epoch`](crate::transport::ReportClient::flush_epoch)
+/// hands them back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlushReceipt {
+    /// Epoch flushed.
+    pub epoch: u64,
+    /// Distinct users admitted in that epoch.
+    pub admitted: u64,
+    /// Duplicate reports the ledger rejected in that epoch.
+    pub rejected_duplicates: u64,
+    /// Service-lifetime malformed rejections at flush time.
+    pub rejected_malformed: u64,
+    /// Reports absorbed into the epoch's aggregate, which
+    /// [`ReportService::snapshot_epoch`] reports as `result.n` (`0` for an
+    /// epoch no report has reached).
+    pub users: u64,
+}
+
 /// One epoch's estimates plus the admission counters behind them.
 ///
 /// `result` is `None` for an epoch no report has reached (the counters may
@@ -1002,11 +1029,6 @@ impl ReportService {
         }
     }
 
-    /// True once a `Hello` has established the session.
-    pub fn is_configured(&self) -> bool {
-        self.session.is_some()
-    }
-
     /// The privacy-budget ledger (admission counts per epoch).
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
@@ -1039,13 +1061,16 @@ impl ReportService {
 
     /// Processes one already-decoded message.
     ///
-    /// `FlushEpoch` returns `Some` snapshot; everything else `None`.
+    /// `FlushEpoch` returns `Some` [`FlushReceipt`]: the epoch's counters,
+    /// read without folding its partials, so a flush costs the same however
+    /// many blocks and categories the epoch holds. Estimates are read with
+    /// [`ReportService::snapshot_epoch`]. Everything else returns `None`.
     /// Errors are typed and leave aggregate state untouched:
     /// [`LdpError::DuplicateReport`] for ledger rejections (already
     /// counted), [`LdpError::MalformedFrame`] and the validation variants
     /// for everything else (the caller counts them through
     /// [`ReportService::note_malformed`], as the transport does).
-    pub fn handle(&mut self, msg: &WireMessage) -> Result<Option<EpochSnapshot>> {
+    pub fn handle(&mut self, msg: &WireMessage) -> Result<Option<FlushReceipt>> {
         match msg {
             WireMessage::Hello {
                 protocol,
@@ -1065,7 +1090,13 @@ impl ReportService {
                 self.handle_submit(*user, *epoch, *block, report, Admission::Count)?;
                 Ok(None)
             }
-            WireMessage::FlushEpoch { epoch } => self.snapshot_epoch(*epoch).map(Some),
+            WireMessage::FlushEpoch { epoch } => Ok(Some(FlushReceipt {
+                epoch: *epoch,
+                admitted: self.ledger.admitted(*epoch),
+                rejected_duplicates: self.ledger.rejected(*epoch),
+                rejected_malformed: self.rejected_malformed,
+                users: self.epochs.get(epoch).map_or(0, |agg| agg.users() as u64),
+            })),
             WireMessage::Shutdown => Ok(None),
         }
     }
@@ -1144,7 +1175,8 @@ impl ReportService {
     }
 
     /// Snapshots one epoch: the ordinal-ordered fold of its partials plus
-    /// the admission counters. Non-destructive.
+    /// the admission counters. Non-destructive. The one way to read an
+    /// epoch's estimates: a `FlushEpoch` returns only the counters.
     ///
     /// # Errors
     /// Only if the underlying fold fails, which validated state rules out;
@@ -1677,7 +1709,7 @@ mod tests {
         frame::write_frame(&mut stream, KIND_HELLO, &other).unwrap();
         let served = serve_bytes(&stream);
         assert_eq!(acks(&served.responses, AckOutcome::Rejected), 1);
-        assert!(!served.service.is_configured());
+        assert!(served.service.session_params().is_none());
         assert_eq!(served.service.rejected_malformed(), 1);
     }
 
@@ -1918,7 +1950,7 @@ mod tests {
         configured.handle(&hello()).unwrap();
         configured.handle(&submit_for(&encoder(), 1, 0)).unwrap();
         assert!(unconfigured.merge(configured).is_err());
-        assert!(!unconfigured.is_configured());
+        assert!(unconfigured.session_params().is_none());
         assert_eq!(unconfigured.epochs().count(), 0);
     }
 }

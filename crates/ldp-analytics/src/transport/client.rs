@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use ldp_core::{IoFault, LdpError, Result};
 
-use crate::service::{AckOutcome, ResponseMessage, WireMessage};
+use crate::service::{AckOutcome, FlushReceipt, ResponseMessage, WireMessage};
 use crate::transport::backoff::Backoff;
 
 /// A factory for transport streams — the client's reconnect hook.
@@ -90,21 +90,6 @@ pub enum SubmitOutcome {
     /// earlier attempt landed but its ack was lost. The budget was spent
     /// exactly once.
     AlreadyAdmitted,
-}
-
-/// Counters returned by [`ReportClient::flush_epoch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushReceipt {
-    /// Epoch snapshotted.
-    pub epoch: u64,
-    /// Distinct users admitted in that epoch.
-    pub admitted: u64,
-    /// Duplicate reports the ledger rejected in that epoch.
-    pub rejected_duplicates: u64,
-    /// Service-lifetime malformed rejections at snapshot time.
-    pub rejected_malformed: u64,
-    /// Reports folded into the snapshot's estimates.
-    pub users: u64,
 }
 
 /// A reconnecting, retrying client for the report-stream protocol.
@@ -247,10 +232,14 @@ impl<C: Connect> ReportClient<C> {
         Err(last.expect("at least one attempt ran"))
     }
 
-    /// Requests an epoch snapshot, retrying through faults.
+    /// Flushes an epoch, retrying through faults, and returns its counters.
     ///
-    /// Snapshots are non-destructive server-side, so the retry is
-    /// trivially idempotent.
+    /// The flush is the epoch's durability boundary: a durable server
+    /// forces its log to disk (and checkpoints) before it answers. The
+    /// estimates stay server-side, read with
+    /// [`ReportService::snapshot_epoch`](crate::service::ReportService::snapshot_epoch).
+    /// A flush changes no aggregate state, so the retry is trivially
+    /// idempotent.
     ///
     /// # Errors
     /// As [`ReportClient::submit`].

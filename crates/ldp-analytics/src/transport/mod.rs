@@ -143,9 +143,10 @@ pub mod client;
 pub mod net;
 pub mod server;
 
+pub use crate::service::FlushReceipt;
 pub use backoff::Backoff;
 pub use chaos::{duplex, ChaosConfig, ChaosStream, FaultCounts, PipeStream, ScriptedStream};
-pub use client::{ClientConfig, ClientStats, Connect, FlushReceipt, ReportClient, SubmitOutcome};
+pub use client::{ClientConfig, ClientStats, Connect, ReportClient, SubmitOutcome};
 pub use net::{NetConfig, TcpConnector, TcpReportServer};
 pub use server::{ConnHandle, ConnSummary, ReportServer, ServerConfig, TransportStats};
 
@@ -372,27 +373,32 @@ mod tests {
         let (mut client_half, mut server_half) = duplex();
         let conn_thread = std::thread::spawn(move || handle.serve_stream(&mut server_half));
 
-        WireMessage::Submit {
+        // Every kind is shed, and each shed ack echoes what a refusal of
+        // the same message would: a submit's `(user, epoch)`, a flush's
+        // epoch, zeros for a `Hello`.
+        let submit = WireMessage::Submit {
             user: 9,
             epoch: 0,
             block: 0,
             report: vec![1, 2, 3],
-        }
-        .write_to(&mut client_half)
-        .unwrap();
+        };
+        let flush = WireMessage::FlushEpoch { epoch: 3 };
         let mut scratch = Vec::new();
-        let resp = ResponseMessage::read_from(&mut client_half, &mut scratch)
-            .unwrap()
-            .expect("shed verdict");
-        assert_eq!(
-            resp,
-            ResponseMessage::Ack {
-                user: 9,
-                epoch: 0,
-                outcome: AckOutcome::Overloaded
-            },
-            "full queue must shed with an Overloaded ack, not block"
-        );
+        for (msg, user, epoch) in [(submit, 9, 0), (flush, 0, 3), (hello(), 0, 0)] {
+            msg.write_to(&mut client_half).unwrap();
+            let resp = ResponseMessage::read_from(&mut client_half, &mut scratch)
+                .unwrap()
+                .expect("shed verdict");
+            assert_eq!(
+                resp,
+                ResponseMessage::Ack {
+                    user,
+                    epoch,
+                    outcome: AckOutcome::Overloaded
+                },
+                "full queue must shed {msg:?} with an Overloaded ack, not block"
+            );
+        }
         drop(client_half);
         let summary = conn_thread.join().unwrap();
         assert!(summary.fault.is_none(), "shedding is not a fault");

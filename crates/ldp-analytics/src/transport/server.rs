@@ -56,7 +56,7 @@ use ldp_core::{LdpError, Result};
 
 use crate::durable::{DurableConfig, DurableService, RecoveryReport};
 use crate::service::{
-    max_request_payload, max_submit_payload, AckOutcome, EpochSnapshot, ReportService,
+    max_request_payload, max_submit_payload, AckOutcome, FlushReceipt, ReportService,
     ResponseMessage, ServiceConfig, StreamFault, WireMessage,
 };
 
@@ -337,10 +337,7 @@ impl ConnHandle {
             // client to back off. The ledger makes the eventual retry
             // idempotent.
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            let (user, epoch) = match msg {
-                Some(WireMessage::Submit { user, epoch, .. }) => (*user, *epoch),
-                _ => (0, 0),
-            };
+            let (user, epoch) = msg.map_or((0, 0), echo);
             ResponseMessage::Ack {
                 user,
                 epoch,
@@ -374,7 +371,7 @@ enum Backend {
 }
 
 impl Backend {
-    fn handle(&mut self, msg: &WireMessage) -> Result<Option<EpochSnapshot>> {
+    fn handle(&mut self, msg: &WireMessage) -> Result<Option<FlushReceipt>> {
         match self {
             Backend::Plain(service) => service.handle(msg),
             Backend::Durable(durable) => durable.handle(msg),
@@ -512,46 +509,51 @@ impl ReportServer {
     }
 }
 
+/// The `(user, epoch)` an `Ack` to `msg` echoes: a `Submit`'s pair, a
+/// `FlushEpoch`'s epoch, zeros for anything else. The one rule for every
+/// ack, shed or refused.
+fn echo(msg: &WireMessage) -> (u64, u64) {
+    match msg {
+        WireMessage::Submit { user, epoch, .. } => (*user, *epoch),
+        WireMessage::FlushEpoch { epoch } => (0, *epoch),
+        WireMessage::Hello { .. } | WireMessage::Shutdown => (0, 0),
+    }
+}
+
 /// Applies one message to the backend and renders the wire verdict. A
 /// refusal follows the one rule of the module docs for every message
-/// kind; its ack echoes the message's `(user, epoch)` (a `FlushEpoch`'s
-/// epoch, zeros for a `Hello`).
+/// kind; its ack echoes the message (see [`echo`]).
 fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> ResponseMessage {
-    let (user, epoch) = match msg {
-        WireMessage::Hello { .. } => (0, 0),
-        WireMessage::Submit { user, epoch, .. } => {
-            stats.submits.fetch_add(1, Ordering::Relaxed);
-            (*user, *epoch)
-        }
-        WireMessage::FlushEpoch { epoch } => (0, *epoch),
-        // Shutdown is handled connection-side and never applied.
-        WireMessage::Shutdown => {
-            return ResponseMessage::Ack {
-                user: 0,
-                epoch: 0,
-                outcome: AckOutcome::Rejected,
-            }
-        }
-    };
+    // Shutdown is handled connection-side and never applied.
+    if matches!(msg, WireMessage::Shutdown) {
+        return ResponseMessage::Ack {
+            user: 0,
+            epoch: 0,
+            outcome: AckOutcome::Rejected,
+        };
+    }
+    if matches!(msg, WireMessage::Submit { .. }) {
+        stats.submits.fetch_add(1, Ordering::Relaxed);
+    }
     let outcome = match (msg, backend.handle(msg)) {
         (WireMessage::Hello { .. }, Ok(_)) => return ResponseMessage::HelloAck,
         // In durable mode `Ok` means the WAL record reached the disk
         // under the configured fsync policy: ack-after-durable.
         (WireMessage::Submit { .. }, Ok(_)) => AckOutcome::Admitted,
-        (WireMessage::FlushEpoch { .. }, Ok(Some(snap))) => {
+        (WireMessage::FlushEpoch { .. }, Ok(Some(receipt))) => {
             // An epoch boundary is the compaction point: checkpoint the
             // durable state and rotate the log. A failure here loses no
             // data — the log still covers everything — so it only counts
-            // as a storage shed, and the snapshot ack stands.
+            // as a storage shed, and the flush ack stands.
             if backend.checkpoint().is_err() {
                 stats.storage_sheds.fetch_add(1, Ordering::Relaxed);
             }
             return ResponseMessage::SnapshotAck {
-                epoch: snap.epoch,
-                admitted: snap.admitted,
-                rejected_duplicates: snap.rejected_duplicates,
-                rejected_malformed: snap.rejected_malformed,
-                users: snap.result.map_or(0, |r| r.n as u64),
+                epoch: receipt.epoch,
+                admitted: receipt.admitted,
+                rejected_duplicates: receipt.rejected_duplicates,
+                rejected_malformed: receipt.rejected_malformed,
+                users: receipt.users,
             };
         }
         (_, Err(LdpError::DuplicateReport { .. })) => AckOutcome::Duplicate,
@@ -564,6 +566,7 @@ fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> 
             AckOutcome::Rejected
         }
     };
+    let (user, epoch) = echo(msg);
     ResponseMessage::Ack {
         user,
         epoch,

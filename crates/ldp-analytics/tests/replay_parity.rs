@@ -11,7 +11,9 @@
 //!
 //! Every value below is what the collector computed before replay probed
 //! the ledger once per record; the scenario uses only the public API, so
-//! it runs unchanged against either.
+//! it runs unchanged against either. After each reopen, a `FlushEpoch`
+//! must answer every recovered epoch with the counters its snapshot
+//! reports, read without folding the epoch's partials.
 
 use ldp_analytics::durable::{
     CrashPoint, CrashSchedule, DurableConfig, DurableService, FsyncPolicy, RecoveryReport,
@@ -120,6 +122,37 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Flushes every epoch through `durable.handle` and checks the counters it
+/// returns against the epoch's snapshot: the same ledger and malformed
+/// counts, and `users` equal to the estimates' report count (0 for an
+/// epoch no report has reached).
+fn assert_flush_counters_match_snapshots(durable: &mut DurableService) {
+    for epoch in 0..EPOCHS {
+        let receipt = durable
+            .handle(&WireMessage::FlushEpoch { epoch })
+            .unwrap()
+            .expect("a flush returns its counters");
+        let snap = durable.snapshot_epoch(epoch).unwrap();
+        assert_eq!(
+            (
+                receipt.epoch,
+                receipt.admitted,
+                receipt.rejected_duplicates,
+                receipt.rejected_malformed,
+                receipt.users,
+            ),
+            (
+                snap.epoch,
+                snap.admitted,
+                snap.rejected_duplicates,
+                snap.rejected_malformed,
+                snap.result.map_or(0, |r| r.n as u64),
+            ),
+            "epoch {epoch}"
+        );
+    }
+}
+
 /// FNV-1a over every epoch's snapshot: its counters, then each estimate's
 /// attribute index and `f64` bits, all little-endian.
 fn snapshots_hash(durable: &DurableService) -> u64 {
@@ -183,6 +216,7 @@ fn replay_of_a_mixed_log_is_pinned() {
             ..RecoveryReport::default()
         }
     );
+    assert_flush_counters_match_snapshots(&mut durable);
     append_garbage(&dir, 5, 0); // the checkpoint covers user 5
     append_garbage(&dir, 77, 1); // nothing has admitted user 77 yet
     assert_eq!(submit_all(&mut durable, &encoder, 1, 25..40), 5);
@@ -192,8 +226,9 @@ fn replay_of_a_mixed_log_is_pinned() {
     durable.flush().unwrap();
     drop(durable);
 
-    let (durable, report) = DurableService::open(&dir, config()).unwrap();
+    let (mut durable, report) = DurableService::open(&dir, config()).unwrap();
     assert_eq!(report, GOLDEN_REPORT);
+    assert_flush_counters_match_snapshots(&mut durable);
     let ledger = durable.service().ledger();
     let counters: Vec<(u64, u64, u64)> = ledger
         .epochs()

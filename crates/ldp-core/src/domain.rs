@@ -18,9 +18,6 @@ pub struct NumericDomain {
 }
 
 impl NumericDomain {
-    /// The canonical mechanism domain `[-1, 1]`.
-    pub const UNIT: NumericDomain = NumericDomain { lo: -1.0, hi: 1.0 };
-
     /// Creates a domain, validating `lo < hi` and finiteness.
     ///
     /// # Errors
@@ -189,7 +186,7 @@ mod tests {
 
     #[test]
     fn unit_domain_is_identity() {
-        let d = NumericDomain::UNIT;
+        let d = NumericDomain::new(-1.0, 1.0).unwrap();
         for x in [-1.0, -0.3, 0.7, 1.0] {
             assert!((d.normalize(x).unwrap() - x).abs() < 1e-15);
             assert!((d.denormalize(x) - x).abs() < 1e-15);

@@ -189,11 +189,6 @@ impl GridSpec {
         self.dims.iter().position(|d| d.attr == attr)
     }
 
-    /// Lowered-schema index of dim `i`'s 1-D grid.
-    pub fn one_d_index(&self, i: usize) -> usize {
-        i
-    }
-
     /// Lowered-schema index of the 2-D grid for dim pair `(a, b)`, `a < b`.
     pub fn two_d_index(&self, a: usize, b: usize) -> Option<usize> {
         self.pairs
@@ -203,7 +198,8 @@ impl GridSpec {
     }
 
     /// The `ldp-core` specs of the lowered schema: one categorical attribute
-    /// per grid (`k = g1` for 1-D grids, `k = g2²` for 2-D grids).
+    /// per grid, dim `i`'s 1-D grid at index `i` (`k = g1`), then the 2-D
+    /// grids at [`GridSpec::two_d_index`] (`k = g2²`).
     pub fn attr_specs(&self) -> Vec<AttrSpec> {
         let mut specs = Vec::with_capacity(self.grids());
         specs.extend(
@@ -397,7 +393,7 @@ mod tests {
         }
 
         // And the 1-D columns coarsen consistently onto the 2-D axes.
-        let Column::Categorical(fine_age) = low.column(spec.one_d_index(0)) else {
+        let Column::Categorical(fine_age) = low.column(0) else {
             panic!("1-D grids are categorical")
         };
         for i in 0..ds.n() {
